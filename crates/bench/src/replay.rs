@@ -3,15 +3,15 @@
 //! The paper's Figure 5 runs five full tree traversals on datasets of
 //! 1–32 GB against 1–2 GB of RAM. Re-running that verbatim needs tens of
 //! gigabytes of physical I/O; instead we *replay* the exact vector access
-//! sequence of the traversals — through the real out-of-core manager and
-//! the real page-reclaim machinery — while charging each store operation
-//! to a virtual disk clock and adding a calibrated per-vector compute
-//! cost. The scaled-down real-I/O runs (same binary, `--real`) validate
+//! sequence of the traversals — through the out-of-core manager's own
+//! bookkeeping (`ooc_core::SlotTable`) and the real page-reclaim
+//! machinery — while charging each store operation to a virtual disk
+//! clock and adding a calibrated per-vector compute cost. The scaled-down real-I/O runs (same binary, `--real`) validate
 //! that the model reproduces the measured shape.
 
 use ooc_core::{
-    AccessPlan, AccessRecord, DiskModel, ModeledStore, NullStore, OocConfig, StrategyKind,
-    VectorManager,
+    AccessPlan, AccessRecord, DataPlane, DiskModel, ItemId, OocConfig, SlotId, SlotTable,
+    StrategyKind,
 };
 use pager_sim::{PageStats, PagedArena, PAGE_SIZE};
 use phylo_plf::kernels::newview::newview_inner_inner;
@@ -255,8 +255,36 @@ pub fn combine_pins(parent: u32, left: Option<u32>, right: Option<u32>) -> Vec<A
     pins
 }
 
-/// Replay `k` full traversals through the out-of-core manager with a
-/// modelled disk, returning the modelled times and the manager statistics.
+/// The [`DataPlane`] of a modelled disk: moves nothing, charges every
+/// whole-vector transfer to a virtual clock.
+struct DiskClockPlane {
+    /// Modelled cost of one vector transfer.
+    op_cost_ns: u64,
+    clock_ns: u64,
+    ops: u64,
+}
+
+impl DiskClockPlane {
+    fn charge(&mut self) -> std::io::Result<()> {
+        self.clock_ns += self.op_cost_ns;
+        self.ops += 1;
+        Ok(())
+    }
+}
+
+impl DataPlane for DiskClockPlane {
+    fn write_back(&mut self, _item: ItemId, _slot: SlotId) -> std::io::Result<()> {
+        self.charge()
+    }
+
+    fn read(&mut self, _item: ItemId, _slot: SlotId) -> std::io::Result<()> {
+        self.charge()
+    }
+}
+
+/// Replay `k` full traversals through the out-of-core manager's
+/// [`SlotTable`] with a modelled disk, returning the modelled times and
+/// the manager statistics. No vector is allocated, whatever the budget.
 pub fn replay_ooc(
     pattern: &TraversalPattern,
     width: usize,
@@ -270,22 +298,25 @@ pub fn replay_ooc(
         .byte_limit(ram_limit_bytes)
         .build()
         .expect("valid out-of-core config");
-    let store = ModeledStore::new(NullStore, disk);
-    let mut manager = VectorManager::new(cfg, kind.build(None), store);
+    let mut table = SlotTable::new(cfg, kind.build(None));
+    let mut plane = DiskClockPlane {
+        op_cost_ns: disk.op_cost_ns(width as u64 * 8),
+        clock_ns: 0,
+        ops: 0,
+    };
 
     let plan = pattern.access_plan();
     for _ in 0..k {
-        manager.begin_plan(plan.clone());
+        table.begin_plan(&mut plane, plan.clone());
         for &(parent, left, right) in &pattern.steps {
-            let mut sess = manager
-                .session(&combine_pins(parent, left, right))
-                .expect("NullStore replay cannot fail on I/O");
-            let _ = sess.rw(parent, left, right);
+            table
+                .access_group(&mut plane, &combine_pins(parent, left, right))
+                .expect("a modelled disk cannot fail");
         }
     }
-    let stats = *manager.stats();
-    let io_secs = manager.store().clock_secs();
-    let io_ops = manager.store().ops();
+    let stats = *table.stats();
+    let io_secs = plane.clock_ns as f64 / 1e9;
+    let io_ops = plane.ops;
     let compute_secs = compute_secs_per_f64 * width as f64 * (pattern.steps.len() * k) as f64;
     (
         ReplayResult {
@@ -352,6 +383,7 @@ pub fn replay_paged(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ooc_core::{ModeledStore, NullStore, VectorManager};
     use phylo_tree::build::random_topology;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -12,6 +12,10 @@
 //!   per-item location table, slot pool, pinning, swap orchestration. All
 //!   out-of-core complexity is encapsulated behind vector-access calls,
 //!   mirroring the paper's `getxvector()`.
+//! * [`slot_table`] — the manager's policy core: the data-free
+//!   [`SlotTable`] decides which operations an access causes, generic over
+//!   a [`DataPlane`] that moves the bytes; [`SlotCacheSim`] is the same
+//!   table with nothing behind it.
 //! * [`plan`] — the access-plan IR: the traversal's access pattern as an
 //!   ordered `{item, intent}` sequence with first/last-access analysis,
 //!   consumed by the manager through a plan cursor (read-skip flags,
@@ -56,6 +60,7 @@ pub mod plan;
 pub mod prefetch;
 pub mod retry;
 pub mod shard;
+pub mod slot_table;
 pub mod stats;
 pub mod store;
 pub mod strategy;
@@ -85,6 +90,7 @@ pub use retry::{RetryPolicy, RetryStats, RetryingStore};
 pub use shard::{
     par_each_mut, parallelism, split_budget, split_budget_checked, ShardSpec, ShardedManager,
 };
+pub use slot_table::{DataPlane, NullPlane, SlotCacheSim, SlotTable};
 pub use stats::OocStats;
 pub use store::{BackingStore, FileStore, MemStore, MultiFileStore, NullStore};
 pub use strategy::{EvictionView, ReplacementStrategy, StrategyKind, TopologyOracle};

@@ -3,19 +3,23 @@
 //!
 //! `n` fixed-width vectors ("items", one per ancestral node) are kept either
 //! in one of `m` RAM slots or in a [`BackingStore`]. Every access goes
-//! through the manager, which performs hit tracking, victim selection via a
-//! [`ReplacementStrategy`], pinning of vectors involved in the current
-//! likelihood combine, read skipping for write-only first accesses, and
-//! statistics collection.
+//! through the manager. *Which* operations an access causes — hit
+//! tracking, victim selection via a [`ReplacementStrategy`], pinning of
+//! the vectors of the current likelihood combine, read skipping for
+//! write-only first accesses, statistics — is decided by the data-free
+//! [`SlotTable`]; this module adds the bytes: the slot buffers, the store,
+//! the tenant grant and the recorder, as the table's [`DataPlane`].
 
 use crate::aligned::AlignedBuf;
 use crate::arena::TenantGrant;
-use crate::error::{OocError, OocOp, OocResult};
+use crate::error::OocResult;
 use crate::obs::{Recorder, StallKind};
-use crate::plan::{AccessPlan, AccessRecord, PlanCursor};
+use crate::plan::{AccessPlan, AccessRecord};
+use crate::slot_table::{DataPlane, SlotTable};
 use crate::stats::OocStats;
 use crate::store::BackingStore;
-use crate::strategy::{EvictionView, ReplacementStrategy};
+use crate::strategy::ReplacementStrategy;
+use std::io;
 
 /// Dense id of a managed vector (= inner-node index in the PLF).
 pub type ItemId = u32;
@@ -31,17 +35,6 @@ pub enum Intent {
     Read,
     /// Vector will be completely overwritten before being read.
     Write,
-}
-
-/// Where an item currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Location {
-    /// Never computed anywhere yet.
-    Unmaterialized,
-    /// Resident in a RAM slot.
-    InSlot(SlotId),
-    /// Valid data in the backing store only.
-    InStore,
 }
 
 /// Sizing and behaviour configuration.
@@ -93,6 +86,34 @@ impl OocConfig {
     /// Bytes the full vector set would need (`n · w`).
     pub fn total_bytes(&self) -> u64 {
         self.n_items as u64 * self.width as u64 * 8
+    }
+
+    /// The geometry invariant, stated once: a non-empty item space of
+    /// non-empty vectors and `3 ≤ m ≤ max(n, 3)` slots — RAM must hold the
+    /// three pinned vectors of one combine, and never more slots than
+    /// items. [`OocConfigBuilder::build`] reports it, [`SlotTable::new`]
+    /// (so every manager and simulator) asserts it.
+    pub fn validate(&self) -> Result<(), OocConfigError> {
+        if self.n_items == 0 {
+            return Err(OocConfigError::new("n_items must be positive"));
+        }
+        if self.width == 0 {
+            return Err(OocConfigError::new("vector width must be positive"));
+        }
+        let m = self.n_slots;
+        if m < 3 {
+            return Err(OocConfigError::new(format!(
+                "{m} slots requested but the paper's pinning minimum is 3 \
+                 (parent + two children of one combine)"
+            )));
+        }
+        if m > self.n_items.max(3) {
+            return Err(OocConfigError::new(format!(
+                "{m} slots requested for {} items (more slots than items)",
+                self.n_items
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -208,30 +229,10 @@ impl OocConfigBuilder {
 
     /// Validate and produce the config.
     pub fn build(self) -> Result<OocConfig, OocConfigError> {
-        if self.n_items == 0 {
-            return Err(OocConfigError("n_items must be positive".into()));
-        }
-        if self.width == 0 {
-            return Err(OocConfigError("vector width must be positive".into()));
-        }
         let max_slots = self.n_items.max(3);
         let n_slots = match self.sizing {
             Sizing::AllResident => max_slots,
-            Sizing::Slots(m) => {
-                if m < 3 {
-                    return Err(OocConfigError(format!(
-                        "{m} slots requested but the paper's pinning minimum is 3 \
-                         (parent + two children of one combine)"
-                    )));
-                }
-                if m > max_slots {
-                    return Err(OocConfigError(format!(
-                        "{m} slots requested for {} items (more slots than items)",
-                        self.n_items
-                    )));
-                }
-                m
-            }
+            Sizing::Slots(m) => m,
             Sizing::Fraction(f) => {
                 if f.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
                     return Err(OocConfigError(format!("fraction {f} must be positive")));
@@ -240,55 +241,32 @@ impl OocConfigBuilder {
             }
             Sizing::ByteLimit(bytes) => {
                 validate_byte_budget(bytes)?;
-                ((bytes / (self.width as u64 * 8)) as usize).clamp(3, max_slots)
+                // A zero width is rejected by `validate` below.
+                let per_slot = (self.width as u64 * 8).max(1);
+                ((bytes / per_slot) as usize).clamp(3, max_slots)
             }
         };
-        Ok(OocConfig {
+        let cfg = OocConfig {
             n_items: self.n_items,
             width: self.width,
             n_slots,
             read_skipping: self.read_skipping,
             always_write_back: self.always_write_back,
             prefetch_window: self.prefetch_window,
-        })
+        };
+        cfg.validate()?;
+        Ok(cfg)
     }
 }
 
-/// Out-of-core vector manager over a backing store `S`.
-pub struct VectorManager<S: BackingStore> {
-    cfg: OocConfig,
+/// The real [`DataPlane`]: slot buffers over a backing store, optionally
+/// charged to a tenant grant and observed by a recorder.
+struct StorePlane<S: BackingStore> {
+    /// Vector width in `f64`s.
+    width: usize,
     /// Slot arena: every buffer is 64-byte aligned ([`crate::aligned`]) so
     /// the SIMD kernels' site strides never straddle cache lines.
     slots: Vec<AlignedBuf>,
-    slot_item: Vec<Option<ItemId>>,
-    pinned: Vec<bool>,
-    dirty: Vec<bool>,
-    loc: Vec<Location>,
-    /// Store holds valid data for this item.
-    materialized: Vec<bool>,
-    /// Next load of this item may skip the store read (derived from the
-    /// plan's write-first analysis by [`VectorManager::begin_plan`],
-    /// consumed on first access).
-    skip_read: Vec<bool>,
-    /// Item was hinted to the store and the hint has not been consumed by
-    /// a load yet (prefetch-effectiveness accounting).
-    hinted: Vec<bool>,
-    /// Cursor over the active access plan, if one was submitted.
-    cursor: Option<PlanCursor>,
-    /// The store accepted the whole plan for pipelined streaming
-    /// ([`BackingStore::install_read_plan`]): the I/O worker walks the
-    /// read-first stream ahead of the cursor on its own, so the manager
-    /// reports cursor progress instead of issuing per-window hints.
-    plan_streamed: bool,
-    /// When set, every access is appended here (pass one of the two-pass
-    /// Belady oracle used by the benchmarks).
-    recording: Option<Vec<AccessRecord>>,
-    /// Full-run oracle plan and the index of the next access (pass two):
-    /// while installed, the replacement strategy sees *this* plan and a
-    /// position that advances on every access, instead of the
-    /// per-traversal submissions.
-    oracle: Option<(AccessPlan, usize)>,
-    strategy: Box<dyn ReplacementStrategy>,
     store: S,
     /// Multi-tenant mode ([`VectorManager::attach_tenant`]): slot buffers
     /// are allocated lazily and charged against this elastic grant; when
@@ -296,51 +274,188 @@ pub struct VectorManager<S: BackingStore> {
     /// trimmed back (fair cross-tenant eviction). `None` = classic
     /// single-tenant behaviour, buffers eagerly allocated.
     tenant: Option<TenantGrant>,
-    stats: OocStats,
     /// Observability: when attached, per-access hit/miss/evict latency
     /// lands in histograms and every store transfer becomes an attributed
     /// span (see [`crate::obs`]). `None` costs nothing on the hot path.
     obs: Option<Recorder>,
 }
 
+impl<S: BackingStore> StorePlane<S> {
+    /// One slot buffer's RAM cost in bytes (the arena charging unit, and
+    /// the size of every transfer).
+    fn slot_bytes(&self) -> u64 {
+        self.width as u64 * 8
+    }
+}
+
+impl<S: BackingStore> DataPlane for StorePlane<S> {
+    fn write_back(&mut self, item: ItemId, slot: SlotId) -> io::Result<()> {
+        let t0 = self.now();
+        self.store.write(item, &self.slots[slot as usize])?;
+        // Success only, and one op name for eviction and flush, so
+        // write-back events == disk_writes.
+        if let Some(rec) = &self.obs {
+            rec.span_at("manager", "write-back", StallKind::WriteBack, t0)
+                .item(item)
+                .bytes(self.slot_bytes())
+                .finish();
+        }
+        Ok(())
+    }
+
+    fn read(&mut self, item: ItemId, slot: SlotId) -> io::Result<()> {
+        let t0 = self.now();
+        // Any prefetch-wait the store records while we sit in this read (a
+        // demand read overlapping its own in-flight prefetch) must stay
+        // attributed to prefetch-wait alone: carve it out of the
+        // demand-read span so the stall kinds stay disjoint by
+        // construction.
+        let pw0 = self
+            .obs
+            .as_ref()
+            .map_or(0, |r| r.kind_ns(StallKind::PrefetchWait));
+        self.store.read(item, &mut self.slots[slot as usize])?;
+        // Success only, so demand-read events == disk_reads.
+        if let Some(rec) = &self.obs {
+            let overlap = rec.kind_ns(StallKind::PrefetchWait) - pw0;
+            rec.span_at("manager", "demand-read", StallKind::DemandRead, t0)
+                .item(item)
+                .bytes(self.slot_bytes())
+                .exclude(overlap)
+                .finish();
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let t0 = self.now();
+        self.store.flush()?;
+        if let Some(rec) = &self.obs {
+            rec.span_at("manager", "flush", StallKind::WriteBack, t0)
+                .finish();
+        }
+        Ok(())
+    }
+
+    fn take_staged(&mut self, item: ItemId, slot: SlotId) -> bool {
+        let Some(staged) = self.store.take_staged(item) else {
+            return false;
+        };
+        // Adopt the worker's staged buffer into the slot wholesale.
+        debug_assert_eq!(staged.len(), self.width);
+        let t0 = self.now();
+        self.slots[slot as usize] = staged;
+        self.latency("staged-load", t0);
+        true
+    }
+
+    fn zero(&mut self, slot: SlotId) {
+        self.slots[slot as usize].fill(0.0);
+    }
+
+    fn hint(&mut self, upcoming: &[ItemId]) {
+        self.store.hint(upcoming);
+    }
+
+    fn install_read_plan(&mut self, first_reads: &[ItemId], window: usize) -> bool {
+        self.store.install_read_plan(first_reads, window)
+    }
+
+    fn plan_advanced(&mut self, first_reads_passed: usize) {
+        self.store.plan_advanced(first_reads_passed);
+    }
+
+    fn forget_hints(&mut self) {
+        self.store.forget_hints();
+    }
+
+    fn over_allowance(&self) -> bool {
+        self.tenant.as_ref().is_some_and(|g| g.overage() > 0)
+    }
+
+    fn try_occupy(&mut self, slot: SlotId) -> bool {
+        let Some(grant) = &self.tenant else {
+            return true;
+        };
+        let s = slot as usize;
+        if self.slots[s].len() == self.width {
+            // Buffer retained from an earlier occupation — already paid.
+            return true;
+        }
+        if !grant.try_charge(self.slot_bytes()) {
+            return false;
+        }
+        self.slots[s] = AlignedBuf::zeroed(self.width);
+        true
+    }
+
+    fn force_occupy(&mut self, slot: SlotId) {
+        if let Some(grant) = &self.tenant {
+            grant.charge_forced(self.slot_bytes());
+        }
+        self.slots[slot as usize] = AlignedBuf::zeroed(self.width);
+    }
+
+    fn fair_eviction(&mut self, slot: SlotId, release: bool) {
+        let Some(grant) = &self.tenant else {
+            return;
+        };
+        if release {
+            // Free the buffer so the released bytes flow to the tenant
+            // that is owed them.
+            self.slots[slot as usize] = AlignedBuf::zeroed(0);
+            grant.release(self.slot_bytes());
+        }
+        grant.note_fair_eviction();
+    }
+
+    fn now(&self) -> u64 {
+        self.obs.as_ref().map_or(0, |r| r.now())
+    }
+
+    /// Far too frequent for one event each; the histogram keeps every
+    /// observation. Unattributed: the stall part of a miss or an eviction
+    /// is already covered by its demand-read / write-back span.
+    fn latency(&self, op: &'static str, since: u64) {
+        if let Some(rec) = &self.obs {
+            rec.span_at("manager", op, StallKind::Compute, since)
+                .hist_only()
+                .unattributed()
+                .finish();
+        }
+    }
+}
+
+/// Out-of-core vector manager over a backing store `S`: the shared
+/// [`SlotTable`] plus the plane that holds the bytes.
+pub struct VectorManager<S: BackingStore> {
+    table: SlotTable,
+    plane: StorePlane<S>,
+}
+
 impl<S: BackingStore> VectorManager<S> {
-    /// Create a manager. Panics unless `3 ≤ m ≤ n` (the paper's constraint:
-    /// RAM must hold at least the three vectors of one combine).
+    /// Create a manager. Panics unless `3 ≤ m ≤ max(n, 3)` (the paper's
+    /// constraint: RAM must hold at least the three vectors of one
+    /// combine); see [`OocConfig::validate`].
     pub fn new(cfg: OocConfig, strategy: Box<dyn ReplacementStrategy>, store: S) -> Self {
-        assert!(
-            cfg.n_slots >= 3,
-            "need at least 3 slots (parent + two children must be pinnable)"
-        );
-        assert!(cfg.n_slots <= cfg.n_items.max(3), "more slots than items");
-        assert!(cfg.width > 0 && cfg.n_items > 0);
         VectorManager {
-            slots: (0..cfg.n_slots)
-                .map(|_| AlignedBuf::zeroed(cfg.width))
-                .collect(),
-            slot_item: vec![None; cfg.n_slots],
-            pinned: vec![false; cfg.n_slots],
-            dirty: vec![false; cfg.n_slots],
-            loc: vec![Location::Unmaterialized; cfg.n_items],
-            materialized: vec![false; cfg.n_items],
-            skip_read: vec![false; cfg.n_items],
-            hinted: vec![false; cfg.n_items],
-            cursor: None,
-            plan_streamed: false,
-            recording: None,
-            oracle: None,
-            strategy,
-            store,
-            tenant: None,
-            cfg,
-            stats: OocStats::default(),
-            obs: None,
+            table: SlotTable::new(cfg, strategy),
+            plane: StorePlane {
+                width: cfg.width,
+                slots: (0..cfg.n_slots)
+                    .map(|_| AlignedBuf::zeroed(cfg.width))
+                    .collect(),
+                store,
+                tenant: None,
+                obs: None,
+            },
         }
     }
 
     /// Attach an observability recorder: per-access latency histograms
     /// plus attributed demand-read/write-back spans from now on.
     pub fn set_recorder(&mut self, rec: Recorder) {
-        self.obs = Some(rec);
+        self.plane.obs = Some(rec);
     }
 
     /// Join a shared slot arena under `grant` (multi-tenant mode):
@@ -361,59 +476,59 @@ impl<S: BackingStore> VectorManager<S> {
     /// before first use (typically right after construction); buffers of
     /// already-occupied slots are charged as-is.
     pub fn attach_tenant(&mut self, grant: TenantGrant) {
-        for (s, occupant) in self.slot_item.iter().enumerate() {
+        for (s, occupant) in self.table.slot_items().iter().enumerate() {
             if occupant.is_none() {
-                self.slots[s] = AlignedBuf::zeroed(0);
+                self.plane.slots[s] = AlignedBuf::zeroed(0);
             } else {
-                grant.charge_forced(self.cfg.width as u64 * 8);
+                grant.charge_forced(self.plane.slot_bytes());
             }
         }
-        self.tenant = Some(grant);
+        self.plane.tenant = Some(grant);
     }
 
     /// The attached tenant grant, if any.
     pub fn tenant(&self) -> Option<&TenantGrant> {
-        self.tenant.as_ref()
+        self.plane.tenant.as_ref()
     }
 
     /// The attached recorder, if any.
     pub fn recorder(&self) -> Option<&Recorder> {
-        self.obs.as_ref()
+        self.plane.obs.as_ref()
     }
 
     /// Configuration in effect.
     pub fn config(&self) -> &OocConfig {
-        &self.cfg
+        self.table.config()
     }
 
     /// Statistics so far.
     pub fn stats(&self) -> &OocStats {
-        &self.stats
+        self.table.stats()
     }
 
     /// Reset statistics (e.g. after a warm-up phase).
     pub fn reset_stats(&mut self) {
-        self.stats.reset();
+        self.table.reset_stats();
     }
 
     /// Name of the replacement strategy.
     pub fn strategy_name(&self) -> &'static str {
-        self.strategy.name()
+        self.table.strategy_name()
     }
 
     /// Borrow the backing store (e.g. to read a virtual I/O clock).
     pub fn store(&self) -> &S {
-        &self.store
+        &self.plane.store
     }
 
     /// Items currently resident in RAM.
     pub fn resident_items(&self) -> Vec<ItemId> {
-        self.slot_item.iter().flatten().copied().collect()
+        self.table.slot_items().iter().flatten().copied().collect()
     }
 
     /// Is `item` currently resident?
     pub fn is_resident(&self, item: ItemId) -> bool {
-        matches!(self.loc[item as usize], Location::InSlot(_))
+        self.table.slot_of(item).is_some()
     }
 
     /// Submit the access plan of an upcoming traversal. The manager derives
@@ -425,8 +540,7 @@ impl<S: BackingStore> VectorManager<S> {
     /// and the plan positions feed any plan-aware replacement strategy
     /// (NextUse). Submitting a new plan replaces the previous one.
     pub fn begin_plan(&mut self, plan: AccessPlan) {
-        let window = self.cfg.prefetch_window;
-        self.install_plan(plan, window);
+        self.table.begin_plan(&mut self.plane, plan);
     }
 
     /// Record every subsequent access (item and intent, in order) until
@@ -434,14 +548,13 @@ impl<S: BackingStore> VectorManager<S> {
     /// oracle: the recorded stream of a deterministic workload is the
     /// exact future an identical re-run will produce.
     pub fn start_recording(&mut self) {
-        self.recording = Some(Vec::new());
+        self.table.start_recording();
     }
 
     /// Stop recording and return the recorded access stream as a plan
     /// (empty if recording was never started).
     pub fn take_recording(&mut self) -> AccessPlan {
-        let records = self.recording.take().unwrap_or_default();
-        AccessPlan::from_records(records, self.cfg.n_items)
+        self.table.take_recording()
     }
 
     /// Install a full-run oracle plan — pass two: replay the workload whose
@@ -454,394 +567,7 @@ impl<S: BackingStore> VectorManager<S> {
     /// eviction knows the complete future, so its miss rate lower-bounds
     /// every online strategy on the same stream.
     pub fn install_oracle_plan(&mut self, plan: AccessPlan) {
-        assert!(
-            plan.n_items() <= self.cfg.n_items,
-            "oracle plan geometry ({}) exceeds manager geometry ({})",
-            plan.n_items(),
-            self.cfg.n_items
-        );
-        self.strategy.on_plan(&plan);
-        self.strategy.on_plan_pos(0);
-        self.oracle = Some((plan, 0));
-    }
-
-    fn install_plan(&mut self, plan: AccessPlan, window: usize) {
-        assert!(
-            plan.n_items() <= self.cfg.n_items,
-            "plan geometry ({}) exceeds manager geometry ({})",
-            plan.n_items(),
-            self.cfg.n_items
-        );
-        self.stats.plans += 1;
-        // Flags from an abandoned plan must not leak into this one, and
-        // the store must drop that plan's queued/in-flight hints: a
-        // superseded prefetch landing later would otherwise be credited
-        // to (or stall) this plan's accounting.
-        self.skip_read.fill(false);
-        self.hinted.fill(false);
-        self.store.forget_hints();
-        for &item in plan.write_first_items() {
-            self.skip_read[item as usize] = true;
-        }
-        // An installed full-run oracle outranks per-traversal plans for
-        // replacement decisions; the strategy keeps following it.
-        if self.oracle.is_none() {
-            self.strategy.on_plan(&plan);
-        }
-        // Hand the whole read-first stream to the store first: a pipelined
-        // store streams it window-by-window on its I/O worker (superseding
-        // the previous plan's generation atomically), and the manager only
-        // reports cursor progress from then on. Stores without a pipeline
-        // decline, and the legacy windowed hint flow below takes over.
-        self.plan_streamed = window > 0
-            && self
-                .store
-                .install_read_plan(plan.read_first_items(), window);
-        let mut cursor = PlanCursor::new(plan);
-        if self.plan_streamed {
-            let first_reads = cursor.plan().read_first_items();
-            self.stats.hints_issued += first_reads.len() as u64;
-            for &item in first_reads {
-                self.hinted[item as usize] = true;
-            }
-        } else {
-            let hints = cursor.collect_hints(window);
-            self.issue_hints(&hints);
-        }
-        self.cursor = Some(cursor);
-    }
-
-    fn issue_hints(&mut self, hints: &[ItemId]) {
-        if hints.is_empty() {
-            return;
-        }
-        self.stats.hints_issued += hints.len() as u64;
-        for &item in hints {
-            self.hinted[item as usize] = true;
-        }
-        self.store.hint(hints);
-    }
-
-    /// Walk the plan cursor past this access, notify the strategy of the
-    /// new position and top the prefetch window back up. Recording and the
-    /// full-run oracle position piggyback on the same chokepoint: every
-    /// access flows through here exactly once.
-    fn advance_plan(&mut self, item: ItemId, intent: Intent) {
-        if let Some(log) = &mut self.recording {
-            log.push(AccessRecord { item, intent });
-        }
-        if let Some((plan, pos)) = &mut self.oracle {
-            debug_assert!(
-                *pos >= plan.len() || plan.records()[*pos].item == item,
-                "oracle replay drift at position {pos}: planned item {}, got {item}",
-                plan.records()[*pos].item,
-            );
-            *pos += 1;
-            self.strategy.on_plan_pos(*pos);
-        }
-        let Some(cursor) = self.cursor.as_mut() else {
-            return;
-        };
-        if cursor.advance(item).is_none() {
-            return; // off-plan access; cursor holds its position
-        }
-        let pos = cursor.pos();
-        if self.oracle.is_none() {
-            self.strategy.on_plan_pos(pos);
-        }
-        if self.plan_streamed {
-            // The I/O worker owns the hint stream; it only needs to know
-            // how far the compute cursor got to release the next window
-            // and retire staged copies the cursor has passed over.
-            let passed = self.cursor.as_ref().map_or(0, |c| c.first_reads_passed());
-            self.store.plan_advanced(passed);
-        } else {
-            let hints = self
-                .cursor
-                .as_mut()
-                .map_or_else(Vec::new, |c| c.collect_hints(self.cfg.prefetch_window));
-            self.issue_hints(&hints);
-        }
-    }
-
-    /// Ensure `item` is resident and return its slot. The paper's
-    /// `getxvector()` without the pointer return; pinned slots are never
-    /// chosen as victims.
-    ///
-    /// On error the manager's bookkeeping is untouched by the failed step:
-    /// a failed eviction write leaves the victim resident and dirty, a
-    /// failed load read leaves the slot unoccupied and the item in the
-    /// store — either way every later access sees consistent state.
-    fn ensure_resident(&mut self, item: ItemId, intent: Intent) -> OocResult<SlotId> {
-        let t0 = self.obs.as_ref().map(|r| r.now());
-        self.stats.requests += 1;
-        self.advance_plan(item, intent);
-        if let Location::InSlot(slot) = self.loc[item as usize] {
-            self.stats.hits += 1;
-            self.strategy.on_access(item, slot);
-            if intent == Intent::Write {
-                self.dirty[slot as usize] = true;
-            }
-            self.skip_read[item as usize] = false;
-            // Hits are far too frequent for one event each; the histogram
-            // keeps every observation.
-            if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-                rec.span_at("manager", "hit", StallKind::Compute, t0)
-                    .hist_only()
-                    .unattributed()
-                    .finish();
-            }
-            return Ok(slot);
-        }
-        self.stats.misses += 1;
-        let slot = self.load(item, intent)?;
-        // Unattributed: the stall part of a miss is already covered by the
-        // demand-read / write-back spans recorded inside `load`.
-        if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-            rec.span_at("manager", "miss", StallKind::Compute, t0)
-                .item(item)
-                .hist_only()
-                .unattributed()
-                .finish();
-        }
-        Ok(slot)
-    }
-
-    /// One slot buffer's RAM cost in bytes (the arena charging unit).
-    fn slot_cost(&self) -> u64 {
-        self.cfg.width as u64 * 8
-    }
-
-    /// Occupied slot count (tenant bookkeeping only; O(m)).
-    fn occupied_slots(&self) -> usize {
-        self.slot_item.iter().filter(|o| o.is_some()).count()
-    }
-
-    /// Is any occupied slot evictable right now?
-    fn has_eviction_candidate(&self) -> bool {
-        self.slot_item
-            .iter()
-            .zip(&self.pinned)
-            .any(|(occupant, &pinned)| occupant.is_some() && !pinned)
-    }
-
-    /// Pick a victim via the replacement strategy and evict it.
-    fn evict_victim(&mut self, requested: ItemId) -> OocResult<SlotId> {
-        let view = EvictionView {
-            slot_item: &self.slot_item,
-            pinned: &self.pinned,
-        };
-        let victim = self.strategy.choose_victim(requested, &view);
-        assert!(
-            !self.pinned[victim as usize] && self.slot_item[victim as usize].is_some(),
-            "strategy chose an illegal victim"
-        );
-        self.evict(victim)?;
-        Ok(victim)
-    }
-
-    /// Multi-tenant trim: while the grant's allowance sits below what the
-    /// tenant has charged (another tenant was admitted since), evict
-    /// occupied, unpinned slots — never below the 3-slot pinned floor —
-    /// *freeing* their buffers so the released bytes flow to the tenant
-    /// that is owed them. These are the arena's fair cross-tenant
-    /// evictions; this manager's own slot capacity played no part.
-    fn trim_to_allowance(&mut self, requested: ItemId) -> OocResult<()> {
-        let Some(grant) = self.tenant.clone() else {
-            return Ok(());
-        };
-        while grant.overage() > 0 && self.occupied_slots() > 3 && self.has_eviction_candidate() {
-            let victim = self.evict_victim(requested)?;
-            self.slots[victim as usize] = AlignedBuf::zeroed(0);
-            grant.release(self.slot_cost());
-            grant.note_fair_eviction();
-        }
-        Ok(())
-    }
-
-    /// Multi-tenant charge for occupying empty slot `s`. `true` when the
-    /// occupation is paid for (or no tenant is attached); `false` tells
-    /// the caller to evict-and-reuse instead of growing residency.
-    fn charge_for_occupy(&mut self, s: usize) -> bool {
-        let Some(grant) = &self.tenant else {
-            return true;
-        };
-        if self.slots[s].len() == self.cfg.width {
-            // Buffer retained from an earlier occupation — already paid.
-            return true;
-        }
-        let cost = self.slot_cost();
-        if grant.try_charge(cost) {
-            return true;
-        }
-        // Refusal is only useful if eviction can recycle a buffer; below
-        // the pinned floor (or with every occupant pinned) the charge is
-        // forced — admission guaranteed a combine's three slots.
-        if !self.has_eviction_candidate() || self.occupied_slots() < 3 {
-            grant.charge_forced(cost);
-            return true;
-        }
-        false
-    }
-
-    /// Bring a non-resident item into a slot, evicting if necessary.
-    fn load(&mut self, item: ItemId, intent: Intent) -> OocResult<SlotId> {
-        self.trim_to_allowance(item)?;
-        let empty = self
-            .slot_item
-            .iter()
-            .position(|occupant| occupant.is_none());
-        let slot = match empty {
-            Some(e) if self.charge_for_occupy(e) => e as SlotId,
-            Some(_) => {
-                // A free slot exists but the tenant allowance refused the
-                // bytes: recycle an occupied buffer instead. Capacity was
-                // not the constraint — cross-tenant pressure was.
-                let victim = self.evict_victim(item)?;
-                if let Some(grant) = &self.tenant {
-                    grant.note_fair_eviction();
-                }
-                victim
-            }
-            None => self.evict_victim(item)?,
-        };
-        let s = slot as usize;
-        if self.slots[s].len() != self.cfg.width {
-            // Lazy multi-tenant buffer, charged above; allocate on first
-            // occupation.
-            self.slots[s] = AlignedBuf::zeroed(self.cfg.width);
-        }
-        match self.loc[item as usize] {
-            Location::Unmaterialized => {
-                self.stats.cold_loads += 1;
-                // Deterministic contents even if the caller breaks the
-                // write-before-read contract.
-                self.slots[s].fill(0.0);
-            }
-            Location::InStore => {
-                let skip = self.cfg.read_skipping
-                    && (self.skip_read[item as usize] || intent == Intent::Write);
-                if skip {
-                    self.stats.skipped_reads += 1;
-                } else if let Some(staged) = self.store.take_staged(item) {
-                    // Pipelined path: adopt the worker's staged buffer into
-                    // the slot wholesale — no copy, no store read, and the
-                    // compute thread never touched the disk.
-                    debug_assert_eq!(staged.len(), self.cfg.width);
-                    let t0 = self.obs.as_ref().map(|r| r.now());
-                    self.slots[s] = staged;
-                    self.stats.staged_loads += 1;
-                    if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-                        rec.span_at("manager", "staged-load", StallKind::Compute, t0)
-                            .item(item)
-                            .hist_only()
-                            .unattributed()
-                            .finish();
-                    }
-                    if self.hinted[item as usize] {
-                        self.hinted[item as usize] = false;
-                        self.stats.hinted_reads += 1;
-                    }
-                } else {
-                    let t0 = self.obs.as_ref().map(|r| r.now());
-                    // Any prefetch-wait the store records while we sit in
-                    // this read (a demand read overlapping its own
-                    // in-flight prefetch) must stay attributed to
-                    // prefetch-wait alone: carve it out of the demand-read
-                    // span so the stall kinds stay disjoint by
-                    // construction.
-                    let pw0 = self
-                        .obs
-                        .as_ref()
-                        .map(|r| r.kind_ns(StallKind::PrefetchWait));
-                    // The slot is still unoccupied at this point, so a
-                    // failed read leaves `item` safely in the store.
-                    self.store.read(item, &mut self.slots[s]).map_err(|e| {
-                        self.stats.io_errors += 1;
-                        OocError::item_op(OocOp::Read, item, "slot load", e).with_slot(slot)
-                    })?;
-                    self.stats.disk_reads += 1;
-                    self.stats.bytes_read += self.cfg.width as u64 * 8;
-                    // Success only, so demand-read events == disk_reads.
-                    if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-                        let overlap = rec.kind_ns(StallKind::PrefetchWait) - pw0.unwrap_or(0);
-                        rec.span_at("manager", "demand-read", StallKind::DemandRead, t0)
-                            .item(item)
-                            .bytes(self.cfg.width as u64 * 8)
-                            .exclude(overlap)
-                            .finish();
-                    }
-                    if self.hinted[item as usize] {
-                        self.hinted[item as usize] = false;
-                        self.stats.hinted_reads += 1;
-                    }
-                }
-            }
-            Location::InSlot(_) => unreachable!("load called on resident item"),
-        }
-        self.slot_item[s] = Some(item);
-        self.loc[item as usize] = Location::InSlot(slot);
-        self.dirty[s] = intent == Intent::Write;
-        self.skip_read[item as usize] = false;
-        self.strategy.on_load(item, slot);
-        self.strategy.on_access(item, slot);
-        Ok(slot)
-    }
-
-    /// Evict the occupant of `slot`, writing it back per configuration.
-    ///
-    /// The write-back happens *before* any bookkeeping mutation: if it
-    /// fails, the victim stays resident (and dirty), nothing is lost, and
-    /// the caller may retry the whole access later.
-    fn evict(&mut self, slot: SlotId) -> OocResult<()> {
-        let s = slot as usize;
-        let item = self.slot_item[s].expect("evicting empty slot");
-        let t0 = self.obs.as_ref().map(|r| r.now());
-        if self.dirty[s] || self.cfg.always_write_back {
-            self.store.write(item, &self.slots[s]).map_err(|e| {
-                self.stats.io_errors += 1;
-                OocError::item_op(OocOp::Write, item, "eviction write-back", e).with_slot(slot)
-            })?;
-            self.stats.disk_writes += 1;
-            self.stats.bytes_written += self.cfg.width as u64 * 8;
-            self.materialized[item as usize] = true;
-            // Success only, so write-back events == eviction disk_writes.
-            if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-                rec.span_at("manager", "write-back", StallKind::WriteBack, t0)
-                    .item(item)
-                    .bytes(self.cfg.width as u64 * 8)
-                    .finish();
-            }
-        }
-        self.loc[item as usize] = if self.materialized[item as usize] {
-            Location::InStore
-        } else {
-            Location::Unmaterialized
-        };
-        self.slot_item[s] = None;
-        self.dirty[s] = false;
-        self.stats.evictions += 1;
-        self.strategy.on_evict(item, slot);
-        if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-            rec.span_at("manager", "evict", StallKind::Compute, t0)
-                .item(item)
-                .hist_only()
-                .unattributed()
-                .finish();
-        }
-        Ok(())
-    }
-
-    /// Pin helper: acquire and pin, returning the slot. Nothing is pinned
-    /// if the acquisition fails.
-    fn acquire_pinned(&mut self, item: ItemId, intent: Intent) -> OocResult<SlotId> {
-        let slot = self.ensure_resident(item, intent)?;
-        self.pinned[slot as usize] = true;
-        Ok(slot)
-    }
-
-    fn unpin(&mut self, slot: SlotId) {
-        self.pinned[slot as usize] = false;
+        self.table.install_oracle_plan(plan);
     }
 
     /// Lease a set of vectors, pinned for the lifetime of the returned
@@ -852,50 +578,41 @@ impl<S: BackingStore> VectorManager<S> {
     /// to match its lowered plan. Nothing stays pinned if any acquisition
     /// fails; the session unpins everything on drop.
     ///
+    /// On error the manager's bookkeeping is untouched by the failed step:
+    /// a failed eviction write leaves the victim resident and dirty, a
+    /// failed load read leaves the slot unoccupied and the item in the
+    /// store — either way every later access sees consistent state.
+    ///
     /// Panics if the pins exceed the slot count (the paper's `m ≥ 3`
     /// minimum exists precisely so one combine's three pins always fit) or
     /// name the same item twice.
     pub fn session(&mut self, pins: &[AccessRecord]) -> OocResult<PinnedSession<'_, S>> {
-        assert!(
-            pins.len() <= self.cfg.n_slots,
-            "{} pins cannot fit in {} slots",
-            pins.len(),
-            self.cfg.n_slots
-        );
-        let mut acquired: Vec<(ItemId, SlotId)> = Vec::with_capacity(pins.len());
-        for rec in pins {
-            assert!(
-                acquired.iter().all(|&(item, _)| item != rec.item),
-                "item {} pinned twice in one session",
-                rec.item
-            );
-            match self.acquire_pinned(rec.item, rec.intent) {
-                Ok(slot) => acquired.push((rec.item, slot)),
-                Err(e) => {
-                    for &(_, slot) in &acquired {
-                        self.unpin(slot);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(PinnedSession {
-            pins: acquired,
-            mgr: self,
-        })
+        self.table.pin_group(&mut self.plane, pins)?;
+        let pins = pins
+            .iter()
+            .map(|rec| {
+                let slot = self.table.slot_of(rec.item);
+                (rec.item, slot.expect("pinned items are resident"))
+            })
+            .collect();
+        Ok(PinnedSession { pins, mgr: self })
     }
 
     /// Copy a vector's current contents out (for tests and checkpointing).
     pub fn read_into(&mut self, item: ItemId, out: &mut [f64]) -> OocResult<()> {
-        let s = self.ensure_resident(item, Intent::Read)?;
-        out.copy_from_slice(&self.slots[s as usize]);
+        let s = self
+            .table
+            .ensure_resident(&mut self.plane, item, Intent::Read)?;
+        out.copy_from_slice(&self.plane.slots[s as usize]);
         Ok(())
     }
 
     /// Overwrite a vector (counts as a write access).
     pub fn write_vector(&mut self, item: ItemId, data: &[f64]) -> OocResult<()> {
-        let s = self.ensure_resident(item, Intent::Write)?;
-        self.slots[s as usize].copy_from_slice(data);
+        let s = self
+            .table
+            .ensure_resident(&mut self.plane, item, Intent::Write)?;
+        self.plane.slots[s as usize].copy_from_slice(data);
         Ok(())
     }
 
@@ -904,39 +621,7 @@ impl<S: BackingStore> VectorManager<S> {
     /// Stops at the first failure; successfully flushed slots stay clean,
     /// the failing one stays dirty, so a retry resumes where it stopped.
     pub fn flush(&mut self) -> OocResult<()> {
-        for s in 0..self.cfg.n_slots {
-            if let Some(item) = self.slot_item[s] {
-                if self.dirty[s] {
-                    let t0 = self.obs.as_ref().map(|r| r.now());
-                    self.store.write(item, &self.slots[s]).map_err(|e| {
-                        self.stats.io_errors += 1;
-                        OocError::item_op(OocOp::Write, item, "flush", e).with_slot(s as SlotId)
-                    })?;
-                    self.stats.disk_writes += 1;
-                    self.stats.bytes_written += self.cfg.width as u64 * 8;
-                    self.materialized[item as usize] = true;
-                    self.dirty[s] = false;
-                    // Same op name as eviction write-backs: together the
-                    // "write-back" event count equals disk_writes.
-                    if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-                        rec.span_at("manager", "write-back", StallKind::WriteBack, t0)
-                            .item(item)
-                            .bytes(self.cfg.width as u64 * 8)
-                            .finish();
-                    }
-                }
-            }
-        }
-        let t0 = self.obs.as_ref().map(|r| r.now());
-        self.store.flush().map_err(|e| {
-            self.stats.io_errors += 1;
-            OocError::store_op(OocOp::Flush, "store flush", e)
-        })?;
-        if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-            rec.span_at("manager", "flush", StallKind::WriteBack, t0)
-                .finish();
-        }
-        Ok(())
+        self.table.flush(&mut self.plane)
     }
 }
 
@@ -974,14 +659,14 @@ impl<S: BackingStore> PinnedSession<'_, S> {
 
     /// Shared view of a pinned vector.
     pub fn read(&self, item: ItemId) -> &[f64] {
-        &self.mgr.slots[self.slot_of(item) as usize]
+        &self.mgr.plane.slots[self.slot_of(item) as usize]
     }
 
     /// Mutable view of a pinned vector (marks its slot dirty).
     pub fn write(&mut self, item: ItemId) -> &mut [f64] {
         let slot = self.slot_of(item);
-        self.mgr.dirty[slot as usize] = true;
-        &mut self.mgr.slots[slot as usize]
+        self.mgr.table.mark_dirty(slot);
+        &mut self.mgr.plane.slots[slot as usize]
     }
 
     /// The combine shape: one mutable target plus up to two shared source
@@ -1001,12 +686,12 @@ impl<S: BackingStore> PinnedSession<'_, S> {
             Some(ts) != s1 && Some(ts) != s2,
             "combine target {target} aliases a source"
         );
-        self.mgr.dirty[ts as usize] = true;
+        self.mgr.table.mark_dirty(ts);
         // SAFETY: ts, s1, s2 index distinct slots (distinct pinned items
         // map to distinct slots, and aliasing was rejected above) and each
         // slot is an independently boxed buffer, so one mutable and two
         // shared borrows cannot overlap.
-        let base = self.mgr.slots.as_mut_ptr();
+        let base = self.mgr.plane.slots.as_mut_ptr();
         let tbuf: &mut [f64] = unsafe { &mut *base.add(ts as usize) };
         let b1: Option<&[f64]> = s1.map(|s| unsafe { &(**base.add(s as usize)) });
         let b2: Option<&[f64]> = s2.map(|s| unsafe { &(**base.add(s as usize)) });
@@ -1017,7 +702,7 @@ impl<S: BackingStore> PinnedSession<'_, S> {
 impl<S: BackingStore> Drop for PinnedSession<'_, S> {
     fn drop(&mut self) {
         for &(_, slot) in &self.pins {
-            self.mgr.unpin(slot);
+            self.mgr.table.unpin(slot);
         }
     }
 }
@@ -1025,6 +710,7 @@ impl<S: BackingStore> Drop for PinnedSession<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::OocOp;
     use crate::store::MemStore;
     use crate::strategy::StrategyKind;
 
@@ -1170,7 +856,7 @@ mod tests {
         let expect: Vec<f64> = (0..w).map(|i| fill(7, w)[i] + fill(13, w)[i]).collect();
         assert_eq!(buf, expect);
         // Pins must be released once the session is dropped.
-        assert!(mgr.pinned.iter().all(|&p| !p));
+        assert!(!mgr.table.any_pinned());
     }
 
     #[test]
@@ -1401,7 +1087,7 @@ mod tests {
         assert_eq!(delta.evictions, 0, "failed eviction must not count");
         assert_eq!(delta.disk_writes, 0);
         assert_eq!(delta.io_errors, 1);
-        assert!(mgr.pinned.iter().all(|&p| !p), "no pins may leak");
+        assert!(!mgr.table.any_pinned(), "no pins may leak");
 
         // The fault was one-shot: retrying the same access now succeeds
         // and every vector still holds the right data.
@@ -1427,7 +1113,7 @@ mod tests {
         assert_eq!(err.item, Some(0));
         assert!(err.is_transient());
         assert!(!mgr.is_resident(0), "failed load must not claim residency");
-        assert!(mgr.pinned.iter().all(|&p| !p));
+        assert!(!mgr.table.any_pinned());
 
         // Window passed: the same read now succeeds with intact data.
         mgr.read_into(0, &mut buf).unwrap();
@@ -1461,7 +1147,7 @@ mod tests {
         assert_eq!(err.op, OocOp::Read);
         assert_eq!(err.item, Some(1));
         assert!(
-            mgr.pinned.iter().all(|&p| !p),
+            !mgr.table.any_pinned(),
             "pins must be released when a later acquisition fails"
         );
         // Recovery: same combine works once the fault window has passed.

@@ -20,14 +20,6 @@
 //! the out-of-core manager moves few large vectors and pins what the
 //! current computation needs.
 
-//!
-//! The second simulator in this crate, [`slotsim`], points the other way:
-//! it models the *out-of-core manager itself* — slots, pinning, read
-//! skipping, replacement callbacks — as pure bookkeeping over an
-//! [`ooc_core::AccessPlan`], no data movement at all. The autotuner
-//! replays candidate configurations through it to predict their I/O
-//! traffic exactly before ever building an engine.
-
 pub mod arena;
 pub mod slotsim;
 pub mod stats;

@@ -1,48 +1,15 @@
-//! Plan-driven slot-cache simulator of the out-of-core vector manager.
+//! Plan-driven simulation of the out-of-core vector manager.
 //!
-//! [`SlotCacheSim`] is `ooc_core::VectorManager` with the data plane
-//! removed: no slot buffers, no backing store, no observability — only
-//! the bookkeeping that decides *which* store operations a run performs.
-//! It is driven by the same inputs as the real manager (an
-//! [`AccessPlan`] per traversal, pin groups in access order, a
-//! [`ReplacementStrategy`]) and maintains an [`OocStats`] whose counters
-//! are **exactly equal** to the real manager's over the same access
-//! string: every replacement strategy in the workspace is deterministic
-//! given an identical callback sequence, and the simulator replays the
-//! manager's callback order verbatim (`tests/slotsim_parity.rs` proves
-//! equality per counter for random plans × strategies × slot counts).
-//!
-//! That exactness is what lets the autotuner *prune by model*: replaying
-//! a candidate's plan here yields its true miss/read/write-back counts
-//! in microseconds instead of seconds, and replaying under a NextUse
-//! strategy with a full-run oracle plan yields a miss count no online
-//! strategy can beat — a certified lower bound on the candidate's I/O.
-//!
-//! One deliberate divergence: the simulator has no prefetch pipeline, so
-//! a pipelined run's `disk_reads + staged_loads` shows up entirely as
-//! simulated `disk_reads`. Byte traffic — the quantity a disk model
-//! prices — is identical either way, because staged loads pay their read
-//! on the worker thread.
+//! [`SlotCacheSim`] is `ooc_core`'s `SlotTable` — the bookkeeping every
+//! `VectorManager` runs — with no slot buffers and no store behind it, so
+//! its counters are the manager's by construction. This module keeps the
+//! simulator's historical home and its positional [`SimGeometry`] builder.
 
-use ooc_core::{
-    AccessPlan, AccessRecord, EvictionView, Intent, ItemId, OocStats, PlanCursor,
-    ReplacementStrategy, SlotId,
-};
+use ooc_core::OocConfig;
+pub use ooc_core::SlotCacheSim;
 
-/// Where a simulated vector lives (mirror of the manager's `Location`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    /// Never materialised anywhere yet.
-    Unmaterialized,
-    /// In the backing store only.
-    InStore,
-    /// Resident in a slot.
-    InSlot(SlotId),
-}
-
-/// Slot geometry and policy switches of one simulated manager —
-/// the counter-relevant subset of `ooc_core::OocConfig`, with the same
-/// defaults (`read_skipping` on, `always_write_back` on, window 16).
+/// Slot geometry and policy switches of one simulated manager: an
+/// [`OocConfig`] with an exact slot count, under the manager's defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimGeometry {
     /// Managed items.
@@ -60,24 +27,21 @@ pub struct SimGeometry {
 }
 
 impl SimGeometry {
-    /// Geometry with the manager's defaults. Panics on the same
-    /// invariants `OocConfigBuilder::build` rejects: empty geometry or a
-    /// slot count outside `[3, max(n_items, 3)]`.
+    /// Geometry with the manager's defaults. Panics on what
+    /// `OocConfigBuilder::build` rejects: empty geometry or a slot count
+    /// outside `[3, max(n_items, 3)]`.
     pub fn new(n_items: usize, width: usize, n_slots: usize) -> Self {
-        assert!(n_items > 0, "n_items must be positive");
-        assert!(width > 0, "vector width must be positive");
-        assert!(
-            (3..=n_items.max(3)).contains(&n_slots),
-            "{n_slots} slots invalid for {n_items} items (need 3..={})",
-            n_items.max(3)
-        );
+        let cfg = OocConfig::builder(n_items, width)
+            .slots(n_slots)
+            .build()
+            .unwrap_or_else(|e| panic!("{e}"));
         SimGeometry {
             n_items,
             width,
             n_slots,
-            read_skipping: true,
-            always_write_back: true,
-            window: 16,
+            read_skipping: cfg.read_skipping,
+            always_write_back: cfg.always_write_back,
+            window: cfg.prefetch_window,
         }
     }
 
@@ -100,402 +64,15 @@ impl SimGeometry {
     }
 }
 
-/// The data-free manager simulation. See the module docs.
-pub struct SlotCacheSim {
-    geo: SimGeometry,
-    slot_item: Vec<Option<ItemId>>,
-    pinned: Vec<bool>,
-    dirty: Vec<bool>,
-    loc: Vec<Loc>,
-    materialized: Vec<bool>,
-    skip_read: Vec<bool>,
-    hinted: Vec<bool>,
-    cursor: Option<PlanCursor>,
-    oracle: Option<(AccessPlan, usize)>,
-    strategy: Box<dyn ReplacementStrategy>,
-    stats: OocStats,
-}
-
-impl SlotCacheSim {
-    /// A fresh simulation over `geo`, choosing victims via `strategy`.
-    pub fn new(geo: SimGeometry, strategy: Box<dyn ReplacementStrategy>) -> Self {
-        SlotCacheSim {
-            geo,
-            slot_item: vec![None; geo.n_slots],
-            pinned: vec![false; geo.n_slots],
-            dirty: vec![false; geo.n_slots],
-            loc: vec![Loc::Unmaterialized; geo.n_items],
-            materialized: vec![false; geo.n_items],
-            skip_read: vec![false; geo.n_items],
-            hinted: vec![false; geo.n_items],
-            cursor: None,
-            oracle: None,
-            strategy,
-            stats: OocStats::default(),
+impl From<SimGeometry> for OocConfig {
+    fn from(geo: SimGeometry) -> OocConfig {
+        OocConfig {
+            n_items: geo.n_items,
+            width: geo.width,
+            n_slots: geo.n_slots,
+            read_skipping: geo.read_skipping,
+            always_write_back: geo.always_write_back,
+            prefetch_window: geo.window,
         }
-    }
-
-    /// The simulated counters so far.
-    pub fn stats(&self) -> &OocStats {
-        &self.stats
-    }
-
-    /// The geometry this simulation runs under.
-    pub fn geometry(&self) -> &SimGeometry {
-        &self.geo
-    }
-
-    /// Submit a per-traversal access plan (mirror of
-    /// `VectorManager::begin_plan` over a plain store, which always
-    /// declines plan streaming and takes the windowed-hint flow).
-    pub fn begin_plan(&mut self, plan: AccessPlan) {
-        assert!(
-            plan.n_items() <= self.geo.n_items,
-            "plan geometry ({}) exceeds simulated geometry ({})",
-            plan.n_items(),
-            self.geo.n_items
-        );
-        self.stats.plans += 1;
-        self.skip_read.fill(false);
-        self.hinted.fill(false);
-        for &item in plan.write_first_items() {
-            self.skip_read[item as usize] = true;
-        }
-        if self.oracle.is_none() {
-            self.strategy.on_plan(&plan);
-        }
-        let mut cursor = PlanCursor::new(plan);
-        let hints = cursor.collect_hints(self.geo.window);
-        self.issue_hints(&hints);
-        self.cursor = Some(cursor);
-    }
-
-    /// Install a full-run oracle plan (mirror of
-    /// `VectorManager::install_oracle_plan`): the strategy follows this
-    /// plan's positions for the rest of the run, while per-traversal
-    /// [`SlotCacheSim::begin_plan`] submissions keep driving read
-    /// skipping and hint accounting only. With a NextUse strategy this is
-    /// Belady/OPT — the simulated miss count lower-bounds every online
-    /// strategy on the same access string.
-    pub fn install_oracle_plan(&mut self, plan: AccessPlan) {
-        assert!(
-            plan.n_items() <= self.geo.n_items,
-            "oracle plan geometry ({}) exceeds simulated geometry ({})",
-            plan.n_items(),
-            self.geo.n_items
-        );
-        self.strategy.on_plan(&plan);
-        self.strategy.on_plan_pos(0);
-        self.oracle = Some((plan, 0));
-    }
-
-    fn issue_hints(&mut self, hints: &[ItemId]) {
-        if hints.is_empty() {
-            return;
-        }
-        self.stats.hints_issued += hints.len() as u64;
-        for &item in hints {
-            self.hinted[item as usize] = true;
-        }
-    }
-
-    fn advance_plan(&mut self, item: ItemId) {
-        if let Some((plan, pos)) = &mut self.oracle {
-            debug_assert!(
-                *pos >= plan.len() || plan.records()[*pos].item == item,
-                "oracle replay drift at position {pos}: planned item {}, got {item}",
-                plan.records()[*pos].item,
-            );
-            *pos += 1;
-            self.strategy.on_plan_pos(*pos);
-        }
-        let Some(cursor) = self.cursor.as_mut() else {
-            return;
-        };
-        if cursor.advance(item).is_none() {
-            return; // off-plan access; cursor holds its position
-        }
-        let pos = cursor.pos();
-        if self.oracle.is_none() {
-            self.strategy.on_plan_pos(pos);
-        }
-        let hints = self
-            .cursor
-            .as_mut()
-            .map_or_else(Vec::new, |c| c.collect_hints(self.geo.window));
-        self.issue_hints(&hints);
-    }
-
-    fn ensure_resident(&mut self, item: ItemId, intent: Intent) -> SlotId {
-        self.stats.requests += 1;
-        self.advance_plan(item);
-        if let Loc::InSlot(slot) = self.loc[item as usize] {
-            self.stats.hits += 1;
-            self.strategy.on_access(item, slot);
-            if intent == Intent::Write {
-                self.dirty[slot as usize] = true;
-            }
-            self.skip_read[item as usize] = false;
-            return slot;
-        }
-        self.stats.misses += 1;
-        self.load(item, intent)
-    }
-
-    fn load(&mut self, item: ItemId, intent: Intent) -> SlotId {
-        let empty = self
-            .slot_item
-            .iter()
-            .position(|occupant| occupant.is_none());
-        let slot = match empty {
-            Some(e) => e as SlotId,
-            None => self.evict_victim(item),
-        };
-        let s = slot as usize;
-        match self.loc[item as usize] {
-            Loc::Unmaterialized => {
-                self.stats.cold_loads += 1;
-            }
-            Loc::InStore => {
-                let skip = self.geo.read_skipping
-                    && (self.skip_read[item as usize] || intent == Intent::Write);
-                if skip {
-                    self.stats.skipped_reads += 1;
-                } else {
-                    self.stats.disk_reads += 1;
-                    self.stats.bytes_read += self.geo.width as u64 * 8;
-                    if self.hinted[item as usize] {
-                        self.hinted[item as usize] = false;
-                        self.stats.hinted_reads += 1;
-                    }
-                }
-            }
-            Loc::InSlot(_) => unreachable!("load called on resident item"),
-        }
-        self.slot_item[s] = Some(item);
-        self.loc[item as usize] = Loc::InSlot(slot);
-        self.dirty[s] = intent == Intent::Write;
-        self.skip_read[item as usize] = false;
-        self.strategy.on_load(item, slot);
-        self.strategy.on_access(item, slot);
-        slot
-    }
-
-    fn evict_victim(&mut self, requested: ItemId) -> SlotId {
-        let view = EvictionView {
-            slot_item: &self.slot_item,
-            pinned: &self.pinned,
-        };
-        let victim = self.strategy.choose_victim(requested, &view);
-        assert!(
-            !self.pinned[victim as usize] && self.slot_item[victim as usize].is_some(),
-            "strategy chose an illegal victim"
-        );
-        self.evict(victim);
-        victim
-    }
-
-    fn evict(&mut self, slot: SlotId) {
-        let s = slot as usize;
-        let item = self.slot_item[s].expect("evicting empty slot");
-        if self.dirty[s] || self.geo.always_write_back {
-            self.stats.disk_writes += 1;
-            self.stats.bytes_written += self.geo.width as u64 * 8;
-            self.materialized[item as usize] = true;
-        }
-        self.loc[item as usize] = if self.materialized[item as usize] {
-            Loc::InStore
-        } else {
-            Loc::Unmaterialized
-        };
-        self.slot_item[s] = None;
-        self.dirty[s] = false;
-        self.stats.evictions += 1;
-        self.strategy.on_evict(item, slot);
-    }
-
-    /// Serve one pin group — the mirror of `VectorManager::session`
-    /// followed by the session's drop: each pin is acquired *in order*
-    /// (pin order is access order, so a Felsenstein combine passes
-    /// `[read left, read right, write parent]`), held pinned while the
-    /// rest of the group acquires, then everything is unpinned. Panics on
-    /// the same misuse the manager panics on: more pins than slots, or
-    /// one item pinned twice.
-    pub fn access_group(&mut self, pins: &[AccessRecord]) {
-        assert!(
-            pins.len() <= self.geo.n_slots,
-            "{} pins cannot fit in {} slots",
-            pins.len(),
-            self.geo.n_slots
-        );
-        let mut acquired: Vec<SlotId> = Vec::with_capacity(pins.len());
-        for (i, rec) in pins.iter().enumerate() {
-            assert!(
-                pins[..i].iter().all(|p| p.item != rec.item),
-                "item {} pinned twice in one group",
-                rec.item
-            );
-            let slot = self.ensure_resident(rec.item, rec.intent);
-            self.pinned[slot as usize] = true;
-            acquired.push(slot);
-        }
-        for slot in acquired {
-            self.pinned[slot as usize] = false;
-        }
-    }
-
-    /// One unpinned access (a single-record group).
-    pub fn access(&mut self, item: ItemId, intent: Intent) {
-        self.access_group(&[AccessRecord { item, intent }]);
-    }
-
-    /// Mirror of `VectorManager::flush`: write back every dirty resident
-    /// vector without evicting.
-    pub fn flush(&mut self) {
-        for s in 0..self.geo.n_slots {
-            if let Some(item) = self.slot_item[s] {
-                if self.dirty[s] {
-                    self.stats.disk_writes += 1;
-                    self.stats.bytes_written += self.geo.width as u64 * 8;
-                    self.materialized[item as usize] = true;
-                    self.dirty[s] = false;
-                }
-            }
-        }
-    }
-
-    /// Run `rounds` rounds of a traversal-shaped workload: each round
-    /// submits `plan` and serves every group of `groups` in order — the
-    /// exact shape `full_traversals` drives through a real engine.
-    pub fn run_rounds(&mut self, plan: &AccessPlan, groups: &[Vec<AccessRecord>], rounds: usize) {
-        for _ in 0..rounds {
-            self.begin_plan(plan.clone());
-            for group in groups {
-                self.access_group(group);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ooc_core::StrategyKind;
-
-    /// A combine-per-item chain workload: item i reads i-1 and writes i.
-    fn chain_groups(n: usize) -> Vec<Vec<AccessRecord>> {
-        (1..n as ItemId)
-            .map(|i| vec![AccessRecord::read(i - 1), AccessRecord::write(i)])
-            .collect()
-    }
-
-    fn chain_plan(n: usize) -> AccessPlan {
-        let records = chain_groups(n).into_iter().flatten().collect();
-        AccessPlan::from_records(records, n)
-    }
-
-    fn sim(n: usize, slots: usize, kind: StrategyKind) -> SlotCacheSim {
-        SlotCacheSim::new(SimGeometry::new(n, 64, slots), kind.build(None))
-    }
-
-    #[test]
-    fn miss_identity_holds() {
-        let n = 32;
-        let mut s = sim(n, 5, StrategyKind::Lru);
-        s.run_rounds(&chain_plan(n), &chain_groups(n), 3);
-        let st = *s.stats();
-        assert!(st.misses > 0);
-        assert_eq!(
-            st.misses,
-            st.disk_reads + st.skipped_reads + st.cold_loads + st.staged_loads
-        );
-        assert_eq!(st.requests, st.hits + st.misses);
-        assert_eq!(st.plans, 3);
-    }
-
-    #[test]
-    fn everything_fits_no_io_after_warmup() {
-        let n = 16;
-        let mut s = sim(n, n, StrategyKind::Lru);
-        s.run_rounds(&chain_plan(n), &chain_groups(n), 4);
-        assert_eq!(s.stats().disk_reads, 0);
-        assert_eq!(s.stats().evictions, 0);
-        assert_eq!(s.stats().cold_loads, n as u64);
-    }
-
-    #[test]
-    fn read_skipping_toggles_reads() {
-        let n = 24;
-        let run = |skip: bool| {
-            let mut s = SlotCacheSim::new(
-                SimGeometry::new(n, 64, 4).read_skipping(skip),
-                StrategyKind::Lru.build(None),
-            );
-            s.run_rounds(&chain_plan(n), &chain_groups(n), 3);
-            *s.stats()
-        };
-        let with = run(true);
-        let without = run(false);
-        assert!(with.skipped_reads > 0);
-        assert_eq!(without.skipped_reads, 0);
-        assert!(with.disk_reads < without.disk_reads);
-        // Skipping never changes the miss count, only its resolution.
-        assert_eq!(with.misses, without.misses);
-    }
-
-    #[test]
-    fn dirty_tracking_halves_write_backs_on_read_heavy_plans() {
-        let n = 24;
-        let run = |awb: bool| {
-            let mut s = SlotCacheSim::new(
-                SimGeometry::new(n, 64, 4).always_write_back(awb),
-                StrategyKind::Lru.build(None),
-            );
-            // Round-robin reads only: nothing is ever dirty after round 1.
-            let groups: Vec<Vec<AccessRecord>> = (0..n as ItemId)
-                .map(|i| vec![AccessRecord::read(i)])
-                .collect();
-            let plan = AccessPlan::from_records(groups.iter().flatten().copied().collect(), n);
-            s.run_rounds(&plan, &groups, 3);
-            *s.stats()
-        };
-        assert!(run(true).disk_writes > run(false).disk_writes);
-    }
-
-    #[test]
-    fn oracle_next_use_lower_bounds_heuristics() {
-        let n = 48;
-        let plan = chain_plan(n);
-        let groups = chain_groups(n);
-        let rounds = 4;
-        let mut oracle = sim(n, 6, StrategyKind::NextUse);
-        oracle.install_oracle_plan(plan.repeated(rounds));
-        oracle.run_rounds(&plan, &groups, rounds);
-        for kind in [
-            StrategyKind::Random { seed: 9 },
-            StrategyKind::Lru,
-            StrategyKind::Lfu,
-        ] {
-            let mut s = sim(n, 6, kind);
-            s.run_rounds(&plan, &groups, rounds);
-            assert!(
-                oracle.stats().misses <= s.stats().misses,
-                "oracle {} vs {} under {:?}",
-                oracle.stats().misses,
-                s.stats().misses,
-                kind
-            );
-        }
-    }
-
-    #[test]
-    fn hint_accounting_matches_plan_first_reads() {
-        let n = 16;
-        let plan = chain_plan(n);
-        let mut s = sim(n, 4, StrategyKind::Lru);
-        s.begin_plan(plan.clone());
-        // With a window larger than the plan every first-read is hinted
-        // up front.
-        assert_eq!(s.stats().hints_issued, plan.read_first_items().len() as u64);
     }
 }
