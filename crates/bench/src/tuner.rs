@@ -414,11 +414,11 @@ pub fn tune(
     let dir = tempfile::tempdir().expect("tempdir for probe backing files");
     let mut best: Option<(usize, f64)> = None;
     let (mut pruned, mut probed) = (0usize, 0usize);
-    for i in 0..candidates.len() {
-        if !candidates[i].baseline {
+    for (i, cand) in candidates.iter_mut().enumerate() {
+        if !cand.baseline {
             if let Some((_, best_secs)) = best {
-                if cfg.margin * candidates[i].estimate.bound_secs > best_secs {
-                    candidates[i].outcome = Outcome::Pruned;
+                if cfg.margin * cand.estimate.bound_secs > best_secs {
+                    cand.outcome = Outcome::Pruned;
                     pruned += 1;
                     continue;
                 }
@@ -428,16 +428,16 @@ pub fn tune(
             }
         }
         let outcome = probe(
-            &candidates[i].spec,
+            &cand.spec,
             data,
             cfg,
             lnl_ref,
             dir.path(),
             i,
-            &candidates[i].label,
+            &cand.label,
             metrics,
         );
-        candidates[i].outcome = outcome;
+        cand.outcome = outcome;
         probed += 1;
         if let Outcome::Measured { objective_secs, .. } = outcome {
             if best.is_none_or(|(_, b)| objective_secs < b) {

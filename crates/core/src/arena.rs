@@ -514,33 +514,46 @@ mod tests {
     /// fair-eviction trim.
     #[test]
     fn overage_snapshot_is_consistent_under_rebalance() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, AtomicU64};
         let arena = SlotArena::new(1000).unwrap();
         let a = arena.admit("a", 900, 300).unwrap();
         a.charge_forced(300); // the tenant's permanent floor (≤ its min)
         let stop = Arc::new(AtomicBool::new(false));
+        // Statistic only: the writer waits on it, no data is published.
+        let checks = Arc::new(AtomicU64::new(0));
         let reader = {
             let a = a.clone();
             let stop = Arc::clone(&stop);
+            let checks = Arc::clone(&checks);
             std::thread::spawn(move || {
-                let mut checks = 0u64;
                 while !stop.load(Ordering::Acquire) {
                     assert_eq!(a.overage(), 0, "phantom overage from a torn snapshot");
-                    checks += 1;
+                    checks.fetch_add(1, Ordering::Relaxed);
                 }
-                checks
             })
         };
-        for _ in 0..2000 {
+        // At least 2000 rebalances, and as many more as it takes for the
+        // reader to get scheduled and race one: on a loaded two-core box
+        // it may not run at all within the first 2000.
+        const MAX_ROUNDS: u32 = 10_000_000;
+        let mut rounds = 0u32;
+        while rounds < 2000 || checks.load(Ordering::Relaxed) == 0 {
+            assert!(
+                rounds < MAX_ROUNDS,
+                "reader thread made no check in {MAX_ROUNDS} rebalances"
+            );
+            if rounds >= 2000 {
+                std::thread::yield_now();
+            }
             a.charge_forced(500); // solo: allowed is 900, used peaks at 800
             a.release(500);
             // Admitting `b` shrinks a's allowance to its 300-byte min —
             // legal only because `a` released first.
             let b = arena.admit("b", 700, 700).unwrap();
             drop(b);
+            rounds += 1;
         }
         stop.store(true, Ordering::Release);
-        let checks = reader.join().unwrap();
-        assert!(checks > 0, "reader must actually race the rebalances");
+        reader.join().unwrap();
     }
 }

@@ -204,7 +204,7 @@ pub struct CompressingStore<S> {
     stride: usize,
     mode: CompressionMode,
     /// Encoded payload length per item, in bytes; 0 = never written.
-    /// Shared across [`CompressingStore::try_clone`] handles.
+    /// Shared across [`CompressingStore::handle_over`] handles.
     lengths: Arc<Vec<AtomicU32>>,
     counters: Arc<CompressionCounters>,
     obs: Option<Recorder>,
@@ -276,16 +276,14 @@ impl<S: BackingStore> CompressingStore<S> {
     pub fn set_recorder(&mut self, rec: Recorder) {
         self.obs = Some(rec);
     }
-}
 
-impl CompressingStore<FileStore> {
-    /// A second handle onto the same compressed store: the inner file
-    /// handle is duplicated, the payload-length table and byte counters
-    /// are shared, scratch is private. This is how prefetch worker
-    /// threads get their store handles.
-    pub fn try_clone(&self) -> io::Result<Self> {
-        Ok(CompressingStore {
-            inner: self.inner.try_clone()?,
+    /// A second handle onto the same compressed store, given a second
+    /// handle `inner` onto its inner store: the payload-length table, byte
+    /// counters and recorder are shared, scratch is private. This is how
+    /// prefetch worker threads get their store handles.
+    pub fn handle_over(&self, inner: S) -> Self {
+        CompressingStore {
+            inner,
             width: self.width,
             stride: self.stride,
             mode: self.mode,
@@ -298,7 +296,15 @@ impl CompressingStore<FileStore> {
             dist_len: Vec::new(),
             alias: Vec::new(),
             rounded: Vec::new(),
-        })
+        }
+    }
+}
+
+impl CompressingStore<FileStore> {
+    /// A second handle onto the same compressed store over a duplicated
+    /// inner file handle ([`CompressingStore::handle_over`]).
+    pub fn try_clone(&self) -> io::Result<Self> {
+        Ok(self.handle_over(self.inner.try_clone()?))
     }
 }
 

@@ -4,7 +4,7 @@
 //! The PLF is embarrassingly parallel across alignment sites — each
 //! column's conditional likelihood depends only on that column — so an
 //! alignment can be cut into `k` contiguous shards, each owning its own
-//! [`VectorManager`] over a disjoint region of the backing file. All
+//! [`crate::VectorManager`] over a disjoint region of the backing file. All
 //! shards replay the *same* lowered access plan (the traversal order is a
 //! property of the tree, not of the sites), and because every shard's
 //! slice of each per-site result buffer is disjoint, a final reduction in
@@ -12,10 +12,6 @@
 //! results stay bit-identical to the single-manager path no matter how
 //! the shards were scheduled onto threads.
 
-use crate::manager::VectorManager;
-use crate::plan::AccessPlan;
-use crate::stats::OocStats;
-use crate::store::BackingStore;
 use std::ops::Range;
 
 /// A partition of `n_columns` alignment columns into contiguous,
@@ -109,8 +105,11 @@ where
     F: Fn(usize, &mut T) -> R + Sync,
 {
     let n = items.len();
-    let workers = parallelism().min(n.max(1));
-    if workers <= 1 || n <= 1 {
+    // Ask for the worker count only when there is something to spread:
+    // `parallelism()` reads the environment and the cgroup CPU quota, tens
+    // of microseconds that a one-shard engine would pay on every call.
+    let workers = if n <= 1 { 1 } else { parallelism().min(n) };
+    if workers <= 1 {
         return items
             .iter_mut()
             .enumerate()
@@ -214,93 +213,11 @@ pub fn split_budget_checked(
     Ok(shares)
 }
 
-/// `k` independent [`VectorManager`]s, one per site-range shard, plus the
-/// aggregate view over them. The managers share nothing — each owns its
-/// own slots, strategy state, statistics and backing-store region — so
-/// driving them from different threads needs only `S: Send`.
-pub struct ShardedManager<S: BackingStore> {
-    shards: Vec<VectorManager<S>>,
-}
-
-impl<S: BackingStore> ShardedManager<S> {
-    /// Assemble from per-shard managers (normally built over the region
-    /// stores of [`crate::FileStore::create_regions`]).
-    pub fn new(shards: Vec<VectorManager<S>>) -> Self {
-        assert!(!shards.is_empty(), "need at least one shard");
-        let n = shards[0].config().n_items;
-        assert!(
-            shards.iter().all(|m| m.config().n_items == n),
-            "all shards must manage the same item set (same tree)"
-        );
-        ShardedManager { shards }
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Borrow one shard's manager.
-    pub fn shard(&self, s: usize) -> &VectorManager<S> {
-        &self.shards[s]
-    }
-
-    /// Mutably borrow one shard's manager.
-    pub fn shard_mut(&mut self, s: usize) -> &mut VectorManager<S> {
-        &mut self.shards[s]
-    }
-
-    /// Mutably borrow all shard managers (for parallel dispatch).
-    pub fn shards_mut(&mut self) -> &mut [VectorManager<S>] {
-        &mut self.shards
-    }
-
-    /// Submit the same lowered access plan to every shard: the traversal
-    /// order is a property of the tree, so all shards follow one plan.
-    pub fn begin_plan_all(&mut self, plan: &AccessPlan) {
-        for mgr in &mut self.shards {
-            mgr.begin_plan(plan.clone());
-        }
-    }
-
-    /// Aggregate statistics: the field-wise sum of every shard's counters.
-    pub fn merged_stats(&self) -> OocStats {
-        self.shards.iter().map(|m| *m.stats()).sum()
-    }
-
-    /// Reset statistics on every shard.
-    pub fn reset_stats(&mut self) {
-        for mgr in &mut self.shards {
-            mgr.reset_stats();
-        }
-    }
-
-    /// Flush every shard's dirty residents to its store region.
-    pub fn flush_all(&mut self) -> crate::error::OocResult<()> {
-        for mgr in &mut self.shards {
-            mgr.flush()?;
-        }
-        Ok(())
-    }
-}
-
-impl<S: BackingStore + Send> ShardedManager<S> {
-    /// Run `f(shard_index, manager)` on every shard, in parallel across at
-    /// most [`parallelism()`] threads, returning results in shard order.
-    pub fn par_each_mut<R, F>(&mut self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut VectorManager<S>) -> R + Sync,
-    {
-        par_each_mut(&mut self.shards, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::OocConfig;
-    use crate::plan::AccessRecord;
+    use crate::manager::{OocConfig, VectorManager};
+    use crate::stats::OocStats;
     use crate::store::{FileStore, MemStore};
     use crate::strategy::StrategyKind;
 
@@ -363,8 +280,8 @@ mod tests {
         assert_eq!(par_each_mut(&mut one, |_, x| *x * 2), vec![14]);
     }
 
-    fn shard_managers(widths: &[usize], n: usize, m: usize) -> ShardedManager<MemStore> {
-        let shards = widths
+    fn shard_managers(widths: &[usize], n: usize, m: usize) -> Vec<VectorManager<MemStore>> {
+        widths
             .iter()
             .map(|&w| {
                 VectorManager::new(
@@ -373,34 +290,7 @@ mod tests {
                     MemStore::new(n, w),
                 )
             })
-            .collect();
-        ShardedManager::new(shards)
-    }
-
-    #[test]
-    fn merged_stats_is_sum_of_shards() {
-        let widths = [5usize, 3, 4];
-        let n = 8usize;
-        let mut sm = shard_managers(&widths, n, 3);
-        // Drive each shard through a different-length workload.
-        for (s, &w) in widths.iter().enumerate() {
-            for round in 0..=s {
-                for item in 0..n as u32 {
-                    let data = vec![round as f64; w];
-                    sm.shard_mut(s).write_vector(item, &data).unwrap();
-                }
-            }
-        }
-        let merged = sm.merged_stats();
-        let by_hand: OocStats = (0..sm.n_shards()).map(|s| *sm.shard(s).stats()).sum();
-        assert_eq!(merged, by_hand);
-        assert_eq!(
-            merged.requests,
-            (0..sm.n_shards())
-                .map(|s| sm.shard(s).stats().requests)
-                .sum::<u64>()
-        );
-        assert!(merged.requests > 0);
+            .collect()
     }
 
     #[test]
@@ -422,30 +312,23 @@ mod tests {
             *mgr.stats()
         };
         let mut par = shard_managers(&widths, n, 3);
-        let par_stats = par.par_each_mut(workload);
+        let par_stats = par_each_mut(&mut par, workload);
         let mut ser = shard_managers(&widths, n, 3);
-        let ser_stats: Vec<OocStats> = (0..ser.n_shards())
-            .map(|s| workload(s, ser.shard_mut(s)))
+        let ser_stats: Vec<OocStats> = ser
+            .iter_mut()
+            .enumerate()
+            .map(|(s, mgr)| workload(s, mgr))
             .collect();
         assert_eq!(par_stats, ser_stats);
-        assert_eq!(par.merged_stats(), ser.merged_stats());
     }
 
     #[test]
-    fn begin_plan_all_reaches_every_shard() {
-        let mut sm = shard_managers(&[4, 4], 6, 3);
-        let plan = AccessPlan::from_records(vec![AccessRecord::write(2)], 6);
-        sm.begin_plan_all(&plan);
-        assert_eq!(sm.merged_stats().plans, 2);
-    }
-
-    #[test]
-    fn sharded_manager_over_file_regions_roundtrips() {
+    fn managers_over_file_regions_roundtrip_in_parallel() {
         let dir = tempfile::tempdir().unwrap();
         let widths = [6usize, 2];
         let n = 5usize;
         let regions = FileStore::create_regions(dir.path().join("s.bin"), n, &widths).unwrap();
-        let shards: Vec<VectorManager<FileStore>> = regions
+        let mut shards: Vec<VectorManager<FileStore>> = regions
             .into_iter()
             .zip(widths)
             .map(|(store, w)| {
@@ -456,19 +339,18 @@ mod tests {
                 )
             })
             .collect();
-        let mut sm = ShardedManager::new(shards);
-        sm.par_each_mut(|s, mgr| {
+        par_each_mut(&mut shards, |s, mgr| {
             let w = mgr.config().width;
             for item in 0..n as u32 {
                 let data = vec![(s * 100 + item as usize) as f64; w];
                 mgr.write_vector(item, &data).unwrap();
             }
         });
-        for (s, &w) in widths.iter().enumerate() {
-            let mut buf = vec![0.0; w];
+        for (s, mgr) in shards.iter_mut().enumerate() {
+            let mut buf = vec![0.0; widths[s]];
             for item in 0..n as u32 {
-                sm.shard_mut(s).read_into(item, &mut buf).unwrap();
-                assert_eq!(buf, vec![(s * 100 + item as usize) as f64; w]);
+                mgr.read_into(item, &mut buf).unwrap();
+                assert_eq!(buf, vec![(s * 100 + item as usize) as f64; widths[s]]);
             }
         }
     }
@@ -482,6 +364,5 @@ mod tests {
         assert_send::<VectorManager<FileStore>>();
         assert_send::<VectorManager<crate::fault::FaultInjectingStore<FileStore>>>();
         assert_send::<VectorManager<crate::retry::RetryingStore<FileStore>>>();
-        assert_send::<ShardedManager<FileStore>>();
     }
 }

@@ -8,6 +8,7 @@
 //! approximately 20-30% of overall execution time."
 
 use crate::kernels::derivatives::{build_sumtable, SumSide};
+use crate::likelihood_api::LikelihoodEngine;
 use crate::store_api::{AncestralStore, VectorSession};
 use crate::PlfEngine;
 use ooc_core::{AccessRecord, OocResult};
@@ -20,12 +21,56 @@ pub const BL_MAX: f64 = 20.0;
 /// Convergence tolerance on the derivative of the log-likelihood.
 pub const BL_TOL: f64 = 1e-8;
 
-/// The guarded Newton–Raphson iteration over a prepared branch, abstracted
-/// over how `(lnL, d1, d2)` are computed so the serial engine and the
-/// sharded engine run the *identical* sequence of proposals (bit-identical
-/// derivatives in → bit-identical branch length out). Returns
-/// `(z, best_lnl)`.
-pub(crate) fn newton_optimize(
+/// The branch-length Newton–Raphson hooks of an engine: prepare a branch's
+/// sumtable(s), then evaluate `(lnL, d1, d2)` at a proposed length. A
+/// sharded engine folds them across shards, a partitioned engine across
+/// members, so one proposal sequence (`brlen::optimize_branch`) drives them
+/// all.
+pub trait NrBranchEngine {
+    /// Build the branch's sumtable(s); vectors at both ends are refreshed.
+    fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()>;
+
+    /// `(lnL, d1, d2)` of the prepared branch at length `z`.
+    fn nr_derivatives(&mut self, z: f64) -> (f64, f64, f64);
+}
+
+/// Optimise the length of the branch of `h` by guarded Newton–Raphson over
+/// the engine's [`NrBranchEngine`] hooks. Returns
+/// `(new_length, log_likelihood_at_new_length)`. Every engine's
+/// `optimize_branch` is this function, so bit-identical derivatives in
+/// give a bit-identical branch length out, whatever the engine's shape.
+pub(crate) fn optimize_branch<E: LikelihoodEngine + NrBranchEngine>(
+    engine: &mut E,
+    h: HalfEdgeId,
+    max_iter: u32,
+) -> OocResult<(f64, f64)> {
+    engine.nr_prepare(h)?;
+    let z0 = engine.tree().branch_length(h);
+    let (z, best_lnl) = newton_optimize(z0, max_iter, |z| engine.nr_derivatives(z));
+    engine.set_branch_length(h, z); // engine method: staleness tracked
+    Ok((z, best_lnl))
+}
+
+/// `passes` smoothing passes over every branch in [`smoothing_order`],
+/// each branch optimised by the engine's own `optimize_branch`. Returns
+/// the final log-likelihood.
+pub(crate) fn smooth_branches<E: LikelihoodEngine>(
+    engine: &mut E,
+    passes: usize,
+    nr_iter: u32,
+) -> OocResult<f64> {
+    let mut lnl = f64::NEG_INFINITY;
+    for _ in 0..passes {
+        for h in smoothing_order(engine.tree()) {
+            lnl = engine.optimize_branch(h, nr_iter)?.1;
+        }
+    }
+    Ok(lnl)
+}
+
+/// The guarded Newton–Raphson iteration over a prepared branch, given how
+/// `(lnL, d1, d2)` are computed. Returns `(z, best_lnl)`.
+fn newton_optimize(
     z0: f64,
     max_iter: u32,
     mut derivs: impl FnMut(f64) -> (f64, f64, f64),
@@ -66,9 +111,8 @@ pub(crate) fn newton_optimize(
 
 /// The branch visit order of one smoothing pass: a DFS over directed
 /// half-edges from the default root, so consecutive optimised branches
-/// share a node (the access pattern the out-of-core layer likes). The
-/// sharded engine derives the same order from its (identical) shard trees.
-pub(crate) fn smoothing_order(tree: &Tree) -> Vec<HalfEdgeId> {
+/// share a node (the access pattern the out-of-core layer likes).
+fn smoothing_order(tree: &Tree) -> Vec<HalfEdgeId> {
     let root = tree.default_root_edge();
     let mut order: Vec<HalfEdgeId> = Vec::with_capacity(tree.n_branches());
     let mut stack = vec![root, tree.back(root)];
@@ -96,11 +140,11 @@ pub(crate) fn smoothing_order(tree: &Tree) -> Vec<HalfEdgeId> {
     order
 }
 
-impl<S: AncestralStore> PlfEngine<S> {
-    /// Build the sumtable for the branch of `h` into the engine scratch and
-    /// return the combined per-pattern scale counts. Ancestral vectors at
-    /// both ends must be valid towards the branch (ensured by a plan).
-    pub(crate) fn prepare_branch(&mut self, h: HalfEdgeId) -> OocResult<()> {
+impl<S: AncestralStore> NrBranchEngine for PlfEngine<S> {
+    /// Build the sumtable for the branch of `h` and the combined
+    /// per-pattern scale counts into the engine scratch. Ancestral vectors
+    /// at both ends are made valid towards the branch by a plan.
+    fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()> {
         let plan = self.make_plan(h, false);
         self.execute_plan(&plan)?;
         let dims = self.dims;
@@ -177,10 +221,9 @@ impl<S: AncestralStore> PlfEngine<S> {
         result
     }
 
-    /// `(lnL, d1, d2)` of the prepared branch at length `z`. Uses the
-    /// engine's reusable per-pattern term buffers — a Newton iteration
-    /// performs no allocation.
-    pub(crate) fn branch_derivatives(&mut self, z: f64) -> (f64, f64, f64) {
+    /// Uses the engine's reusable per-pattern term buffers — a Newton
+    /// iteration performs no allocation.
+    fn nr_derivatives(&mut self, z: f64) -> (f64, f64, f64) {
         let mut out_l = std::mem::take(&mut self.nr_l);
         let mut out_d1 = std::mem::take(&mut self.nr_d1);
         let mut out_d2 = std::mem::take(&mut self.nr_d2);
@@ -192,7 +235,9 @@ impl<S: AncestralStore> PlfEngine<S> {
         self.nr_d2 = out_d2;
         result
     }
+}
 
+impl<S: AncestralStore> PlfEngine<S> {
     /// Per-pattern `(lnL, d1, d2)` terms of the prepared branch at length
     /// `z`, for the sharded engine's cross-shard ordered reduction.
     pub(crate) fn branch_derivatives_sites(
@@ -219,25 +264,14 @@ impl<S: AncestralStore> PlfEngine<S> {
     /// Optimise the length of the branch of `h` by guarded Newton–Raphson.
     /// Returns `(new_length, log_likelihood_at_new_length)`.
     pub fn optimize_branch(&mut self, h: HalfEdgeId, max_iter: u32) -> OocResult<(f64, f64)> {
-        self.prepare_branch(h)?;
-        let z0 = self.tree.branch_length(h);
-        let (z, best_lnl) = newton_optimize(z0, max_iter, |z| self.branch_derivatives(z));
-        self.set_branch_length(h, z); // engine method: staleness tracked
-        Ok((z, best_lnl))
+        optimize_branch(self, h, max_iter)
     }
 
     /// One smoothing pass over every branch in depth-first order (adjacent
     /// branches in sequence — the access pattern the out-of-core layer
     /// likes), repeated `passes` times. Returns the final log-likelihood.
     pub fn smooth_branches(&mut self, passes: usize, nr_iter: u32) -> OocResult<f64> {
-        let mut lnl = f64::NEG_INFINITY;
-        for _ in 0..passes {
-            for h in smoothing_order(&self.tree) {
-                let (_, l) = self.optimize_branch(h, nr_iter)?;
-                lnl = l;
-            }
-        }
-        Ok(lnl)
+        smooth_branches(self, passes, nr_iter)
     }
 }
 

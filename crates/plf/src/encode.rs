@@ -37,29 +37,52 @@ fn size_for_overwrite(lut: &mut Vec<f64>, n: usize) {
 impl TipCodes {
     /// Build the code table from a compressed alignment.
     pub fn from_alignment(comp: &CompressedAlignment) -> Self {
+        let all = 0..comp.n_patterns();
+        let mut whole = Self::from_alignment_ranges(comp, std::slice::from_ref(&all));
+        whole.pop().expect("one range, one table")
+    }
+
+    /// One table per pattern range (site-range sharding; `ranges` contiguous
+    /// and in order): each table's tip rows cover its range only, while the
+    /// code table is kept whole, so code ids — and therefore every per-code
+    /// lookup table — are identical across shards and to the unsharded
+    /// encoding. Codes that happen not to occur inside a range merely leave
+    /// unused lut rows behind. The rows are encoded straight into their
+    /// shard: no full-width table is built and then copied apart.
+    pub fn from_alignment_ranges(
+        comp: &CompressedAlignment,
+        ranges: &[std::ops::Range<usize>],
+    ) -> Vec<TipCodes> {
         let aln = &comp.alignment;
-        let n_states = aln.alphabet().n_states();
         let mut code_of: HashMap<SiteMask, u16> = HashMap::new();
         let mut codes: Vec<SiteMask> = Vec::new();
-        let mut tip_patterns = Vec::with_capacity(aln.n_seqs());
+        let mut tip_patterns: Vec<Vec<Vec<u16>>> = ranges
+            .iter()
+            .map(|_| Vec::with_capacity(aln.n_seqs()))
+            .collect();
         for t in 0..aln.n_seqs() {
-            let row: Vec<u16> = aln
-                .seq(t)
-                .iter()
-                .map(|&mask| {
-                    *code_of.entry(mask).or_insert_with(|| {
-                        codes.push(mask);
-                        u16::try_from(codes.len() - 1).expect("too many distinct masks")
+            for (rows, range) in tip_patterns.iter_mut().zip(ranges) {
+                let row = aln.seq(t)[range.clone()]
+                    .iter()
+                    .map(|&mask| {
+                        *code_of.entry(mask).or_insert_with(|| {
+                            codes.push(mask);
+                            u16::try_from(codes.len() - 1).expect("too many distinct masks")
+                        })
                     })
-                })
-                .collect();
-            tip_patterns.push(row);
+                    .collect();
+                rows.push(row);
+            }
         }
-        TipCodes {
-            n_states,
-            codes,
-            tip_patterns,
-        }
+        let n_states = aln.alphabet().n_states();
+        tip_patterns
+            .into_iter()
+            .map(|tip_patterns| TipCodes {
+                n_states,
+                codes: codes.clone(),
+                tip_patterns,
+            })
+            .collect()
     }
 
     /// Number of states.
@@ -85,24 +108,6 @@ impl TipCodes {
     /// Mask of a code id.
     pub fn mask(&self, code: u16) -> SiteMask {
         self.codes[code as usize]
-    }
-
-    /// Restrict to a contiguous pattern range (for site-range sharding):
-    /// each tip row is sliced to `range`, while the code table is kept
-    /// whole so code ids — and therefore every per-code lookup table —
-    /// stay identical across shards and to the unsharded encoding. Codes
-    /// that happen not to occur inside `range` merely leave unused lut
-    /// rows behind.
-    pub fn slice_patterns(&self, range: std::ops::Range<usize>) -> TipCodes {
-        TipCodes {
-            n_states: self.n_states,
-            codes: self.codes.clone(),
-            tip_patterns: self
-                .tip_patterns
-                .iter()
-                .map(|row| row[range.clone()].to_vec())
-                .collect(),
-        }
     }
 
     /// Fill `lut` (layout `[code][cat][state]`) with
@@ -225,7 +230,7 @@ mod tests {
     use phylo_models::ReversibleModel;
     use phylo_seq::{compress_patterns, Alignment, Alphabet};
 
-    fn toy_codes() -> TipCodes {
+    fn toy_alignment() -> phylo_seq::CompressedAlignment {
         let aln = Alignment::from_chars(
             Alphabet::Dna,
             &[
@@ -235,7 +240,11 @@ mod tests {
             ],
         )
         .unwrap();
-        TipCodes::from_alignment(&compress_patterns(&aln))
+        compress_patterns(&aln)
+    }
+
+    fn toy_codes() -> TipCodes {
+        TipCodes::from_alignment(&toy_alignment())
     }
 
     #[test]
@@ -251,16 +260,20 @@ mod tests {
     }
 
     #[test]
-    fn slice_patterns_keeps_code_table_whole() {
-        let tc = toy_codes();
-        let sub = tc.slice_patterns(1..4);
-        assert_eq!(sub.n_codes(), tc.n_codes(), "code ids must be stable");
-        assert_eq!(sub.n_patterns(), 3);
-        for t in 0..3 {
-            assert_eq!(sub.tip(t), &tc.tip(t)[1..4]);
+    fn pattern_ranges_keep_the_code_table_whole() {
+        let comp = toy_alignment();
+        let tc = TipCodes::from_alignment(&comp);
+        let n = comp.n_patterns();
+        let shards = TipCodes::from_alignment_ranges(&comp, &[0..1, 1..n]);
+        for (sub, range) in shards.iter().zip([0..1, 1..n]) {
+            assert_eq!(sub.n_codes(), tc.n_codes(), "code ids must be stable");
+            assert_eq!(sub.n_patterns(), range.len());
+            for t in 0..3 {
+                assert_eq!(sub.tip(t), &tc.tip(t)[range.clone()]);
+            }
         }
-        // Same mask decoding through the sliced view.
-        assert_eq!(sub.mask(sub.tip(0)[0]), tc.mask(tc.tip(0)[1]));
+        // Same mask decoding through a shard's table.
+        assert_eq!(shards[1].mask(shards[1].tip(0)[0]), tc.mask(tc.tip(0)[1]));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub struct PlfEngine<S: AncestralStore> {
     pub(crate) sumtable: Vec<f64>,
     pub(crate) scale_sums: Vec<u32>,
     // Newton-Raphson per-pattern term buffers, reused across every
-    // `branch_derivatives` call (each Newton iteration used to allocate
+    // `nr_derivatives` call (each Newton iteration used to allocate
     // three fresh Vecs — measurable churn during smoothing passes).
     pub(crate) nr_l: Vec<f64>,
     pub(crate) nr_d1: Vec<f64>,

@@ -39,12 +39,13 @@ pub mod sharded;
 pub mod spec;
 pub mod store_api;
 
+pub use brlen::NrBranchEngine;
 pub use encode::TipCodes;
 pub use engine::{PlfEngine, PlfModel};
 pub use kernels::KernelBackend;
 pub use likelihood_api::LikelihoodEngine;
 pub use oracle::{SharedTree, TreeOracle};
-pub use partition::{NrBranchEngine, PartitionedPlfEngine};
+pub use partition::PartitionedPlfEngine;
 pub use sharded::ShardedPlfEngine;
 pub use spec::{
     BuildContext, BuiltEngine, DynEngine, EngineSpec, PartSpec, Residency, SpecError, SpecSpace,

@@ -1,11 +1,15 @@
 //! The engine surface the tree searches drive.
 //!
-//! [`LikelihoodEngine`] abstracts over the serial [`crate::PlfEngine`] and
-//! the sharded [`crate::ShardedPlfEngine`], so hill climbing, SPR/NNI
-//! rounds and MCMC run unchanged over either. Both implementations are
-//! bit-identical for the same inputs (see `crate::sharded` for why), so a
-//! search driven through this trait produces the same tree regardless of
-//! which engine — or how many shards — computed it.
+//! [`LikelihoodEngine`] abstracts over every engine shape: the serial
+//! [`crate::PlfEngine`], the sharded [`crate::ShardedPlfEngine`], the
+//! partitioned [`crate::PartitionedPlfEngine`] and the boxed
+//! partitions-of-shards engine an [`crate::EngineSpec`] resolves to — so
+//! hill climbing, SPR/NNI rounds and MCMC run unchanged over any of them.
+//! All are bit-identical for the same inputs (see `crate::sharded` and
+//! `crate::partition` for why), and the branch, smoothing and α optimisers
+//! are one generic driver each, so a search driven through this trait
+//! produces the same tree regardless of which engine — or how many shards
+//! or partitions — computed it.
 
 use ooc_core::{OocResult, OocStats};
 use phylo_tree::spr::{NniUndo, SprUndo};

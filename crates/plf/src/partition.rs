@@ -3,16 +3,16 @@
 //! on one shared tree topology.
 //!
 //! [`PartitionedPlfEngine`] owns one member engine per partition — a
-//! serial [`crate::PlfEngine`] or a sharded
-//! [`crate::ShardedPlfEngine`], any residency backend — and implements
-//! [`LikelihoodEngine`] over the *joint* model:
+//! sharded [`crate::ShardedPlfEngine`] when built from a spec, a serial
+//! [`crate::PlfEngine`] in hand-built references; any residency backend —
+//! and implements [`LikelihoodEngine`] over the *joint* model:
 //!
 //! * the joint log-likelihood is the sum of the per-partition
 //!   log-likelihoods, folded in partition order (a fixed, serial
 //!   reduction — deterministic regardless of how members compute);
 //! * branch lengths are shared: one Newton–Raphson per branch over the
-//!   per-partition `(lnL, d1, d2)` sums, through the same guarded
-//!   [`newton_optimize`] the serial and sharded engines use, so every
+//!   per-partition `(lnL, d1, d2)` sums, through the one guarded Newton
+//!   driver every engine runs (`brlen::optimize_branch`), so every
 //!   partition sees the same optimised length;
 //! * the Γ shape is shared across partitions (joint Brent over the summed
 //!   log-likelihood); per-partition substitution models stay fixed at
@@ -29,68 +29,12 @@
 //! (each partition lowers its own per-partition `ooc_core::AccessPlan`
 //! from the shared traversal, sized to its own vector width).
 
-use crate::brlen::newton_optimize;
+use crate::brlen::{self, NrBranchEngine};
 use crate::likelihood_api::LikelihoodEngine;
-use crate::modelopt::{ALPHA_MAX, ALPHA_MIN};
-use crate::sharded::ShardedPlfEngine;
-use crate::store_api::AncestralStore;
-use crate::PlfEngine;
-use ooc_core::{OocError, OocResult, OocStats};
-use phylo_models::brent_minimize;
+use crate::modelopt;
+use ooc_core::{OocResult, OocStats};
 use phylo_tree::spr::{NniUndo, SprUndo};
 use phylo_tree::{HalfEdgeId, Tree};
-
-/// The branch-length Newton–Raphson hooks a partition member must expose:
-/// prepare a branch's sumtable(s), then evaluate `(lnL, d1, d2)` at a
-/// proposed length. The partitioned engine folds these across members so
-/// one shared proposal sequence drives every partition.
-pub trait NrBranchEngine {
-    /// Build the branch's sumtable(s); vectors at both ends are refreshed.
-    fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()>;
-
-    /// `(lnL, d1, d2)` of the prepared branch at length `z`.
-    fn nr_derivatives(&mut self, z: f64) -> (f64, f64, f64);
-}
-
-impl<S: AncestralStore> NrBranchEngine for PlfEngine<S> {
-    fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()> {
-        self.prepare_branch(h)
-    }
-
-    fn nr_derivatives(&mut self, z: f64) -> (f64, f64, f64) {
-        self.branch_derivatives(z)
-    }
-}
-
-impl<S: AncestralStore + Send> NrBranchEngine for ShardedPlfEngine<S> {
-    fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()> {
-        self.par_prepare_branch(h)
-    }
-
-    fn nr_derivatives(&mut self, z: f64) -> (f64, f64, f64) {
-        self.shard_branch_derivatives(z)
-    }
-}
-
-impl<E: LikelihoodEngine + NrBranchEngine> NrBranchEngine for PartitionedPlfEngine<E> {
-    fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()> {
-        for e in &mut self.parts {
-            e.nr_prepare(h)?;
-        }
-        Ok(())
-    }
-
-    fn nr_derivatives(&mut self, z: f64) -> (f64, f64, f64) {
-        // The joint branch objective folds member derivatives in partition
-        // order — the same reduction `optimize_branch` drives internally.
-        let mut sum = (0.0, 0.0, 0.0);
-        for e in &mut self.parts {
-            let (l, d1, d2) = e.nr_derivatives(z);
-            sum = (sum.0 + l, sum.1 + d1, sum.2 + d2);
-        }
-        sum
-    }
-}
 
 /// One engine per partition, joined on a shared tree (see module docs).
 pub struct PartitionedPlfEngine<E> {
@@ -187,67 +131,16 @@ impl<E: LikelihoodEngine + NrBranchEngine> LikelihoodEngine for PartitionedPlfEn
     }
 
     fn optimize_branch(&mut self, h: HalfEdgeId, max_iter: u32) -> OocResult<(f64, f64)> {
-        // One Newton iteration over the joint derivatives: each member
-        // prepares its own sumtable, then every proposal folds the
-        // members' (lnL, d1, d2) in partition order. All partitions see
-        // the identical proposal sequence and final length.
-        for e in &mut self.parts {
-            e.nr_prepare(h)?;
-        }
-        let z0 = self.tree().branch_length(h);
-        let parts = &mut self.parts;
-        let (z, best_lnl) = newton_optimize(z0, max_iter, |z| {
-            let mut acc = (0.0, 0.0, 0.0);
-            for e in parts.iter_mut() {
-                let (l, d1, d2) = e.nr_derivatives(z);
-                acc = (acc.0 + l, acc.1 + d1, acc.2 + d2);
-            }
-            acc
-        });
-        self.set_branch_length(h, z);
-        Ok((z, best_lnl))
+        brlen::optimize_branch(self, h, max_iter)
     }
 
     fn smooth_branches(&mut self, passes: usize, nr_iter: u32) -> OocResult<f64> {
-        let mut lnl = f64::NEG_INFINITY;
-        for _ in 0..passes {
-            for h in crate::brlen::smoothing_order(self.tree()) {
-                let (_, l) = self.optimize_branch(h, nr_iter)?;
-                lnl = l;
-            }
-        }
-        Ok(lnl)
+        brlen::smooth_branches(self, passes, nr_iter)
     }
 
+    /// Shared Γ shape: Brent on ln(α) over the joint log-likelihood.
     fn optimize_alpha(&mut self, tol: f64, max_iter: u32) -> OocResult<(f64, f64)> {
-        // Shared Γ shape: Brent on ln(α) over the joint log-likelihood.
-        let mut io_error: Option<OocError> = None;
-        let result = brent_minimize(
-            |ln_a| {
-                if io_error.is_some() {
-                    return f64::INFINITY;
-                }
-                self.set_alpha(ln_a.exp());
-                match self.log_likelihood() {
-                    Ok(lnl) => -lnl,
-                    Err(e) => {
-                        io_error = Some(e);
-                        f64::INFINITY
-                    }
-                }
-            },
-            ALPHA_MIN.ln(),
-            ALPHA_MAX.ln(),
-            tol,
-            max_iter,
-        );
-        if let Some(e) = io_error {
-            return Err(e);
-        }
-        let alpha = result.x.exp();
-        self.set_alpha(alpha);
-        let lnl = self.log_likelihood()?;
-        Ok((alpha, lnl))
+        modelopt::optimize_alpha(self, tol, max_iter)
     }
 
     fn apply_spr(
@@ -299,10 +192,32 @@ impl<E: LikelihoodEngine + NrBranchEngine> LikelihoodEngine for PartitionedPlfEn
     }
 }
 
+impl<E: LikelihoodEngine + NrBranchEngine> NrBranchEngine for PartitionedPlfEngine<E> {
+    fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()> {
+        for e in &mut self.parts {
+            e.nr_prepare(h)?;
+        }
+        Ok(())
+    }
+
+    fn nr_derivatives(&mut self, z: f64) -> (f64, f64, f64) {
+        // The joint branch objective: member derivatives folded in
+        // partition order, so all partitions see the identical proposal
+        // sequence and final length.
+        let mut sum = (0.0, 0.0, 0.0);
+        for e in &mut self.parts {
+            let (l, d1, d2) = e.nr_derivatives(z);
+            sum = (sum.0 + l, sum.1 + d1, sum.2 + d2);
+        }
+        sum
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store_api::InRamStore;
+    use crate::PlfEngine;
     use phylo_models::{DiscreteGamma, ReversibleModel};
     use phylo_seq::{compress_patterns, simulate_alignment, CompressedAlignment};
     use phylo_tree::build::{random_topology, yule_like_lengths};

@@ -38,14 +38,14 @@
 //! to the serial engine. The canonical wiring is an `EngineSpec` with
 //! `Residency::File`, `shards > 1` and `io_threads > 0`.
 
-use crate::brlen::{newton_optimize, smoothing_order};
+use crate::brlen::{self, NrBranchEngine};
 use crate::kernels::{Dims, KernelBackend};
 use crate::likelihood_api::LikelihoodEngine;
-use crate::modelopt::{ALPHA_MAX, ALPHA_MIN};
+use crate::modelopt;
 use crate::store_api::AncestralStore;
 use crate::{PlfEngine, TipCodes};
-use ooc_core::{par_each_mut, OocError, OocResult, OocStats, Recorder, ShardSpec, StallKind};
-use phylo_models::{brent_minimize, ReversibleModel};
+use ooc_core::{par_each_mut, OocResult, OocStats, Recorder, ShardSpec, StallKind};
+use phylo_models::ReversibleModel;
 use phylo_seq::CompressedAlignment;
 use phylo_tree::spr::{NniUndo, SprUndo};
 use phylo_tree::{HalfEdgeId, Tree};
@@ -91,20 +91,21 @@ impl<S: AncestralStore + Send> ShardedPlfEngine<S> {
             "shard spec must cover exactly the alignment's patterns"
         );
         assert_eq!(stores.len(), spec.n_shards(), "one backing store per shard");
-        let tips = TipCodes::from_alignment(comp);
+        let tips = TipCodes::from_alignment_ranges(comp, spec.ranges());
         let dims = Self::shard_dims(comp, n_cats, &spec);
         let shards = spec
             .ranges()
             .iter()
             .zip(dims)
+            .zip(tips)
             .zip(stores)
-            .map(|((range, d), store)| {
+            .map(|(((range, d), tips), store)| {
                 PlfEngine::from_parts(
                     tree.clone(),
                     model.clone(),
                     alpha,
                     d,
-                    tips.slice_patterns(range.clone()),
+                    tips,
                     comp.weights[range.clone()].to_vec(),
                     store,
                 )
@@ -117,12 +118,13 @@ impl<S: AncestralStore + Send> ShardedPlfEngine<S> {
         }
     }
 
-    /// Attach an observability recorder. Every parallel section then
-    /// records, per shard, a `("sharded", "shard-exec")` span (the shard's
-    /// own wall time, unattributed — the residency layers below attribute
-    /// their slices) and a `("sharded", "barrier-wait")` span (how long
-    /// the shard sat idle waiting for the slowest sibling — the §4
-    /// load-imbalance signal). The recorder is also forwarded to each
+    /// Attach an observability recorder. Every parallel section of two or
+    /// more shards then records, per shard, a `("sharded", "shard-exec")`
+    /// span (the shard's own wall time, unattributed — the residency layers
+    /// below attribute their slices) and a `("sharded", "barrier-wait")`
+    /// span (how long the shard sat idle waiting for the slowest sibling —
+    /// the §4 load-imbalance signal); a single shard has no barrier and
+    /// records neither. The recorder is also forwarded to each
     /// shard engine for its combine-batch spans; shard-level residency
     /// stores attach their own recorders via [`Self::shard_mut`].
     pub fn set_recorder(&mut self, rec: Recorder) {
@@ -182,16 +184,20 @@ impl<S: AncestralStore + Send> ShardedPlfEngine<S> {
 
     /// Run `op` on every shard concurrently, failing with the first
     /// shard's error (in shard order) if any shard fails. With a recorder
-    /// attached, each shard's wall time and its wait for the slowest
-    /// sibling (the parallel-section barrier) are recorded as spans.
+    /// attached and a barrier to wait at (two or more shards), each
+    /// shard's wall time and its wait for the slowest sibling are recorded
+    /// as spans.
     fn par_shards<R: Send>(
         &mut self,
         op: impl Fn(&mut PlfEngine<S>) -> OocResult<R> + Sync,
     ) -> OocResult<Vec<R>> {
-        let Some(rec) = self.obs.clone() else {
-            return par_each_mut(&mut self.shards, |_, e| op(e))
-                .into_iter()
-                .collect();
+        let rec = match &self.obs {
+            Some(rec) if self.shards.len() > 1 => rec.clone(),
+            _ => {
+                return par_each_mut(&mut self.shards, |_, e| op(e))
+                    .into_iter()
+                    .collect()
+            }
         };
         let timed = par_each_mut(&mut self.shards, |_, e| {
             let t0 = rec.now();
@@ -220,39 +226,6 @@ impl<S: AncestralStore + Send> ShardedPlfEngine<S> {
     /// serial engine's `reduce_site_lnl` over the full-alignment buffer.
     fn fold_shards<'a>(bufs: impl Iterator<Item = &'a [f64]>) -> f64 {
         bufs.flatten().fold(0.0, |acc, &t| acc + t)
-    }
-
-    /// Build the branch sumtable on every shard in parallel (the prepare
-    /// half of a Newton–Raphson branch optimisation).
-    pub(crate) fn par_prepare_branch(&mut self, h: HalfEdgeId) -> OocResult<()> {
-        self.par_shards(|e| e.prepare_branch(h)).map(|_| ())
-    }
-
-    /// Cross-shard `(lnL, d1, d2)` of the prepared branch at length `z`:
-    /// per-pattern terms per shard in parallel, into each shard's reusable
-    /// NR scratch (no per-iteration allocation); each accumulator is then
-    /// folded across shards in shard order, matching the serial
-    /// `nr_derivatives` folds bit-for-bit.
-    pub(crate) fn shard_branch_derivatives(&mut self, z: f64) -> (f64, f64, f64) {
-        let shards = &mut self.shards;
-        let triples = par_each_mut(shards, |_, e| {
-            let mut l = std::mem::take(&mut e.nr_l);
-            let mut d1 = std::mem::take(&mut e.nr_d1);
-            let mut d2 = std::mem::take(&mut e.nr_d2);
-            e.branch_derivatives_sites(z, &mut l, &mut d1, &mut d2);
-            (l, d1, d2)
-        });
-        let folded = (
-            Self::fold_shards(triples.iter().map(|t| t.0.as_slice())),
-            Self::fold_shards(triples.iter().map(|t| t.1.as_slice())),
-            Self::fold_shards(triples.iter().map(|t| t.2.as_slice())),
-        );
-        for (e, (l, d1, d2)) in shards.iter_mut().zip(triples) {
-            e.nr_l = l;
-            e.nr_d1 = d1;
-            e.nr_d2 = d2;
-        }
-        folded
     }
 
     /// The paper's `-f z` worst case: `count` successive full traversals.
@@ -306,59 +279,15 @@ impl<S: AncestralStore + Send> LikelihoodEngine for ShardedPlfEngine<S> {
     }
 
     fn optimize_branch(&mut self, h: HalfEdgeId, max_iter: u32) -> OocResult<(f64, f64)> {
-        // Sumtables for the branch, all shards in parallel; then Newton
-        // over the cross-shard ordered derivative reduction.
-        self.par_prepare_branch(h)?;
-        let z0 = self.tree().branch_length(h);
-        let (z, best_lnl) = newton_optimize(z0, max_iter, |z| self.shard_branch_derivatives(z));
-        self.set_branch_length(h, z);
-        Ok((z, best_lnl))
+        brlen::optimize_branch(self, h, max_iter)
     }
 
     fn smooth_branches(&mut self, passes: usize, nr_iter: u32) -> OocResult<f64> {
-        let mut lnl = f64::NEG_INFINITY;
-        for _ in 0..passes {
-            // Same DFS half-edge order as the serial engine (the shard
-            // trees are identical), so the optimisation sequence matches.
-            for h in smoothing_order(self.tree()) {
-                let (_, l) = self.optimize_branch(h, nr_iter)?;
-                lnl = l;
-            }
-        }
-        Ok(lnl)
+        brlen::smooth_branches(self, passes, nr_iter)
     }
 
     fn optimize_alpha(&mut self, tol: f64, max_iter: u32) -> OocResult<(f64, f64)> {
-        // Same Brent-on-ln(α) procedure as the serial engine; because the
-        // sharded log-likelihood is bit-identical, Brent probes the same
-        // α sequence and converges to the same optimum.
-        let mut io_error: Option<OocError> = None;
-        let result = brent_minimize(
-            |ln_a| {
-                if io_error.is_some() {
-                    return f64::INFINITY;
-                }
-                self.set_alpha(ln_a.exp());
-                match self.log_likelihood() {
-                    Ok(lnl) => -lnl,
-                    Err(e) => {
-                        io_error = Some(e);
-                        f64::INFINITY
-                    }
-                }
-            },
-            ALPHA_MIN.ln(),
-            ALPHA_MAX.ln(),
-            tol,
-            max_iter,
-        );
-        if let Some(e) = io_error {
-            return Err(e);
-        }
-        let alpha = result.x.exp();
-        self.set_alpha(alpha);
-        let lnl = self.log_likelihood()?;
-        Ok((alpha, lnl))
+        modelopt::optimize_alpha(self, tol, max_iter)
     }
 
     fn apply_spr(
@@ -406,5 +335,38 @@ impl<S: AncestralStore + Send> LikelihoodEngine for ShardedPlfEngine<S> {
         for i in 0..self.n_shards() {
             self.shard_mut(i).reset_ooc_stats();
         }
+    }
+}
+
+impl<S: AncestralStore + Send> NrBranchEngine for ShardedPlfEngine<S> {
+    /// Build the branch sumtable on every shard in parallel.
+    fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()> {
+        self.par_shards(|e| e.nr_prepare(h)).map(|_| ())
+    }
+
+    /// Per-pattern terms per shard in parallel, into each shard's reusable
+    /// NR scratch (no per-iteration allocation); each accumulator is then
+    /// folded across shards in shard order, matching the serial
+    /// `nr_derivatives` folds bit-for-bit.
+    fn nr_derivatives(&mut self, z: f64) -> (f64, f64, f64) {
+        let shards = &mut self.shards;
+        let triples = par_each_mut(shards, |_, e| {
+            let mut l = std::mem::take(&mut e.nr_l);
+            let mut d1 = std::mem::take(&mut e.nr_d1);
+            let mut d2 = std::mem::take(&mut e.nr_d2);
+            e.branch_derivatives_sites(z, &mut l, &mut d1, &mut d2);
+            (l, d1, d2)
+        });
+        let folded = (
+            Self::fold_shards(triples.iter().map(|t| t.0.as_slice())),
+            Self::fold_shards(triples.iter().map(|t| t.1.as_slice())),
+            Self::fold_shards(triples.iter().map(|t| t.2.as_slice())),
+        );
+        for (e, (l, d1, d2)) in shards.iter_mut().zip(triples) {
+            e.nr_l = l;
+            e.nr_d1 = d1;
+            e.nr_d2 = d2;
+        }
+        folded
     }
 }

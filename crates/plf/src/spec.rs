@@ -20,21 +20,30 @@
 //!   takes the partition list as data, so the same profile drives a
 //!   single-gene and a 100-gene analysis.
 //!
-//! The resolved engine is a [`Box<dyn DynEngine>`]: serial, sharded and
-//! partitioned engines behind one object-safe surface, over type-erased
-//! [`BackingStore`]s — which is what lets a *service* hold many engines of
-//! heterogeneous shape in one table. Construction-time concerns that used
-//! to be ad-hoc (observability recorders, multi-tenant arena grants,
-//! cooperative cancellation) enter through [`BuildContext`].
+//! Every spec resolves to **one shape**: a [`PartitionedPlfEngine`] of
+//! `p ≥ 1` [`ShardedPlfEngine`] members of `k ≥ 1` serial shard engines
+//! each, through one assembly routine. A single-gene serial run is the
+//! `p = 1, k = 1` case of the same code, and arity 1 is free: one shard
+//! runs inline on the caller's thread with no barrier (and records no
+//! barrier spans), and folding one shard's per-pattern terms, or one
+//! partition's log-likelihood, from zero is the serial reduction
+//! bit-for-bit. Only the per-shard store type differs between residencies
+//! ([`InRamStore`], [`PagedStore`], or [`OocStore`] over a type-erased
+//! [`BackingStore`]); the result is boxed once as a [`Box<dyn DynEngine>`],
+//! which is what lets a *service* hold engines of any residency in one
+//! table. Construction-time concerns that used to be ad-hoc
+//! (observability recorders, multi-tenant arena grants, cooperative
+//! cancellation) enter through [`BuildContext`].
 //!
 //! A spec round-trips through a flat TOML profile ([`EngineSpec::to_toml`]
 //! / [`EngineSpec::from_toml`]) so runs are reproducible from a file and
 //! every metrics stream can embed the exact configuration that produced it
 //! (the `"profile"` JSONL record).
 
+use crate::brlen::NrBranchEngine;
 use crate::likelihood_api::LikelihoodEngine;
 use crate::oracle::{SharedTree, TreeOracle};
-use crate::partition::{NrBranchEngine, PartitionedPlfEngine};
+use crate::partition::PartitionedPlfEngine;
 use crate::sharded::ShardedPlfEngine;
 use crate::store_api::{AncestralStore, InRamStore, OocStore, PagedStore};
 use crate::{KernelBackend, PlfEngine};
@@ -55,17 +64,14 @@ use std::path::{Path, PathBuf};
 // ---------------------------------------------------------------------------
 
 /// Everything a job runner needs from an engine, object-safe: the search
-/// surface ([`LikelihoodEngine`]), the branch Newton–Raphson hooks
-/// ([`NrBranchEngine`]) and the two report shapes jobs ask for beyond
-/// them. Implemented by every engine the spec can resolve to, so a
+/// surface ([`LikelihoodEngine`]) and the per-partition reports jobs ask
+/// for beyond it. Implemented by the one shape the spec resolves to, so a
 /// service queues heterogeneous jobs against one `Box<dyn DynEngine>`
 /// table.
-pub trait DynEngine: LikelihoodEngine + NrBranchEngine + Send {
+pub trait DynEngine: LikelihoodEngine + Send {
     /// Per-partition log-likelihoods in partition order (a single
     /// unpartitioned engine reports one value).
-    fn partition_lnls(&mut self) -> OocResult<Vec<f64>> {
-        Ok(vec![self.log_likelihood()?])
-    }
+    fn partition_lnls(&mut self) -> OocResult<Vec<f64>>;
 
     /// `count` full traversals (every vector recomputed each time),
     /// returning the last log-likelihood — the paper's Figure 5 workload.
@@ -81,21 +87,7 @@ pub trait DynEngine: LikelihoodEngine + NrBranchEngine + Send {
     /// Out-of-core statistics per partition, in partition order — so stats
     /// can be reconciled against each partition's own metrics scope
     /// (`None` entries for non-managed members).
-    fn partition_ooc_stats(&self) -> Vec<Option<ooc_core::OocStats>> {
-        vec![self.ooc_stats()]
-    }
-}
-
-impl<S: AncestralStore + Send> DynEngine for PlfEngine<S> {
-    fn full_traversals(&mut self, count: usize) -> OocResult<f64> {
-        PlfEngine::full_traversals(self, count)
-    }
-}
-
-impl<S: AncestralStore + Send> DynEngine for ShardedPlfEngine<S> {
-    fn full_traversals(&mut self, count: usize) -> OocResult<f64> {
-        ShardedPlfEngine::full_traversals(self, count)
-    }
+    fn partition_ooc_stats(&self) -> Vec<Option<ooc_core::OocStats>>;
 }
 
 impl<E: LikelihoodEngine + NrBranchEngine + Send> DynEngine for PartitionedPlfEngine<E> {
@@ -110,8 +102,8 @@ impl<E: LikelihoodEngine + NrBranchEngine + Send> DynEngine for PartitionedPlfEn
     }
 }
 
-// A partitioned engine over *type-erased* members needs the member type
-// itself to implement the two member traits; forward through the box.
+// Searches and job runners are generic over `E: LikelihoodEngine`; forward
+// through the box so a built engine can be handed to them as it is.
 impl LikelihoodEngine for Box<dyn DynEngine> {
     fn tree(&self) -> &Tree {
         (**self).tree()
@@ -165,15 +157,6 @@ impl LikelihoodEngine for Box<dyn DynEngine> {
     }
     fn reset_ooc_stats(&mut self) {
         (**self).reset_ooc_stats()
-    }
-}
-
-impl NrBranchEngine for Box<dyn DynEngine> {
-    fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()> {
-        (**self).nr_prepare(h)
-    }
-    fn nr_derivatives(&mut self, z: f64) -> (f64, f64, f64) {
-        (**self).nr_derivatives(z)
     }
 }
 
@@ -241,7 +224,8 @@ pub struct EngineSpec {
     /// Replacement strategy for out-of-core residencies (ignored by
     /// `inram`/`paged`). Tree oracles are wired automatically.
     pub strategy: StrategyKind,
-    /// Pattern-parallel shards per partition (1 = serial members).
+    /// Pattern-parallel shards per partition (1 = one shard, run inline
+    /// on the caller's thread).
     pub shards: usize,
     /// Dedicated I/O worker threads per shard (0 = no prefetch pipeline;
     /// requires a file-backed residency).
@@ -334,17 +318,17 @@ pub struct PartSpec<'a> {
 /// multi-tenant memory grants and cooperative cancellation.
 #[derive(Default)]
 pub struct BuildContext {
-    /// Base path for file-backed residencies (partition `i` appends
-    /// `.p<i>` exactly like the historical constructors). Required for
-    /// `file`, `file-limit` and `paged`.
+    /// Base path for file-backed residencies (with several partitions,
+    /// partition `i` takes extension `p<i>`). Required for `file`,
+    /// `file-limit` and `paged`.
     pub vector_path: Option<PathBuf>,
     /// Arena grant every manager charges its slot buffers against
     /// (multi-tenant mode; see [`ooc_core::SlotArena`]).
     pub tenant: Option<TenantGrant>,
     /// Cancellation token enforced at every backing-store transfer.
     pub cancel: Option<CancelToken>,
-    /// Recorder per partition name (`""` for an unpartitioned build);
-    /// attached to each member engine.
+    /// Recorder per partition name; attached to the partition's member
+    /// engine and every residency layer under it.
     #[allow(clippy::type_complexity)]
     pub recorders: Option<Box<dyn Fn(&str) -> Recorder + Send + Sync>>,
 }
@@ -391,6 +375,19 @@ pub struct BuiltEngine {
 
 /// The manager store type every out-of-core build resolves to.
 type DynStore = Box<dyn BackingStore + Send>;
+
+/// One partition as [`EngineSpec::assemble`] hands it to a store factory.
+struct PartSite<'a> {
+    /// Position in the partition list (and in the per-partition budgets).
+    index: usize,
+    part: &'a PartSpec<'a>,
+    /// Vector width of each shard, in shard order.
+    widths: &'a [usize],
+    /// The partition's backing file, when the context names a base path.
+    path: Option<PathBuf>,
+    /// The partition's recorder, when the context hands them out.
+    rec: Option<Recorder>,
+}
 
 impl EngineSpec {
     /// Validate the axis combination (cheap; [`EngineSpec::build`] and
@@ -472,7 +469,7 @@ impl EngineSpec {
         let mut want = 0u64;
         let mut min = 0u64;
         for (i, part) in parts.iter().enumerate() {
-            for width in self.manager_widths(part.comp) {
+            for width in self.shard_layout(part.comp).1 {
                 let w = width as u64;
                 match self.residency {
                     Residency::InRam => {
@@ -518,13 +515,9 @@ impl EngineSpec {
         let mut reserved = 0u64;
         for part in parts {
             let stride = PlfEngine::<InRamStore>::dims_for(part.comp, self.n_cats).site_stride();
-            for width in self.manager_widths(part.comp) {
+            for width in self.shard_layout(part.comp).1 {
                 logical += n_items * width as u64 * 8;
-                let cap = match self.compression {
-                    Some(mode) => compressed_capacity_f64s(width, stride, mode),
-                    None => width,
-                };
-                reserved += n_items * cap as u64 * 8;
+                reserved += n_items * self.backing_width(width, stride) as u64 * 8;
             }
         }
         Ok((logical, reserved))
@@ -532,9 +525,9 @@ impl EngineSpec {
 
     /// Per-partition resident slot counts the spec resolves to — the
     /// CLI's "N of M vectors in RAM" report without building anything.
-    /// `None` entries for non-managed residencies (in-RAM, paged); for
-    /// sharded partitions the count is per shard manager (the smallest,
-    /// when the pattern split is uneven).
+    /// `None` entries for non-managed residencies (in-RAM, paged); the
+    /// count is per shard manager (the smallest, when the pattern split is
+    /// uneven).
     pub fn slot_counts(
         &self,
         tree: &Tree,
@@ -550,7 +543,8 @@ impl EngineSpec {
             .enumerate()
             .map(|(i, part)| {
                 let budget = budgets.as_ref().map(|b| b[i]);
-                self.manager_widths(part.comp)
+                self.shard_layout(part.comp)
+                    .1
                     .into_iter()
                     .map(|w| Ok(self.ooc_config(tree.n_inner(), w, budget)?.n_slots))
                     .collect::<Result<Vec<_>, SpecError>>()
@@ -559,9 +553,10 @@ impl EngineSpec {
             .collect()
     }
 
-    /// Resolve the spec over `tree` and `parts` into a boxed engine. A
-    /// single partition yields the member engine directly; several yield a
-    /// [`PartitionedPlfEngine`] over type-erased members.
+    /// Resolve the spec over `tree` and `parts` into a boxed engine: one
+    /// [`ShardedPlfEngine`] member per partition under a
+    /// [`PartitionedPlfEngine`], whatever the arities (see the module
+    /// docs). The residency only chooses the per-shard store type.
     pub fn build(
         &self,
         tree: &Tree,
@@ -578,30 +573,80 @@ impl EngineSpec {
                 self.residency.name()
             )));
         }
+        let n_items = tree.n_inner();
         let mut handles = Vec::new();
-        let budgets = self.partition_budgets(tree, parts);
-        if parts.len() == 1 {
-            let budget = budgets.as_ref().map(|b| b[0]);
-            let engine = self.build_member(tree, &parts[0], budget, ctx, "", &mut handles)?;
-            return Ok(BuiltEngine { engine, handles });
-        }
+        let engine = match self.residency {
+            Residency::InRam => self.assemble(tree, parts, ctx, |site| {
+                let stores = site.widths.iter().map(|&w| InRamStore::new(n_items, w));
+                Ok(stores.collect())
+            })?,
+            Residency::Paged { phys_bytes } => self.assemble(tree, parts, ctx, |site| {
+                // `validate` holds paged residency to one shard: one arena
+                // holds the partition's full-width vectors.
+                let w = site.widths[0];
+                let path = site.path.as_deref().expect("checked above");
+                let arena = pager_sim::PagedArena::new(n_items * w * 8, phys_bytes as usize, path)?;
+                Ok(vec![PagedStore::new(arena, n_items, w)])
+            })?,
+            _ => {
+                let budgets = self.partition_budgets(tree, parts);
+                self.assemble(tree, parts, ctx, |site| {
+                    let budget = budgets.as_ref().map(|b| b[site.index]);
+                    self.managed_stores(tree, site, budget, ctx, &mut handles)
+                })?
+            }
+        };
+        Ok(BuiltEngine { engine, handles })
+    }
+
+    /// The one assembly routine: per partition, lay out the shards, take
+    /// one store per shard from `stores` and build the member over them.
+    fn assemble<S: AncestralStore + Send + 'static>(
+        &self,
+        tree: &Tree,
+        parts: &[PartSpec<'_>],
+        ctx: &BuildContext,
+        mut stores: impl FnMut(&PartSite<'_>) -> Result<Vec<S>, SpecError>,
+    ) -> Result<Box<dyn DynEngine>, SpecError> {
         let members = parts
             .iter()
             .enumerate()
-            .map(|(i, part)| {
-                self.build_member(
-                    tree,
+            .map(|(index, part)| {
+                let (layout, widths) = self.shard_layout(part.comp);
+                let site = PartSite {
+                    index,
                     part,
-                    budgets.as_ref().map(|b| b[i]),
-                    ctx,
-                    &format!("p{i}"),
-                    &mut handles,
-                )
+                    widths: &widths,
+                    // A single partition keeps the path as given (callers
+                    // reopen exactly that file); several take `p<i>`.
+                    path: ctx.vector_path.as_ref().map(|base| match parts.len() {
+                        1 => base.clone(),
+                        _ => base.with_extension(format!("p{index}")),
+                    }),
+                    rec: ctx.recorders.as_ref().map(|f| f(&part.name)),
+                };
+                let mut member = ShardedPlfEngine::new(
+                    tree.clone(),
+                    part.comp,
+                    part.model.clone(),
+                    self.alpha,
+                    self.n_cats,
+                    layout,
+                    stores(&site)?,
+                );
+                if let Some(k) = self.kernel {
+                    member.set_kernel(k);
+                }
+                // Combine-batch spans (and, past one shard, the barrier
+                // spans); the residency layers carry their own recorders.
+                if let Some(rec) = site.rec {
+                    member.set_recorder(rec);
+                }
+                Ok(member)
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, SpecError>>()?;
         let names = parts.iter().map(|p| p.name.clone()).collect();
-        let engine: Box<dyn DynEngine> = Box::new(PartitionedPlfEngine::new(members, names));
-        Ok(BuiltEngine { engine, handles })
+        Ok(Box::new(PartitionedPlfEngine::new(members, names)))
     }
 
     /// Per-partition `-L` budgets (largest-remainder split over vector
@@ -610,9 +655,6 @@ impl EngineSpec {
         let Residency::FileLimit { limit_bytes } = self.residency else {
             return None;
         };
-        if parts.len() == 1 {
-            return Some(vec![limit_bytes]);
-        }
         let n_items = tree.n_inner() as u64;
         let weights: Vec<u64> = parts
             .iter()
@@ -624,19 +666,16 @@ impl EngineSpec {
         Some(split_budget(limit_bytes, &weights))
     }
 
-    /// Widths of the managers one partition resolves to (per shard, or the
-    /// full partition width when serial / non-managed).
-    fn manager_widths(&self, comp: &CompressedAlignment) -> Vec<usize> {
-        if self.shards > 1 && !matches!(self.residency, Residency::InRam | Residency::Paged { .. })
-        {
-            let spec = ShardSpec::even(comp.n_patterns(), self.shards);
-            ShardedPlfEngine::<InRamStore>::shard_dims(comp, self.n_cats, &spec)
-                .iter()
-                .map(|d| d.width())
-                .collect()
-        } else {
-            vec![PlfEngine::<InRamStore>::dims_for(comp, self.n_cats).width()]
-        }
+    /// Shard layout of one partition: the pattern split and the per-shard
+    /// vector widths (they sum to the partition's full width). The sizing
+    /// reports and the build both read this.
+    fn shard_layout(&self, comp: &CompressedAlignment) -> (ShardSpec, Vec<usize>) {
+        let spec = ShardSpec::even(comp.n_patterns(), self.shards);
+        let widths = ShardedPlfEngine::<InRamStore>::shard_dims(comp, self.n_cats, &spec)
+            .iter()
+            .map(|d| d.width())
+            .collect();
+        (spec, widths)
     }
 
     /// The out-of-core config of one manager under this spec.
@@ -682,14 +721,6 @@ impl EngineSpec {
         }
     }
 
-    /// Type-erase one manager store, wrapping cancellation around it.
-    fn finish_store<S: BackingStore + Send + 'static>(store: S, ctx: &BuildContext) -> DynStore {
-        match &ctx.cancel {
-            Some(token) => Box::new(CancellingStore::new(store, token.clone())),
-            None => Box::new(store),
-        }
-    }
-
     /// The width one manager's *inner* backing store is created with: the
     /// logical width raw, or the worst-case encoded capacity under
     /// [`EngineSpec::compression`].
@@ -700,10 +731,81 @@ impl EngineSpec {
         }
     }
 
-    /// An in-memory backing store for one manager, compressed per the
-    /// spec and type-erased.
-    fn mem_store(
+    /// One partition's managed stores, one per shard: memory, or one region
+    /// of the partition's vector file, behind [`Self::shard_store`] and
+    /// under a [`VectorManager`] of its own.
+    fn managed_stores(
         &self,
+        tree: &Tree,
+        site: &PartSite<'_>,
+        partition_budget: Option<u64>,
+        ctx: &BuildContext,
+        handles: &mut Vec<SharedTree>,
+    ) -> Result<Vec<OocStore<DynStore>>, SpecError> {
+        let n_items = tree.n_inner();
+        let stride = PlfEngine::<InRamStore>::dims_for(site.part.comp, self.n_cats).site_stride();
+        // Backing stores are provisioned at the (worst-case) encoded
+        // capacity; the managers still see logical widths.
+        let caps: Vec<usize> = site
+            .widths
+            .iter()
+            .map(|&w| self.backing_width(w, stride))
+            .collect();
+        // One file region per shard, or none at all: the shards of an
+        // in-memory residency each get a `MemStore` below.
+        let mut regions = match self.residency {
+            Residency::OocMem { .. } => Vec::new(),
+            _ => {
+                let path = site.path.as_deref().expect("checked in build");
+                FileStore::create_regions(path, n_items, &caps)
+                    .map_err(|e| vector_file_error(path, e))?
+            }
+        }
+        .into_iter();
+        let rec = site.rec.as_ref();
+        site.widths
+            .iter()
+            .zip(caps)
+            .map(|(&w, cap)| {
+                let cfg = self.ooc_config(n_items, w, partition_budget)?;
+                let store = match regions.next() {
+                    Some(region) => {
+                        let workers = (0..self.io_threads)
+                            .map(|_| region.try_clone())
+                            .collect::<std::io::Result<Vec<_>>>()?;
+                        self.shard_store(region, workers, n_items, w, stride, ctx, rec)
+                    }
+                    None => {
+                        let mem = MemStore::new(n_items, cap);
+                        self.shard_store(mem, Vec::new(), n_items, w, stride, ctx, rec)
+                    }
+                };
+                let mut mgr = VectorManager::new(cfg, self.strategy(tree, handles), store);
+                if let Some(grant) = &ctx.tenant {
+                    mgr.attach_tenant(grant.clone());
+                }
+                // The manager carries its own recorder (demand-read /
+                // write-back spans, per-access histograms).
+                if let Some(r) = rec {
+                    mgr.set_recorder(r.clone());
+                }
+                Ok(OocStore::new(mgr))
+            })
+            .collect()
+    }
+
+    /// One shard's manager store, type-erased: `backing` behind the spec's
+    /// compression codec, the prefetch pipeline (one worker per handle in
+    /// `workers`, second handles onto `backing`; none = no pipeline) and
+    /// cancellation. The codec sits *below* the pipeline: prefetch staging
+    /// holds decoded vectors and worker threads decode off the demand
+    /// path, each through its own scratch-buffered [`CompressingStore`]
+    /// handle.
+    #[allow(clippy::too_many_arguments)]
+    fn shard_store<B: BackingStore + Send + 'static>(
+        &self,
+        backing: B,
+        workers: Vec<B>,
         n_items: usize,
         width: usize,
         stride: usize,
@@ -712,269 +814,43 @@ impl EngineSpec {
     ) -> DynStore {
         match self.compression {
             Some(mode) => {
-                let inner = MemStore::new(n_items, self.backing_width(width, stride));
-                let mut cs = CompressingStore::new(inner, n_items, width, stride, mode);
+                let mut cs = CompressingStore::new(backing, n_items, width, stride, mode);
                 if let Some(r) = rec {
                     cs.set_recorder(r.clone());
                 }
-                Self::finish_store(cs, ctx)
+                let workers = workers.into_iter().map(|w| cs.handle_over(w)).collect();
+                Self::pipeline(cs, workers, n_items, width, ctx, rec)
             }
-            None => Self::finish_store(MemStore::new(n_items, width), ctx),
+            None => Self::pipeline(backing, workers, n_items, width, ctx, rec),
         }
     }
 
-    /// One manager over a type-erased store.
-    fn manager(
-        &self,
-        cfg: OocConfig,
-        tree: &Tree,
-        store: DynStore,
-        ctx: &BuildContext,
-        handles: &mut Vec<SharedTree>,
-        rec: Option<&Recorder>,
-    ) -> VectorManager<DynStore> {
-        let strategy = self.strategy(tree, handles);
-        let mut mgr = VectorManager::new(cfg, strategy, store);
-        if let Some(grant) = &ctx.tenant {
-            mgr.attach_tenant(grant.clone());
-        }
-        // The manager carries its own recorder (demand-read / write-back
-        // spans, per-access histograms); the engine-level recorder set in
-        // `assemble` only covers combine batches.
-        if let Some(r) = rec {
-            mgr.set_recorder(r.clone());
-        }
-        mgr
-    }
-
-    /// Build one partition's member engine.
-    fn build_member(
-        &self,
-        tree: &Tree,
-        part: &PartSpec<'_>,
-        partition_budget: Option<u64>,
-        ctx: &BuildContext,
-        file_tag: &str,
-        handles: &mut Vec<SharedTree>,
-    ) -> Result<Box<dyn DynEngine>, SpecError> {
-        let n_items = tree.n_inner();
-        let part_path = |base: &Path| -> PathBuf {
-            if file_tag.is_empty() {
-                base.to_path_buf()
-            } else {
-                base.with_extension(file_tag)
-            }
-        };
-        let rec = ctx.recorders.as_ref().map(|f| f(&part.name));
-        let engine: Box<dyn DynEngine> = match self.residency {
-            Residency::InRam => {
-                let dims = PlfEngine::<InRamStore>::dims_for(part.comp, self.n_cats);
-                let store = InRamStore::new(n_items, dims.width());
-                Box::new(self.assemble(tree, part, store, rec))
-            }
-            Residency::Paged { phys_bytes } => {
-                let dims = PlfEngine::<InRamStore>::dims_for(part.comp, self.n_cats);
-                let total = n_items * dims.width() * 8;
-                let base = ctx.vector_path.as_deref().expect("checked in build");
-                let arena =
-                    pager_sim::PagedArena::new(total, phys_bytes as usize, part_path(base))?;
-                let store = PagedStore::new(arena, n_items, dims.width());
-                Box::new(self.assemble(tree, part, store, rec))
-            }
-            Residency::OocMem { .. } => {
-                let stride =
-                    PlfEngine::<InRamStore>::dims_for(part.comp, self.n_cats).site_stride();
-                if self.shards > 1 {
-                    let (spec, widths) = self.shard_layout(part.comp);
-                    let stores = widths
-                        .iter()
-                        .map(|&w| {
-                            let cfg = self.ooc_config(n_items, w, partition_budget)?;
-                            let store = self.mem_store(n_items, w, stride, ctx, rec.as_ref());
-                            Ok(OocStore::new(self.manager(
-                                cfg,
-                                tree,
-                                store,
-                                ctx,
-                                handles,
-                                rec.as_ref(),
-                            )))
-                        })
-                        .collect::<Result<Vec<_>, SpecError>>()?;
-                    Box::new(self.assemble_sharded(tree, part, spec, stores, rec))
-                } else {
-                    let dims = PlfEngine::<InRamStore>::dims_for(part.comp, self.n_cats);
-                    let w = dims.width();
-                    let cfg = self.ooc_config(n_items, w, partition_budget)?;
-                    let store = self.mem_store(n_items, w, stride, ctx, rec.as_ref());
-                    let ooc =
-                        OocStore::new(self.manager(cfg, tree, store, ctx, handles, rec.as_ref()));
-                    Box::new(self.assemble(tree, part, ooc, rec))
-                }
-            }
-            Residency::File { .. } | Residency::FileLimit { .. } => {
-                let base = ctx.vector_path.as_deref().expect("checked in build");
-                let path = part_path(base);
-                let stride =
-                    PlfEngine::<InRamStore>::dims_for(part.comp, self.n_cats).site_stride();
-                if self.shards > 1 {
-                    let (spec, widths) = self.shard_layout(part.comp);
-                    // Regions are provisioned at the (worst-case) encoded
-                    // capacity; the manager still sees logical widths.
-                    let file_widths: Vec<usize> = widths
-                        .iter()
-                        .map(|&w| self.backing_width(w, stride))
-                        .collect();
-                    let regions = FileStore::create_regions(&path, n_items, &file_widths)
-                        .map_err(|e| vector_file_error(&path, e))?;
-                    let stores = regions
-                        .into_iter()
-                        .zip(&widths)
-                        .map(|(region, &w)| {
-                            let cfg = self.ooc_config(n_items, w, partition_budget)?;
-                            let store =
-                                self.pipeline_store(region, n_items, w, stride, ctx, rec.as_ref())?;
-                            Ok(OocStore::new(self.manager(
-                                cfg,
-                                tree,
-                                store,
-                                ctx,
-                                handles,
-                                rec.as_ref(),
-                            )))
-                        })
-                        .collect::<Result<Vec<_>, SpecError>>()?;
-                    Box::new(self.assemble_sharded(tree, part, spec, stores, rec))
-                } else {
-                    let dims = PlfEngine::<InRamStore>::dims_for(part.comp, self.n_cats);
-                    let w = dims.width();
-                    let cfg = self.ooc_config(n_items, w, partition_budget)?;
-                    let file = FileStore::create(&path, n_items, self.backing_width(w, stride))
-                        .map_err(|e| vector_file_error(&path, e))?;
-                    let store = self.pipeline_store(file, n_items, w, stride, ctx, rec.as_ref())?;
-                    let ooc =
-                        OocStore::new(self.manager(cfg, tree, store, ctx, handles, rec.as_ref()));
-                    Box::new(self.assemble(tree, part, ooc, rec))
-                }
-            }
-        };
-        Ok(engine)
-    }
-
-    /// Shard layout of one partition: the pattern split and the per-shard
-    /// vector widths.
-    fn shard_layout(&self, comp: &CompressedAlignment) -> (ShardSpec, Vec<usize>) {
-        let spec = ShardSpec::even(comp.n_patterns(), self.shards);
-        let widths = ShardedPlfEngine::<InRamStore>::shard_dims(comp, self.n_cats, &spec)
-            .iter()
-            .map(|d| d.width())
-            .collect();
-        (spec, widths)
-    }
-
-    /// Wrap a shard's file store in the spec's compression codec and the
-    /// prefetch pipeline (when `io_threads > 0`) and type-erase it. The
-    /// codec sits *below* the pipeline: prefetch staging holds decoded
-    /// vectors and worker threads decode off the demand path, each through
-    /// its own scratch-buffered [`CompressingStore`] clone.
-    fn pipeline_store(
-        &self,
-        store: FileStore,
-        n_items: usize,
-        width: usize,
-        stride: usize,
-        ctx: &BuildContext,
-        rec: Option<&Recorder>,
-    ) -> Result<DynStore, SpecError> {
-        match self.compression {
-            Some(mode) => {
-                let mut cs = CompressingStore::new(store, n_items, width, stride, mode);
-                if let Some(r) = rec {
-                    cs.set_recorder(r.clone());
-                }
-                self.pipeline_any(cs, CompressingStore::try_clone, n_items, width, ctx, rec)
-            }
-            None => self.pipeline_any(store, FileStore::try_clone, n_items, width, ctx, rec),
-        }
-    }
-
-    /// Pipeline any cloneable store: `io_threads` worker handles from
-    /// `clone_fn`, or a bare type-erased store when the pipeline is off.
-    fn pipeline_any<S>(
-        &self,
+    /// The top of [`Self::shard_store`]'s chain: the prefetch pipeline when
+    /// there are worker handles, then cancellation, then the box.
+    fn pipeline<S: BackingStore + Send + 'static>(
         store: S,
-        clone_fn: impl Fn(&S) -> std::io::Result<S>,
+        workers: Vec<S>,
         n_items: usize,
         width: usize,
         ctx: &BuildContext,
         rec: Option<&Recorder>,
-    ) -> Result<DynStore, SpecError>
-    where
-        S: BackingStore + Send + 'static,
-    {
-        if self.io_threads == 0 {
-            return Ok(Self::finish_store(store, ctx));
+    ) -> DynStore {
+        if workers.is_empty() {
+            return Self::cancellable(store, ctx);
         }
-        let workers = (0..self.io_threads)
-            .map(|_| clone_fn(&store))
-            .collect::<std::io::Result<Vec<_>>>()?;
         let mut pipelined = PrefetchingStore::with_pool(store, workers, n_items, width);
         if let Some(r) = rec {
             pipelined.set_recorder(r.clone());
         }
-        Ok(Self::finish_store(pipelined, ctx))
+        Self::cancellable(pipelined, ctx)
     }
 
-    /// Assemble a serial member engine over any ancestral store.
-    fn assemble<S: AncestralStore + Send + 'static>(
-        &self,
-        tree: &Tree,
-        part: &PartSpec<'_>,
-        store: S,
-        rec: Option<Recorder>,
-    ) -> PlfEngine<S> {
-        let mut e = PlfEngine::new(
-            tree.clone(),
-            part.comp,
-            part.model.clone(),
-            self.alpha,
-            self.n_cats,
-            store,
-        );
-        if let Some(k) = self.kernel {
-            e.set_kernel(k);
+    /// Type-erase one manager store, wrapping cancellation around it.
+    fn cancellable<S: BackingStore + Send + 'static>(store: S, ctx: &BuildContext) -> DynStore {
+        match &ctx.cancel {
+            Some(token) => Box::new(CancellingStore::new(store, token.clone())),
+            None => Box::new(store),
         }
-        if let Some(rec) = rec {
-            e.set_recorder(rec);
-        }
-        e
-    }
-
-    /// Assemble a sharded member engine over per-shard stores.
-    fn assemble_sharded<S: AncestralStore + Send + 'static>(
-        &self,
-        tree: &Tree,
-        part: &PartSpec<'_>,
-        spec: ShardSpec,
-        stores: Vec<S>,
-        rec: Option<Recorder>,
-    ) -> ShardedPlfEngine<S> {
-        let mut e = ShardedPlfEngine::new(
-            tree.clone(),
-            part.comp,
-            part.model.clone(),
-            self.alpha,
-            self.n_cats,
-            spec,
-            stores,
-        );
-        if let Some(k) = self.kernel {
-            e.set_kernel(k);
-        }
-        if let Some(rec) = rec {
-            e.set_recorder(rec);
-        }
-        e
     }
 }
 

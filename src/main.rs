@@ -85,7 +85,8 @@ OPTIONS:
                     absolute --memory budget is split across partitions
                     proportionally to their vector footprints
   --strategy NAME   rand | lru | lfu | topo | nextuse [default: lru]
-  --shards N        pattern-parallel shards per partition   [default: 1]
+  --shards N        pattern-parallel shards per partition, with or
+                    without --memory (1 = inline, no threads) [default: 1]
   --profile FILE    load the engine configuration from a TOML profile
                     (see `EngineSpec::to_toml`; overrides --memory,
                     --strategy, --shards, --io-threads, --window,

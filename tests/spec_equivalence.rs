@@ -1,12 +1,16 @@
-//! Spec-resolution equivalence: every wiring `EngineSpec` can resolve to
-//! — serial/sharded, in-memory/file/file-limit backing, pipelined or not,
-//! partitioned or not — must produce log-likelihoods bit-identical to the
-//! plain in-RAM engine on a fig2-sized dataset. Residency, sharding and
-//! pipelining never change computed values, so this is `assert_eq!` on
+//! Spec-resolution equivalence: every arity and residency `EngineSpec`
+//! resolves — in-RAM or managed over memory/file/file-limit backing, one
+//! shard or several, one partition or several, pipelined or not — goes
+//! through one construction path and must compute exactly what hand-built
+//! serial in-RAM `PlfEngine`s compute. Residency, sharding, partitioning
+//! and pipelining never change computed values, so this is `assert_eq!` on
 //! `f64`, no tolerance.
 
-use ooc_core::StrategyKind;
-use phylo_ooc::plf::{BuildContext, EngineSpec, LikelihoodEngine, Residency};
+use ooc_core::{ManualClock, MemorySink, Recorder, StrategyKind};
+use phylo_ooc::plf::{
+    BuildContext, EngineSpec, InRamStore, LikelihoodEngine, PartitionedPlfEngine, PlfEngine,
+    Residency,
+};
 use phylo_ooc::seq::PartitionKind;
 use phylo_ooc::setup::{self, DatasetSpec};
 
@@ -27,11 +31,7 @@ fn fig2_partitioned() -> setup::PartitionedDataset {
             seed: 7,
             ..Default::default()
         },
-        &[
-            (PartitionKind::Dna, 90),
-            (PartitionKind::Protein, 40),
-            (PartitionKind::Dna, 60),
-        ],
+        &[(PartitionKind::Dna, 90), (PartitionKind::Protein, 40)],
     )
 }
 
@@ -44,72 +44,142 @@ fn spec_lnl(spec: &EngineSpec, data: &setup::Dataset, ctx: &BuildContext) -> f64
         .unwrap()
 }
 
-#[test]
-fn ooc_mem_spec_matches_inram() {
-    let data = fig2_dataset();
-    let reference = setup::inram_engine(&data).log_likelihood().unwrap();
-    let spec = EngineSpec {
-        residency: Residency::OocMem { fraction: 0.3 },
-        ..setup::base_spec(&data)
-    };
-    assert_eq!(reference, spec_lnl(&spec, &data, &BuildContext::new()));
+/// What one engine computes over the matrix's fixed call sequence.
+#[derive(Debug, PartialEq)]
+struct Run {
+    lnl: f64,
+    partition_lnls: Vec<f64>,
+    branch: (f64, f64),
+    alpha: (f64, f64),
+    smoothed: f64,
 }
 
-#[test]
-fn next_use_spec_collects_oracle_handle() {
-    let data = fig2_dataset();
-    let reference = setup::inram_engine(&data).log_likelihood().unwrap();
-    let spec = EngineSpec {
-        residency: Residency::OocMem { fraction: 0.3 },
-        strategy: StrategyKind::NextUse,
-        ..setup::base_spec(&data)
-    };
-    let built = setup::build_engine(&spec, &data, &BuildContext::new()).unwrap();
-    assert_eq!(built.handles.len(), 1, "spec collects the oracle handle");
-    let mut engine = built.engine;
-    assert_eq!(reference, engine.log_likelihood().unwrap());
+fn run<E: LikelihoodEngine>(
+    engine: &mut E,
+    partition_lnls: impl FnOnce(&mut E) -> Vec<f64>,
+) -> Run {
+    let h = engine.tree().default_root_edge();
+    Run {
+        lnl: engine.log_likelihood().unwrap(),
+        partition_lnls: partition_lnls(engine),
+        branch: engine.optimize_branch(h, 8).unwrap(),
+        alpha: engine.optimize_alpha(1e-2, 8).unwrap(),
+        smoothed: engine.smooth_branches(1, 2).unwrap(),
+    }
 }
 
+/// The reference: one hand-built serial in-RAM engine per partition — on
+/// its own for one partition, joined for several.
+fn reference_run(data: &setup::PartitionedDataset, p: usize) -> Run {
+    let mut members: Vec<PlfEngine<InRamStore>> = (0..p)
+        .map(|i| {
+            let part = &data.parts[i];
+            PlfEngine::new(
+                data.tree.clone(),
+                &part.comp,
+                part.model.clone(),
+                data.alpha,
+                data.n_cats,
+                InRamStore::new(data.tree.n_inner(), data.width(i)),
+            )
+        })
+        .collect();
+    if p == 1 {
+        return run(&mut members[0], |e| vec![e.log_likelihood().unwrap()]);
+    }
+    let names = (0..p).map(|i| data.parts[i].name.clone()).collect();
+    run(&mut PartitionedPlfEngine::new(members, names), |e| {
+        e.partition_lnls().unwrap()
+    })
+}
+
+/// Every cell of residency × shards × partitions × I/O threads resolves to
+/// the same partitions-of-shards shape and is bit-identical to the serial
+/// reference.
 #[test]
-fn file_limit_spec_matches_inram() {
-    let data = fig2_dataset();
+fn every_arity_and_residency_matches_hand_built_serial_members() {
+    let data = fig2_partitioned();
+    let all_parts = setup::partitioned_part_specs(&data);
     let dir = tempfile::tempdir().unwrap();
-    let reference = setup::inram_engine(&data).log_likelihood().unwrap();
-    let spec = EngineSpec {
-        residency: Residency::FileLimit {
-            limit_bytes: data.total_vector_bytes() / 4,
+    let total: u64 = (0..data.parts.len())
+        .map(|i| data.partition_vector_bytes(i))
+        .sum();
+    let residencies = [
+        Residency::InRam,
+        Residency::OocMem { fraction: 0.3 },
+        Residency::File { fraction: 0.3 },
+        Residency::FileLimit {
+            limit_bytes: total / 3,
         },
-        ..setup::base_spec(&data)
-    };
-    let ctx = BuildContext::new().vector_path(dir.path().join("v.bin"));
-    assert_eq!(reference, spec_lnl(&spec, &data, &ctx));
-}
+    ];
+    for p in [1usize, 2] {
+        let want = reference_run(&data, p);
+        for (r, &residency) in residencies.iter().enumerate() {
+            let file_backed = matches!(
+                residency,
+                Residency::File { .. } | Residency::FileLimit { .. }
+            );
+            for shards in [1usize, 3] {
+                // The pipeline needs a file to prefetch from.
+                for io_threads in 0..=usize::from(file_backed) {
+                    let cell = format!("{} k={shards} p={p} io={io_threads}", residency.name());
+                    let spec = EngineSpec {
+                        residency,
+                        strategy: StrategyKind::NextUse,
+                        shards,
+                        io_threads,
+                        ..setup::base_partitioned_spec(&data)
+                    };
+                    let path = dir
+                        .path()
+                        .join(format!("{r}-{shards}-{p}-{io_threads}.bin"));
+                    let (sink, events) = MemorySink::new();
+                    let rec = Recorder::new(ManualClock::new(), sink);
+                    let ctx = BuildContext::new()
+                        .vector_path(&path)
+                        .recorders(move |_| rec.clone());
+                    let built = spec.build(&data.tree, &all_parts[..p], &ctx).unwrap();
 
-#[test]
-fn sharded_mem_spec_matches_inram() {
-    let data = fig2_dataset();
-    let reference = setup::inram_engine(&data).log_likelihood().unwrap();
-    let spec = EngineSpec {
-        residency: Residency::OocMem { fraction: 0.3 },
-        shards: 3,
-        ..setup::base_spec(&data)
-    };
-    assert_eq!(reference, spec_lnl(&spec, &data, &BuildContext::new()));
-}
+                    // One oracle handle per manager: p partitions × k shards.
+                    let managers = if residency == Residency::InRam {
+                        0
+                    } else {
+                        p * shards
+                    };
+                    assert_eq!(built.handles.len(), managers, "{cell}");
+                    // A single partition's file is the path as given;
+                    // several take extensions `p<i>`.
+                    assert_eq!(path.exists(), file_backed && p == 1, "{cell}");
+                    assert_eq!(
+                        path.with_extension("p1").exists(),
+                        file_backed && p > 1,
+                        "{cell}"
+                    );
 
-#[test]
-fn sharded_file_spec_matches_inram() {
-    let data = fig2_dataset();
-    let dir = tempfile::tempdir().unwrap();
-    let reference = setup::inram_engine(&data).log_likelihood().unwrap();
-    let spec = EngineSpec {
-        residency: Residency::File { fraction: 0.25 },
-        strategy: StrategyKind::Lfu,
-        shards: 3,
-        ..setup::base_spec(&data)
-    };
-    let ctx = BuildContext::new().vector_path(dir.path().join("v.bin"));
-    assert_eq!(reference, spec_lnl(&spec, &data, &ctx));
+                    let mut engine = built.engine;
+                    let got = run(&mut engine, |e| e.partition_lnls().unwrap());
+                    assert_eq!(got, want, "{cell}");
+
+                    // Every residency shards — in-RAM too — and a single
+                    // shard has no barrier to record spans around.
+                    let mut sharded: Vec<u32> = events
+                        .lock()
+                        .iter()
+                        .filter(|e| e.layer == "sharded")
+                        .filter_map(|e| e.shard)
+                        .collect();
+                    sharded.sort_unstable();
+                    sharded.dedup();
+                    let expect: Vec<u32> = if shards > 1 {
+                        (0..shards as u32).collect()
+                    } else {
+                        Vec::new()
+                    };
+                    assert_eq!(sharded, expect, "{cell}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -126,126 +196,4 @@ fn sharded_file_pipelined_spec_matches_inram() {
     };
     let ctx = BuildContext::new().vector_path(dir.path().join("v.bin"));
     assert_eq!(reference, spec_lnl(&spec, &data, &ctx));
-}
-
-#[test]
-fn single_io_thread_pipeline_spec_matches_inram() {
-    let data = fig2_dataset();
-    let dir = tempfile::tempdir().unwrap();
-    let reference = setup::inram_engine(&data).log_likelihood().unwrap();
-    let spec = EngineSpec {
-        residency: Residency::File { fraction: 0.3 },
-        shards: 2,
-        io_threads: 1,
-        window: 8,
-        ..setup::base_spec(&data)
-    };
-    let ctx = BuildContext::new().vector_path(dir.path().join("v.bin"));
-    assert_eq!(reference, spec_lnl(&spec, &data, &ctx));
-}
-
-#[test]
-fn sharded_file_limit_spec_matches_inram() {
-    let data = fig2_dataset();
-    let dir = tempfile::tempdir().unwrap();
-    let reference = setup::inram_engine(&data).log_likelihood().unwrap();
-    let spec = EngineSpec {
-        residency: Residency::FileLimit {
-            limit_bytes: data.total_vector_bytes() / 3,
-        },
-        shards: 2,
-        ..setup::base_spec(&data)
-    };
-    let ctx = BuildContext::new().vector_path(dir.path().join("v.bin"));
-    assert_eq!(reference, spec_lnl(&spec, &data, &ctx));
-}
-
-/// The in-RAM partitioned build is itself the reference for the managed
-/// partitioned residencies below.
-fn partitioned_reference(data: &setup::PartitionedDataset) -> (f64, Vec<f64>) {
-    let spec = setup::base_partitioned_spec(data); // InRam default
-    let mut engine = setup::build_partitioned_engine(&spec, data, &BuildContext::new())
-        .unwrap()
-        .engine;
-    let joint = engine.log_likelihood().unwrap();
-    (joint, engine.partition_lnls().unwrap())
-}
-
-#[test]
-fn partitioned_inram_spec_matches_independent_members() {
-    use phylo_ooc::plf::{InRamStore, PlfEngine};
-    let data = fig2_partitioned();
-    let (joint, lnls) = partitioned_reference(&data);
-    // Per-partition lnLs equal each partition run as its own standalone
-    // serial analysis; the joint likelihood is their sum in order.
-    for (i, p) in data.parts.iter().enumerate() {
-        let store = InRamStore::new(data.tree.n_inner(), data.width(i));
-        let mut solo = PlfEngine::new(
-            data.tree.clone(),
-            &p.comp,
-            p.model.clone(),
-            data.alpha,
-            data.n_cats,
-            store,
-        );
-        assert_eq!(solo.log_likelihood().unwrap(), lnls[i], "partition {i}");
-    }
-    assert_eq!(joint, lnls.iter().sum::<f64>());
-}
-
-#[test]
-fn partitioned_ooc_mem_spec_matches_inram() {
-    let data = fig2_partitioned();
-    let (joint, lnls) = partitioned_reference(&data);
-    let spec = EngineSpec {
-        residency: Residency::OocMem { fraction: 0.3 },
-        ..setup::base_partitioned_spec(&data)
-    };
-    let mut engine = setup::build_partitioned_engine(&spec, &data, &BuildContext::new())
-        .unwrap()
-        .engine;
-    assert_eq!(joint, engine.log_likelihood().unwrap());
-    assert_eq!(lnls, engine.partition_lnls().unwrap());
-}
-
-#[test]
-fn partitioned_file_limit_spec_matches_inram() {
-    let data = fig2_partitioned();
-    let dir = tempfile::tempdir().unwrap();
-    let (joint, lnls) = partitioned_reference(&data);
-    let total: u64 = (0..data.parts.len())
-        .map(|i| data.partition_vector_bytes(i))
-        .sum();
-    let spec = EngineSpec {
-        residency: Residency::FileLimit {
-            limit_bytes: total / 4,
-        },
-        ..setup::base_partitioned_spec(&data)
-    };
-    let ctx = BuildContext::new().vector_path(dir.path().join("v.bin"));
-    let mut engine = setup::build_partitioned_engine(&spec, &data, &ctx)
-        .unwrap()
-        .engine;
-    assert_eq!(joint, engine.log_likelihood().unwrap());
-    assert_eq!(lnls, engine.partition_lnls().unwrap());
-}
-
-#[test]
-fn partitioned_sharded_pipelined_spec_matches_inram() {
-    let data = fig2_partitioned();
-    let dir = tempfile::tempdir().unwrap();
-    let (joint, lnls) = partitioned_reference(&data);
-    let spec = EngineSpec {
-        residency: Residency::File { fraction: 0.3 },
-        shards: 2,
-        io_threads: 1,
-        window: 8,
-        ..setup::base_partitioned_spec(&data)
-    };
-    let ctx = BuildContext::new().vector_path(dir.path().join("v.bin"));
-    let mut engine = setup::build_partitioned_engine(&spec, &data, &ctx)
-        .unwrap()
-        .engine;
-    assert_eq!(joint, engine.log_likelihood().unwrap());
-    assert_eq!(lnls, engine.partition_lnls().unwrap());
 }
