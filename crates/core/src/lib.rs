@@ -78,7 +78,7 @@ pub use error::{OocError, OocOp, OocResult};
 pub use fault::{FaultInjectingStore, FaultKind, FaultOp, FaultPlan, FaultRule, FaultStats};
 pub use manager::{
     validate_byte_budget, Intent, ItemId, OocConfig, OocConfigBuilder, OocConfigError,
-    PinnedSession, SlotId, VectorManager, DEFAULT_PREFETCH_WINDOW,
+    PinnedSession, SlotId, VectorManager, DEFAULT_PREFETCH_WINDOW, MAX_PINS,
 };
 pub use obs::{
     Clock, Event, EventSink, JsonlSink, LatencyHistogram, ManualClock, MemorySink, MonotonicClock,

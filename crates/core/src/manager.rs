@@ -62,6 +62,10 @@ pub struct OocConfig {
 /// Default lookahead window (see [`OocConfig::prefetch_window`]).
 pub const DEFAULT_PREFETCH_WINDOW: usize = 16;
 
+/// Most vectors one session pins: the two children and the parent of a
+/// Felsenstein combine — what the paper's `m ≥ 3` minimum guarantees fit.
+pub const MAX_PINS: usize = 3;
+
 impl OocConfig {
     /// Start building a config for `n_items` vectors of `width` doubles.
     /// Sizing (slots, RAM fraction or byte limit) and behaviour flags are
@@ -583,19 +587,21 @@ impl<S: BackingStore> VectorManager<S> {
     /// failed load read leaves the slot unoccupied and the item in the
     /// store — either way every later access sees consistent state.
     ///
-    /// Panics if the pins exceed the slot count (the paper's `m ≥ 3`
+    /// Panics if there are more than [`MAX_PINS`] pins (the paper's `m ≥ 3`
     /// minimum exists precisely so one combine's three pins always fit) or
-    /// name the same item twice.
+    /// they name the same item twice.
     pub fn session(&mut self, pins: &[AccessRecord]) -> OocResult<PinnedSession<'_, S>> {
+        assert!(pins.len() <= MAX_PINS, "{} pins cannot fit", pins.len());
         self.table.pin_group(&mut self.plane, pins)?;
-        let pins = pins
-            .iter()
-            .map(|rec| {
-                let slot = self.table.slot_of(rec.item);
-                (rec.item, slot.expect("pinned items are resident"))
-            })
-            .collect();
-        Ok(PinnedSession { pins, mgr: self })
+        let mut held = [None; MAX_PINS];
+        for (h, rec) in held.iter_mut().zip(pins) {
+            let slot = self.table.slot_of(rec.item);
+            *h = Some((rec.item, slot.expect("pinned items are resident")));
+        }
+        Ok(PinnedSession {
+            pins: held,
+            mgr: self,
+        })
     }
 
     /// Copy a vector's current contents out (for tests and checkpointing).
@@ -632,7 +638,8 @@ impl<S: BackingStore> VectorManager<S> {
 /// slot indirection.
 pub struct PinnedSession<'m, S: BackingStore> {
     mgr: &'m mut VectorManager<S>,
-    pins: Vec<(ItemId, SlotId)>,
+    /// Held inline: a session is opened per combine.
+    pins: [Option<(ItemId, SlotId)>; MAX_PINS],
 }
 
 impl<S: BackingStore> std::fmt::Debug for PinnedSession<'_, S> {
@@ -647,6 +654,7 @@ impl<S: BackingStore> PinnedSession<'_, S> {
     fn slot_of(&self, item: ItemId) -> SlotId {
         self.pins
             .iter()
+            .flatten()
             .find(|&&(i, _)| i == item)
             .map(|&(_, s)| s)
             .unwrap_or_else(|| panic!("item {item} is not pinned in this session"))
@@ -654,7 +662,7 @@ impl<S: BackingStore> PinnedSession<'_, S> {
 
     /// Items pinned by this session, in pin order.
     pub fn items(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.pins.iter().map(|&(item, _)| item)
+        self.pins.iter().flatten().map(|&(item, _)| item)
     }
 
     /// Shared view of a pinned vector.
@@ -701,7 +709,7 @@ impl<S: BackingStore> PinnedSession<'_, S> {
 
 impl<S: BackingStore> Drop for PinnedSession<'_, S> {
     fn drop(&mut self) {
-        for &(_, slot) in &self.pins {
+        for &(_, slot) in self.pins.iter().flatten() {
             self.mgr.table.unpin(slot);
         }
     }

@@ -49,9 +49,12 @@ impl AccessRecord {
 pub struct AccessPlan {
     records: Vec<AccessRecord>,
     n_items: usize,
-    /// Per item: indices into `records`, ascending. Items never accessed
-    /// have an empty list.
-    positions: Vec<Vec<u32>>,
+    /// Every record's `(item, index into records)`, sorted and stored as
+    /// two parallel columns: one item's accesses are a contiguous run of
+    /// `sorted_pos`, ascending. Sized by the plan, not by `n_items` — a
+    /// partial traversal touches a few dozen of thousands of items.
+    sorted_items: Vec<ItemId>,
+    sorted_pos: Vec<u32>,
     /// Items whose first access is a write, in first-access order.
     write_first: Vec<ItemId>,
     /// Items whose first access is a read, in first-access order.
@@ -63,27 +66,31 @@ impl AccessPlan {
     /// analysis and per-item position lists. Panics if a record references
     /// an item outside the geometry.
     pub fn from_records(records: Vec<AccessRecord>, n_items: usize) -> Self {
-        let mut positions = vec![Vec::new(); n_items];
-        let mut write_first = Vec::new();
-        let mut read_first = Vec::new();
+        let mut by_item: Vec<(ItemId, u32)> = Vec::with_capacity(records.len());
         for (idx, rec) in records.iter().enumerate() {
             let i = rec.item as usize;
             assert!(i < n_items, "plan record for item {i} >= n_items {n_items}");
-            if positions[i].is_empty() {
-                match rec.intent {
-                    Intent::Write => write_first.push(rec.item),
-                    Intent::Read => read_first.push(rec.item),
-                }
-            }
-            positions[i].push(idx as u32);
+            by_item.push((rec.item, idx as u32));
         }
-        AccessPlan {
+        by_item.sort_unstable();
+        let (sorted_items, sorted_pos) = by_item.into_iter().unzip();
+        let mut plan = AccessPlan {
             records,
             n_items,
-            positions,
-            write_first,
-            read_first,
+            sorted_items,
+            sorted_pos,
+            write_first: Vec::new(),
+            read_first: Vec::new(),
+        };
+        for (idx, rec) in plan.records.iter().enumerate() {
+            if plan.positions_of(rec.item)[0] == idx as u32 {
+                match rec.intent {
+                    Intent::Write => plan.write_first.push(rec.item),
+                    Intent::Read => plan.read_first.push(rec.item),
+                }
+            }
         }
+        plan
     }
 
     /// The ordered access records.
@@ -118,26 +125,29 @@ impl AccessPlan {
         &self.read_first
     }
 
-    /// Sorted record indices at which `item` is accessed.
+    /// Sorted record indices at which `item` is accessed (empty for an
+    /// item the plan never touches).
     pub fn positions_of(&self, item: ItemId) -> &[u32] {
-        &self.positions[item as usize]
+        let lo = self.sorted_items.partition_point(|&i| i < item);
+        let run = self.sorted_items[lo..].partition_point(|&i| i == item);
+        &self.sorted_pos[lo..lo + run]
     }
 
     /// Index and intent of the first access of `item`, if any.
     pub fn first_access(&self, item: ItemId) -> Option<(usize, Intent)> {
-        let &idx = self.positions[item as usize].first()?;
+        let &idx = self.positions_of(item).first()?;
         Some((idx as usize, self.records[idx as usize].intent))
     }
 
     /// Index of the last access of `item`, if any.
     pub fn last_access(&self, item: ItemId) -> Option<usize> {
-        self.positions[item as usize].last().map(|&i| i as usize)
+        self.positions_of(item).last().map(|&i| i as usize)
     }
 
     /// First record index `>= pos` that accesses `item`, if any. Used both
     /// by the cursor and by the NextUse strategy's farthest-next-use query.
     pub fn next_use_after(&self, item: ItemId, pos: usize) -> Option<usize> {
-        let positions = self.positions.get(item as usize)?;
+        let positions = self.positions_of(item);
         let at = positions.partition_point(|&p| (p as usize) < pos);
         positions.get(at).map(|&p| p as usize)
     }
@@ -164,8 +174,7 @@ impl AccessPlan {
     /// hints them ahead of time.
     fn is_first_read(&self, idx: usize) -> bool {
         let rec = self.records[idx];
-        rec.intent == Intent::Read
-            && self.positions[rec.item as usize].first() == Some(&(idx as u32))
+        rec.intent == Intent::Read && self.positions_of(rec.item).first() == Some(&(idx as u32))
     }
 }
 

@@ -12,7 +12,7 @@ use crate::likelihood_api::LikelihoodEngine;
 use crate::store_api::{AncestralStore, VectorSession};
 use crate::PlfEngine;
 use ooc_core::{AccessRecord, OocResult};
-use phylo_tree::{ChildRef, HalfEdgeId, Tree};
+use phylo_tree::{plan_traversal, ChildRef, HalfEdgeId, Tree};
 
 /// Minimum branch length (matches RAxML's `zmin`-equivalent scale).
 pub const BL_MIN: f64 = 1e-6;
@@ -145,7 +145,7 @@ impl<S: AncestralStore> NrBranchEngine for PlfEngine<S> {
     /// per-pattern scale counts into the engine scratch. Ancestral vectors
     /// at both ends are made valid towards the branch by a plan.
     fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()> {
-        let plan = self.make_plan(h, false);
+        let plan = plan_traversal(&self.tree, h, &mut self.orient, false);
         self.execute_plan(&plan)?;
         let dims = self.dims;
         let eigen = &self.plf_model.eigen;

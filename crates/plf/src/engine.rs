@@ -8,8 +8,8 @@ use crate::store_api::{AncestralStore, VectorSession};
 use ooc_core::{AccessRecord, OocResult, Recorder, StallKind};
 use phylo_models::{DiscreteGamma, EigenDecomp, PMatrices, ReversibleModel};
 use phylo_seq::CompressedAlignment;
-use phylo_tree::spr::{spr_prune_regraft, spr_undo, SprUndo};
-use phylo_tree::traverse::{invalidate_between, plan_traversal, Orientation, TraversalPlan};
+use phylo_tree::spr::{nni, nni_branches, spr_prune_regraft, spr_undo, NniUndo, SprUndo};
+use phylo_tree::traverse::{invalidate_branch, plan_traversal, Orientation, TraversalPlan};
 use phylo_tree::{ChildRef, HalfEdgeId, Tree};
 
 /// A substitution model bundled with its eigendecomposition and Γ rates —
@@ -49,6 +49,10 @@ pub struct PlfEngine<S: AncestralStore> {
     pub(crate) tips: TipCodes,
     pub(crate) weights: Vec<u32>,
     pub(crate) store: S,
+    /// Which vectors are valid, and for which direction. Invariant
+    /// (DESIGN.md §5k): below a valid vector every vector is valid and
+    /// oriented towards it — established by each completed traversal, kept
+    /// by invalidating through [`invalidate_branch`] only.
     pub(crate) orient: Orientation,
     /// Kernel backend selected once at construction (env override, then
     /// CPU detection); every kernel invocation dispatches through it.
@@ -73,11 +77,6 @@ pub struct PlfEngine<S: AncestralStore> {
     /// evaluation (what [`reduce_site_lnl`] folds). A sharded engine
     /// concatenates these across shards in shard order before reducing.
     pub(crate) site_lnl: Vec<f64>,
-    /// Root branch of the most recent traversal plan. Invariant: every
-    /// valid orientation points towards this branch, which makes the stale
-    /// set after a content change exactly the path from the changed region
-    /// to this root (see `content_changed_at`).
-    pub(crate) last_root: Option<HalfEdgeId>,
     /// Observability recorder: each combine batch becomes one span.
     pub(crate) obs: Option<Recorder>,
 }
@@ -145,34 +144,12 @@ impl<S: AncestralStore> PlfEngine<S> {
             nr_d2: vec![0.0; dims.n_patterns],
             site_lnl: vec![0.0; dims.n_patterns],
             weights,
-            last_root: None,
             obs: None,
             tree,
             plf_model,
             dims,
             tips,
             store,
-        }
-    }
-
-    /// Plan a traversal and record its root (see the `last_root` invariant).
-    pub(crate) fn make_plan(&mut self, root_he: HalfEdgeId, full: bool) -> TraversalPlan {
-        let plan = plan_traversal(&self.tree, root_he, &mut self.orient, full);
-        self.last_root = Some(root_he);
-        plan
-    }
-
-    /// Invalidate the vectors staled by a content change touching the given
-    /// nodes. Because every valid orientation points towards `last_root`, a
-    /// vector is stale iff its node lies on the path from a changed node to
-    /// the last root — a short, local set during searches and smoothing.
-    pub(crate) fn content_changed_at(&mut self, nodes: &[phylo_tree::NodeId]) {
-        let Some(root_he) = self.last_root else {
-            return; // nothing has ever been computed, nothing can be stale
-        };
-        let root_node = self.tree.node_of(root_he);
-        for &nd in nodes {
-            invalidate_between(&self.tree, &mut self.orient, nd, root_node);
         }
     }
 
@@ -237,12 +214,18 @@ impl<S: AncestralStore> PlfEngine<S> {
         self.orient.invalidate_all();
     }
 
-    /// Set a branch length, invalidating exactly the vectors the change
-    /// stales (the path from the branch to the last traversal root).
+    /// Set a branch length, invalidating exactly the vectors computed
+    /// across that branch.
     pub fn set_branch_length(&mut self, h: HalfEdgeId, len: f64) {
         self.tree.set_branch_length(h, len);
-        let (u, v) = (self.tree.node_of(h), self.tree.neighbor(h));
-        self.content_changed_at(&[u, v]);
+        invalidate_branch(&self.tree, &mut self.orient, h);
+    }
+
+    /// Which vectors are currently valid, and for which direction
+    /// (read-only: the differential staleness tests compare it against the
+    /// conservative search-based bookkeeping).
+    pub fn orientation(&self) -> &Orientation {
+        &self.orient
     }
 
     /// Execute one Felsenstein combine. On an I/O error the parent's
@@ -351,8 +334,16 @@ impl<S: AncestralStore> PlfEngine<S> {
         // trailing root-read records let the residency layer prefetch the
         // two vectors the root evaluation is about to touch.
         self.store.submit_plan(plan.lower(self.tree.n_inner()));
-        for step in &plan.steps {
-            self.newview_step(step)?;
+        for (done, step) in plan.steps.iter().enumerate() {
+            if let Err(e) = self.newview_step(step) {
+                // Planning marked every step's vector valid up front; the
+                // ones never computed must not stay so. A post-order suffix
+                // has nothing valid above it, so the invariant holds.
+                for missed in &plan.steps[done..] {
+                    self.orient.invalidate(missed.parent);
+                }
+                return Err(e);
+            }
         }
         if let (Some(rec), Some(t0)) = (&self.obs, t0) {
             rec.span_at("plf", "combine-batch", StallKind::Compute, t0)
@@ -422,7 +413,7 @@ impl<S: AncestralStore> PlfEngine<S> {
     /// `full == true` every ancestral vector is recomputed (the worst case
     /// of the paper's §4.3); otherwise only stale vectors are.
     pub fn log_likelihood_at(&mut self, root_he: HalfEdgeId, full: bool) -> OocResult<f64> {
-        let plan = self.make_plan(root_he, full);
+        let plan = plan_traversal(&self.tree, root_he, &mut self.orient, full);
         self.execute_plan(&plan)?;
         self.evaluate_plan(&plan)
     }
@@ -446,56 +437,46 @@ impl<S: AncestralStore> PlfEngine<S> {
         Ok(lnl)
     }
 
-    /// Apply an SPR move and invalidate exactly the vectors whose subtree
-    /// contents changed (the path between old and new attachment points,
-    /// plus the pruned node itself).
+    /// Apply an SPR move, first invalidating exactly the vectors computed
+    /// across one of the three branches it cuts: the two beside the pruned
+    /// node and the target.
     pub fn apply_spr(
         &mut self,
         prune_dir: HalfEdgeId,
         target: HalfEdgeId,
         graft_lens: Option<(f64, f64)>,
     ) -> SprUndo {
-        let undo = spr_prune_regraft(&mut self.tree, prune_dir, target, graft_lens);
-        self.invalidate_after_spr(prune_dir, &undo);
-        undo
+        let (a, b) = self.tree.children_dirs(prune_dir);
+        for cut in [a, b, target] {
+            invalidate_branch(&self.tree, &mut self.orient, cut);
+        }
+        spr_prune_regraft(&mut self.tree, prune_dir, target, graft_lens)
     }
 
-    /// Revert an SPR move, restoring vector validity conservatively.
+    /// Revert an SPR move; the branches cut are the two graft branches and
+    /// the one the move merged.
     pub fn undo_spr(&mut self, prune_dir: HalfEdgeId, undo: &SprUndo) {
+        let (a, b) = self.tree.children_dirs(prune_dir);
+        for cut in [a, b, undo.merged_branch()] {
+            invalidate_branch(&self.tree, &mut self.orient, cut);
+        }
         spr_undo(&mut self.tree, undo);
-        self.invalidate_after_spr(prune_dir, undo);
-    }
-
-    fn invalidate_after_spr(&mut self, prune_dir: HalfEdgeId, undo: &SprUndo) {
-        let old_pos = undo.old_position(&self.tree);
-        let new_pos = undo.new_position(&self.tree);
-        let p = self.tree.node_of(prune_dir);
-        // Everything whose subtree content changed: the path between the
-        // junctions is covered by the two paths to the last root.
-        self.content_changed_at(&[old_pos, new_pos, p]);
-        invalidate_between(&self.tree, &mut self.orient, old_pos, new_pos);
-        self.orient.invalidate(self.tree.inner_index(p));
     }
 
     /// Apply a nearest-neighbour interchange across the internal branch of
-    /// `h`, with the same staleness bookkeeping as SPR.
-    pub fn apply_nni(&mut self, h: HalfEdgeId, variant: u8) -> phylo_tree::spr::NniUndo {
-        let undo = phylo_tree::spr::nni(&mut self.tree, h, variant);
-        self.invalidate_after_nni(h);
-        undo
+    /// `h`, first invalidating the vectors computed across the two
+    /// branches it swaps (both ends of `h` always among them).
+    pub fn apply_nni(&mut self, h: HalfEdgeId, variant: u8) -> NniUndo {
+        let (x, y) = nni_branches(&self.tree, h, variant);
+        for cut in [x, y] {
+            invalidate_branch(&self.tree, &mut self.orient, cut);
+        }
+        nni(&mut self.tree, h, variant)
     }
 
-    /// Revert an NNI move.
-    pub fn undo_nni(&mut self, undo: &phylo_tree::spr::NniUndo) {
-        phylo_tree::spr::nni_undo(&mut self.tree, undo);
-        self.invalidate_after_nni(undo.branch);
-    }
-
-    fn invalidate_after_nni(&mut self, h: HalfEdgeId) {
-        let (p, q) = (self.tree.node_of(h), self.tree.neighbor(h));
-        self.content_changed_at(&[p, q]);
-        self.orient.invalidate(self.tree.inner_index(p));
-        self.orient.invalidate(self.tree.inner_index(q));
+    /// Revert an NNI move (an involution: the same swap again).
+    pub fn undo_nni(&mut self, undo: &NniUndo) {
+        self.apply_nni(undo.branch, undo.variant);
     }
 
     /// Invalidate all cached vectors (used by tests and after bulk edits).
@@ -726,121 +707,6 @@ pub(crate) mod tests {
         engine.invalidate_all();
         let full = engine.log_likelihood_at(h, true).unwrap();
         assert!((at_branch - full).abs() < 1e-8 * full.abs());
-    }
-
-    /// Randomised differential test: after arbitrary interleavings of root
-    /// moves, SPR apply/undo, NNI, branch-length changes and branch
-    /// optimisations, a partial traversal must agree with a full recompute
-    /// at a random root. This is the safety net for the lazy staleness
-    /// tracking that the whole out-of-core access pattern relies on.
-    #[test]
-    fn randomized_operations_keep_partial_consistent() {
-        use rand::Rng;
-        for trial in 0..5u64 {
-            let mut engine = build_engine(13, 60, 100 + trial);
-            let mut rng = StdRng::seed_from_u64(200 + trial);
-            let _ = engine.log_likelihood().unwrap();
-            for step in 0..40 {
-                let n_he = engine.tree().n_half_edges() as u32;
-                match rng.gen_range(0..5) {
-                    0 => {
-                        // Move the root to a random branch.
-                        let h = loop {
-                            let h = rng.gen_range(0..n_he);
-                            if engine.tree().is_connected(h) {
-                                break h;
-                            }
-                        };
-                        let _ = engine.log_likelihood_at(h, false).unwrap();
-                    }
-                    1 => {
-                        // Random branch length change.
-                        let h = rng.gen_range(0..n_he);
-                        engine.set_branch_length(h, rng.gen_range(0.01..0.5));
-                    }
-                    2 => {
-                        // Random SPR, kept or undone at random.
-                        let tree = engine.tree();
-                        let candidates: Vec<(HalfEdgeId, HalfEdgeId)> = (0..tree.n_inner() as u32)
-                            .flat_map(|i| (0..3).map(move |k| (i, k)))
-                            .flat_map(|(i, k)| {
-                                let dir = tree.inner_half_edge(i, k);
-                                let (a, b) = tree.children_dirs(dir);
-                                let (qa, qb) = (tree.back(a), tree.back(b));
-                                tree.branches()
-                                    .filter(move |&t| {
-                                        let tb = tree.back(t);
-                                        t != a
-                                            && t != b
-                                            && t != qa
-                                            && t != qb
-                                            && tb != a
-                                            && tb != b
-                                            && !phylo_tree::spr::subtree_contains(
-                                                tree,
-                                                dir,
-                                                tree.node_of(t),
-                                            )
-                                            && !phylo_tree::spr::subtree_contains(
-                                                tree,
-                                                dir,
-                                                tree.node_of(tb),
-                                            )
-                                    })
-                                    .map(move |t| (dir, t))
-                            })
-                            .collect();
-                        let found = if candidates.is_empty() {
-                            None
-                        } else {
-                            Some(candidates[rng.gen_range(0..candidates.len())])
-                        };
-                        if let Some((dir, target)) = found {
-                            let undo = engine.apply_spr(dir, target, None);
-                            if rng.gen_bool(0.5) {
-                                engine.undo_spr(dir, &undo);
-                            }
-                        }
-                    }
-                    3 => {
-                        // NNI on a random internal branch, sometimes undone.
-                        let tree = engine.tree();
-                        let internal: Vec<HalfEdgeId> = tree
-                            .branches()
-                            .filter(|&h| {
-                                !tree.is_tip(tree.node_of(h)) && !tree.is_tip(tree.neighbor(h))
-                            })
-                            .collect();
-                        let h = internal[rng.gen_range(0..internal.len())];
-                        let undo = engine.apply_nni(h, rng.gen_range(0..2));
-                        if rng.gen_bool(0.5) {
-                            engine.undo_nni(&undo);
-                        }
-                    }
-                    _ => {
-                        // Optimise a random branch.
-                        let h = rng.gen_range(0..n_he);
-                        let _ = engine.optimize_branch(h, 8).unwrap();
-                    }
-                }
-                // Differential check at a random root.
-                let root = loop {
-                    let h = rng.gen_range(0..n_he);
-                    if engine.tree().is_connected(h) {
-                        break h;
-                    }
-                };
-                let partial = engine.log_likelihood_at(root, false).unwrap();
-                let mut orient_reset = engine.orient.clone();
-                orient_reset.invalidate_all();
-                engine.orient = orient_reset;
-                let full = engine.log_likelihood_at(root, true).unwrap();
-                assert!(
-                    (partial - full).abs() <= 1e-7 * full.abs(),
-                    "trial {trial} step {step}: partial {partial} != full {full}"
-                );
-            }
-        }
     }
 
     #[test]

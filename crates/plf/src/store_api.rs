@@ -18,7 +18,7 @@
 
 use ooc_core::{
     AccessPlan, AccessRecord, AlignedBuf, BackingStore, Intent, OocError, OocOp, OocResult,
-    OocStats, VectorManager,
+    OocStats, VectorManager, MAX_PINS,
 };
 use pager_sim::PagedArena;
 
@@ -63,10 +63,10 @@ pub trait AncestralStore {
     /// residency management ignore it.
     fn submit_plan(&mut self, _plan: AccessPlan) {}
 
-    /// Lease the given vectors, pinned with their intents in access order,
-    /// for one kernel invocation. Fails with a contextual [`OocError`] if
-    /// the backend could not materialise a vector; nothing stays pinned in
-    /// that case.
+    /// Lease the given vectors (at most [`MAX_PINS`]), pinned with their
+    /// intents in access order, for one kernel invocation. Fails with a
+    /// contextual [`OocError`] if the backend could not materialise a
+    /// vector; nothing stays pinned in that case.
     fn session(&mut self, pins: &[AccessRecord]) -> OocResult<Self::Session<'_>>;
 
     /// Residency statistics, if this backend keeps them ([`OocStore`]
@@ -108,13 +108,13 @@ impl InRamStore {
 /// contract violations surface in the cheapest backend too.
 pub struct InRamSession<'a> {
     vectors: &'a mut [AlignedBuf],
-    pins: Vec<u32>,
+    pins: [Option<u32>; MAX_PINS],
 }
 
 impl InRamSession<'_> {
     fn check_pinned(&self, item: u32) {
         assert!(
-            self.pins.contains(&item),
+            self.pins.contains(&Some(item)),
             "item {item} is not pinned in this session"
         );
     }
@@ -166,19 +166,20 @@ impl AncestralStore for InRamStore {
 
     fn session(&mut self, pins: &[AccessRecord]) -> OocResult<InRamSession<'_>> {
         let n = self.vectors.len();
-        let mut items = Vec::with_capacity(pins.len());
-        for rec in pins {
+        assert!(pins.len() <= MAX_PINS, "{} pins in one session", pins.len());
+        let mut items = [None; MAX_PINS];
+        for (pos, rec) in pins.iter().enumerate() {
             assert!(
                 (rec.item as usize) < n,
                 "item {} out of range {n}",
                 rec.item
             );
             assert!(
-                !items.contains(&rec.item),
+                !items.contains(&Some(rec.item)),
                 "item {} pinned twice in one session",
                 rec.item
             );
-            items.push(rec.item);
+            items[pos] = Some(rec.item);
         }
         Ok(InRamSession {
             vectors: &mut self.vectors,

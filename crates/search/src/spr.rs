@@ -49,12 +49,7 @@ pub fn spr_candidates(tree: &Tree, prune_dir: HalfEdgeId, radius: u32) -> Vec<Ha
     let mut seen_branch = vec![false; tree.n_half_edges()];
     while let Some(node) = queue.pop_front() {
         let d = depth[node as usize];
-        let half_edges: &[HalfEdgeId] = &if tree.is_tip(node) {
-            vec![tree.tip_half_edge(node)]
-        } else {
-            tree.ring(node).to_vec()
-        };
-        for &h in half_edges {
+        for h in tree.half_edges(node) {
             let nb = tree.neighbor(h);
             if nb == p {
                 continue;

@@ -4,9 +4,10 @@
 //! These moves generate the candidate trees of an ML search. The paper's
 //! access-pattern locality stems from RAxML's *lazy SPR*: after a move only
 //! three branch lengths are re-optimised and only the vectors invalidated by
-//! the move are recomputed. After applying a move, callers must invalidate
-//! orientations along the affected path (see
-//! [`crate::traverse::invalidate_between`]) and the pruned node itself.
+//! the move are recomputed. A caller that tracks vector validity runs
+//! [`crate::traverse::invalidate_branch`] on each branch a move will cut
+//! *before* applying it: three for an SPR (the two beside the pruned node and
+//! the target), two for an NNI (the swapped subtrees' branches).
 
 use crate::topology::{HalfEdgeId, NodeId, Tree};
 
@@ -42,15 +43,11 @@ pub struct SprUndo {
 }
 
 impl SprUndo {
-    /// Node adjacent to the original attachment position (one end of the
-    /// branch that was merged when pruning).
-    pub fn old_position(&self, tree: &Tree) -> NodeId {
-        tree.node_of(self.qa)
-    }
-
-    /// Node at one end of the target branch the subtree was grafted into.
-    pub fn new_position(&self, tree: &Tree) -> NodeId {
-        tree.node_of(self.t)
+    /// A half-edge of the branch the move merged at the old attachment
+    /// point; with the two branches beside the pruned node, the branches
+    /// undoing the move cuts.
+    pub fn merged_branch(&self) -> HalfEdgeId {
+        self.qa
     }
 }
 
@@ -153,26 +150,24 @@ pub struct NniUndo {
     pub variant: u8,
 }
 
-/// Apply a nearest-neighbour interchange across the internal branch of `h`.
-///
-/// Both endpoints of the branch must be inner nodes. `variant` selects which
-/// of the two possible exchanges to perform (0 or 1): the subtree behind
-/// `next(h)` is swapped with the subtree behind `next(back(h))`
-/// (variant 0) or behind `next(next(back(h)))` (variant 1).
-pub fn nni(tree: &mut Tree, h: HalfEdgeId, variant: u8) -> NniUndo {
-    let p = tree.node_of(h);
-    let q = tree.neighbor(h);
+/// The two half-edges whose subtrees [`nni`] exchanges across the internal
+/// branch of `h`: `next(h)` and, on the far side, `next(back(h))`
+/// (variant 0) or `next(next(back(h)))` (variant 1).
+pub fn nni_branches(tree: &Tree, h: HalfEdgeId, variant: u8) -> (HalfEdgeId, HalfEdgeId) {
     assert!(
-        !tree.is_tip(p) && !tree.is_tip(q),
+        !tree.is_tip(tree.node_of(h)) && !tree.is_tip(tree.neighbor(h)),
         "NNI requires an internal branch"
     );
-    let hb = tree.back(h);
-    let x = tree.next(h);
-    let y = if variant == 0 {
-        tree.next(hb)
-    } else {
-        tree.next(tree.next(hb))
-    };
+    let y = tree.next(tree.back(h));
+    (tree.next(h), if variant == 0 { y } else { tree.next(y) })
+}
+
+/// Apply a nearest-neighbour interchange across the internal branch of `h`:
+/// the subtrees behind the two [`nni_branches`] swap places. Both endpoints
+/// of the branch must be inner nodes; `variant` (0 or 1) selects which of
+/// the two possible exchanges to perform.
+pub fn nni(tree: &mut Tree, h: HalfEdgeId, variant: u8) -> NniUndo {
+    let (x, y) = nni_branches(tree, h, variant);
     let bx = tree.back(x);
     let by = tree.back(y);
     let lx = tree.branch_length(x);

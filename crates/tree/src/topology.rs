@@ -168,6 +168,18 @@ impl Tree {
         ]
     }
 
+    /// The half-edges owned by `node` — one for a tip, the ring for an
+    /// inner node — as the contiguous id range they occupy.
+    #[inline]
+    pub fn half_edges(&self, node: NodeId) -> std::ops::Range<HalfEdgeId> {
+        if self.is_tip(node) {
+            node..node + 1
+        } else {
+            let first = self.inner_half_edge(self.inner_index(node), 0);
+            first..first + 3
+        }
+    }
+
     /// Branch length of the branch containing half-edge `h`.
     #[inline]
     pub fn branch_length(&self, h: HalfEdgeId) -> f64 {
@@ -299,12 +311,7 @@ impl Tree {
         seen[0] = true;
         let mut count = 1;
         while let Some(node) = stack.pop() {
-            let hs: &[HalfEdgeId] = &if self.is_tip(node) {
-                vec![self.tip_half_edge(node)]
-            } else {
-                self.ring(node).to_vec()
-            };
-            for &h in hs {
+            for h in self.half_edges(node) {
                 let nb = self.neighbor(h);
                 if !seen[nb as usize] {
                     seen[nb as usize] = true;

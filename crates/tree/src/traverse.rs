@@ -52,6 +52,11 @@ impl Orientation {
         self.dirs.fill(None);
     }
 
+    /// The stale inner nodes, ascending.
+    pub fn stale(&self) -> impl Iterator<Item = InnerId> + '_ {
+        (0..self.dirs.len() as InnerId).filter(|&i| self.dirs[i as usize].is_none())
+    }
+
     /// Number of inner nodes tracked.
     pub fn len(&self) -> usize {
         self.dirs.len()
@@ -208,44 +213,36 @@ fn push_subtree_steps(
     }
 }
 
-/// Invalidate the stored vectors of all inner nodes on the path between
-/// nodes `a` and `b` (inclusive). Used after tree surgery: exactly the nodes
-/// on the path between the old and the new attachment point can have the
-/// pruned subtree switch sides, so their vectors are conservatively stale.
-pub fn invalidate_between(tree: &Tree, orient: &mut Orientation, a: NodeId, b: NodeId) {
-    // BFS from `a` recording parents until `b` is reached.
-    let n = tree.n_nodes();
-    let mut parent: Vec<NodeId> = vec![u32::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    parent[a as usize] = a;
-    queue.push_back(a);
-    'bfs: while let Some(node) = queue.pop_front() {
-        let hs: &[HalfEdgeId] = &if tree.is_tip(node) {
-            vec![tree.tip_half_edge(node)]
-        } else {
-            tree.ring(node).to_vec()
-        };
-        for &h in hs {
-            let nb = tree.neighbor(h);
-            if parent[nb as usize] == u32::MAX {
-                parent[nb as usize] = node;
-                if nb == b {
-                    break 'bfs;
+/// Invalidate every stored vector that depends on the branch of `h`: call
+/// it when that branch's length changes, and *before* the branch is cut or
+/// re-attached (the orientations describe the tree as it is, not as it will
+/// be).
+///
+/// Relies on — and preserves — the invariant [`plan_traversal`] establishes:
+/// below a valid vector (on the side away from its orientation) every vector
+/// is valid and oriented towards it. The vectors covering a branch are
+/// therefore the chain reached from either end by following orientations
+/// rootwards, and the chain ends at the first node that is already stale
+/// (everything above it is too) or that faces the half-edge the walk arrives
+/// by (its subtree lies on the other side — the far end of the branch
+/// itself, or of the virtual root's). Cost: the nodes invalidated plus one
+/// per end; no allocation.
+pub fn invalidate_branch(tree: &Tree, orient: &mut Orientation, h: HalfEdgeId) {
+    for mut arrive in [h, tree.back(h)] {
+        loop {
+            let node = tree.node_of(arrive);
+            if tree.is_tip(node) {
+                break;
+            }
+            let inner = tree.inner_index(node);
+            match orient.get(inner) {
+                Some(dir) if dir != arrive => {
+                    orient.invalidate(inner);
+                    arrive = tree.back(dir);
                 }
-                queue.push_back(nb);
+                _ => break,
             }
         }
-    }
-    let mut cur = b;
-    loop {
-        if !tree.is_tip(cur) {
-            orient.invalidate(tree.inner_index(cur));
-        }
-        if cur == a {
-            break;
-        }
-        cur = parent[cur as usize];
-        debug_assert_ne!(cur, u32::MAX, "path search failed");
     }
 }
 
@@ -328,18 +325,22 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_between_marks_path_inner_nodes() {
+    fn invalidate_branch_stales_the_path_to_the_root() {
         let (t, mut o) = tree_and_orient(50, 6);
         let root = t.default_root_edge();
         plan_traversal(&t, root, &mut o, false);
-        invalidate_between(&t, &mut o, 0, 25);
-        let stale = (0..t.n_inner() as u32)
-            .filter(|&i| o.get(i).is_none())
-            .count();
-        assert!(stale > 0);
-        // Re-planning recomputes exactly the stale ones reachable from root.
+        // The root branch itself: both ends face it, nothing depends on it.
+        invalidate_branch(&t, &mut o, root);
+        assert_eq!(o.stale().count(), 0);
+        // A tip's branch: the inner end and everything above it.
+        let tip = t.tip_half_edge(25);
+        invalidate_branch(&t, &mut o, tip);
+        let n_stale = o.stale().count();
+        assert!(n_stale > 0 && n_stale < t.n_inner());
+        assert!(o.stale().any(|i| i == t.inner_index(t.neighbor(tip))));
+        // Re-planning recomputes exactly the stale ones.
         let p = plan_traversal(&t, root, &mut o, false);
-        assert!(p.steps.len() <= stale + 2);
+        assert_eq!(p.steps.len(), n_stale);
     }
 
     #[test]

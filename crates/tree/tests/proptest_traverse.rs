@@ -8,8 +8,9 @@
 
 use ooc_core::Intent;
 use phylo_tree::build::random_topology;
-use phylo_tree::traverse::{invalidate_between, plan_traversal, Orientation, TraversalPlan};
-use phylo_tree::{ChildRef, Tree};
+use phylo_tree::spr::subtree_contains;
+use phylo_tree::traverse::{invalidate_branch, plan_traversal, Orientation, TraversalPlan};
+use phylo_tree::{ChildRef, HalfEdgeId, Tree};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,6 +18,12 @@ use std::collections::HashSet;
 
 fn tree_for(n_taxa: usize, seed: u64) -> Tree {
     random_topology(n_taxa, 0.1, &mut StdRng::seed_from_u64(seed))
+}
+
+fn stale_two_branches(t: &Tree, o: &mut Orientation, a: u32, b: u32) {
+    for h in [a, b] {
+        invalidate_branch(t, o, h % t.n_half_edges() as u32);
+    }
 }
 
 /// The scan `PlfEngine::execute_plan` performed before plan lowering
@@ -39,8 +46,51 @@ fn inline_scan(plan: &TraversalPlan) -> (HashSet<u32>, HashSet<u32>) {
     (written, reads)
 }
 
+/// By definition: the valid vectors computed across the branch of `h` —
+/// those with both its ends on their own side, away from their orientation.
+fn computed_across(t: &Tree, o: &Orientation, h: HalfEdgeId) -> HashSet<u32> {
+    let ends = [t.node_of(h), t.neighbor(h)];
+    (0..t.n_inner() as u32)
+        .filter(|&i| {
+            o.get(i).is_some_and(|dir| {
+                let (l, r) = t.children_dirs(dir);
+                ends.iter().all(|&end| {
+                    end == t.inner_node(i)
+                        || subtree_contains(t, l, end)
+                        || subtree_contains(t, r, end)
+                })
+            })
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The orientation walk stales exactly the vectors computed across the
+    /// branch — also when earlier walks have left part of the tree stale.
+    #[test]
+    fn invalidate_branch_is_exact(
+        n_taxa in 4usize..48,
+        seed in 0u64..1000,
+        root in any::<u64>(),
+        changed in proptest::collection::vec(any::<u64>(), 1..6),
+    ) {
+        let t = tree_for(n_taxa, seed);
+        let branches: Vec<HalfEdgeId> = t.branches().collect();
+        let pick = |by: u64| branches[(by % branches.len() as u64) as usize];
+        let mut o = Orientation::new(t.n_inner());
+        plan_traversal(&t, pick(root), &mut o, false);
+        let mut expect: HashSet<u32> = HashSet::new();
+        for by in changed {
+            // Either half-edge of the branch names it.
+            let h = if by & 1 == 0 { pick(by) } else { t.back(pick(by)) };
+            expect.extend(computed_across(&t, &o, h));
+            invalidate_branch(&t, &mut o, h);
+            let stale: HashSet<u32> = o.stale().collect();
+            prop_assert_eq!(&stale, &expect, "after branch {}", h);
+        }
+    }
 
     /// No inner node is written more than once by a single plan.
     #[test]
@@ -72,12 +122,12 @@ proptest! {
     ) {
         let t = tree_for(n_taxa, seed);
         let mut o = Orientation::new(t.n_inner());
-        // Orient everything, then invalidate a path to force a partial
-        // plan with both reused and recomputed children.
+        // Orient everything, then stale the vectors across two branches
+        // to force a partial plan with both reused and recomputed children.
         plan_traversal(&t, t.default_root_edge(), &mut o, true);
         let valid_before: HashSet<u32> =
             (0..t.n_inner() as u32).filter(|&i| o.get(i).is_some()).collect();
-        invalidate_between(&t, &mut o, a % t.n_nodes() as u32, b % t.n_nodes() as u32);
+        stale_two_branches(&t, &mut o, a, b);
         let root = t.tip_half_edge(tip % n_taxa as u32);
         let plan = plan_traversal(&t, root, &mut o, false);
         let mut written_so_far = HashSet::new();
@@ -109,7 +159,7 @@ proptest! {
         let root = t.tip_half_edge(tip % n_taxa as u32);
         let mut o = Orientation::new(t.n_inner());
         plan_traversal(&t, t.default_root_edge(), &mut o, true);
-        invalidate_between(&t, &mut o, a % t.n_nodes() as u32, b % t.n_nodes() as u32);
+        stale_two_branches(&t, &mut o, a, b);
         let partial = plan_traversal(&t, root, &mut o.clone(), false);
         let full = plan_traversal(&t, root, &mut o, true);
         let full_steps: HashSet<(u32, u32)> =
@@ -141,7 +191,7 @@ proptest! {
         let mut o = Orientation::new(t.n_inner());
         if !full {
             plan_traversal(&t, t.default_root_edge(), &mut o, true);
-            invalidate_between(&t, &mut o, a % t.n_nodes() as u32, b % t.n_nodes() as u32);
+            stale_two_branches(&t, &mut o, a, b);
         }
         let root = t.tip_half_edge(tip % n_taxa as u32);
         let plan = plan_traversal(&t, root, &mut o, full);

@@ -87,6 +87,51 @@ fn permanent_read_fault_surfaces_contextual_error() {
     assert!(err.to_string().contains("slot load"), "{}", err);
 }
 
+/// A traversal that fails part-way must not leave the vectors it never
+/// computed marked valid: with no retry layer, one failed write-back
+/// mid-traversal surfaces as the `Err`, and once the fault has cleared the
+/// same engine recomputes what is missing and agrees with the in-RAM
+/// engine to the bit.
+#[test]
+fn failed_traversal_is_recomputed_not_trusted() {
+    let data = setup::simulate_dataset(&spec());
+    let reference = setup::inram_engine(&data)
+        .log_likelihood()
+        .expect("in-RAM reference cannot fail");
+
+    // The sixth store write fails, once: evictions start after the first
+    // few combines, so this is the middle of the first traversal.
+    let plan = FaultPlan::none().with(FaultRule::Window {
+        op: FaultOp::Write,
+        start: 5,
+        count: 1,
+        kind: FaultKind::Transient,
+    });
+    let store = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width()), plan);
+    let mut engine = engine_over(&data, store);
+
+    let err = engine
+        .log_likelihood()
+        .expect_err("nothing retries the failed write-back");
+    assert_eq!(err.op, OocOp::Write);
+    assert!(
+        engine.orientation().stale().count() > 0,
+        "the uncomputed suffix must be stale"
+    );
+
+    let lnl = engine
+        .log_likelihood()
+        .expect("the fault window has passed");
+    assert_eq!(
+        lnl.to_bits(),
+        reference.to_bits(),
+        "the retried traversal must recompute, not trust: {lnl} vs {reference}"
+    );
+    assert_eq!(engine.orientation().stale().count(), 0);
+    let faults = engine.store().manager().store().fault_stats();
+    assert_eq!(faults.total_faults(), 1, "exactly the one planned fault");
+}
+
 #[test]
 fn retrying_store_recovers_transient_faults_bit_exactly() {
     let data = setup::simulate_dataset(&spec());
