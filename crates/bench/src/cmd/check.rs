@@ -1,12 +1,14 @@
-//! **metrics_check** — schema and reconciliation validator for the JSONL
-//! stall-attribution streams the `--metrics FILE` flag produces (CLI and
-//! every bench binary). CI runs it after a `--metrics` smoke run; it is
-//! also the offline answer to "did the observability layer double-count?".
+//! **`check`** — schema and reconciliation validator for the JSONL
+//! stall-attribution streams the `--metrics FILE` flag produces (CLI,
+//! `ooc-serve` and every `ooc-bench` experiment). CI runs it after a
+//! `--metrics` smoke run; it is also the offline answer to "did the
+//! observability layer double-count?".
 //!
 //! Checks, per line:
 //!
-//! - the line parses as JSON with `"type"` ∈ {`event`, `hist`, `ooc-stats`}
-//!   (a NaN rate would already fail the parse — `NaN` is not JSON);
+//! - the line parses as JSON with `"type"` ∈ {`event`, `hist`, `ooc-stats`,
+//!   `profile`} (a NaN rate would already fail the parse — `NaN` is not
+//!   JSON);
 //! - `event`: required fields, `kind` is one of the six stall kinds;
 //! - `hist`: bucket counts sum to `count`, `min_ns <= max_ns`;
 //! - `ooc-stats`: all counters present and integral, rates finite.
@@ -24,270 +26,28 @@
 //! prints the achieved ratio.
 //!
 //! With `--summary-from FILE`, the same validation runs and then every
-//! scope's compute-vs-stall split — the objective `ooc-tune` ranks probe
-//! candidates by — is re-derived *from the stream alone*: wall from the
-//! `plf/combine-batch` event spans, top-level stall classes from their
+//! scope's compute-vs-stall split — the objective `ooc-bench tune` ranks
+//! probe candidates by — is re-derived *from the stream alone*: wall from
+//! the `plf/combine-batch` event spans, top-level stall classes from their
 //! event durations (the prefetch-wait share nested inside demand reads is
 //! subtracted out, mirroring the recorder's attribution), compute as the
 //! clamped residual. This is the offline cross-check that a tuned
 //! profile's claimed split can be reproduced from its probe trace.
 //!
 //! ```sh
-//! cargo run --release -p ooc-bench --bin metrics_check -- metrics.jsonl
-//! cargo run --release -p ooc-bench --bin metrics_check -- --summary-from probe.jsonl
+//! ooc-bench check metrics.jsonl
+//! ooc-bench check --summary-from probe.jsonl
 //! ```
 //!
 //! Exits non-zero with a message on the first hard failure class; prints
-//! a per-scope summary on success. The JSON parser is local to this
-//! binary: the records are flat objects plus one array of integer pairs,
-//! and keeping the reader dependency-free mirrors the writer in
-//! `ooc_core::obs` (hand-rolled for the same reason).
+//! a per-scope summary on success. Lines are read with the workspace's one
+//! JSON parser, [`ooc_core::json`].
 
+use super::Command;
+use crate::args::{Args, Flag};
+use ooc_core::json::{get_str, get_u64, Value};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
-use std::process::ExitCode;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser (strict; full escape set).
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Int(u64),
-    Float(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(n) => Some(*n as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-    fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-    fn is_u64(&self) -> bool {
-        matches!(self, Value::Int(_))
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(input: &'a str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected byte at offset {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "invalid \\u escape".to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("invalid escape at offset {}", self.pos)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if !float {
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::Int(n));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| format!("invalid number '{text}'"))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Schema checks.
@@ -391,18 +151,6 @@ impl ScopeTally {
     }
 }
 
-fn get_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn get_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
 fn check_event(v: &Value, tally: &mut ScopeTally) -> Result<(), String> {
     let layer = get_str(v, "layer")?;
     let op = get_str(v, "op")?;
@@ -416,7 +164,7 @@ fn check_event(v: &Value, tally: &mut ScopeTally) -> Result<(), String> {
     get_u64(v, "n")?;
     for key in ["item", "shard"] {
         match v.get(key) {
-            Some(x) if x.is_null() || x.is_u64() => {}
+            Some(Value::Null | Value::Int(_)) => {}
             _ => return Err(format!("field '{key}' must be null or an integer")),
         }
     }
@@ -541,7 +289,7 @@ fn run(
             continue;
         }
         lines += 1;
-        let v = Parser::parse(&line).map_err(|e| format!("line {}: invalid JSON: {e}", idx + 1))?;
+        let v = Value::parse(&line).map_err(|e| format!("line {}: invalid JSON: {e}", idx + 1))?;
         let at = |e: String| format!("line {}: {e}", idx + 1);
         let ty = get_str(&v, "type").map_err(at)?.to_owned();
         let scope = get_str(&v, "scope").map_err(at)?.to_owned();
@@ -711,50 +459,46 @@ fn run(
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let mut path = None;
-    let mut min_absorption = None;
-    let mut reconcile_compression = false;
-    let mut summary = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--min-prefetch-absorption" {
-            match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if (0.0..=1.0).contains(&v) => min_absorption = Some(v),
-                _ => {
-                    eprintln!("metrics_check: --min-prefetch-absorption needs a value in [0,1]");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if arg == "--reconcile-compression" {
-            reconcile_compression = true;
-        } else if arg == "--summary-from" {
-            summary = true;
-            match args.next() {
-                Some(p) => path = Some(p),
-                None => {
-                    eprintln!("metrics_check: --summary-from needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            path = Some(arg);
-        }
-    }
-    let Some(path) = path else {
-        eprintln!(
-            "usage: metrics_check [--min-prefetch-absorption X] \
-             [--reconcile-compression] [--summary-from] <metrics.jsonl>"
-        );
-        return ExitCode::FAILURE;
+pub const CHECK: Command = Command {
+    name: "check",
+    about: "validate and reconcile a --metrics JSONL stream",
+    flags: &[
+        Flag::float(
+            "min-prefetch-absorption",
+            0.0,
+            "every scope must absorb at least this share of stall time",
+        ),
+        Flag::switch(
+            "reconcile-compression",
+            "codec byte histograms must reconcile and show a shrink",
+        ),
+        Flag::text(
+            "summary-from",
+            "",
+            "the stream; also print the re-derived objective split",
+        ),
+    ],
+    positional: Some("metrics.jsonl"),
+    run: check,
+};
+
+fn check(args: &Args) -> Result<(), String> {
+    let summary_from = args.string("summary-from");
+    let path = match (args.positional(), summary_from.as_str()) {
+        (Some(path), _) => path,
+        (None, "") => return Err("needs a metrics file (ooc-bench check FILE)".into()),
+        (None, path) => path,
     };
-    match run(&path, min_absorption, reconcile_compression, summary) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("metrics_check: {e}");
-            ExitCode::FAILURE
-        }
+    let min = args.f64("min-prefetch-absorption");
+    if !(0.0..=1.0).contains(&min) {
+        return Err("--min-prefetch-absorption needs a value in [0,1]".into());
     }
+    run(
+        path,
+        (min > 0.0).then_some(min),
+        args.flag("reconcile-compression"),
+        !summary_from.is_empty(),
+    )
 }
 
 #[cfg(test)]
@@ -764,7 +508,7 @@ mod tests {
     #[test]
     fn parser_roundtrips_event_line() {
         let line = r#"{"type":"event","scope":"s","ts_ns":1,"dur_ns":2,"layer":"manager","op":"demand-read","kind":"demand-read","item":7,"shard":null,"bytes":64,"n":1}"#;
-        let v = Parser::parse(line).unwrap();
+        let v = Value::parse(line).unwrap();
         let mut t = ScopeTally::default();
         check_event(&v, &mut t).unwrap();
         assert_eq!(t.demand_read_events, 1);
@@ -773,9 +517,9 @@ mod tests {
     #[test]
     fn parser_rejects_bad_kind_and_nan() {
         let bad_kind = r#"{"type":"event","scope":"s","ts_ns":1,"dur_ns":2,"layer":"x","op":"y","kind":"sleeping","item":null,"shard":null,"bytes":0,"n":1}"#;
-        let v = Parser::parse(bad_kind).unwrap();
+        let v = Value::parse(bad_kind).unwrap();
         assert!(check_event(&v, &mut ScopeTally::default()).is_err());
-        assert!(Parser::parse(r#"{"miss_rate":NaN}"#).is_err());
+        assert!(Value::parse(r#"{"miss_rate":NaN}"#).is_err());
     }
 
     #[test]
@@ -796,9 +540,9 @@ mod tests {
     fn pipeline_hists_feed_the_tally() {
         let mut t = ScopeTally::default();
         let line = r#"{"type":"hist","scope":"s","layer":"prefetch","op":"stalled-read","count":2,"sum_ns":500,"min_ns":100,"max_ns":400,"buckets":[[7,2]]}"#;
-        check_hist(&Parser::parse(line).unwrap(), &mut t).unwrap();
+        check_hist(&Value::parse(line).unwrap(), &mut t).unwrap();
         let line = r#"{"type":"hist","scope":"s","layer":"manager","op":"staged-load","count":4,"sum_ns":40,"min_ns":5,"max_ns":20,"buckets":[[3,4]]}"#;
-        check_hist(&Parser::parse(line).unwrap(), &mut t).unwrap();
+        check_hist(&Value::parse(line).unwrap(), &mut t).unwrap();
         assert_eq!(t.stalled_read_hist_ns, 500);
         assert_eq!(t.staged_load_hist, 4);
     }
@@ -807,20 +551,16 @@ mod tests {
     fn stats_record_requires_staged_loads() {
         let line = r#"{"type":"ooc-stats","scope":"s","requests":1,"hits":0,"misses":1,"disk_reads":1,"disk_writes":0,"skipped_reads":0,"cold_loads":0,"evictions":0,"bytes_read":8,"bytes_written":0,"io_errors":0,"plans":0,"hints_issued":0,"hinted_reads":0,"staged_loads":0,"miss_rate":1.0,"read_rate":1.0}"#;
         let mut t = ScopeTally::default();
-        check_stats(&Parser::parse(line).unwrap(), &mut t).unwrap();
+        check_stats(&Value::parse(line).unwrap(), &mut t).unwrap();
         assert_eq!(t.staged_loads_counter, Some(0));
         let missing = line.replace(r#""staged_loads":0,"#, "");
-        assert!(check_stats(
-            &Parser::parse(&missing).unwrap(),
-            &mut ScopeTally::default()
-        )
-        .is_err());
+        assert!(check_stats(&Value::parse(&missing).unwrap(), &mut ScopeTally::default()).is_err());
     }
 
     #[test]
     fn profile_record_checks_and_rejects_duplicates() {
         let line = r#"{"type":"profile","scope":"tenant-a/job-1","profile":"backend = \"sharded\"\nshards = 4\n"}"#;
-        let v = Parser::parse(line).unwrap();
+        let v = Value::parse(line).unwrap();
         let mut t = ScopeTally::default();
         check_profile(&v, &mut t).unwrap();
         assert_eq!(t.profiles, 1);
@@ -828,21 +568,21 @@ mod tests {
         assert!(check_profile(&v, &mut t).is_err());
         // An empty profile is too.
         let empty = r#"{"type":"profile","scope":"s","profile":""}"#;
-        assert!(check_profile(&Parser::parse(empty).unwrap(), &mut ScopeTally::default()).is_err());
+        assert!(check_profile(&Value::parse(empty).unwrap(), &mut ScopeTally::default()).is_err());
     }
 
     #[test]
     fn compression_hists_feed_the_tally() {
         let mut t = ScopeTally::default();
         let line = r#"{"type":"hist","scope":"s","layer":"compress","op":"bytes-logical","count":3,"sum_ns":3000,"min_ns":1000,"max_ns":1000,"buckets":[[10,3]]}"#;
-        check_hist(&Parser::parse(line).unwrap(), &mut t).unwrap();
+        check_hist(&Value::parse(line).unwrap(), &mut t).unwrap();
         let line = r#"{"type":"hist","scope":"s","layer":"compress","op":"bytes-disk","count":3,"sum_ns":900,"min_ns":300,"max_ns":300,"buckets":[[9,3]]}"#;
-        check_hist(&Parser::parse(line).unwrap(), &mut t).unwrap();
+        check_hist(&Value::parse(line).unwrap(), &mut t).unwrap();
         assert_eq!(t.compress_logical, Some((3, 3000)));
         assert_eq!(t.compress_disk, Some((3, 900)));
         // A second dump accumulates rather than overwrites.
         let line = r#"{"type":"hist","scope":"s","layer":"compress","op":"bytes-disk","count":1,"sum_ns":100,"min_ns":100,"max_ns":100,"buckets":[[7,1]]}"#;
-        check_hist(&Parser::parse(line).unwrap(), &mut t).unwrap();
+        check_hist(&Value::parse(line).unwrap(), &mut t).unwrap();
         assert_eq!(t.compress_disk, Some((4, 1000)));
     }
 
@@ -851,15 +591,15 @@ mod tests {
         let mut t = ScopeTally::default();
         // One combine batch of 10 ms wall.
         let batch = r#"{"type":"event","scope":"s","ts_ns":0,"dur_ns":10000000,"layer":"plf","op":"combine-batch","kind":"compute","item":null,"shard":null,"bytes":0,"n":21}"#;
-        check_event(&Parser::parse(batch).unwrap(), &mut t).unwrap();
+        check_event(&Value::parse(batch).unwrap(), &mut t).unwrap();
         // 3 ms of demand reads, 1 ms of which was nested prefetch wait.
         let read = r#"{"type":"event","scope":"s","ts_ns":1,"dur_ns":3000000,"layer":"manager","op":"demand-read","kind":"demand-read","item":4,"shard":null,"bytes":64,"n":1}"#;
-        check_event(&Parser::parse(read).unwrap(), &mut t).unwrap();
+        check_event(&Value::parse(read).unwrap(), &mut t).unwrap();
         let wait = r#"{"type":"hist","scope":"s","layer":"prefetch","op":"stalled-read","count":1,"sum_ns":1000000,"min_ns":1000000,"max_ns":1000000,"buckets":[[20,1]]}"#;
-        check_hist(&Parser::parse(wait).unwrap(), &mut t).unwrap();
+        check_hist(&Value::parse(wait).unwrap(), &mut t).unwrap();
         // 2 ms of write-backs.
         let wb = r#"{"type":"event","scope":"s","ts_ns":2,"dur_ns":2000000,"layer":"manager","op":"write-back","kind":"write-back","item":5,"shard":null,"bytes":64,"n":1}"#;
-        check_event(&Parser::parse(wb).unwrap(), &mut t).unwrap();
+        check_event(&Value::parse(wb).unwrap(), &mut t).unwrap();
 
         let s = t.objective_summary();
         assert_eq!(s.wall_ns, 10_000_000);
@@ -873,10 +613,10 @@ mod tests {
     #[test]
     fn hist_bucket_sum_must_match_count() {
         let line = r#"{"type":"hist","scope":"s","layer":"l","op":"o","count":3,"sum_ns":30,"min_ns":5,"max_ns":20,"buckets":[[3,2],[4,1]]}"#;
-        let v = Parser::parse(line).unwrap();
+        let v = Value::parse(line).unwrap();
         check_hist(&v, &mut ScopeTally::default()).unwrap();
         let short = line.replace("[[3,2],[4,1]]", "[[3,2]]");
-        let v = Parser::parse(&short).unwrap();
+        let v = Value::parse(&short).unwrap();
         assert!(check_hist(&v, &mut ScopeTally::default()).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! **pipeline_smoke** — metered end-to-end check of the plan-driven,
+//! **`pipeline`** — metered end-to-end check of the plan-driven,
 //! double-buffered I/O pipeline. A scripted streaming read plan is
 //! executed over a deliberately slow backing store: the pipeline's
 //! workers must stream the plan windows ahead of the compute cursor so
@@ -7,25 +7,28 @@
 //! time.
 //!
 //! ```sh
-//! cargo run --release -p ooc-bench --bin pipeline_smoke -- \
-//!     --metrics /tmp/pipeline.jsonl --min-absorption 0.9
-//! cargo run --release -p ooc-bench --bin metrics_check -- \
-//!     --min-prefetch-absorption 0.9 /tmp/pipeline.jsonl
+//! ooc-bench pipeline --metrics /tmp/pipeline.jsonl --min-absorption 0.9
+//! ooc-bench check --min-prefetch-absorption 0.9 /tmp/pipeline.jsonl
 //! ```
 //!
-//! The absorption ratio asserted here and re-derived by `metrics_check`
-//! from the JSONL stream is `prefetch-wait / (prefetch-wait +
-//! demand-read)` over the *attributed* stall nanoseconds — the two kinds
-//! are disjoint by construction, so the ratio is well-defined.
+//! The absorption ratio asserted here and re-derived by `check` from the
+//! JSONL stream is `prefetch-wait / (prefetch-wait + demand-read)` over
+//! the *attributed* stall nanoseconds — the two kinds are disjoint by
+//! construction, so the ratio is well-defined.
+//!
+//! This is the one experiment that scripts a manager directly instead of
+//! timing an engine through [`crate::cell::run_cell`]: `EngineSpec` has
+//! no axis for a deliberately slow device, and the plan is not a tree
+//! traversal.
 
-use ooc_bench::args::Args;
-use ooc_bench::metrics::MetricsFile;
+use super::Command;
+use crate::args::{Args, Flag, METRICS};
+use crate::metrics::MetricsFile;
 use ooc_core::{
     AccessPlan, AccessRecord, BackingStore, FileStore, ItemId, MonotonicClock, NullSink, OocConfig,
     PrefetchingStore, Recorder, StallKind, StrategyKind, VectorManager,
 };
 use std::io;
-use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -64,18 +67,35 @@ fn pattern(item: ItemId, width: usize) -> Vec<f64> {
     (0..width).map(|k| item as f64 * 1e4 + k as f64).collect()
 }
 
-fn main() -> ExitCode {
-    let args = Args::parse();
-    let n_items = args.usize("items", 192);
-    let width = args.usize("width", 256);
-    let window = args.usize("window", 16);
-    let io_threads = args.usize("io-threads", 2);
-    let read_delay = Duration::from_micros(args.u64("read-delay-us", 2_000));
-    let write_delay = Duration::from_micros(args.u64("write-delay-us", 100));
-    let compute = Duration::from_micros(args.u64("compute-us", 200));
-    let min_absorption = args.f64("min-absorption", 0.9);
+pub const PIPELINE: Command = Command {
+    name: "pipeline",
+    about: "I/O pipeline smoke: stalls must be absorbed as prefetch-wait",
+    flags: &[
+        Flag::int("items", 192, "vectors in the scripted plan"),
+        Flag::int("width", 256, "f64 per vector"),
+        Flag::int("window", 16, "lookahead window"),
+        Flag::int("io-threads", 2, "pipeline worker threads"),
+        Flag::int("read-delay-us", 2_000, "modelled device read latency"),
+        Flag::int("write-delay-us", 100, "modelled device write latency"),
+        Flag::int("compute-us", 200, "modelled kernel time per vector"),
+        Flag::float("min-absorption", 0.9, "fail below this absorption"),
+        METRICS,
+    ],
+    positional: None,
+    run,
+};
 
-    let metrics = MetricsFile::from_args(&args);
+fn run(args: &Args) -> Result<(), String> {
+    let n_items = args.usize("items");
+    let width = args.usize("width");
+    let window = args.usize("window");
+    let io_threads = args.usize("io-threads");
+    let read_delay = Duration::from_micros(args.u64("read-delay-us"));
+    let write_delay = Duration::from_micros(args.u64("write-delay-us"));
+    let compute = Duration::from_micros(args.u64("compute-us"));
+    let min_absorption = args.f64("min-absorption");
+
+    let metrics = MetricsFile::from_args(args);
     let rec = metrics
         .recorder("pipeline-smoke")
         .unwrap_or_else(|| Recorder::scoped(MonotonicClock::new(), NullSink, "pipeline-smoke"));
@@ -142,7 +162,7 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "pipeline_smoke: {n_items} items x {width} f64, window {window}, \
+        "pipeline: {n_items} items x {width} f64, window {window}, \
          {io_threads} I/O thread(s), read delay {read_delay:?}"
     );
     println!(
@@ -162,11 +182,10 @@ fn main() -> ExitCode {
     MetricsFile::finish(&rec, Some(&stats));
 
     if absorption < min_absorption {
-        eprintln!(
-            "pipeline_smoke: absorption {absorption:.3} below required {min_absorption:.3} — \
+        return Err(format!(
+            "absorption {absorption:.3} below required {min_absorption:.3} — \
              the pipeline is not hiding store latency"
-        );
-        return ExitCode::FAILURE;
+        ));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -1,4 +1,4 @@
-//! `ooc-tune` — model-pruned autotuner over the [`EngineSpec`] grid.
+//! **`tune`** — model-pruned autotuner over the [`EngineSpec`] grid.
 //!
 //! Given a dataset geometry and a RAM budget, searches the spec space in
 //! three stages — enumerate the grid, prune candidates whose simulated
@@ -6,15 +6,8 @@
 //! [`DiskModel`], floored by a Belady oracle replay) already loses to the
 //! best measured time, then probe the survivors with short timed runs of
 //! the real engine — and writes the winner as a `bench-tune-v1` profile
-//! TOML that `phylo-ooc --profile` and `fig5_runtime --profile` load
+//! TOML that `phylo-ooc --profile` and `ooc-bench fig5 --profile` load
 //! directly.
-//!
-//! ```sh
-//! cargo run --release -p ooc-bench --bin tune -- \
-//!     [--quick] [--taxa N] [--sites N] [--seed N] [--budget-mib M] \
-//!     [--traversals K] [--disk hdd|ssd|auto] [--probes P] [--margin F] \
-//!     [--out tuned.toml] [--check tuned.toml] [--metrics FILE]
-//! ```
 //!
 //! `--disk` names the *target* disk the tuner optimises for: `hdd` (the
 //! paper's 2010 machine, the default), `ssd`, or `auto`, which calibrates
@@ -25,39 +18,55 @@
 //! validates a previously emitted profile (spec parses, `[tune]` section
 //! carries the `bench-tune-v1` schema and its provenance keys) and exits.
 
-use ooc_bench::args::Args;
-use ooc_bench::metrics::MetricsFile;
-use ooc_bench::report::{pct, print_table, secs};
-use ooc_bench::tuner::{self, Outcome, TuneConfig, TuneOutcome};
+use super::{dataset, Command};
+use crate::args::{Args, Flag, METRICS, QUICK};
+use crate::metrics::MetricsFile;
+use crate::report::{pct, print_table, secs};
+use crate::tuner::{self, Outcome, TuneConfig, TuneOutcome};
 use ooc_core::{CompressionMode, DiskModel, StrategyKind};
 use phylo_ooc::plf::{EngineSpec, Residency, SpecSpace};
-use phylo_ooc::setup::{self, Dataset, DatasetSpec};
+use phylo_ooc::setup::{self, Dataset};
 
-fn main() {
-    let args = Args::parse();
-    let check = args.string("check", "");
+pub const TUNE: Command = Command {
+    name: "tune",
+    about: "model-pruned EngineSpec autotuner; writes a tuned profile",
+    flags: &[
+        QUICK,
+        Flag::int_q("taxa", 64, 24, "taxa of the simulated dataset"),
+        Flag::int_q("sites", 400, 160, "alignment sites"),
+        Flag::int("seed", 8192, "dataset seed"),
+        Flag::int("budget-mib", 0, "RAM budget (0: a quarter of the vectors)"),
+        Flag::int_q("traversals", 5, 3, "full traversals per probe"),
+        Flag::text("disk", "hdd", "target disk: hdd, ssd or auto (calibrate)"),
+        Flag::int_q("probes", 16, 8, "probe at most this many candidates"),
+        Flag::float("margin", 0.75, "safety factor on the prune bound"),
+        Flag::text("out", "tuned.toml", "tuned profile TOML"),
+        Flag::text("check", "", "validate an emitted profile and exit"),
+        METRICS,
+    ],
+    positional: None,
+    run,
+};
+
+fn run(args: &Args) -> Result<(), String> {
+    let check = args.string("check");
     if !check.is_empty() {
         check_profile(&check);
-        return;
+        return Ok(());
     }
 
-    let quick = args.flag("quick");
-    let spec = DatasetSpec {
-        n_taxa: args.usize("taxa", if quick { 24 } else { 64 }),
-        n_sites: args.usize("sites", if quick { 160 } else { 400 }),
-        seed: args.u64("seed", 8192),
-        ..Default::default()
-    };
     println!(
         "ooc-tune: dataset {} taxa x {} sites (seed {})",
-        spec.n_taxa, spec.n_sites, spec.seed
+        args.usize("taxa"),
+        args.usize("sites"),
+        args.u64("seed")
     );
-    let data = setup::simulate_dataset(&spec);
+    let data = dataset(args);
 
     // RAM budget: a fraction of the dataset's vector footprint, so the
     // search is a fair fixed-memory competition (`--budget-mib` overrides
     // with an absolute size, as on a real machine).
-    let budget_mib = args.u64("budget-mib", 0);
+    let budget_mib = args.u64("budget-mib");
     let budget = if budget_mib > 0 {
         budget_mib * 1024 * 1024
     } else {
@@ -71,7 +80,7 @@ fn main() {
     );
 
     let dir = tempfile::tempdir().expect("tempdir for disk probes");
-    let disk = match args.string("disk", "hdd").as_str() {
+    let disk = match args.string("disk").as_str() {
         "auto" => {
             let model = tuner::calibrate_disk(dir.path());
             println!(
@@ -82,15 +91,15 @@ fn main() {
             model
         }
         name => DiskModel::from_name(name)
-            .unwrap_or_else(|| panic!("unknown --disk '{name}' (hdd, ssd, auto)")),
+            .ok_or_else(|| format!("unknown --disk '{name}' (hdd, ssd, auto)"))?,
     };
     println!("  target disk: {}", disk.name());
 
     let cfg = TuneConfig {
-        traversals: args.usize("traversals", if quick { 3 } else { 5 }),
+        traversals: args.usize("traversals"),
         disk,
-        margin: args.f64("margin", 0.75),
-        max_probes: args.usize("probes", if quick { 8 } else { 16 }),
+        margin: args.f64("margin"),
+        max_probes: args.usize("probes"),
         secs_per_f64: None,
     };
 
@@ -102,11 +111,11 @@ fn main() {
         cfg.max_probes
     );
 
-    let metrics = MetricsFile::from_args(&args);
+    let metrics = MetricsFile::from_args(args);
     let outcome = tuner::tune(&data, &space, &baselines, &cfg, &metrics);
     print_outcome(&outcome);
 
-    let out = args.string("out", "tuned.toml");
+    let out = args.string("out");
     let profile = outcome.profile_toml(&data);
     std::fs::write(&out, &profile).unwrap_or_else(|e| panic!("cannot write '{out}': {e}"));
     println!("\ntuned profile written to {out} (load with --profile {out})");
@@ -132,12 +141,13 @@ fn main() {
             );
         }
     }
+    Ok(())
 }
 
 /// The default search grid: a fixed-RAM out-of-core competition over
 /// every replacement strategy and behaviour flag. Residency is pinned to
 /// `file-limit` — in-RAM would win trivially (no budget) and the OS pager
-/// has no slot geometry to simulate; `fig5_runtime` measures both.
+/// has no slot geometry to simulate; `ooc-bench fig5` measures both.
 fn default_space(data: &Dataset, budget: u64) -> SpecSpace {
     let base = EngineSpec {
         residency: Residency::FileLimit {
@@ -161,7 +171,7 @@ fn default_space(data: &Dataset, budget: u64) -> SpecSpace {
     space
 }
 
-/// The hand-picked configurations `fig5_runtime`'s default sweep runs at
+/// The hand-picked configurations `ooc-bench fig5`'s default sweep runs at
 /// this budget (LRU and seeded-random strategies over `file-limit`, spec
 /// defaults otherwise). Probed unconditionally: they are the bar the
 /// tuned spec must clear.

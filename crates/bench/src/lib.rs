@@ -1,23 +1,68 @@
-//! Benchmark harness regenerating every table and figure of the paper.
+//! Benchmark harness regenerating every table and figure of the paper:
+//! one binary, `ooc-bench <cmd>`, one subcommand per experiment (see
+//! [`cmd`]). Shared machinery lives here:
 //!
-//! One binary per experiment (see `src/bin/`), plus Criterion microbenches
-//! (`benches/`). Shared machinery lives here:
-//!
-//! * [`args`] — a minimal `--key value` / `--flag` command-line parser so
-//!   every figure binary supports `--quick` and scale overrides,
+//! * [`args`] — per-subcommand flag tables and the strict parser over
+//!   them (unknown flags and unparsable values are refused),
+//! * [`cell`] — [`cell::run_cell`], the one function that builds an engine
+//!   for a timed run (always through `EngineSpec::build`),
 //! * [`workload`] — the canonical search workload whose vector accesses
-//!   drive the miss-rate experiments (Figures 2–4, supplement),
+//!   drive the miss-rate experiments, and [`workload::sweep`], of which
+//!   Figures 2–4 and the supplement are presets,
 //! * [`replay`] — access-pattern replay with modelled disk costs, used to
 //!   run Figure 5 at the paper's 1–32 GB geometry without physical I/O,
 //! * [`report`] — aligned tables on stdout and JSON series on disk,
 //! * [`metrics`] — the `--metrics FILE` JSONL observability stream shared
-//!   by every binary (one scope per measured configuration),
-//! * [`tuner`] — the `ooc-tune` model-pruned `EngineSpec` autotuner
-//!   (enumerate → prune by simulated traffic → probe survivors).
+//!   by every experiment (one scope per measured configuration),
+//! * [`tuner`] — the model-pruned `EngineSpec` autotuner behind
+//!   `ooc-bench tune` (enumerate → prune by simulated traffic → probe
+//!   survivors).
 
 pub mod args;
+pub mod cell;
+pub mod cmd;
 pub mod metrics;
 pub mod replay;
 pub mod report;
 pub mod tuner;
 pub mod workload;
+
+use args::Args;
+
+/// Run `ooc-bench` with `tokens` (the command line without the program
+/// name) and return its exit code: 0 on success, 1 when the experiment or
+/// check fails, 2 when the command line is not understood.
+pub fn run(tokens: &[String]) -> i32 {
+    let wants_help = |t: &[String]| t.iter().any(|t| t == "--help" || t == "-h");
+    let Some((cmd, rest)) = cmd::lookup(tokens) else {
+        if wants_help(tokens) {
+            print!("{}", cmd::usage());
+            return 0;
+        }
+        if let Some(typed) = tokens.first() {
+            eprintln!("ooc-bench: unknown command '{typed}'");
+        }
+        eprint!("{}", cmd::usage());
+        return 2;
+    };
+    if wants_help(rest) {
+        println!("ooc-bench {} — {}\n", cmd.name, cmd.about);
+        print!("{}", args::help(cmd.flags));
+        return 0;
+    }
+    let args = match Args::parse(cmd.flags, cmd.positional, rest) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("ooc-bench {}: {e}", cmd.name);
+            eprint!("valid flags:\n{}", args::help(cmd.flags));
+            return 2;
+        }
+    };
+    match (cmd.run)(&args) {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("ooc-bench {}: {e}", cmd.name);
+            1
+        }
+    }
+}

@@ -1,15 +1,15 @@
-//! Shared `--metrics` wiring for the figure binaries.
+//! Shared `--metrics` wiring of the `ooc-bench` experiments.
 //!
-//! Every binary accepts `--metrics FILE` and streams its observability
+//! Every experiment accepts `--metrics FILE` and streams its observability
 //! records — per-op latency events, histogram dumps and final counter
 //! snapshots — into one JSONL file. Each measured configuration gets its
 //! own `scope` label, so a single sweep produces one stream that
-//! `metrics_check` can validate and reconcile cell by cell (demand-read
+//! `ooc-bench check` can validate and reconcile cell by cell (demand-read
 //! events against `disk_reads`, write-back events against `disk_writes`).
 //!
 //! The first recorder truncates the file; later recorders append. That
-//! only composes within a *sequential* sweep — binaries that normally run
-//! cells in parallel drop to sequential execution when `--metrics` is
+//! only composes within a *sequential* sweep — experiments that normally
+//! run cells in parallel drop to sequential execution when `--metrics` is
 //! given (observability runs trade wall time for a clean trace).
 
 use crate::args::Args;
@@ -23,13 +23,18 @@ pub struct MetricsFile {
 }
 
 impl MetricsFile {
-    /// Read `--metrics FILE` from the parsed command line.
-    pub fn from_args(args: &Args) -> Self {
-        let path = args.string("metrics", "");
+    /// Stream to `path`; `None` records nothing.
+    pub fn new(path: Option<String>) -> Self {
         MetricsFile {
-            path: (!path.is_empty()).then_some(path),
+            path,
             created: AtomicBool::new(false),
         }
+    }
+
+    /// Read `--metrics FILE` from the parsed command line.
+    pub fn from_args(args: &Args) -> Self {
+        let path = args.string("metrics");
+        Self::new((!path.is_empty()).then_some(path))
     }
 
     /// Was `--metrics` given? Sweeps that normally run cells in parallel

@@ -208,21 +208,7 @@ pub fn calibrate_newview_secs_per_f64() -> f64 {
     let scale = vec![0u32; dims.n_patterns];
     let mut parent = vec![0.0f64; dims.width()];
     let mut scale_p = vec![0u32; dims.n_patterns];
-    // Warm-up + timed reps.
-    let reps = 12;
-    newview_inner_inner(
-        &dims,
-        &mut parent,
-        &mut scale_p,
-        &left,
-        &scale,
-        &pm,
-        &right,
-        &scale,
-        &pm,
-    );
-    let t0 = Instant::now();
-    for _ in 0..reps {
+    let mut combine = || {
         newview_inner_inner(
             &dims,
             &mut parent,
@@ -235,6 +221,13 @@ pub fn calibrate_newview_secs_per_f64() -> f64 {
             &pm,
         );
         std::hint::black_box(&parent);
+    };
+    // Warm-up + timed reps.
+    let reps = 12;
+    combine();
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        combine();
     }
     let dt = t0.elapsed().as_secs_f64() / reps as f64;
     dt / dims.width() as f64

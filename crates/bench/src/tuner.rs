@@ -1,4 +1,5 @@
-//! `ooc-tune`: model-pruned search over the [`SpecSpace`] grid.
+//! The tuner behind `ooc-bench tune`: model-pruned search over the
+//! [`SpecSpace`] grid.
 //!
 //! Exhaustively measuring an [`EngineSpec`] grid is quadratically wasteful:
 //! most candidates are obviously slow, and each measurement costs seconds
@@ -21,16 +22,15 @@
 //!    (`full_traversals` over a real backing file), with an
 //!    [`ooc_core::Recorder`] splitting each probe's wall time into compute
 //!    vs stalls. The measured winner ships as a `bench-tune-v1` profile
-//!    TOML that the CLI's `--profile` flag (and `fig5_runtime --profile`)
-//!    loads directly.
+//!    TOML that the CLI's `--profile` flag (and `ooc-bench fig5
+//!    --profile`) loads directly.
 
+use crate::cell::{full_traversals, run_cell, CellInput};
+use crate::metrics::MetricsFile;
 use crate::replay::{calibrate_newview_secs_per_f64, full_traversal_pattern};
-use ooc_core::{
-    AccessPlan, BackingStore, CompressionMode, DiskModel, FileStore, MonotonicClock, NullSink,
-    OocStats, Recorder,
-};
+use ooc_core::{AccessPlan, BackingStore, CompressionMode, DiskModel, FileStore, OocStats};
 use pager_sim::{SimGeometry, SlotCacheSim};
-use phylo_ooc::plf::{BuildContext, EngineSpec, Residency, SpecSpace};
+use phylo_ooc::plf::{EngineSpec, Residency, SpecSpace};
 use phylo_ooc::setup::{self, Dataset};
 use std::collections::HashMap;
 use std::path::Path;
@@ -347,7 +347,7 @@ pub fn tune(
     space: &SpecSpace,
     baselines: &[EngineSpec],
     cfg: &TuneConfig,
-    metrics: &crate::metrics::MetricsFile,
+    metrics: &MetricsFile,
 ) -> TuneOutcome {
     let pattern = full_traversal_pattern(&data.tree);
     let plan = pattern.access_plan();
@@ -553,44 +553,33 @@ fn probe(
     dir: &Path,
     index: usize,
     label: &str,
-    metrics: &crate::metrics::MetricsFile,
+    metrics: &MetricsFile,
 ) -> Outcome {
-    let file_rec = metrics.recorder(format!("tune-probe/{label}"));
-    let rec = file_rec
-        .clone()
-        .unwrap_or_else(|| Recorder::new(MonotonicClock::new(), NullSink));
-    let harness = rec.clone();
-    let ctx = BuildContext::new()
-        .vector_path(dir.join(format!("probe_{index}.bin")))
-        .recorders(move |_| harness.clone());
-    let mut engine = setup::build_engine(spec, data, &ctx)
-        .expect("probe engine build failed")
-        .engine;
-    let t0 = rec.now();
-    let wall = Instant::now();
-    let lnl = engine
-        .full_traversals(cfg.traversals)
-        .expect("probe traversal failed");
-    let wall_secs = wall.elapsed().as_secs_f64();
+    let cell = run_cell(
+        spec,
+        &CellInput::dataset(data).observed(),
+        Some(dir.join(format!("probe_{index}.bin"))),
+        &format!("tune-probe/{label}"),
+        metrics,
+        full_traversals(cfg.traversals),
+    );
     assert_eq!(
-        lnl.to_bits(),
+        cell.lnl.to_bits(),
         lnl_ref.to_bits(),
         "probe '{label}' log-likelihood diverged from the in-RAM reference \
-         ({lnl} vs {lnl_ref})"
+         ({} vs {lnl_ref})",
+        cell.lnl
     );
-    let att = rec.attribution(rec.now().saturating_sub(t0));
+    let att = cell.attribution.expect("observed cells are attributed");
     let stall_ns = att.wall_ns.saturating_sub(att.compute_ns());
-    let stats = engine.ooc_stats();
-    if let Some(rec) = &file_rec {
-        crate::metrics::MetricsFile::finish(rec, stats.as_ref());
-    }
     // The objective prices the probe's *achieved* traffic (the strategy's
     // real miss/write-back counts, merged across shards) on the target
     // disk, and takes the compute side from the stall attribution. That
     // keeps the objective in the bound's units: a tuner running on a
     // fast scratch disk still ranks candidates for the modelled target.
     let compute_secs = att.compute_ns() as f64 / 1e9;
-    let io_secs = stats
+    let io_secs = cell
+        .stats
         .map(|s| {
             let ratio = compression_ratio(spec.compression);
             let bytes = ((s.bytes_read + s.bytes_written) as f64 * ratio) as u64;
@@ -606,7 +595,7 @@ fn probe(
     };
     Outcome::Measured {
         objective_secs,
-        wall_secs,
+        wall_secs: cell.secs,
         compute_secs,
         stall_secs: stall_ns as f64 / 1e9,
     }
@@ -615,8 +604,6 @@ fn probe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::Args;
-    use crate::metrics::MetricsFile;
     use ooc_core::StrategyKind;
     use phylo_ooc::setup::DatasetSpec;
 
@@ -659,7 +646,7 @@ mod tests {
             max_probes: 3,
             ..Default::default()
         };
-        let metrics = MetricsFile::from_args(&Args::default());
+        let metrics = MetricsFile::new(None);
         let outcome = tune(&data, &space, &baselines, &cfg, &metrics);
         assert_eq!(outcome.enumerated, 4);
         assert_eq!(outcome.invalid, 0);
@@ -712,7 +699,7 @@ mod tests {
             max_probes: 1,
             ..Default::default()
         };
-        let metrics = MetricsFile::from_args(&Args::default());
+        let metrics = MetricsFile::new(None);
         let outcome = tune(&data, &space, &[], &cfg, &metrics);
         for c in &outcome.candidates {
             assert!(

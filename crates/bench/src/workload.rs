@@ -8,12 +8,14 @@
 //! f) cell sees the *identical* access request stream — exactly the
 //! property that makes the paper's miss-rate comparison meaningful.
 
+use crate::metrics::MetricsFile;
 use ooc_core::{AccessPlan, MemStore, OocConfig, OocStats, Recorder, StrategyKind, VectorManager};
 use phylo_ooc::setup::{build_strategy, Dataset};
 use phylo_plf::{OocStore, PlfEngine};
 use phylo_search::lazy_spr_round;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rayon::prelude::*;
 use serde::Serialize;
 
 /// Knobs of the miss-rate workload.
@@ -99,22 +101,13 @@ enum Pass {
 /// manager's oracle — true Belady/OPT replacement, guaranteed to
 /// lower-bound every online strategy on the identical stream (a per-plan
 /// NextUse is greedy across traversal boundaries and measurably is not).
+///
+/// The optional recorder `obs` is attached *after* the warm-up evaluation
+/// (whose counters are reset), so the emitted events and histograms
+/// reconcile exactly with the cell's reported [`OocStats`]: demand-read
+/// events == `disk_reads`, write-back events == `disk_writes`. The NextUse
+/// recording pass is never observed — only the measured replay is.
 pub fn run_search_workload(
-    data: &Dataset,
-    cfg: OocConfig,
-    kind: StrategyKind,
-    spec: &WorkloadSpec,
-) -> CellResult {
-    run_search_workload_observed(data, cfg, kind, spec, None)
-}
-
-/// [`run_search_workload`] with an optional observability recorder. The
-/// recorder is attached *after* the warm-up evaluation (whose counters are
-/// reset), so the emitted events and histograms reconcile exactly with the
-/// cell's reported [`OocStats`]: demand-read events == `disk_reads`,
-/// write-back events == `disk_writes`. The NextUse recording pass is never
-/// observed — only the measured replay is.
-pub fn run_search_workload_observed(
     data: &Dataset,
     cfg: OocConfig,
     kind: StrategyKind,
@@ -122,15 +115,55 @@ pub fn run_search_workload_observed(
     obs: Option<&Recorder>,
 ) -> CellResult {
     if kind == StrategyKind::NextUse {
-        let (_, recording) = run_cell(data, cfg, StrategyKind::Lru, spec, Pass::Record, None);
+        let (_, recording) = run_pass(data, cfg, StrategyKind::Lru, spec, Pass::Record, None);
         let plan = recording.expect("recording pass must yield a plan");
-        run_cell(data, cfg, kind, spec, Pass::Replay(plan), obs).0
+        run_pass(data, cfg, kind, spec, Pass::Replay(plan), obs).0
     } else {
-        run_cell(data, cfg, kind, spec, Pass::Online, obs).0
+        run_pass(data, cfg, kind, spec, Pass::Online, obs).0
     }
 }
 
-fn run_cell(
+/// The miss-rate sweep behind Figures 2–4 and the supplement: the search
+/// workload once per (fraction × strategy × read-skipping) cell, returned
+/// in that nesting order — every cell over the identical request stream.
+/// `scope` names a cell's metrics scope from its nominal fraction, its
+/// resolved manager configuration and its strategy. Cells run in parallel
+/// unless `--metrics` is on: one shared JSONL stream means they must not
+/// interleave.
+pub fn sweep(
+    data: &Dataset,
+    workload: &WorkloadSpec,
+    fractions: &[f64],
+    strategies: &[StrategyKind],
+    read_skipping: &[bool],
+    metrics: &MetricsFile,
+    scope: impl Fn(f64, &OocConfig, StrategyKind) -> String + Sync,
+) -> Vec<CellResult> {
+    let mut cells = Vec::new();
+    for &f in fractions {
+        for &kind in strategies {
+            for &skip in read_skipping {
+                let cfg = OocConfig::builder(data.n_items(), data.width())
+                    .fraction(f)
+                    .read_skipping(skip)
+                    .build()
+                    .expect("valid out-of-core config");
+                cells.push((f, cfg, kind));
+            }
+        }
+    }
+    let run_one = |&(f, cfg, kind): &(f64, OocConfig, StrategyKind)| {
+        let rec = metrics.recorder(scope(f, &cfg, kind));
+        run_search_workload(data, cfg, kind, workload, rec.as_ref())
+    };
+    if metrics.enabled() {
+        cells.iter().map(run_one).collect()
+    } else {
+        cells.par_iter().map(run_one).collect()
+    }
+}
+
+fn run_pass(
     data: &Dataset,
     mut cfg: OocConfig,
     kind: StrategyKind,
@@ -193,7 +226,7 @@ fn run_cell(
     };
     let stats: OocStats = *engine.store().manager().stats();
     if let Some(rec) = obs {
-        crate::metrics::MetricsFile::finish(rec, Some(&stats));
+        MetricsFile::finish(rec, Some(&stats));
     }
     let cell = CellResult {
         strategy: kind.label(),
@@ -250,14 +283,14 @@ mod tests {
             .fraction(0.25)
             .build()
             .expect("valid out-of-core config");
-        let a = run_search_workload(&data, cfg, StrategyKind::Lru, &spec);
-        let b = run_search_workload(&data, cfg, StrategyKind::Lru, &spec);
+        let a = run_search_workload(&data, cfg, StrategyKind::Lru, &spec, None);
+        let b = run_search_workload(&data, cfg, StrategyKind::Lru, &spec, None);
         assert_eq!(a.lnl.to_bits(), b.lnl.to_bits());
         assert_eq!(a.requests, b.requests);
         assert_eq!(a.misses, b.misses);
 
         // Different strategy, identical likelihood trajectory.
-        let c = run_search_workload(&data, cfg, StrategyKind::Lfu, &spec);
+        let c = run_search_workload(&data, cfg, StrategyKind::Lfu, &spec, None);
         assert_eq!(a.lnl.to_bits(), c.lnl.to_bits());
         assert_eq!(a.requests, c.requests, "request stream must be identical");
     }
@@ -281,7 +314,7 @@ mod tests {
                 .fraction(f)
                 .build()
                 .expect("valid out-of-core config");
-            let r = run_search_workload(&data, cfg, StrategyKind::Lru, &spec);
+            let r = run_search_workload(&data, cfg, StrategyKind::Lru, &spec, None);
             rates.push(r.miss_rate);
         }
         assert!(rates[0] >= rates[1] && rates[1] >= rates[2] && rates[2] >= rates[3]);

@@ -272,7 +272,7 @@ impl<S: BackingStore> CompressingStore<S> {
 
     /// Attach a recorder: every write samples `compress/bytes-logical` and
     /// `compress/bytes-disk` (byte counts travel in the histogram sums, so
-    /// `metrics_check --reconcile-compression` can recompute the ratio).
+    /// `ooc-bench check --reconcile-compression` can recompute the ratio).
     pub fn set_recorder(&mut self, rec: Recorder) {
         self.obs = Some(rec);
     }

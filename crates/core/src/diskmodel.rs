@@ -6,7 +6,7 @@
 //! latency + bandwidth cost against a monotone virtual clock, so the
 //! paper-scale experiment can be *replayed* (same access sequence, same
 //! swap decisions) in seconds. Scaled-down runs with real I/O validate the
-//! model's shape; see `crates/bench/src/bin/fig5_runtime.rs`.
+//! model's shape; see `crates/bench/src/cmd/fig5.rs`.
 
 use crate::manager::ItemId;
 use crate::store::BackingStore;

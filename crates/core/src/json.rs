@@ -1,10 +1,19 @@
-//! Minimal JSON value, recursive-descent parser, and emit helpers for the
-//! line-delimited wire protocol. Local to this crate for the same reason
-//! `metrics_check` carries its own copy: the payloads are small flat
-//! objects and keeping reader and writer dependency-free mirrors the
-//! JSONL writer in `ooc_core::obs`.
+//! Minimal JSON value, recursive-descent parser, and emit helpers — the
+//! one JSON reader under `crates/`. It serves the service's line-delimited
+//! wire protocol, `ooc-bench check` (the JSONL stream validator) and
+//! `ooc-bench kernels --check`; the JSONL writer in [`crate::obs`] shares
+//! its string escaping. Hand-rolled because the payloads are small flat
+//! objects and `ooc-core` stays dependency-free.
+//!
+//! Input may be hostile (`ooc-serve` parses what a socket sent), so the
+//! parser never panics and nesting is capped at [`MAX_DEPTH`]: recursive
+//! descent on a 2 MiB connection thread would otherwise overflow its
+//! stack on a few kilobytes of `[`.
 
 use std::collections::BTreeMap;
+
+/// Deepest array/object nesting [`Value::parse`] accepts.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,6 +56,14 @@ impl Value {
             _ => None,
         }
     }
+    /// Numeric view (integers widen).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Int(n) => Some(*n as f64),
+            Value::Float(f) => Some(*f),
+            _ => None,
+        }
+    }
     /// Array view.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -60,9 +77,25 @@ impl Value {
     }
 }
 
+/// A required string field of an object.
+pub fn get_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
+    v.get(key)
+        .and_then(Value::as_str)
+        .ok_or_else(|| format!("missing or non-string field '{key}'"))
+}
+
+/// A required non-negative integer field of an object.
+pub fn get_u64(v: &Value, key: &str) -> Result<u64, String> {
+    v.get(key)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -70,6 +103,7 @@ impl<'a> Parser<'a> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -110,8 +144,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -119,6 +153,19 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -267,6 +314,12 @@ impl<'a> Parser<'a> {
 /// Escape a string for embedding inside JSON quotes.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(s, &mut out);
+    out
+}
+
+/// [`escape`], appending to `out` (the JSONL writer's per-event path).
+pub fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -278,7 +331,6 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Format an `f64` as JSON (non-finite values become `null` — JSON has no
@@ -349,6 +401,37 @@ mod tests {
             "nul",
         ] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn numeric_views() {
+        let v = Value::parse(r#"{"n":3,"x":0.5,"z":null,"s":"3"}"#).unwrap();
+        assert_eq!(v.get("n").and_then(Value::as_f64), Some(3.0));
+        assert_eq!(v.get("x").and_then(Value::as_f64), Some(0.5));
+        assert_eq!(v.get("x").and_then(Value::as_u64), None);
+        assert_eq!(v.get("z"), Some(&Value::Null));
+        assert_eq!(v.get("s").and_then(Value::as_f64), None);
+        assert!(Value::parse(r#"{"miss_rate":NaN}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(Value::parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nest("[", "]", MAX_DEPTH + 1)).is_err());
+        assert!(Value::parse(&nest("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nest("{\"a\":", "}", MAX_DEPTH + 1)).is_err());
+        // Regression: a megabyte of openers used to recurse once per byte
+        // and overflow the (2 MiB) stack of the thread parsing it.
+        for opener in ["[", "{\"a\":"] {
+            let hostile = opener.repeat((1 << 20) / opener.len());
+            let verdict = std::thread::spawn(move || Value::parse(&hostile))
+                .join()
+                .expect("parser must not overflow a default-size thread stack");
+            assert!(verdict.unwrap_err().contains("nesting deeper"));
         }
     }
 }

@@ -25,9 +25,8 @@
 //!   plus NextUse (Belady's OPT over the access plan), the miss-rate
 //!   lower bound the heuristics are judged against.
 //! * [`store`] — backing stores: one binary file with positioned I/O
-//!   ([`store::FileStore`]), several files ([`store::MultiFileStore`],
-//!   §3.2's alternative), in-memory ([`store::MemStore`]) for measuring pure
-//!   miss rates, and a no-op store for access-pattern replay.
+//!   ([`store::FileStore`]), in-memory ([`store::MemStore`]) for measuring
+//!   pure miss rates, and a no-op store for access-pattern replay.
 //! * [`compress`] — scale-exponent-aware APV compression behind the store
 //!   trait ([`CompressingStore`]): shared-exponent headers, a site-block
 //!   alias table for repeated columns, and an opt-in error-bounded
@@ -36,8 +35,8 @@
 //!   first access are swapped in without reading the file.
 //! * [`diskmodel`] — a virtual-clock disk cost model so paper-scale (32 GB)
 //!   geometries can be replayed without 32 GB of physical I/O.
-//! * [`prefetch`], [`tiered`] — the paper's §5 future-work directions:
-//!   a prefetch thread and a three-layer (accelerator/RAM/disk) hierarchy.
+//! * [`prefetch`] — the paper's §5 future-work direction: a prefetch
+//!   thread, grown into a plan-driven I/O pipeline.
 //! * [`error`], [`fault`], [`retry`] — fault tolerance: store I/O failures
 //!   surface as contextual [`OocError`]s instead of panics,
 //!   [`FaultInjectingStore`] injects deterministic failure schedules for
@@ -46,6 +45,8 @@
 //! * [`obs`] — stall-attribution observability: log2-bucketed latency
 //!   histograms, tracing spans with an injectable clock, and a lossless
 //!   JSONL event stream, threaded through every layer that touches bytes.
+//! * [`json`] — the workspace's one JSON value, parser and escape helper
+//!   (the service's wire protocol and the JSONL validator both read with it).
 
 pub mod aligned;
 pub mod arena;
@@ -54,6 +55,7 @@ pub mod compress;
 pub mod diskmodel;
 pub mod error;
 pub mod fault;
+pub mod json;
 pub mod manager;
 pub mod obs;
 pub mod plan;
@@ -64,7 +66,6 @@ pub mod slot_table;
 pub mod stats;
 pub mod store;
 pub mod strategy;
-pub mod tiered;
 
 pub use aligned::{AlignedBuf, APV_ALIGN};
 pub use arena::{AdmissionError, ArenaCounters, SlotArena, TenantGrant};
@@ -90,6 +91,5 @@ pub use retry::{RetryPolicy, RetryStats, RetryingStore};
 pub use shard::{par_each_mut, parallelism, split_budget, split_budget_checked, ShardSpec};
 pub use slot_table::{DataPlane, NullPlane, SlotCacheSim, SlotTable};
 pub use stats::OocStats;
-pub use store::{BackingStore, FileStore, MemStore, MultiFileStore, NullStore};
+pub use store::{BackingStore, FileStore, MemStore, NullStore};
 pub use strategy::{EvictionView, ReplacementStrategy, StrategyKind, TopologyOracle};
-pub use tiered::TieredStore;

@@ -40,9 +40,10 @@
 //!   subtracted again.
 //!
 //! Lower layers that merely observe time already covered by an enclosing
-//! span (e.g. a [`crate::TieredStore`] read under the manager's demand
-//! read) record *unattributed* spans: histogram and event stream only.
+//! span (e.g. a [`crate::PrefetchingStore`] staged read under the manager's
+//! demand read) record *unattributed* spans: histogram and event stream only.
 
+use crate::json::escape_into;
 use crate::manager::ItemId;
 use crate::stats::OocStats;
 use parking_lot::Mutex;
@@ -546,23 +547,6 @@ impl EventSink for MemorySink {
     }
 }
 
-/// Minimal JSON string escaping (control characters, quotes, backslash).
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Lossless JSONL emitter: every span becomes one line, nothing is sampled
 /// or dropped. Four record types share the file, discriminated by a
 /// `"type"` field:
@@ -577,7 +561,7 @@ fn escape_json(s: &str, out: &mut String) {
 /// ```
 ///
 /// Hand-rolled (no serde): `ooc-core` stays dependency-free; schema
-/// validation lives in the `ooc-bench` `metrics_check` binary.
+/// validation lives in the `ooc-bench` `ooc-bench check` binary.
 ///
 /// Every record (including its trailing newline) is pushed into the
 /// `BufWriter` as ONE `write_all`, so the underlying file writes always
@@ -620,7 +604,7 @@ impl<W: io::Write> JsonlSink<W> {
         line.push_str("{\"type\":\"");
         line.push_str(ty);
         line.push_str("\",\"scope\":\"");
-        escape_json(scope, &mut line);
+        escape_into(scope, &mut line);
         line.push('"');
         line
     }
@@ -684,7 +668,7 @@ impl<W: io::Write> EventSink for JsonlSink<W> {
     fn profile(&mut self, scope: &str, profile: &str) {
         let mut line = self.head("profile", scope);
         line.push_str(",\"profile\":\"");
-        escape_json(profile, &mut line);
+        escape_into(profile, &mut line);
         line.push_str("\"}");
         line.push('\n');
         let _ = self.out.write_all(line.as_bytes());
@@ -693,9 +677,9 @@ impl<W: io::Write> EventSink for JsonlSink<W> {
     fn histogram(&mut self, scope: &str, layer: &str, op: &str, h: &LatencyHistogram) {
         let mut line = self.head("hist", scope);
         line.push_str(",\"layer\":\"");
-        escape_json(layer, &mut line);
+        escape_into(layer, &mut line);
         line.push_str("\",\"op\":\"");
-        escape_json(op, &mut line);
+        escape_into(op, &mut line);
         line.push_str(&format!(
             "\",\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"buckets\":[",
             h.count(),
@@ -898,7 +882,7 @@ impl Recorder {
     /// compute residual would previously be clamped to zero with no
     /// trace; such over-attribution is now recorded as an
     /// `obs/attribution-overflow` sample carrying the excess nanoseconds,
-    /// so `metrics_check` and tests can assert it never happens on healthy
+    /// so `ooc-bench check` and tests can assert it never happens on healthy
     /// runs.
     pub fn attribution(&self, wall_ns: u64) -> StallAttribution {
         let att = StallAttribution {
@@ -917,7 +901,7 @@ impl Recorder {
     }
 
     /// Forward a counter snapshot to the sink (the reconciliation record:
-    /// `metrics_check` verifies event counts against it).
+    /// `ooc-bench check` verifies event counts against it).
     pub fn emit_stats(&self, stats: &OocStats) {
         self.inner.sink.lock().stats(&self.inner.scope, stats);
     }

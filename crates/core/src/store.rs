@@ -354,75 +354,6 @@ impl BackingStore for FileStore {
     }
 }
 
-/// Vectors spread round-robin over several files (§3.2 evaluated this and
-/// found "minimal" differences to the single-file layout; bench `store_io`
-/// reproduces that comparison).
-#[derive(Debug)]
-pub struct MultiFileStore {
-    files: Vec<File>,
-    width: usize,
-}
-
-impl MultiFileStore {
-    /// Create `n_files` files named `<base>.0`, `<base>.1`, ….
-    ///
-    /// The shard index is appended to the full base name (`a.bin` becomes
-    /// `a.bin.0`), never substituted for its extension: `with_extension`
-    /// would map both `a.bin` and `a.dat` to the same `a.0`, letting two
-    /// stores in one directory silently clobber each other.
-    pub fn create<P: AsRef<Path>>(
-        base: P,
-        n_files: usize,
-        n_items: usize,
-        width: usize,
-    ) -> io::Result<Self> {
-        assert!(n_files >= 1);
-        let per_file = n_items.div_ceil(n_files);
-        let mut files = Vec::with_capacity(n_files);
-        for k in 0..n_files {
-            let mut name = base.as_ref().as_os_str().to_os_string();
-            name.push(format!(".{k}"));
-            let path = std::path::PathBuf::from(name);
-            let file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(path)?;
-            file.set_len((per_file * width * 8) as u64)?;
-            files.push(file);
-        }
-        Ok(MultiFileStore { files, width })
-    }
-
-    fn locate(&self, item: ItemId) -> (usize, u64) {
-        let k = item as usize % self.files.len();
-        let row = item as usize / self.files.len();
-        (k, (row * self.width * 8) as u64)
-    }
-}
-
-impl BackingStore for MultiFileStore {
-    fn read(&mut self, item: ItemId, buf: &mut [f64]) -> io::Result<()> {
-        use std::os::unix::fs::FileExt;
-        let (k, off) = self.locate(item);
-        self.files[k].read_exact_at(as_bytes_mut(buf), off)
-    }
-
-    fn write(&mut self, item: ItemId, buf: &[f64]) -> io::Result<()> {
-        use std::os::unix::fs::FileExt;
-        let (k, off) = self.locate(item);
-        self.files[k].write_all_at(as_bytes(buf), off)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        for f in &self.files {
-            f.sync_data()?;
-        }
-        Ok(())
-    }
-}
-
 /// A store that discards writes and leaves read buffers untouched. Only for
 /// access-pattern replay, where the vector *contents* are irrelevant and
 /// I/O costs are charged by a [`crate::ModeledStore`] wrapper instead.
@@ -533,41 +464,6 @@ mod tests {
         // One file on disk, sized as the sum of all regions.
         let total: u64 = widths.iter().map(|&w| (n * w * 8) as u64).sum();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), total);
-    }
-
-    #[test]
-    fn multi_file_store_roundtrip() {
-        let dir = tempfile::tempdir().unwrap();
-        for n_files in [1usize, 2, 3, 7] {
-            let mut s =
-                MultiFileStore::create(dir.path().join("multi.bin"), n_files, 20, 32).unwrap();
-            roundtrip_all(&mut s, 20, 32);
-        }
-    }
-
-    #[test]
-    fn multi_file_stores_with_different_extensions_do_not_collide() {
-        // Regression: `with_extension`-based shard naming mapped `a.bin`
-        // and `a.dat` to the same `a.0`, `a.1`, … paths, so the second
-        // store truncated the first one's shards.
-        let dir = tempfile::tempdir().unwrap();
-        let mut bin = MultiFileStore::create(dir.path().join("a.bin"), 2, 8, 4).unwrap();
-        for item in 0..8u32 {
-            bin.write(item, &pattern(item, 4)).unwrap();
-        }
-        let mut dat = MultiFileStore::create(dir.path().join("a.dat"), 2, 8, 4).unwrap();
-        for item in 0..8u32 {
-            dat.write(item, &[-1.0; 4]).unwrap();
-        }
-        let mut buf = vec![0.0; 4];
-        for item in 0..8u32 {
-            bin.read(item, &mut buf).unwrap();
-            assert_eq!(buf, pattern(item, 4), "a.bin item {item} was clobbered");
-            dat.read(item, &mut buf).unwrap();
-            assert_eq!(buf, vec![-1.0; 4]);
-        }
-        assert!(dir.path().join("a.bin.0").exists());
-        assert!(dir.path().join("a.dat.1").exists());
     }
 
     #[test]

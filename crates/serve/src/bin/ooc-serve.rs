@@ -22,7 +22,7 @@
 //! * one file-backed tenant cancelled mid-traversal — the job must land
 //!   `cancelled` and the arena must keep serving afterwards.
 
-use ooc_serve::json::Value;
+use ooc_core::json::Value;
 use ooc_serve::net::{self, Request};
 use ooc_serve::{
     solo_likelihood, DatasetRequest, JobKind, JobRequest, PartitionRequest, ServeConfig, Service,

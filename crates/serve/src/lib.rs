@@ -25,7 +25,7 @@
 //! * **per-tenant observability** — each job gets metrics scopes
 //!   `tenant/job-N[/partition]` in the existing JSONL schema, headed by a
 //!   `profile` record carrying the exact `EngineSpec` TOML, so noisy
-//!   neighbors are attributable with `metrics_check`.
+//!   neighbors are attributable with `ooc-bench check`.
 //!
 //! Engines are constructed *exclusively* through [`EngineSpec`]: a job is
 //! a dataset description plus a TOML profile plus a job kind.
@@ -45,7 +45,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-pub mod json;
 pub mod net;
 
 /// Server configuration.

@@ -2,8 +2,9 @@
 //! response object per line out. The protocol is deliberately minimal —
 //! submit / status / wait / cancel / counters — so any language with a
 //! socket and a JSON library is a client (`nc` works). Parsing and
-//! emission are hand-rolled on [`crate::json`]; the payloads are small
-//! flat objects and the wire format stays inspectable with `cat`.
+//! emission are hand-rolled on [`ooc_core::json`]; the payloads are small
+//! flat objects and the wire format stays inspectable with `cat`. A
+//! request line is at most [`MAX_LINE_BYTES`] long.
 //!
 //! ```text
 //! → {"op":"submit","tenant":"a","dataset":{"n_taxa":16,"n_sites":200,"seed":7},
@@ -15,9 +16,9 @@
 //! ← {"ok":true,"counters":{"admissions":1,"rejections":0,...}}
 //! ```
 
-use crate::json::{escape, fmt_f64, fmt_f64_array, Value};
 use crate::{DatasetRequest, JobKind, JobRequest, JobStatus, PartitionRequest, Service};
-use std::io::{BufRead, BufReader, Write};
+use ooc_core::json::{self, escape, fmt_f64, fmt_f64_array, get_u64, Value};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
@@ -45,21 +46,12 @@ pub enum Request {
     Counters,
 }
 
-fn get_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
 fn get_usize(v: &Value, key: &str) -> Result<usize, String> {
     Ok(get_u64(v, key)? as usize)
 }
 
 fn get_str(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
+    json::get_str(v, key).map(str::to_owned)
 }
 
 fn parse_dataset(v: &Value) -> Result<DatasetRequest, String> {
@@ -344,27 +336,66 @@ pub fn handle(service: &Service, req: Request) -> Response {
     }
 }
 
+/// Longest request line the service buffers (newline excluded). A longer
+/// line gets one `malformed request` response and the connection closes.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Discard input up to and including the next newline (or end of stream)
+/// without buffering it.
+fn skip_line(reader: &mut impl BufRead) {
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) if !buf.is_empty() => buf,
+            _ => return,
+        };
+        let (n, done) = match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None => (buf.len(), false),
+        };
+        reader.consume(n);
+        if done {
+            return;
+        }
+    }
+}
+
 fn serve_connection(service: &Service, stream: TcpStream) {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => return,
-        };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // One byte past the cap tells an over-long line from a full one.
+        let mut bounded = (&mut reader).take(MAX_LINE_BYTES as u64 + 1);
+        match bounded.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
         }
-        let resp = match Request::parse(&line) {
-            Ok(req) => handle(service, req),
-            Err(e) => Response::err(format!("malformed request: {e}")),
+        let too_long = line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n');
+        let resp = if too_long {
+            // The rest of the line is read (and dropped) before replying:
+            // closing with unread input would reset the connection under
+            // the client before it sees the response.
+            skip_line(&mut reader);
+            Response::err(format!(
+                "malformed request: line longer than {MAX_LINE_BYTES} bytes"
+            ))
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => match Request::parse(text) {
+                    Ok(req) => handle(service, req),
+                    Err(e) => Response::err(format!("malformed request: {e}")),
+                },
+                Err(_) => Response::err("malformed request: invalid UTF-8"),
+            }
         };
         let mut out = resp.to_json();
         out.push('\n');
-        if writer.write_all(out.as_bytes()).is_err() {
+        if writer.write_all(out.as_bytes()).is_err() || too_long {
             return;
         }
     }

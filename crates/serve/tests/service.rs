@@ -236,3 +236,71 @@ fn wire_protocol_round_trips_over_tcp() {
     reader.read_line(&mut resp).unwrap();
     assert!(resp.contains("malformed request"), "{resp}");
 }
+
+/// Regression: a hostile line must cost the service one connection, not
+/// the process. An over-long line used to be buffered without bound, and
+/// deep nesting used to overflow the connection thread's stack — taking
+/// every tenant down with it.
+#[test]
+fn hostile_lines_get_an_error_and_the_service_keeps_serving() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let service = Arc::new(Service::start(cfg(1)).unwrap());
+    {
+        let service = service.clone();
+        std::thread::spawn(move || {
+            let _ = net::serve(service, listener);
+        });
+    }
+    let respond = |payload: Vec<u8>| -> String {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        // The server may stop reading before the client stops writing.
+        let sender = std::thread::spawn(move || {
+            let _ = writer.write_all(&payload);
+            let _ = writer.write_all(b"\n");
+        });
+        let mut resp = String::new();
+        BufReader::new(stream).read_line(&mut resp).unwrap();
+        sender.join().unwrap();
+        resp
+    };
+
+    // 2 MiB without a newline: one error response, then the connection
+    // closes (the next read sees end of stream).
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+        let _ = writer.write_all(b"\n{\"op\":\"counters\"}\n");
+    });
+    let mut reader = BufReader::new(stream);
+    let mut resp = String::new();
+    reader.read_line(&mut resp).unwrap();
+    assert!(
+        resp.contains("malformed request: line longer than"),
+        "{resp}"
+    );
+    sender.join().unwrap();
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap_or(0), 0, "{rest}");
+
+    // 20 KB of '[' (and of '{"a":'): a parse error, not a stack overflow.
+    for opener in ["[", "{\"a\":"] {
+        let resp = respond(opener.repeat(20_000).into_bytes());
+        assert!(resp.contains("malformed request"), "{resp}");
+        assert!(resp.contains("nesting deeper"), "{resp}");
+    }
+
+    // The next connection is served, bit-identically to a solo run.
+    let scratch = std::env::temp_dir().join("serve-test-hostile.vec");
+    let (solo, _) = solo_likelihood(&small_dataset(42), PROFILE, 1, &scratch).unwrap();
+    let submit = Request::Submit(likelihood_req("after", 42)).to_json();
+    assert!(respond(submit.into_bytes()).contains("\"ok\":true"));
+    let resp = respond(Request::Wait { job: 1 }.to_json().into_bytes());
+    assert!(resp.contains("\"status\":\"done\""), "{resp}");
+    assert!(
+        resp.contains(&format!("\"lnl\":{solo:?}")),
+        "{resp} vs {solo:?}"
+    );
+}

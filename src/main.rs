@@ -513,7 +513,7 @@ fn cmd_likelihood_partitioned(opts: &Opts, spec_path: &str) -> Result<(), String
 
     // One recorder per partition, each with that partition's name as its
     // scope, all appending whole lines to one JSONL file, each headed by
-    // the engine profile — `metrics_check` then reconciles every
+    // the engine profile — `ooc-bench check` then reconciles every
     // partition's residency stack independently.
     let recorders: Option<HashMap<String, Recorder>> = match opts.get("metrics") {
         None => None,

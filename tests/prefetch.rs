@@ -1,10 +1,7 @@
-//! The §5 future-work extensions wired into the full engine: a prefetch
-//! thread behind the backing store, and the three-layer
-//! accelerator/RAM/disk hierarchy.
+//! The §5 future-work extension wired into the full engine: a prefetch
+//! thread behind the backing store.
 
-use phylo_ooc::ooc::{
-    FileStore, OocConfig, PrefetchingStore, StrategyKind, TieredStore, VectorManager,
-};
+use phylo_ooc::ooc::{FileStore, OocConfig, PrefetchingStore, StrategyKind, VectorManager};
 use phylo_ooc::plf::{OocStore, PlfEngine};
 use phylo_ooc::setup::{self, DatasetSpec};
 use std::sync::atomic::Ordering;
@@ -91,43 +88,5 @@ fn prefetch_thread_actually_stages_reads() {
     assert!(
         hits > 0,
         "no staged hits at all (prefetched = {prefetched})"
-    );
-}
-
-#[test]
-fn three_layer_hierarchy_is_exact_and_absorbs_io() {
-    let data = setup::simulate_dataset(&spec());
-    let reference = setup::inram_engine(&data).full_traversals(2).unwrap();
-
-    let dir = tempfile::tempdir().unwrap();
-    let disk =
-        FileStore::create(dir.path().join("disk.bin"), data.n_items(), data.width()).unwrap();
-    // Middle tier ("RAM") holds half the vectors; the manager's slots
-    // ("accelerator memory") hold only 10%.
-    let tier = TieredStore::new(disk, data.n_items() / 2);
-    let cfg = OocConfig::builder(data.n_items(), data.width())
-        .fraction(0.10)
-        .build()
-        .expect("valid out-of-core config");
-    let manager = VectorManager::new(cfg, StrategyKind::Lru.build(None), tier);
-    let mut engine = PlfEngine::new(
-        data.tree.clone(),
-        &data.comp,
-        data.model.clone(),
-        data.spec.alpha,
-        data.spec.n_cats,
-        OocStore::new(manager),
-    );
-    let lnl = engine.full_traversals(2).unwrap();
-    assert_eq!(lnl.to_bits(), reference.to_bits());
-
-    let tier_stats = engine.store().manager().store().stats();
-    assert!(
-        tier_stats.hits > 0,
-        "middle tier should absorb manager misses"
-    );
-    assert!(
-        tier_stats.hits > tier_stats.misses,
-        "with half the vectors cached most tier reads should hit: {tier_stats:?}"
     );
 }
