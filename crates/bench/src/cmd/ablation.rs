@@ -18,13 +18,13 @@
 //!   ordering and the exactness guarantee must survive.
 
 use super::{dataset, Command};
-use crate::args::{Args, Flag, METRICS, QUICK};
 use crate::cell::{full_traversals, run_cell, CellInput};
-use crate::metrics::MetricsFile;
 use crate::report::{pct, print_table, secs};
 use crate::workload::{all_strategies, run_search_workload, WorkloadSpec};
 use ooc_core::{OocConfig, StallKind, StrategyKind};
+use phylo_ooc::args::{Args, Flag, METRICS, QUICK};
 use phylo_ooc::plf::{EngineSpec, LikelihoodEngine, Residency};
+use phylo_ooc::run::MetricsFile;
 use phylo_ooc::search::{run_mcmc, McmcConfig};
 use phylo_ooc::setup;
 use rayon::prelude::*;
@@ -50,8 +50,8 @@ fn prefetch(args: &Args) -> Result<(), String> {
     let (traversals, f) = (args.usize("traversals"), args.f64("fraction"));
     println!(
         "A2 prefetch ablation: {} taxa x {} patterns, f = {f}, {traversals} traversals + smoothing\n",
-        data.spec.n_taxa,
-        data.comp.n_patterns(),
+        data.tree.n_tips(),
+        data.comp().n_patterns(),
     );
     let metrics = MetricsFile::from_args(args);
     let dir = tempfile::tempdir().expect("tempdir");
@@ -80,13 +80,13 @@ fn prefetch(args: &Args) -> Result<(), String> {
     let plain = cell("plain", 0);
     let staged = cell("staged", 1);
     assert_eq!(
-        plain.lnl.to_bits(),
-        staged.lnl.to_bits(),
+        plain.value.to_bits(),
+        staged.value.to_bits(),
         "results must agree"
     );
 
     let stats = staged.stats.expect("managed engine keeps stats");
-    let rec = staged.rec.expect("observed cells keep their recorder");
+    let rec = &staged.recs[0];
     let reads = |op: &str| rec.histogram("prefetch", op).map_or(0, |h| h.count());
     // Reads the pipeline had ready: adopted zero-copy by the manager, or
     // copied out of the staging cache by the read path.
@@ -167,7 +167,7 @@ fn writeback(args: &Args) -> Result<(), String> {
     };
     println!(
         "A5 write-back ablation: search workload on {} taxa, f = 0.25\n",
-        data.spec.n_taxa
+        data.tree.n_tips()
     );
 
     let metrics = MetricsFile::from_args(args);
@@ -177,12 +177,14 @@ fn writeback(args: &Args) -> Result<(), String> {
     ]
     .into_iter()
     .map(|(label, scope, always)| {
-        let cfg = OocConfig::builder(data.n_items(), data.width())
+        let cfg = OocConfig::builder(data.n_items(), data.width(0))
             .fraction(0.25)
             .always_write_back(always)
             .build()
             .expect("valid out-of-core config");
-        let rec = metrics.recorder(format!("writeback/{scope}"));
+        let rec = metrics
+            .recorder(format!("writeback/{scope}"))
+            .expect("metrics stream");
         let r = run_search_workload(&data, cfg, StrategyKind::Lru, &workload, rec.as_ref());
         (label, r)
     })
@@ -244,7 +246,8 @@ fn mcmc(args: &Args) -> Result<(), String> {
     };
     println!(
         "A6 MCMC workload: {} iterations on {} taxa, f = 0.25\n",
-        cfg.iterations, data.spec.n_taxa
+        cfg.iterations,
+        data.tree.n_tips()
     );
 
     // Reference chain.
@@ -267,7 +270,7 @@ fn mcmc(args: &Args) -> Result<(), String> {
             chain.final_log_posterior
         });
         assert_eq!(
-            cell.lnl.to_bits(),
+            cell.value.to_bits(),
             reference.final_log_posterior.to_bits(),
             "chain must be identical ({})",
             kind.label()

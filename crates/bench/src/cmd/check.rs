@@ -44,8 +44,8 @@
 //! JSON parser, [`ooc_core::json`].
 
 use super::Command;
-use crate::args::{Args, Flag};
 use ooc_core::json::{get_str, get_u64, Value};
+use phylo_ooc::args::{Args, Flag};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 

@@ -5,12 +5,12 @@
 //! and the out-of-core version produced exactly the same results."
 
 use super::{dataset, Command};
-use crate::args::{Args, Flag, METRICS};
 use crate::cell::{run_cell, CellInput};
-use crate::metrics::MetricsFile;
 use crate::report::print_table;
 use ooc_core::StrategyKind;
+use phylo_ooc::args::{Args, Flag, METRICS};
 use phylo_ooc::plf::{EngineSpec, LikelihoodEngine, Residency};
+use phylo_ooc::run::MetricsFile;
 use phylo_ooc::search::{hill_climb, SearchConfig};
 use phylo_ooc::setup;
 use phylo_ooc::tree::write_newick;
@@ -37,7 +37,7 @@ fn run(args: &Args) -> Result<(), String> {
         seed: 2,
         ..Default::default()
     };
-    let names = data.comp.alignment.names().to_vec();
+    let names = data.comp().alignment.names().to_vec();
     // One arm of the table: evaluate, search, and report what came out.
     fn arm<E: LikelihoodEngine>(
         engine: &mut E,
@@ -98,7 +98,7 @@ fn run(args: &Args) -> Result<(), String> {
 
     println!(
         "\nE5 — exact-equality verification, n = {} taxa, reference lnl {eval_ref:.6}\n",
-        data.spec.n_taxa
+        data.tree.n_tips()
     );
     print_table(
         &[

@@ -36,15 +36,15 @@
 //! managers internally and is not instrumented.
 
 use super::Command;
-use crate::args::{Args, Flag, METRICS, QUICK};
 use crate::cell::{full_traversals, run_cell, CellInput};
-use crate::metrics::MetricsFile;
 use crate::replay::{
     calibrate_newview_secs_per_f64, full_traversal_pattern, replay_ooc, replay_paged,
 };
 use crate::report::{print_table, secs, write_json};
 use ooc_core::{exp_f32_lnl_error_bound, CompressionMode, DiskModel, StrategyKind};
+use phylo_ooc::args::{Args, Flag, METRICS, QUICK};
 use phylo_ooc::plf::{EngineSpec, Residency};
+use phylo_ooc::run::MetricsFile;
 use phylo_ooc::seq::PartitionKind;
 use phylo_ooc::setup::{self, Dataset, DatasetSpec};
 use phylo_tree::build::random_topology;
@@ -245,7 +245,7 @@ fn real_scaled_runs(args: &Args, traversals: usize, metrics: &MetricsFile, dir: 
         let paged_faults = paged.store().arena().stats().major_faults;
         assert_eq!(
             lnl.to_bits(),
-            inram.lnl.to_bits(),
+            inram.value.to_bits(),
             "paged must match in-RAM"
         );
         drop(paged);
@@ -256,7 +256,7 @@ fn real_scaled_runs(args: &Args, traversals: usize, metrics: &MetricsFile, dir: 
                 let spec = file_limit(base.clone(), budget, kind);
                 let ooc = cell(&spec, kind.label(), metrics);
                 assert_eq!(
-                    ooc.lnl.to_bits(),
+                    ooc.value.to_bits(),
                     lnl.to_bits(),
                     "results must be identical"
                 );
@@ -268,13 +268,13 @@ fn real_scaled_runs(args: &Args, traversals: usize, metrics: &MetricsFile, dir: 
         // the dataset's (the reference likelihood depends on them).
         let ooc_tuned_secs = profile.as_ref().map(|tuned| {
             let tuned_spec = EngineSpec {
-                alpha: data.spec.alpha,
-                n_cats: data.spec.n_cats,
+                alpha: data.alpha,
+                n_cats: data.n_cats,
                 ..file_limit(tuned.clone(), budget, tuned.strategy)
             };
             let ooc = cell(&tuned_spec, "tuned", metrics);
             assert_eq!(
-                ooc.lnl.to_bits(),
+                ooc.value.to_bits(),
                 lnl.to_bits(),
                 "tuned results must be identical"
             );
@@ -395,12 +395,12 @@ fn sharded_sweep(args: &Args, traversals: usize, metrics: &MetricsFile, dir: &Pa
         let serial = cell(&serial_spec, "serial".into());
         let sharded = cell(&sharded_spec, format!("sharded{shards}"));
         assert_eq!(
-            sharded.lnl.to_bits(),
-            serial.lnl.to_bits(),
+            sharded.value.to_bits(),
+            serial.value.to_bits(),
             "{}: sharded log-likelihood must be bit-identical to serial ({} vs {})",
             kind.label(),
-            sharded.lnl,
-            serial.lnl
+            sharded.value,
+            serial.value
         );
         let stats = sharded
             .stats
@@ -411,7 +411,7 @@ fn sharded_sweep(args: &Args, traversals: usize, metrics: &MetricsFile, dir: &Pa
             serial_secs: serial.secs,
             sharded_secs: sharded.secs,
             speedup: serial.secs / sharded.secs,
-            lnl: sharded.lnl,
+            lnl: sharded.value,
             merged_requests: stats.requests,
             merged_misses: stats.misses,
             merged_disk_reads: stats.disk_reads,
@@ -476,21 +476,20 @@ struct PartitionPoint {
 /// reconciles every partition's residency stack separately.
 fn partitioned_smoke(args: &Args, traversals: usize, metrics: &MetricsFile, dir: &Path) {
     let (n_taxa, n_sites, budget) = geometry(args, [256, 64], [1600, 400], [32, 4]);
-    let spec = DatasetSpec {
+    let data = setup::simulate_dataset(&DatasetSpec {
         n_taxa,
         n_sites,
         seed: 4242,
+        // Codon sites are counted in codons; /8 keeps its (15x-per-site)
+        // footprint comparable to the DNA block.
+        parts: vec![
+            (PartitionKind::Dna, n_sites),
+            (PartitionKind::Protein, n_sites / 4),
+            (PartitionKind::Codon, n_sites / 8),
+        ],
         ..Default::default()
-    };
-    // Codon sites are counted in codons; /8 keeps its (15x-per-site)
-    // footprint comparable to the DNA block.
-    let layout = [
-        (PartitionKind::Dna, n_sites),
-        (PartitionKind::Protein, n_sites / 4),
-        (PartitionKind::Codon, n_sites / 8),
-    ];
-    let data = setup::simulate_partitioned_dataset(&spec, &layout);
-    let input = CellInput::partitioned(&data);
+    });
+    let input = CellInput::dataset(&data);
     println!(
         "Figure 5 (partitioned smoke): {n_taxa} taxa, partitions {}, RAM budget {:.0} MiB, {traversals} full traversals\n",
         data.parts
@@ -519,7 +518,7 @@ fn partitioned_smoke(args: &Args, traversals: usize, metrics: &MetricsFile, dir:
         (cell, lnls)
     };
     // Reference: each partition as its own standalone serial in-RAM run.
-    let base = setup::base_partitioned_spec(&data);
+    let base = setup::base_spec(&data);
     let (_, reference) = run_parts(&base, "reference", &MetricsFile::new(None), 1);
 
     let weights: Vec<u64> = (0..data.parts.len())
@@ -533,7 +532,7 @@ fn partitioned_smoke(args: &Args, traversals: usize, metrics: &MetricsFile, dir:
         let (cell, lnls) = run_parts(&part_spec, kind.label(), metrics, traversals);
         assert_eq!(
             lnls.iter().sum::<f64>(),
-            cell.lnl,
+            cell.value,
             "joint lnl must be the per-partition sum"
         );
         for (i, p) in data.parts.iter().enumerate() {
@@ -642,7 +641,7 @@ fn compression_sweep(args: &Args, traversals: usize, metrics: &MetricsFile, dir:
         strategy: StrategyKind::Lru.label(),
         config: "serial",
         secs: raw.secs,
-        lnl: raw.lnl,
+        lnl: raw.value,
         lnl_delta: 0.0,
         bytes_logical: 0,
         bytes_disk: 0,
@@ -677,15 +676,15 @@ fn compression_sweep(args: &Args, traversals: usize, metrics: &MetricsFile, dir:
             metrics,
             full_traversals(traversals),
         );
-        let lnl_delta = (cell.lnl - raw.lnl).abs();
+        let lnl_delta = (cell.value - raw.value).abs();
         match mode {
             CompressionMode::Exp => assert_eq!(
-                cell.lnl.to_bits(),
-                raw.lnl.to_bits(),
+                cell.value.to_bits(),
+                raw.value.to_bits(),
                 "{config}/{}: exp compression must be bit-exact ({} vs {})",
                 kind.label(),
-                cell.lnl,
-                raw.lnl
+                cell.value,
+                raw.value
             ),
             CompressionMode::ExpF32 => {
                 let bound = exp_f32_lnl_error_bound(n_sites as u64, data.tree.n_inner() as u64);
@@ -696,7 +695,7 @@ fn compression_sweep(args: &Args, traversals: usize, metrics: &MetricsFile, dir:
                 );
             }
         }
-        let rec = cell.rec.expect("observed cells keep their recorder");
+        let rec = &cell.recs[0];
         let bytes = |op: &str| rec.histogram("compress", op).map_or(0, |h| h.sum_ns());
         let (bytes_logical, bytes_disk) = (bytes("bytes-logical"), bytes("bytes-disk"));
         assert!(
@@ -711,7 +710,7 @@ fn compression_sweep(args: &Args, traversals: usize, metrics: &MetricsFile, dir:
             strategy: kind.label(),
             config,
             secs: cell.secs,
-            lnl: cell.lnl,
+            lnl: cell.value,
             lnl_delta,
             bytes_logical,
             bytes_disk,

@@ -12,10 +12,10 @@
 //! ```
 
 use super::Command;
-use crate::args::{Args, Flag, QUICK};
 use crate::report::{print_table, write_json};
 use ooc_core::json::{get_str, get_u64, Value};
 use phylo_models::{DiscreteGamma, PMatrices, ReversibleModel};
+use phylo_ooc::args::{Args, Flag, QUICK};
 use phylo_plf::kernels::derivatives::{build_sumtable, SumSide};
 use phylo_plf::kernels::Dims;
 use phylo_plf::{KernelBackend, TipCodes};
@@ -252,9 +252,9 @@ fn run(quick: bool, only: Option<KernelBackend>) -> Vec<BenchResult> {
     let x = Inputs::new(5000, 4);
     h.evaluate("evaluate_inner_inner", &x);
 
-    // Wide-state (protein / codon) groups: the generic-width kernels are
-    // the only non-scalar option here — Dna4/stride-16 paths must not
-    // claim these dims. Fewer patterns than the DNA groups: per-pattern
+    // Wide-state (protein / codon) groups: the AVX2 wide module is the
+    // only non-scalar option here — Dna4/stride-16 paths must not claim
+    // these dims. Fewer patterns than the DNA groups: per-pattern
     // work grows as n_states² so the same wall budget covers fewer sites.
     for n_states in [20usize, 61] {
         let wide = Inputs::new(1000, n_states);
@@ -368,10 +368,10 @@ fn check_baseline(doc: &str) -> Result<usize, String> {
         let cell = (get_str(s, "group")?, get_str(s, "backend")?);
         measured(s, "vs_scalar").map_err(|e| format!("speedups cell {cell:?}: {e}"))?;
     }
-    const PORTABLE: [&str; 3] = ["scalar", "generic", "dna4"];
+    const PORTABLE: [&str; 2] = ["scalar", "dna4"];
     for group in GROUPS {
         let four_state = !group.ends_with("st");
-        let mut expected = PORTABLE[..if four_state { 3 } else { 2 }].to_vec();
+        let mut expected = PORTABLE[..if four_state { 2 } else { 1 }].to_vec();
         if !PORTABLE.contains(&detected) {
             expected.push(detected);
         }
@@ -469,11 +469,11 @@ mod tests {
     fn baseline(detected: &str) -> String {
         let mut results = Vec::new();
         for group in GROUPS {
-            let mut backends = vec!["scalar", "generic"];
+            let mut backends = vec!["scalar"];
             if !group.ends_with("st") {
                 backends.push("dna4");
             }
-            if !["scalar", "generic", "dna4"].contains(&detected) {
+            if !["scalar", "dna4"].contains(&detected) {
                 backends.push(detected);
             }
             for backend in backends {
@@ -497,8 +497,8 @@ mod tests {
 
     #[test]
     fn check_accepts_what_the_writer_writes() {
-        assert_eq!(check_baseline(&baseline("avx2")), Ok(28));
-        assert_eq!(check_baseline(&baseline("dna4")), Ok(20));
+        assert_eq!(check_baseline(&baseline("avx2")), Ok(20));
+        assert_eq!(check_baseline(&baseline("dna4")), Ok(12));
     }
 
     #[test]

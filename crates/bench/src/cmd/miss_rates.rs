@@ -22,11 +22,11 @@
 //! latency events and histograms as JSONL (validate with `ooc-bench check`).
 
 use super::{dataset, Command};
-use crate::args::{Args, Flag, METRICS, QUICK};
-use crate::metrics::MetricsFile;
 use crate::report::{pct, print_table, write_json};
 use crate::workload::{all_strategies, sweep, CellResult, WorkloadSpec};
 use ooc_core::StrategyKind;
+use phylo_ooc::args::{Args, Flag, METRICS, QUICK};
+use phylo_ooc::run::MetricsFile;
 use phylo_ooc::setup::Dataset;
 use serde::Serialize;
 
@@ -106,9 +106,9 @@ fn setup(name: &str, args: &Args) -> (Dataset, WorkloadSpec, MetricsFile) {
     let data = dataset(args);
     eprintln!(
         "{name}: {} patterns, {} vectors x {:.1} KiB",
-        data.comp.n_patterns(),
+        data.comp().n_patterns(),
         data.n_items(),
-        data.width() as f64 * 8.0 / 1024.0
+        data.width(0) as f64 * 8.0 / 1024.0
     );
     let workload = WorkloadSpec {
         spr_rounds: args.usize("rounds"),
@@ -164,7 +164,7 @@ fn fig2(args: &Args) -> Result<(), String> {
 
     println!(
         "\nFigure 2 — miss rate (% of total vector requests), n = {} species\n",
-        data.spec.n_taxa
+        data.tree.n_tips()
     );
     rate_table(&results, |c| c.miss_rate);
 
@@ -223,7 +223,7 @@ fn fig3(args: &Args) -> Result<(), String> {
 
     println!(
         "\nFigure 3 — read rate (% of total vector requests) WITH read skipping, n = {}\n",
-        data.spec.n_taxa
+        data.tree.n_tips()
     );
     rate_table(&with_skipping, |c| c.read_rate);
 
@@ -329,7 +329,7 @@ fn fig4(args: &Args) -> Result<(), String> {
 
     println!(
         "\nFigure 4 — miss rate vs fraction f (RAND strategy), n = {} species ({n} vectors)\n",
-        data.spec.n_taxa
+        data.tree.n_tips()
     );
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -403,12 +403,12 @@ fn supp1908(args: &Args) -> Result<(), String> {
 
     println!(
         "\nSupplement — miss rate (% of requests), n = {} species\n",
-        data.spec.n_taxa
+        data.tree.n_tips()
     );
     rate_table(&results, |c| c.miss_rate);
     println!(
         "\nSupplement — read rate (with read skipping) (% of requests), n = {} species\n",
-        data.spec.n_taxa
+        data.tree.n_tips()
     );
     rate_table(&results, |c| c.read_rate);
     println!(

@@ -1,7 +1,7 @@
 //! The `ooc-bench` subcommands: one entry per experiment of DESIGN.md's
 //! experiment index, each a flag table plus a `run` function.
 
-use crate::args::{Args, Flag};
+use phylo_ooc::args::{Args, Flag};
 use phylo_ooc::setup::{simulate_dataset, Dataset, DatasetSpec};
 
 pub mod ablation;
@@ -63,12 +63,17 @@ pub fn usage() -> String {
     out
 }
 
-/// The simulated dataset named by a command's `--taxa/--sites/--seed`.
-fn dataset(args: &Args) -> Dataset {
-    simulate_dataset(&DatasetSpec {
+/// The dataset geometry named by a command's `--taxa/--sites/--seed`.
+fn dataset_spec(args: &Args) -> DatasetSpec {
+    DatasetSpec {
         n_taxa: args.usize("taxa"),
         n_sites: args.usize("sites"),
         seed: args.u64("seed"),
         ..Default::default()
-    })
+    }
+}
+
+/// The simulated dataset of [`dataset_spec`].
+fn dataset(args: &Args) -> Dataset {
+    simulate_dataset(&dataset_spec(args))
 }

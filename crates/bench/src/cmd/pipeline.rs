@@ -22,12 +22,12 @@
 //! traversal.
 
 use super::Command;
-use crate::args::{Args, Flag, METRICS};
-use crate::metrics::MetricsFile;
 use ooc_core::{
     AccessPlan, AccessRecord, BackingStore, FileStore, ItemId, MonotonicClock, NullSink, OocConfig,
     PrefetchingStore, Recorder, StallKind, StrategyKind, VectorManager,
 };
+use phylo_ooc::args::{Args, Flag, METRICS};
+use phylo_ooc::run::MetricsFile;
 use std::io;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -97,7 +97,7 @@ fn run(args: &Args) -> Result<(), String> {
 
     let metrics = MetricsFile::from_args(args);
     let rec = metrics
-        .recorder("pipeline-smoke")
+        .recorder("pipeline-smoke")?
         .unwrap_or_else(|| Recorder::scoped(MonotonicClock::new(), NullSink, "pipeline-smoke"));
 
     let dir = tempfile::tempdir().expect("cannot create temp dir");
@@ -179,7 +179,7 @@ fn run(args: &Args) -> Result<(), String> {
         absorption
     );
 
-    MetricsFile::finish(&rec, Some(&stats));
+    MetricsFile::finish(&rec, Some(&stats))?;
 
     if absorption < min_absorption {
         return Err(format!(

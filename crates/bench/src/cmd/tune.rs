@@ -19,12 +19,12 @@
 //! carries the `bench-tune-v1` schema and its provenance keys) and exits.
 
 use super::{dataset, Command};
-use crate::args::{Args, Flag, METRICS, QUICK};
-use crate::metrics::MetricsFile;
 use crate::report::{pct, print_table, secs};
 use crate::tuner::{self, Outcome, TuneConfig, TuneOutcome};
 use ooc_core::{CompressionMode, DiskModel, StrategyKind};
+use phylo_ooc::args::{Args, Flag, METRICS, QUICK};
 use phylo_ooc::plf::{EngineSpec, Residency, SpecSpace};
+use phylo_ooc::run::MetricsFile;
 use phylo_ooc::setup::{self, Dataset};
 
 pub const TUNE: Command = Command {
@@ -116,7 +116,7 @@ fn run(args: &Args) -> Result<(), String> {
     print_outcome(&outcome);
 
     let out = args.string("out");
-    let profile = outcome.profile_toml(&data);
+    let profile = outcome.profile_toml(&super::dataset_spec(args));
     std::fs::write(&out, &profile).unwrap_or_else(|e| panic!("cannot write '{out}': {e}"));
     println!("\ntuned profile written to {out} (load with --profile {out})");
 

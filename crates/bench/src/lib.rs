@@ -1,33 +1,30 @@
 //! Benchmark harness regenerating every table and figure of the paper:
 //! one binary, `ooc-bench <cmd>`, one subcommand per experiment (see
-//! [`cmd`]). Shared machinery lives here:
+//! [`cmd`]). The per-subcommand flag tables with their strict parser
+//! ([`phylo_ooc::args`]) and the `--metrics FILE` stream
+//! ([`phylo_ooc::run::MetricsFile`], one scope per measured configuration)
+//! are the root crate's; the rest of the shared machinery lives here:
 //!
-//! * [`args`] — per-subcommand flag tables and the strict parser over
-//!   them (unknown flags and unparsable values are refused),
 //! * [`cell`] — [`cell::run_cell`], the one function that builds an engine
-//!   for a timed run (always through `EngineSpec::build`),
+//!   for a timed run (always through [`phylo_ooc::run::run`]),
 //! * [`workload`] — the canonical search workload whose vector accesses
 //!   drive the miss-rate experiments, and [`workload::sweep`], of which
 //!   Figures 2–4 and the supplement are presets,
 //! * [`replay`] — access-pattern replay with modelled disk costs, used to
 //!   run Figure 5 at the paper's 1–32 GB geometry without physical I/O,
 //! * [`report`] — aligned tables on stdout and JSON series on disk,
-//! * [`metrics`] — the `--metrics FILE` JSONL observability stream shared
-//!   by every experiment (one scope per measured configuration),
 //! * [`tuner`] — the model-pruned `EngineSpec` autotuner behind
 //!   `ooc-bench tune` (enumerate → prune by simulated traffic → probe
 //!   survivors).
 
-pub mod args;
 pub mod cell;
 pub mod cmd;
-pub mod metrics;
 pub mod replay;
 pub mod report;
 pub mod tuner;
 pub mod workload;
 
-use args::Args;
+use phylo_ooc::args::{self, Args};
 
 /// Run `ooc-bench` with `tokens` (the command line without the program
 /// name) and return its exit code: 0 on success, 1 when the experiment or

@@ -77,105 +77,6 @@ impl TraversalPattern {
     }
 }
 
-/// A serialisable mirror of an [`AccessPlan`] (`ooc-core` deliberately has
-/// no serde dependency), for recording access patterns to disk and
-/// replaying them losslessly in a later process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct RecordedPlan {
-    /// Item-space size the plan was recorded against.
-    pub n_items: usize,
-    /// Accesses in plan order.
-    pub records: Vec<RecordedAccess>,
-}
-
-/// One recorded access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct RecordedAccess {
-    /// Item index.
-    pub item: u32,
-    /// True for a write (full overwrite), false for a read.
-    pub write: bool,
-}
-
-impl RecordedPlan {
-    /// Snapshot a live plan.
-    pub fn from_plan(plan: &AccessPlan) -> Self {
-        RecordedPlan {
-            n_items: plan.n_items(),
-            records: plan
-                .records()
-                .iter()
-                .map(|r| RecordedAccess {
-                    item: r.item,
-                    write: r.intent == ooc_core::Intent::Write,
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuild the live plan (first/last-access analysis is recomputed).
-    pub fn to_plan(&self) -> AccessPlan {
-        AccessPlan::from_records(
-            self.records
-                .iter()
-                .map(|r| {
-                    if r.write {
-                        AccessRecord::write(r.item)
-                    } else {
-                        AccessRecord::read(r.item)
-                    }
-                })
-                .collect(),
-            self.n_items,
-        )
-    }
-
-    /// Lossless line-based text form: `plan <n_items>` followed by one
-    /// `R <item>` / `W <item>` line per record.
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(8 * self.records.len() + 16);
-        let _ = writeln!(out, "plan {}", self.n_items);
-        for r in &self.records {
-            let _ = writeln!(out, "{} {}", if r.write { 'W' } else { 'R' }, r.item);
-        }
-        out
-    }
-
-    /// Parse the [`RecordedPlan::to_text`] form back.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty plan text")?;
-        let n_items = header
-            .strip_prefix("plan ")
-            .ok_or_else(|| format!("bad header {header:?}"))?
-            .trim()
-            .parse::<usize>()
-            .map_err(|e| format!("bad n_items: {e}"))?;
-        let mut records = Vec::new();
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (kind, item) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("bad record {line:?}"))?;
-            let item = item
-                .trim()
-                .parse::<u32>()
-                .map_err(|e| format!("bad item in {line:?}: {e}"))?;
-            let write = match kind {
-                "W" => true,
-                "R" => false,
-                other => return Err(format!("bad intent {other:?}")),
-            };
-            records.push(RecordedAccess { item, write });
-        }
-        Ok(RecordedPlan { n_items, records })
-    }
-}
-
 /// Outcome of a replay.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct ReplayResult {
@@ -376,7 +277,6 @@ pub fn replay_paged(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ooc_core::{ModeledStore, NullStore, VectorManager};
     use phylo_tree::build::random_topology;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -438,54 +338,6 @@ mod tests {
         );
         // Identical compute charge.
         assert_eq!(ooc.compute_secs, paged.compute_secs);
-    }
-
-    /// Drive one manager through `k` traversals of `plan` and return its
-    /// final statistics.
-    fn stats_for_plan(plan: &AccessPlan, p: &TraversalPattern, k: usize) -> ooc_core::OocStats {
-        let width = 256;
-        let cfg = OocConfig::builder(p.n_items, width)
-            .byte_limit((p.n_items / 4 * width * 8) as u64)
-            .build()
-            .unwrap();
-        let store = ModeledStore::new(NullStore, DiskModel::hdd_2010());
-        let mut manager = VectorManager::new(cfg, StrategyKind::NextUse.build(None), store);
-        for _ in 0..k {
-            manager.begin_plan(plan.clone());
-            for &(parent, left, right) in &p.steps {
-                let mut sess = manager.session(&combine_pins(parent, left, right)).unwrap();
-                let _ = sess.rw(parent, left, right);
-            }
-        }
-        *manager.stats()
-    }
-
-    #[test]
-    fn recorded_plan_round_trips_with_identical_stats() {
-        let p = pattern(40);
-        let live = p.access_plan();
-        // record → serialise → parse → rebuild.
-        let recorded = RecordedPlan::from_plan(&live);
-        let text = recorded.to_text();
-        let parsed = RecordedPlan::parse(&text).expect("parse back");
-        assert_eq!(parsed, recorded, "text form is lossless");
-        let rebuilt = parsed.to_plan();
-        assert_eq!(rebuilt.records(), live.records());
-        assert_eq!(rebuilt.write_first_items(), live.write_first_items());
-        // Replaying the rebuilt plan is indistinguishable from the live
-        // one: identical manager statistics, down to hint counters.
-        let a = stats_for_plan(&live, &p, 3);
-        let b = stats_for_plan(&rebuilt, &p, 3);
-        assert_eq!(a, b);
-        assert!(a.plans == 3 && a.requests > 0);
-    }
-
-    #[test]
-    fn recorded_plan_parse_rejects_garbage() {
-        assert!(RecordedPlan::parse("").is_err());
-        assert!(RecordedPlan::parse("plan x\n").is_err());
-        assert!(RecordedPlan::parse("plan 4\nQ 1\n").is_err());
-        assert!(RecordedPlan::parse("plan 4\nR notanum\n").is_err());
     }
 
     #[test]

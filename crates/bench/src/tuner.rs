@@ -26,12 +26,13 @@
 //!    --profile`) loads directly.
 
 use crate::cell::{full_traversals, run_cell, CellInput};
-use crate::metrics::MetricsFile;
 use crate::replay::{calibrate_newview_secs_per_f64, full_traversal_pattern};
 use ooc_core::{AccessPlan, BackingStore, CompressionMode, DiskModel, FileStore, OocStats};
 use pager_sim::{SimGeometry, SlotCacheSim};
+use phylo_ooc::plf::oracle::build_strategy;
 use phylo_ooc::plf::{EngineSpec, Residency, SpecSpace};
-use phylo_ooc::setup::{self, Dataset};
+use phylo_ooc::run::MetricsFile;
+use phylo_ooc::setup::{self, Dataset, DatasetSpec};
 use std::collections::HashMap;
 use std::path::Path;
 use std::time::Instant;
@@ -194,16 +195,16 @@ impl TuneOutcome {
     /// of provenance ([`TUNE_SCHEMA`]). [`EngineSpec::from_toml`] stops at
     /// the section header, so the CLI `--profile` path loads this output
     /// unchanged.
-    pub fn profile_toml(&self, data: &Dataset) -> String {
+    pub fn profile_toml(&self, data: &DatasetSpec) -> String {
         use std::fmt::Write as _;
         let w = self.winner();
         let mut out = w.spec.to_toml();
         let _ = writeln!(out);
         let _ = writeln!(out, "[tune]");
         let _ = writeln!(out, "schema = \"{TUNE_SCHEMA}\"");
-        let _ = writeln!(out, "dataset_taxa = {}", data.spec.n_taxa);
-        let _ = writeln!(out, "dataset_sites = {}", data.spec.n_sites);
-        let _ = writeln!(out, "dataset_seed = {}", data.spec.seed);
+        let _ = writeln!(out, "dataset_taxa = {}", data.n_taxa);
+        let _ = writeln!(out, "dataset_sites = {}", data.n_sites);
+        let _ = writeln!(out, "dataset_seed = {}", data.seed);
         let _ = writeln!(out, "traversals = {}", self.traversals);
         let _ = writeln!(out, "disk = \"{}\"", self.disk.name());
         let _ = writeln!(out, "disk_seek_ns = {}", self.disk.seek_ns);
@@ -321,14 +322,14 @@ fn simulate(
     rounds: usize,
     oracle: bool,
 ) -> OocStats {
-    let geo = SimGeometry::new(data.n_items(), data.width(), n_slots)
+    let geo = SimGeometry::new(data.n_items(), data.width(0), n_slots)
         .read_skipping(spec.read_skipping)
         .always_write_back(spec.always_write_back)
         .window(spec.window);
     let (strategy, _handle) = if oracle {
-        setup::build_strategy(ooc_core::StrategyKind::NextUse, &data.tree)
+        build_strategy(ooc_core::StrategyKind::NextUse, &data.tree)
     } else {
-        setup::build_strategy(spec.strategy, &data.tree)
+        build_strategy(spec.strategy, &data.tree)
     };
     let mut sim = SlotCacheSim::new(geo, strategy);
     if oracle {
@@ -476,7 +477,7 @@ fn model_candidate(
     let steps = groups.len();
     // Kernel cost covers the full vector width regardless of sharding;
     // shards execute combines in parallel.
-    let serial_compute = secs_per_f64 * data.width() as f64 * (steps * rounds) as f64;
+    let serial_compute = secs_per_f64 * data.width(0) as f64 * (steps * rounds) as f64;
     let compute_secs = serial_compute / spec.shards.min(parallelism).max(1) as f64;
 
     let parts = setup::part_specs(data);
@@ -564,13 +565,13 @@ fn probe(
         full_traversals(cfg.traversals),
     );
     assert_eq!(
-        cell.lnl.to_bits(),
+        cell.value.to_bits(),
         lnl_ref.to_bits(),
         "probe '{label}' log-likelihood diverged from the in-RAM reference \
          ({} vs {lnl_ref})",
-        cell.lnl
+        cell.value
     );
-    let att = cell.attribution.expect("observed cells are attributed");
+    let att = cell.attribution[0];
     let stall_ns = att.wall_ns.saturating_sub(att.compute_ns());
     // The objective prices the probe's *achieved* traffic (the strategy's
     // real miss/write-back counts, merged across shards) on the target
@@ -605,15 +606,18 @@ fn probe(
 mod tests {
     use super::*;
     use ooc_core::StrategyKind;
-    use phylo_ooc::setup::DatasetSpec;
 
-    fn tiny_dataset() -> Dataset {
-        setup::simulate_dataset(&DatasetSpec {
+    fn tiny_spec() -> DatasetSpec {
+        DatasetSpec {
             n_taxa: 16,
             n_sites: 120,
             seed: 9,
             ..Default::default()
-        })
+        }
+    }
+
+    fn tiny_dataset() -> Dataset {
+        setup::simulate_dataset(&tiny_spec())
     }
 
     fn tiny_space(data: &Dataset) -> (SpecSpace, u64) {
@@ -683,7 +687,7 @@ mod tests {
             assert!(pair[0].estimate.predicted_secs <= pair[1].estimate.predicted_secs);
         }
         // The profile round-trips through the CLI's spec parser.
-        let profile = outcome.profile_toml(&data);
+        let profile = outcome.profile_toml(&tiny_spec());
         assert!(profile.contains(TUNE_SCHEMA));
         assert!(profile.contains("baseline_best_secs"));
         let reparsed = EngineSpec::from_toml(&profile).expect("tuned profile parses");

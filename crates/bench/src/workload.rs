@@ -8,9 +8,10 @@
 //! f) cell sees the *identical* access request stream — exactly the
 //! property that makes the paper's miss-rate comparison meaningful.
 
-use crate::metrics::MetricsFile;
 use ooc_core::{AccessPlan, MemStore, OocConfig, OocStats, Recorder, StrategyKind, VectorManager};
-use phylo_ooc::setup::{build_strategy, Dataset};
+use phylo_ooc::plf::oracle::build_strategy;
+use phylo_ooc::run::MetricsFile;
+use phylo_ooc::setup::Dataset;
 use phylo_plf::{OocStore, PlfEngine};
 use phylo_search::lazy_spr_round;
 use rand::rngs::StdRng;
@@ -143,7 +144,7 @@ pub fn sweep(
     for &f in fractions {
         for &kind in strategies {
             for &skip in read_skipping {
-                let cfg = OocConfig::builder(data.n_items(), data.width())
+                let cfg = OocConfig::builder(data.n_items(), data.width(0))
                     .fraction(f)
                     .read_skipping(skip)
                     .build()
@@ -153,7 +154,9 @@ pub fn sweep(
         }
     }
     let run_one = |&(f, cfg, kind): &(f64, OocConfig, StrategyKind)| {
-        let rec = metrics.recorder(scope(f, &cfg, kind));
+        let rec = metrics
+            .recorder(scope(f, &cfg, kind))
+            .expect("metrics stream");
         run_search_workload(data, cfg, kind, workload, rec.as_ref())
     };
     if metrics.enabled() {
@@ -172,15 +175,15 @@ fn run_pass(
     obs: Option<&Recorder>,
 ) -> (CellResult, Option<AccessPlan>) {
     cfg.n_items = data.n_items();
-    cfg.width = data.width();
+    cfg.width = data.width(0);
     let (strategy, handle) = build_strategy(kind, &data.tree);
     let manager = VectorManager::new(cfg, strategy, MemStore::new(cfg.n_items, cfg.width));
     let mut engine = PlfEngine::new(
         data.tree.clone(),
-        &data.comp,
-        data.model.clone(),
-        data.spec.alpha,
-        data.spec.n_cats,
+        data.comp(),
+        data.model().clone(),
+        data.alpha,
+        data.n_cats,
         OocStore::new(manager),
     );
 
@@ -226,7 +229,7 @@ fn run_pass(
     };
     let stats: OocStats = *engine.store().manager().stats();
     if let Some(rec) = obs {
-        MetricsFile::finish(rec, Some(&stats));
+        MetricsFile::finish(rec, Some(&stats)).expect("metrics stream");
     }
     let cell = CellResult {
         strategy: kind.label(),
@@ -279,7 +282,7 @@ mod tests {
             radius: 3,
             ..Default::default()
         };
-        let cfg = OocConfig::builder(data.n_items(), data.width())
+        let cfg = OocConfig::builder(data.n_items(), data.width(0))
             .fraction(0.25)
             .build()
             .expect("valid out-of-core config");
@@ -310,7 +313,7 @@ mod tests {
         };
         let mut rates = Vec::new();
         for f in [0.25, 0.5, 0.75, 1.0] {
-            let cfg = OocConfig::builder(data.n_items(), data.width())
+            let cfg = OocConfig::builder(data.n_items(), data.width(0))
                 .fraction(f)
                 .build()
                 .expect("valid out-of-core config");

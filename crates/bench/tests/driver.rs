@@ -6,10 +6,10 @@
 //! not understand is refused.
 
 use ooc_bench::cell::{full_traversals, run_cell, CellInput};
-use ooc_bench::metrics::MetricsFile;
 use ooc_core::json::Value;
-use ooc_core::{CompressionMode, StrategyKind};
-use phylo_ooc::plf::{BuildContext, EngineSpec, LikelihoodEngine, Residency};
+use ooc_core::{CompressionMode, Recorder, StrategyKind};
+use phylo_ooc::plf::{BuildContext, DynEngine, EngineSpec, LikelihoodEngine, Residency};
+use phylo_ooc::run::{run, Job, MetricsFile};
 use phylo_ooc::seq::PartitionKind;
 use phylo_ooc::setup::{self, DatasetSpec};
 use rand::rngs::StdRng;
@@ -294,7 +294,7 @@ fn ablations_correctness_pipeline_and_kernels_run() {
 }
 
 /// `run_cell` against the sequence every binary used to spell out by
-/// hand: build through `setup::build_engine` with a vector path, time
+/// hand: build through `EngineSpec::build` with a vector path, time
 /// `full_traversals`, read the counters.
 #[test]
 fn run_cell_equals_the_hand_written_sequence() {
@@ -335,7 +335,8 @@ fn run_cell_equals_the_hand_written_sequence() {
     let mut lnls = Vec::new();
     for (label, spec) in &specs {
         let ctx = BuildContext::new().vector_path(dir.path().join("hand.bin"));
-        let mut engine = setup::build_engine(spec, &dataset, &ctx).unwrap().engine;
+        let built = spec.build(&dataset.tree, &setup::part_specs(&dataset), &ctx);
+        let mut engine = built.unwrap().engine;
         let lnl = engine.full_traversals(3).unwrap();
         let stats = engine.ooc_stats();
         drop(engine);
@@ -348,10 +349,13 @@ fn run_cell_equals_the_hand_written_sequence() {
             &none,
             full_traversals(3),
         );
-        assert_eq!(cell.lnl.to_bits(), lnl.to_bits(), "{label}: lnL");
+        assert_eq!(cell.value.to_bits(), lnl.to_bits(), "{label}: lnL");
         assert_eq!(cell.stats, stats, "{label}: counters");
         assert_eq!(cell.part_stats, vec![stats], "{label}: one partition");
-        assert!(cell.rec.is_none() && cell.attribution.is_none(), "{label}");
+        assert!(
+            cell.recs.is_empty() && cell.attribution.is_empty(),
+            "{label}"
+        );
         // An observed cell sees the same run, plus its own instruments.
         let observed = run_cell(
             spec,
@@ -362,13 +366,13 @@ fn run_cell_equals_the_hand_written_sequence() {
             full_traversals(3),
         );
         assert_eq!(
-            observed.lnl.to_bits(),
+            observed.value.to_bits(),
             lnl.to_bits(),
             "{label}: observed lnL"
         );
         assert_eq!(observed.stats, stats, "{label}: observed counters");
         assert!(
-            observed.attribution.is_some_and(|a| a.wall_ns > 0),
+            observed.attribution.iter().all(|a| a.wall_ns > 0) && observed.recs.len() == 1,
             "{label}"
         );
         lnls.push(lnl);
@@ -376,41 +380,37 @@ fn run_cell_equals_the_hand_written_sequence() {
     assert!(lnls.iter().all(|l| l.to_bits() == lnls[0].to_bits()));
 
     // Two partitions: one scope and one counter set per partition.
-    let parts = setup::simulate_partitioned_dataset(
-        &DatasetSpec {
-            n_taxa: 12,
-            n_sites: 64,
-            seed: 4,
-            ..Default::default()
-        },
-        &[(PartitionKind::Dna, 64), (PartitionKind::Protein, 16)],
-    );
+    let parts = setup::simulate_dataset(&DatasetSpec {
+        n_taxa: 12,
+        seed: 4,
+        parts: vec![(PartitionKind::Dna, 64), (PartitionKind::Protein, 16)],
+        ..Default::default()
+    });
     let spec = EngineSpec {
         residency: Residency::FileLimit {
             limit_bytes: parts.partition_vector_bytes(0) / 2,
         },
-        ..setup::base_partitioned_spec(&parts)
+        ..setup::base_spec(&parts)
     };
     let ctx = BuildContext::new().vector_path(dir.path().join("hand_parts.bin"));
-    let mut engine = setup::build_partitioned_engine(&spec, &parts, &ctx)
-        .unwrap()
-        .engine;
+    let built = spec.build(&parts.tree, &setup::part_specs(&parts), &ctx);
+    let mut engine = built.unwrap().engine;
     let lnl = engine.full_traversals(2).unwrap();
     let part_stats = engine.partition_ooc_stats();
     let stats = engine.ooc_stats();
     drop(engine);
 
     let m = dir.path().join("parts.jsonl");
-    let metrics = MetricsFile::new(Some(m.display().to_string()));
+    let metrics = MetricsFile::new(Some(m.clone()));
     let cell = run_cell(
         &spec,
-        &CellInput::partitioned(&parts),
+        &CellInput::dataset(&parts),
         Some(dir.path().join("cell_parts.bin")),
         "parts",
         &metrics,
         full_traversals(2),
     );
-    assert_eq!(cell.lnl.to_bits(), lnl.to_bits());
+    assert_eq!(cell.value.to_bits(), lnl.to_bits());
     assert_eq!(cell.stats, stats);
     assert_eq!(cell.part_stats, part_stats);
     assert!(part_stats.iter().all(Option::is_some));
@@ -420,4 +420,70 @@ fn run_cell_equals_the_hand_written_sequence() {
         let scope = format!("\"scope\":\"parts/{}\"", part.name);
         assert!(stream.contains(&scope), "{scope}");
     }
+}
+
+/// `check` accepts what every front end of the runner writes: the CLI's
+/// unscoped whole-alignment stream and its per-partition scopes, a served
+/// job's `tenant/job-N/<partition>` scopes appended to a stream that
+/// already holds another job, and a bench cell (above).
+#[test]
+fn check_accepts_the_stream_of_every_front_end() {
+    let dir = tempfile::tempdir().unwrap();
+    let spec = DatasetSpec {
+        n_taxa: 12,
+        n_sites: 80,
+        seed: 6,
+        ..Default::default()
+    };
+    let whole = setup::simulate_dataset(&spec);
+    let parts = setup::simulate_dataset(&DatasetSpec {
+        parts: vec![(PartitionKind::Dna, 64), (PartitionKind::Protein, 16)],
+        ..spec
+    });
+    let traverse = |engine: &mut Box<dyn DynEngine>, _: &[Recorder]| {
+        engine.full_traversals(2).map_err(|e| e.to_string())
+    };
+    let stream = |name: &str, scopes: &[&str]| {
+        let path = dir.path().join(name);
+        assert_eq!(bench(&format!("check {}", path.display())), 0, "{name}");
+        let text = std::fs::read_to_string(&path).unwrap();
+        for scope in scopes {
+            let head = format!("{{\"type\":\"profile\",\"scope\":\"{scope}\"");
+            assert_eq!(text.matches(&head).count(), 1, "{name}: {scope}");
+        }
+    };
+    for (name, data, scopes) in [
+        ("cli.jsonl", &whole, &[""][..]),
+        ("cli-parts.jsonl", &parts, &["p0_dna", "p1_prot"][..]),
+    ] {
+        let file_limit = EngineSpec {
+            residency: Residency::FileLimit {
+                limit_bytes: data.total_vector_bytes() / 3,
+            },
+            ..setup::base_spec(data)
+        };
+        let metrics = MetricsFile::new(Some(dir.path().join(name)));
+        let job = Job {
+            metrics: &metrics,
+            vector_path: Some(dir.path().join("v.bin")),
+            ..Job::new(&file_limit, data)
+        };
+        run(job, traverse).unwrap();
+        stream(name, scopes);
+    }
+    let ooc_mem = EngineSpec {
+        residency: Residency::OocMem { fraction: 0.4 },
+        ..setup::base_spec(&parts)
+    };
+    for (scope, data) in [("alice/job-1", &whole), ("bob/job-2", &parts)] {
+        let metrics = MetricsFile::appending(Some(dir.path().join("serve.jsonl")));
+        let job = Job {
+            scope,
+            metrics: &metrics,
+            ..Job::new(&ooc_mem, data)
+        };
+        run(job, traverse).unwrap();
+    }
+    let served = ["alice/job-1", "bob/job-2/p0_dna", "bob/job-2/p1_prot"];
+    stream("serve.jsonl", &served);
 }

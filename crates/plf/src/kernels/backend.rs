@@ -14,17 +14,17 @@
 //! `dna4`, is therefore safe — it silently runs the widest applicable
 //! kernel rather than faulting or producing garbage. `avx2` covers every
 //! shape (the stride-16 module for DNA/Γ4, the wide module for protein and
-//! codon widths), and the bit-identical degradation floor for specialized
-//! backends is `generic`, never plain `scalar`.
+//! codon widths); `dna4` applies to DNA/Γ4 only, and the floor under both
+//! is `scalar`, which runs any shape.
 
-use super::{derivatives, dna4, evaluate, generic, newview, Dims};
+use super::{derivatives, dna4, evaluate, newview, Dims};
 use phylo_models::PMatrices;
 
 #[cfg(target_arch = "x86_64")]
 use super::{avx2, wide};
 
 /// Environment variable overriding backend auto-detection
-/// (`scalar` | `generic` | `dna4` | `avx2`; empty or unset means auto).
+/// (`scalar` | `dna4` | `avx2`; empty or unset means auto).
 pub const KERNEL_ENV_VAR: &str = "OOC_PLF_KERNEL";
 
 /// Which kernel implementation an engine executes.
@@ -33,10 +33,6 @@ pub enum KernelBackend {
     /// Generic triple-loop kernels, any `n_states`/`n_cats`. The reference
     /// implementation every other backend is validated against.
     Scalar,
-    /// Width-generic unrolled kernels (column accumulation over transposed
-    /// matrices); any `n_states`/`n_cats`, bit-identical to `Scalar` (same
-    /// floating-point evaluation order).
-    GenericUnrolled,
     /// Fully unrolled DNA/Γ4 (stride-16) kernels; bit-identical to
     /// `Scalar` (same floating-point evaluation order).
     Dna4Unrolled,
@@ -49,9 +45,8 @@ pub enum KernelBackend {
 
 impl KernelBackend {
     /// All backends, in increasing specialization order.
-    pub const ALL: [KernelBackend; 4] = [
+    pub const ALL: [KernelBackend; 3] = [
         KernelBackend::Scalar,
-        KernelBackend::GenericUnrolled,
         KernelBackend::Dna4Unrolled,
         KernelBackend::Avx2Fma,
     ];
@@ -61,7 +56,6 @@ impl KernelBackend {
     pub fn name(&self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
-            KernelBackend::GenericUnrolled => "generic",
             KernelBackend::Dna4Unrolled => "dna4",
             KernelBackend::Avx2Fma => "avx2",
         }
@@ -71,9 +65,6 @@ impl KernelBackend {
     pub fn from_name(s: &str) -> Option<KernelBackend> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelBackend::Scalar),
-            "generic" | "genericunrolled" | "generic-unrolled" => {
-                Some(KernelBackend::GenericUnrolled)
-            }
             "dna4" | "dna4unrolled" | "dna4-unrolled" | "unrolled" => {
                 Some(KernelBackend::Dna4Unrolled)
             }
@@ -91,7 +82,7 @@ impl KernelBackend {
             Ok(s) => KernelBackend::from_name(&s).map(Some).ok_or_else(|| {
                 format!(
                     "invalid {KERNEL_ENV_VAR}={s:?}: expected one of \
-                     scalar | generic | dna4 | avx2"
+                     scalar | dna4 | avx2"
                 )
             }),
         }
@@ -120,12 +111,11 @@ impl KernelBackend {
     }
 
     /// Can this backend's specialized kernels run these dimensions (on
-    /// this machine)? `Scalar` and `GenericUnrolled` always can; `Avx2Fma`
-    /// runs *any* dimensions (stride-16 or wide module) when the CPU has
+    /// this machine)? `Scalar` always can; `Avx2Fma` runs *any* dimensions (stride-16 or wide module) when the CPU has
     /// the features.
     pub fn supports(&self, dims: &Dims) -> bool {
         match self {
-            KernelBackend::Scalar | KernelBackend::GenericUnrolled => true,
+            KernelBackend::Scalar => true,
             KernelBackend::Dna4Unrolled => dna4::dims_match(dims),
             KernelBackend::Avx2Fma => {
                 #[cfg(target_arch = "x86_64")]
@@ -144,17 +134,15 @@ impl KernelBackend {
 
     /// Resolve the requested backend against dimensions and CPU: the
     /// backend whose kernels will actually execute. The degradation chain
-    /// is `avx2 → dna4 → generic` — never scalar, because the generic
-    /// unrolled kernels run any dimensions bit-identically to scalar.
+    /// is `avx2 → dna4 → scalar`.
     pub fn effective(&self, dims: &Dims) -> KernelBackend {
         match self {
             KernelBackend::Scalar => KernelBackend::Scalar,
-            KernelBackend::GenericUnrolled => KernelBackend::GenericUnrolled,
             KernelBackend::Dna4Unrolled if dna4::dims_match(dims) => KernelBackend::Dna4Unrolled,
-            KernelBackend::Dna4Unrolled => KernelBackend::GenericUnrolled,
+            KernelBackend::Dna4Unrolled => KernelBackend::Scalar,
             KernelBackend::Avx2Fma if self.supports(dims) => KernelBackend::Avx2Fma,
             KernelBackend::Avx2Fma if dna4::dims_match(dims) => KernelBackend::Dna4Unrolled,
-            KernelBackend::Avx2Fma => KernelBackend::GenericUnrolled,
+            KernelBackend::Avx2Fma => KernelBackend::Scalar,
         }
     }
 
@@ -173,9 +161,6 @@ impl KernelBackend {
         match self.effective(dims) {
             KernelBackend::Scalar => {
                 newview::newview_tip_tip(dims, parent, scale_p, lut_l, codes_l, lut_r, codes_r)
-            }
-            KernelBackend::GenericUnrolled => {
-                generic::newview_tip_tip(dims, parent, scale_p, lut_l, codes_l, lut_r, codes_r)
             }
             KernelBackend::Dna4Unrolled => {
                 dna4::newview_tip_tip(dims, parent, scale_p, lut_l, codes_l, lut_r, codes_r)
@@ -211,16 +196,6 @@ impl KernelBackend {
     ) {
         match self.effective(dims) {
             KernelBackend::Scalar => newview::newview_tip_inner(
-                dims,
-                parent,
-                scale_p,
-                lut_tip,
-                codes_tip,
-                inner,
-                scale_inner,
-                pm_inner,
-            ),
-            KernelBackend::GenericUnrolled => generic::newview_tip_inner(
                 dims,
                 parent,
                 scale_p,
@@ -292,9 +267,6 @@ impl KernelBackend {
             KernelBackend::Scalar => newview::newview_inner_inner(
                 dims, parent, scale_p, left, scale_l, pm_l, right, scale_r, pm_r,
             ),
-            KernelBackend::GenericUnrolled => generic::newview_inner_inner(
-                dims, parent, scale_p, left, scale_l, pm_l, right, scale_r, pm_r,
-            ),
             KernelBackend::Dna4Unrolled => dna4::newview_inner_inner(
                 dims, parent, scale_p, left, scale_l, pm_l, right, scale_r, pm_r,
             ),
@@ -336,9 +308,6 @@ impl KernelBackend {
             KernelBackend::Scalar => evaluate::evaluate_inner_inner_sites(
                 dims, pvec, scale_p, qvec, scale_q, pm_root, freqs, weights, site_out,
             ),
-            KernelBackend::GenericUnrolled => generic::evaluate_inner_inner_sites(
-                dims, pvec, scale_p, qvec, scale_q, pm_root, freqs, weights, site_out,
-            ),
             KernelBackend::Dna4Unrolled => dna4::evaluate_inner_inner_sites(
                 dims, pvec, scale_p, qvec, scale_q, pm_root, freqs, weights, site_out,
             ),
@@ -376,9 +345,6 @@ impl KernelBackend {
     ) {
         match self.effective(dims) {
             KernelBackend::Scalar => evaluate::evaluate_tip_inner_sites(
-                dims, root_lut, codes_tip, qvec, scale_q, weights, site_out,
-            ),
-            KernelBackend::GenericUnrolled => generic::evaluate_tip_inner_sites(
                 dims, root_lut, codes_tip, qvec, scale_q, weights, site_out,
             ),
             KernelBackend::Dna4Unrolled => dna4::evaluate_tip_inner_sites(
@@ -421,18 +387,6 @@ impl KernelBackend {
     ) {
         match self.effective(dims) {
             KernelBackend::Scalar => derivatives::nr_derivatives_sites(
-                dims,
-                sumtable,
-                weights,
-                scale_sums,
-                eigenvalues,
-                rates,
-                z,
-                out_l,
-                out_d1,
-                out_d2,
-            ),
-            KernelBackend::GenericUnrolled => generic::nr_derivatives_sites(
                 dims,
                 sumtable,
                 weights,
@@ -552,21 +506,19 @@ mod tests {
 
     #[test]
     fn specialized_backends_degrade_on_protein_dims() {
-        // Protein is no longer scalar-only: dna4 degrades to the generic
-        // unrolled kernels, and avx2 runs its wide module when the CPU has
-        // the features (degrading to generic otherwise).
+        // dna4 degrades to scalar; avx2 runs its wide module when the CPU
+        // has the features (degrading to scalar otherwise).
         let d = protein_dims();
         assert!(!KernelBackend::Dna4Unrolled.supports(&d));
         assert_eq!(
             KernelBackend::Dna4Unrolled.effective(&d),
-            KernelBackend::GenericUnrolled
+            KernelBackend::Scalar
         );
-        assert!(KernelBackend::GenericUnrolled.supports(&d));
         let eff = KernelBackend::Avx2Fma.effective(&d);
         if KernelBackend::Avx2Fma.supports(&d) {
             assert_eq!(eff, KernelBackend::Avx2Fma);
         } else {
-            assert_eq!(eff, KernelBackend::GenericUnrolled);
+            assert_eq!(eff, KernelBackend::Scalar);
         }
     }
 
@@ -680,14 +632,15 @@ mod tests {
                 }
             }
         }
-        // Scalar and generic are exactly equal, not merely close.
+        // dna4 on protein dims degrades to scalar: exactly equal, not
+        // merely close.
         let mut p_s = vec![0.0; d.width()];
         let mut p_g = vec![0.0; d.width()];
         let mut sc = vec![0u32; d.n_patterns];
         KernelBackend::Scalar.newview_inner_inner(
             &d, &mut p_s, &mut sc, &left, &zeros, &pm, &right, &zeros, &pm,
         );
-        KernelBackend::GenericUnrolled.newview_inner_inner(
+        KernelBackend::Dna4Unrolled.newview_inner_inner(
             &d, &mut p_g, &mut sc, &left, &zeros, &pm, &right, &zeros, &pm,
         );
         assert_eq!(p_s, p_g);

@@ -10,7 +10,6 @@ pub mod backend;
 pub mod derivatives;
 pub mod dna4;
 pub mod evaluate;
-pub mod generic;
 pub mod newview;
 #[cfg(target_arch = "x86_64")]
 pub mod wide;

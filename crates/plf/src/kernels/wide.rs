@@ -13,8 +13,8 @@
 //!
 //! Every `#[target_feature]` function is `unsafe fn`; the only caller is
 //! [`super::backend::KernelBackend`], which checks
-//! [`super::avx2::available`] before entering and degrades to the generic
-//! unrolled kernels otherwise.
+//! [`super::avx2::available`] before entering and degrades to the scalar
+//! kernels otherwise.
 
 #![allow(unsafe_code)]
 

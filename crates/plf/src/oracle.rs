@@ -8,7 +8,7 @@
 //! search rearranges it: callers refresh the handle (typically at round
 //! boundaries) with [`SharedTree::update`].
 
-use ooc_core::{ItemId, TopologyOracle};
+use ooc_core::{ItemId, ReplacementStrategy, StrategyKind, TopologyOracle};
 use parking_lot::RwLock;
 use phylo_tree::distance::distances_from;
 use phylo_tree::Tree;
@@ -60,6 +60,25 @@ impl TopologyOracle for TreeOracle {
         self.item_dist
             .extend((0..n_inner as u32).map(|i| self.node_dist[tree.inner_node(i) as usize]));
         &self.item_dist
+    }
+}
+
+/// Build the replacement strategy for one manager, wiring up a
+/// [`TreeOracle`] for the strategies that rank vectors by tree distance:
+/// Topological (its whole policy) and NextUse (its beyond-plan fallback).
+/// Returns the strategy and, when an oracle was wired, the shared tree
+/// handle to refresh after rearrangements.
+pub fn build_strategy(
+    kind: StrategyKind,
+    tree: &Tree,
+) -> (Box<dyn ReplacementStrategy>, Option<SharedTree>) {
+    match kind {
+        StrategyKind::Topological | StrategyKind::NextUse => {
+            let shared = SharedTree::new(tree);
+            let oracle = TreeOracle::new(shared.clone());
+            (kind.build(Some(Box::new(oracle))), Some(shared))
+        }
+        _ => (kind.build(None), None),
     }
 }
 

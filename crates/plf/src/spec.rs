@@ -42,7 +42,7 @@
 
 use crate::brlen::NrBranchEngine;
 use crate::likelihood_api::LikelihoodEngine;
-use crate::oracle::{SharedTree, TreeOracle};
+use crate::oracle::{build_strategy, SharedTree};
 use crate::partition::PartitionedPlfEngine;
 use crate::sharded::ShardedPlfEngine;
 use crate::store_api::{AncestralStore, InRamStore, OocStore, PagedStore};
@@ -371,6 +371,10 @@ pub struct BuiltEngine {
     pub engine: Box<dyn DynEngine>,
     /// One handle per oracle-wired manager.
     pub handles: Vec<SharedTree>,
+    /// The backing files the build created (one per partition for the
+    /// file-backed residencies, none otherwise). They hold evicted vectors
+    /// only while the engine lives; whoever owns the run removes them.
+    pub vector_files: Vec<PathBuf>,
 }
 
 /// The manager store type every out-of-core build resolves to.
@@ -383,8 +387,8 @@ struct PartSite<'a> {
     part: &'a PartSpec<'a>,
     /// Vector width of each shard, in shard order.
     widths: &'a [usize],
-    /// The partition's backing file, when the context names a base path.
-    path: Option<PathBuf>,
+    /// The partition's backing file, for the file-backed residencies.
+    path: Option<&'a Path>,
     /// The partition's recorder, when the context hands them out.
     rec: Option<Recorder>,
 }
@@ -573,30 +577,56 @@ impl EngineSpec {
                 self.residency.name()
             )));
         }
+        // The one place that knows where vector files live: a single
+        // partition keeps the path as given (callers reopen exactly that
+        // file); several take `p<i>`.
+        let vector_files: Vec<PathBuf> = match &ctx.vector_path {
+            Some(base) if self.residency.needs_path() => (0..parts.len())
+                .map(|i| match parts.len() {
+                    1 => base.clone(),
+                    _ => base.with_extension(format!("p{i}")),
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
         let n_items = tree.n_inner();
         let mut handles = Vec::new();
+        let files = &vector_files;
         let engine = match self.residency {
-            Residency::InRam => self.assemble(tree, parts, ctx, |site| {
+            Residency::InRam => self.assemble(tree, parts, files, ctx, |site| {
                 let stores = site.widths.iter().map(|&w| InRamStore::new(n_items, w));
                 Ok(stores.collect())
-            })?,
-            Residency::Paged { phys_bytes } => self.assemble(tree, parts, ctx, |site| {
+            }),
+            Residency::Paged { phys_bytes } => self.assemble(tree, parts, files, ctx, |site| {
                 // `validate` holds paged residency to one shard: one arena
                 // holds the partition's full-width vectors.
                 let w = site.widths[0];
-                let path = site.path.as_deref().expect("checked above");
+                let path = site.path.expect("checked above");
                 let arena = pager_sim::PagedArena::new(n_items * w * 8, phys_bytes as usize, path)?;
                 Ok(vec![PagedStore::new(arena, n_items, w)])
-            })?,
+            }),
             _ => {
                 let budgets = self.partition_budgets(tree, parts);
-                self.assemble(tree, parts, ctx, |site| {
+                self.assemble(tree, parts, files, ctx, |site| {
                     let budget = budgets.as_ref().map(|b| b[site.index]);
                     self.managed_stores(tree, site, budget, ctx, &mut handles)
-                })?
+                })
             }
         };
-        Ok(BuiltEngine { engine, handles })
+        match engine {
+            Ok(engine) => Ok(BuiltEngine {
+                engine,
+                handles,
+                vector_files,
+            }),
+            Err(e) => {
+                // A failed build leaves nothing behind.
+                for file in &vector_files {
+                    let _ = std::fs::remove_file(file);
+                }
+                Err(e)
+            }
+        }
     }
 
     /// The one assembly routine: per partition, lay out the shards, take
@@ -605,6 +635,7 @@ impl EngineSpec {
         &self,
         tree: &Tree,
         parts: &[PartSpec<'_>],
+        vector_files: &[PathBuf],
         ctx: &BuildContext,
         mut stores: impl FnMut(&PartSite<'_>) -> Result<Vec<S>, SpecError>,
     ) -> Result<Box<dyn DynEngine>, SpecError> {
@@ -617,12 +648,7 @@ impl EngineSpec {
                     index,
                     part,
                     widths: &widths,
-                    // A single partition keeps the path as given (callers
-                    // reopen exactly that file); several take `p<i>`.
-                    path: ctx.vector_path.as_ref().map(|base| match parts.len() {
-                        1 => base.clone(),
-                        _ => base.with_extension(format!("p{index}")),
-                    }),
+                    path: vector_files.get(index).map(PathBuf::as_path),
                     rec: ctx.recorders.as_ref().map(|f| f(&part.name)),
                 };
                 let mut member = ShardedPlfEngine::new(
@@ -703,24 +729,6 @@ impl EngineSpec {
         Ok(builder.build()?)
     }
 
-    /// Build the strategy for one manager, wiring a tree oracle for the
-    /// topology-aware kinds and collecting its refresh handle.
-    fn strategy(
-        &self,
-        tree: &Tree,
-        handles: &mut Vec<SharedTree>,
-    ) -> Box<dyn ooc_core::ReplacementStrategy> {
-        match self.strategy {
-            StrategyKind::Topological | StrategyKind::NextUse => {
-                let shared = SharedTree::new(tree);
-                let oracle = TreeOracle::new(shared.clone());
-                handles.push(shared);
-                self.strategy.build(Some(Box::new(oracle)))
-            }
-            _ => self.strategy.build(None),
-        }
-    }
-
     /// The width one manager's *inner* backing store is created with: the
     /// logical width raw, or the worst-case encoded capacity under
     /// [`EngineSpec::compression`].
@@ -756,7 +764,7 @@ impl EngineSpec {
         let mut regions = match self.residency {
             Residency::OocMem { .. } => Vec::new(),
             _ => {
-                let path = site.path.as_deref().expect("checked in build");
+                let path = site.path.expect("checked in build");
                 FileStore::create_regions(path, n_items, &caps)
                     .map_err(|e| vector_file_error(path, e))?
             }
@@ -780,7 +788,9 @@ impl EngineSpec {
                         self.shard_store(mem, Vec::new(), n_items, w, stride, ctx, rec)
                     }
                 };
-                let mut mgr = VectorManager::new(cfg, self.strategy(tree, handles), store);
+                let (strategy, handle) = build_strategy(self.strategy, tree);
+                handles.extend(handle);
+                let mut mgr = VectorManager::new(cfg, strategy, store);
                 if let Some(grant) = &ctx.tenant {
                     mgr.attach_tenant(grant.clone());
                 }
@@ -1043,7 +1053,7 @@ impl EngineSpec {
                 other => Some(KernelBackend::from_name(other).ok_or_else(|| {
                     SpecError(format!(
                         "unknown kernel '{other}': expected \
-                         auto | scalar | generic | dna4 | avx2"
+                         auto | scalar | dna4 | avx2"
                     ))
                 })?),
             };

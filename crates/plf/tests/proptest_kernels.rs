@@ -5,7 +5,7 @@
 //! 1e-13, evaluate / NR-derivative site terms within a bound derived from
 //! the length and conditioning of the sums they reassociate, scale counts
 //! *exactly* equal (the 2⁻²⁵⁶ threshold predicate must never flip across
-//! backends), and the generic-unrolled backend bit-identical.
+//! backends).
 
 use phylo_models::{DiscreteGamma, PMatrices, ReversibleModel};
 use phylo_plf::kernels::derivatives::{build_sumtable, SumSide};
@@ -301,14 +301,7 @@ proptest! {
                 &got_scale, &want_scale,
                 "{} scale counts diverged from scalar", backend.name()
             );
-            if backend == KernelBackend::GenericUnrolled {
-                // The generic-unrolled backend performs the scalar
-                // reference's additions in the same order per lane:
-                // bit-identical, not merely close.
-                prop_assert_eq!(&got, &want);
-            } else {
-                assert_close_slices(backend.name(), &got, &want)?;
-            }
+            assert_close_slices(backend.name(), &got, &want)?;
         }
         // Deep underflow must actually engage the scaling path, so the
         // equality above is exercised where it matters.
@@ -372,20 +365,16 @@ fn evaluate_and_derivatives_agree(
             &weights,
             &mut got,
         );
-        if backend == KernelBackend::GenericUnrolled {
-            prop_assert_eq!(&got, &want);
-        } else {
-            // A term reaches the site sum through its three products, the
-            // `y`, `x` and category additions and the category weight;
-            // the logarithm turns the sum's relative gap into an absolute
-            // one, and `ln`, the scaling offset and the pattern weight
-            // round a few more times at the size of the result.
-            let chain = 2 * n_states + dims.n_cats + 4;
-            assert_within(backend.name(), &got, &want, |i| {
-                let (sum, abs) = evaluate_site_sums(&case, i);
-                weights[i] as f64 * reorder_gap(chain) * abs / sum + 8.0 * U * want[i].abs()
-            })?;
-        }
+        // A term reaches the site sum through its three products, the
+        // `y`, `x` and category additions and the category weight; the
+        // logarithm turns the sum's relative gap into an absolute one,
+        // and `ln`, the scaling offset and the pattern weight round a few
+        // more times at the size of the result.
+        let chain = 2 * n_states + dims.n_cats + 4;
+        assert_within(backend.name(), &got, &want, |i| {
+            let (sum, abs) = evaluate_site_sums(&case, i);
+            weights[i] as f64 * reorder_gap(chain) * abs / sum + 8.0 * U * want[i].abs()
+        })?;
     }
 
     let mut sumtable = Vec::new();

@@ -30,13 +30,11 @@
 //! Engines are constructed *exclusively* through [`EngineSpec`]: a job is
 //! a dataset description plus a TOML profile plus a job kind.
 
-use ooc_core::{
-    AdmissionError, ArenaCounters, CancelToken, JsonlSink, MemorySink, MonotonicClock, OocStats,
-    Recorder, SlotArena,
-};
+use ooc_core::{AdmissionError, ArenaCounters, CancelToken, JsonlSink, SlotArena};
 use parking_lot::{Condvar, Mutex};
-use phylo_ooc::setup::{self, Dataset, DatasetSpec, PartitionedDataset};
-use phylo_plf::{BuildContext, EngineSpec, LikelihoodEngine, PartSpec};
+use phylo_ooc::run::{run, Job, MetricsFile, Run};
+use phylo_ooc::setup::{self, Dataset, DatasetSpec};
+use phylo_plf::{EngineSpec, LikelihoodEngine};
 use phylo_search::hillclimb::{hill_climb_observed, SearchConfig};
 use phylo_seq::PartitionKind;
 use std::collections::{HashMap, VecDeque};
@@ -443,65 +441,35 @@ fn worker_loop(queue: &JobQueue, arena: SlotArena, cfg: ServeConfig) {
     }
 }
 
-/// The job's dataset, either flat or partitioned.
-enum JobData {
-    Single(Dataset),
-    Partitioned(PartitionedDataset),
-}
-
-impl JobData {
-    fn tree(&self) -> &phylo_tree::Tree {
-        match self {
-            JobData::Single(d) => &d.tree,
-            JobData::Partitioned(d) => &d.tree,
+fn build_dataset(req: &DatasetRequest, spec: &EngineSpec) -> Result<Dataset, String> {
+    let parts = match &req.partitions {
+        None if req.n_sites == 0 => {
+            return Err("dataset needs n_sites > 0 (or a partition list)".into())
         }
-    }
-
-    fn part_specs(&self) -> Vec<PartSpec<'_>> {
-        match self {
-            JobData::Single(d) => setup::part_specs(d),
-            JobData::Partitioned(d) => setup::partitioned_part_specs(d),
-        }
-    }
-}
-
-fn build_dataset(req: &DatasetRequest, spec: &EngineSpec) -> Result<JobData, String> {
-    let ds = DatasetSpec {
+        None => Vec::new(),
+        Some(parts) if parts.is_empty() => return Err("partition list must not be empty".into()),
+        Some(parts) => parts
+            .iter()
+            .map(|p| {
+                let kind = match p.kind.as_str() {
+                    "dna" => PartitionKind::Dna,
+                    "protein" => PartitionKind::Protein,
+                    "codon" => PartitionKind::Codon,
+                    other => return Err(format!("unknown partition kind '{other}'")),
+                };
+                Ok((kind, p.n_sites))
+            })
+            .collect::<Result<Vec<_>, String>>()?,
+    };
+    Ok(setup::simulate_dataset(&DatasetSpec {
         n_taxa: req.n_taxa,
         n_sites: req.n_sites,
         seed: req.seed,
         alpha: spec.alpha,
         n_cats: spec.n_cats,
+        parts,
         ..DatasetSpec::default()
-    };
-    match &req.partitions {
-        None => {
-            if req.n_sites == 0 {
-                return Err("dataset needs n_sites > 0 (or a partition list)".into());
-            }
-            Ok(JobData::Single(setup::simulate_dataset(&ds)))
-        }
-        Some(parts) => {
-            if parts.is_empty() {
-                return Err("partition list must not be empty".into());
-            }
-            let parts = parts
-                .iter()
-                .map(|p| {
-                    let kind = match p.kind.as_str() {
-                        "dna" => PartitionKind::Dna,
-                        "protein" => PartitionKind::Protein,
-                        "codon" => PartitionKind::Codon,
-                        other => return Err(format!("unknown partition kind '{other}'")),
-                    };
-                    Ok((kind, p.n_sites))
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(JobData::Partitioned(setup::simulate_partitioned_dataset(
-                &ds, &parts,
-            )))
-        }
-    }
+    }))
 }
 
 /// Run a request's dataset + profile *solo* — no arena, no queue, no
@@ -517,143 +485,74 @@ pub fn solo_likelihood(
 ) -> Result<(f64, Vec<f64>), String> {
     let spec = EngineSpec::from_toml(profile).map_err(|e| e.to_string())?;
     let data = build_dataset(dataset, &spec)?;
-    let parts = data.part_specs();
-    let ctx = BuildContext::new().vector_path(scratch);
-    let built = spec
-        .build(data.tree(), &parts, &ctx)
-        .map_err(|e| e.to_string())?;
-    let mut engine = built.engine;
-    let lnl = engine
-        .full_traversals(traversals.max(1))
-        .map_err(|e| e.to_string())?;
-    let partition_lnls = engine.partition_lnls().map_err(|e| e.to_string())?;
-    drop(engine);
-    let _ = std::fs::remove_file(scratch);
-    Ok((lnl, partition_lnls))
-}
-
-/// Per-scope recorder factory that also emits the job's `profile` header
-/// record (exactly one per scope) and remembers every recorder it handed
-/// out so stats can be reconciled and histograms flushed at job end.
-struct ScopeRecorders {
-    metrics_path: Option<PathBuf>,
-    scope_base: String,
-    profile: String,
-    handed_out: Mutex<Vec<(String, Recorder)>>,
-}
-
-impl ScopeRecorders {
-    fn scope_of(&self, part: &str) -> String {
-        if part.is_empty() {
-            self.scope_base.clone()
-        } else {
-            format!("{}/{part}", self.scope_base)
-        }
-    }
-
-    fn make(&self, part: &str) -> Recorder {
-        let scope = self.scope_of(part);
-        let rec = match &self.metrics_path {
-            Some(path) => match JsonlSink::append(path) {
-                Ok(sink) => Recorder::scoped(MonotonicClock::new(), sink, scope.clone()),
-                // A broken metrics file must not fail the job: fall back
-                // to an in-memory sink (metrics lost, likelihoods not).
-                Err(_) => {
-                    Recorder::scoped(MonotonicClock::new(), MemorySink::new().0, scope.clone())
-                }
-            },
-            None => Recorder::scoped(MonotonicClock::new(), MemorySink::new().0, scope.clone()),
-        };
-        rec.emit_profile(&self.profile);
-        self.handed_out.lock().push((scope, rec.clone()));
-        rec
-    }
-
-    fn finish(&self, stats: &[(String, Option<OocStats>)]) {
-        let handed = self.handed_out.lock();
-        for (scope, rec) in handed.iter() {
-            if let Some((_, Some(s))) = stats.iter().find(|(sc, _)| sc == scope) {
-                rec.emit_stats(s);
-            }
-            let _ = rec.finish();
-        }
-    }
+    let job = Job {
+        vector_path: Some(scratch.to_owned()),
+        ..Job::new(&spec, &data)
+    };
+    let run = run(job, |engine, _| {
+        let lnl = engine.full_traversals(traversals.max(1));
+        lnl.and_then(|lnl| Ok((lnl, engine.partition_lnls()?)))
+            .map_err(|e| e.to_string())
+    })?;
+    Ok(run.value)
 }
 
 fn run_job(job: &QueuedJob, arena: &SlotArena, cfg: &ServeConfig) -> JobStatus {
+    match admit_and_run(job, arena, cfg) {
+        Ok(run) => run.value,
+        Err(status) => status,
+    }
+}
+
+/// Admit → build → run → release, as one [`run`] call; `Err` is the job's
+/// outcome when it never produced one of its own (refused, or failed).
+fn admit_and_run(
+    job: &QueuedJob,
+    arena: &SlotArena,
+    cfg: &ServeConfig,
+) -> Result<Run<JobStatus>, JobStatus> {
     let fail = |e: String| JobStatus::Failed { error: e };
 
-    let spec = match EngineSpec::from_toml(&job.req.profile) {
-        Ok(s) => s,
-        Err(e) => return fail(e.to_string()),
-    };
-    let data = match build_dataset(&job.req.dataset, &spec) {
-        Ok(d) => d,
-        Err(e) => return fail(e),
-    };
-    let parts = data.part_specs();
-    let tree = data.tree();
+    let spec = EngineSpec::from_toml(&job.req.profile).map_err(|e| fail(e.to_string()))?;
+    let data = build_dataset(&job.req.dataset, &spec).map_err(fail)?;
 
     // Admission control: size the job, then ask the arena *before* paying
     // for construction. A refusal is a job outcome, not an error path.
-    let (want, min) = match spec.memory_demand(tree, &parts) {
-        Ok(d) => d,
-        Err(e) => return fail(e.to_string()),
-    };
+    let (want, min) = spec
+        .memory_demand(&data.tree, &setup::part_specs(&data))
+        .map_err(|e| fail(e.to_string()))?;
     let label = format!("{}/job-{}", job.req.tenant, job.id);
-    let grant = match arena.admit(&label, want, min) {
-        Ok(g) => g,
-        Err(e @ AdmissionError::Insufficient { .. }) => {
-            return JobStatus::Rejected {
-                reason: e.to_string(),
-            }
-        }
-        Err(e) => return fail(e.to_string()),
-    };
+    let grant = arena.admit(&label, want, min).map_err(|e| match e {
+        AdmissionError::Insufficient { .. } => JobStatus::Rejected {
+            reason: e.to_string(),
+        },
+        _ => fail(e.to_string()),
+    })?;
 
-    let recorders = Arc::new(ScopeRecorders {
-        metrics_path: cfg.metrics_path.clone(),
-        scope_base: label.clone(),
-        profile: spec.to_toml(),
-        handed_out: Mutex::new(Vec::new()),
-    });
-
+    // A broken metrics file must not fail the job: metrics lost,
+    // likelihoods not.
+    let usable = |path: &PathBuf| JsonlSink::append(path).is_ok();
+    let metrics = MetricsFile::appending(cfg.metrics_path.clone().filter(usable));
     let scratch = cfg.scratch_dir.join(format!(
         "{}-job{}.vec",
         job.req.tenant.replace('/', "_"),
         job.id
     ));
-    let rec_factory = recorders.clone();
-    let ctx = BuildContext::new()
-        .vector_path(&scratch)
-        .tenant(grant)
-        .cancel(job.state.cancel.clone())
-        .recorders(move |part| rec_factory.make(part));
-
-    let built = match spec.build(tree, &parts, &ctx) {
-        Ok(b) => b,
-        Err(e) => return fail(e.to_string()),
+    // The runner drops the engine — releasing the grant — and removes the
+    // job's vector files before the outcome is reported.
+    let n_half_edges = data.tree.n_half_edges();
+    let served = Job {
+        scope: &label,
+        metrics: &metrics,
+        vector_path: Some(scratch),
+        tenant: Some(grant),
+        cancel: Some(job.state.cancel.clone()),
+        ..Job::new(&spec, &data)
     };
-    let mut engine = built.engine;
-
-    let result = execute_kind(&job.req.job, &mut engine, tree.n_half_edges());
-
-    // Reconcile stats into each partition's scope, flush histograms.
-    let names: Vec<String> = parts.iter().map(|p| p.name.clone()).collect();
-    let stats: Vec<(String, Option<OocStats>)> = names
-        .iter()
-        .zip(engine.partition_ooc_stats())
-        .map(|(n, s)| (recorders.scope_of(n), s))
-        .collect();
-    recorders.finish(&stats);
-
-    drop(engine); // release the grant before reporting
-    let _ = std::fs::remove_file(&scratch);
-
-    match result {
-        Ok(status) => status,
-        Err(e) => fail(e.to_string()),
-    }
+    run(served, |engine, _| {
+        execute_kind(&job.req.job, engine, n_half_edges).map_err(|e| e.to_string())
+    })
+    .map_err(fail)
 }
 
 fn execute_kind(
@@ -715,5 +614,63 @@ fn execute_kind(
                 batch: Some(batch),
             })
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A run records only when someone will read it: without a metrics
+    /// stream a served job's engine and managers carry no recorder at all
+    /// (it used to get an in-memory sink that grew with every miss and
+    /// eviction, outside the arena budget, and that nobody read).
+    #[test]
+    fn a_job_records_only_into_a_metrics_stream() {
+        let dir = tempfile::tempdir().unwrap();
+        let arena = SlotArena::new(8 << 20).unwrap();
+        let job = QueuedJob {
+            id: 1,
+            req: JobRequest {
+                tenant: "t".into(),
+                dataset: DatasetRequest {
+                    n_taxa: 10,
+                    n_sites: 0,
+                    seed: 3,
+                    partitions: Some(vec![
+                        PartitionRequest {
+                            kind: "dna".into(),
+                            n_sites: 120,
+                        },
+                        PartitionRequest {
+                            kind: "protein".into(),
+                            n_sites: 30,
+                        },
+                    ]),
+                },
+                profile: "residency = \"ooc-mem\"\nfraction = 0.4\n".into(),
+                job: JobKind::Likelihood { traversals: 1 },
+            },
+            state: Arc::new(JobState {
+                status: Mutex::new(JobStatus::Running),
+                done: Condvar::new(),
+                cancel: CancelToken::new(),
+            }),
+        };
+        let mut cfg = ServeConfig {
+            scratch_dir: dir.path().to_owned(),
+            ..ServeConfig::default()
+        };
+        let silent = admit_and_run(&job, &arena, &cfg).unwrap();
+        assert!(matches!(silent.value, JobStatus::Done { .. }));
+        assert!(silent.recs.is_empty() && silent.attribution.is_empty());
+        assert!(silent.part_stats.iter().all(Option::is_some));
+
+        cfg.metrics_path = Some(dir.path().join("m.jsonl"));
+        let streamed = admit_and_run(&job, &arena, &cfg).unwrap();
+        assert_eq!(streamed.value, silent.value, "recording changes no value");
+        let scopes: Vec<&str> = streamed.recs.iter().map(|r| r.scope()).collect();
+        assert_eq!(scopes, ["t/job-1/p0_dna", "t/job-1/p1_prot"]);
+        assert_eq!(arena.n_tenants(), 0, "both grants released");
     }
 }

@@ -304,3 +304,79 @@ fn hostile_lines_get_an_error_and_the_service_keeps_serving() {
         "{resp} vs {solo:?}"
     );
 }
+
+/// A partitioned file-backed job writes one vector file per partition
+/// (`<scratch>.p<i>`); whatever the job's outcome, none of them outlives
+/// it. (The service used to remove `<scratch>.vec` only — a name no
+/// partitioned job ever wrote — and leaked a full-size file per partition
+/// per job.)
+#[test]
+fn no_job_outcome_leaves_vector_files_behind() {
+    let dir = tempfile::tempdir().unwrap();
+    let service = Service::start(ServeConfig {
+        arena_bytes: 32 << 20,
+        workers: 1,
+        scratch_dir: dir.path().to_owned(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let leftovers = || -> Vec<String> {
+        std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect()
+    };
+    let part = |kind: &str, n_sites| ooc_serve::PartitionRequest {
+        kind: kind.into(),
+        n_sites,
+    };
+    let job = |job: JobKind| JobRequest {
+        tenant: "leaky".into(),
+        dataset: DatasetRequest {
+            n_taxa: 14,
+            n_sites: 0,
+            seed: 31,
+            partitions: Some(vec![
+                part("dna", 400),
+                part("protein", 80),
+                part("codon", 30),
+            ]),
+        },
+        profile: "residency = \"file-limit\"\nlimit_bytes = 600000\n".into(),
+        job,
+    };
+
+    let done = service
+        .submit(job(JobKind::Likelihood { traversals: 2 }))
+        .unwrap();
+    match service.wait(done).unwrap() {
+        JobStatus::Done { partition_lnls, .. } => assert_eq!(partition_lnls.len(), 3),
+        other => panic!("expected done, got {other:?}"),
+    }
+    assert_eq!(leftovers(), Vec::<String>::new(), "after a finished job");
+
+    let failed = service
+        .submit(job(JobKind::EvaluateBatch { roots: vec![9999] }))
+        .unwrap();
+    assert!(matches!(
+        service.wait(failed).unwrap(),
+        JobStatus::Failed { .. }
+    ));
+    assert_eq!(leftovers(), Vec::<String>::new(), "after a failed job");
+
+    // Effectively unbounded, so the cancel lands mid-traversal.
+    let victim = service
+        .submit(job(JobKind::Likelihood {
+            traversals: 1_000_000,
+        }))
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while leftovers().len() < 3 {
+        assert!(Instant::now() < deadline, "victim never built its stores");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(service.cancel(victim));
+    assert_eq!(service.wait(victim).unwrap(), JobStatus::Cancelled);
+    assert_eq!(leftovers(), Vec::<String>::new(), "after a cancelled job");
+    assert_eq!(service.n_tenants(), 0);
+}

@@ -32,7 +32,7 @@ fn main() {
         "MCMC: {} iterations on {} taxa x {} patterns\n",
         cfg.iterations,
         spec.n_taxa,
-        data.comp.n_patterns()
+        data.comp().n_patterns()
     );
 
     let mut standard = setup::inram_engine(&data);
@@ -49,7 +49,8 @@ fn main() {
         residency: Residency::OocMem { fraction: 0.25 },
         ..setup::base_spec(&data)
     };
-    let mut ooc = setup::build_engine(&ooc_spec, &data, &BuildContext::new())
+    let mut ooc = ooc_spec
+        .build(&data.tree, &setup::part_specs(&data), &BuildContext::new())
         .expect("spec build failed")
         .engine;
     let stats_ooc = run_mcmc(&mut ooc, &cfg).expect("MCMC over the OOC store failed");

@@ -67,7 +67,8 @@ fn main() {
         };
         let ctx = BuildContext::new()
             .vector_path(dir.path().join(format!("vectors_{}.bin", kind.label())));
-        let mut ooc = setup::build_engine(&ooc_spec, &data, &ctx)
+        let mut ooc = ooc_spec
+            .build(&data.tree, &setup::part_specs(&data), &ctx)
             .expect("failed to create backing file")
             .engine;
         let t0 = Instant::now();

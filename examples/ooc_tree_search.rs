@@ -34,7 +34,7 @@ fn main() {
     println!(
         "searching: {} taxa, {} patterns, SPR radius {}, {} round(s) max\n",
         spec.n_taxa,
-        data.comp.n_patterns(),
+        data.comp().n_patterns(),
         cfg.spr_radius,
         cfg.max_rounds
     );
@@ -52,7 +52,8 @@ fn main() {
         residency: Residency::OocMem { fraction: 0.25 },
         ..setup::base_spec(&data)
     };
-    let mut ooc = setup::build_engine(&ooc_spec, &data, &BuildContext::new())
+    let mut ooc = ooc_spec
+        .build(&data.tree, &setup::part_specs(&data), &BuildContext::new())
         .expect("spec build failed")
         .engine;
     let stats_ooc = hill_climb(&mut ooc, &cfg).expect("search over the OOC store failed");
@@ -69,7 +70,7 @@ fn main() {
         stats_ooc.final_lnl.to_bits(),
         "out-of-core search must reproduce the standard search exactly"
     );
-    let names: Vec<String> = data.comp.alignment.names().to_vec();
+    let names: Vec<String> = data.comp().alignment.names().to_vec();
     let t_std = write_newick(standard.tree(), &names);
     let t_ooc = write_newick(ooc.tree(), &names);
     assert_eq!(t_std, t_ooc, "final topologies must be identical");

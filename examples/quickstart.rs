@@ -21,9 +21,9 @@ fn main() {
         "dataset: {} taxa x {} sites ({} patterns), ancestral vectors: {} x {:.1} KiB = {:.1} MiB",
         spec.n_taxa,
         spec.n_sites,
-        data.comp.n_patterns(),
+        data.comp().n_patterns(),
         data.n_items(),
-        data.width() as f64 * 8.0 / 1024.0,
+        data.width(0) as f64 * 8.0 / 1024.0,
         data.total_vector_bytes() as f64 / (1024.0 * 1024.0),
     );
 
@@ -42,7 +42,8 @@ fn main() {
         ..setup::base_spec(&data)
     };
     let ctx = BuildContext::new().vector_path(dir.path().join("ancestral_vectors.bin"));
-    let mut ooc = setup::build_engine(&ooc_spec, &data, &ctx)
+    let mut ooc = ooc_spec
+        .build(&data.tree, &setup::part_specs(&data), &ctx)
         .expect("failed to create backing file")
         .engine;
     let lnl_ooc = ooc.log_likelihood().expect("out-of-core likelihood failed");

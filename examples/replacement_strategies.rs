@@ -21,7 +21,7 @@ fn main() {
     println!(
         "workload: smoothing passes + re-rooted evaluations on {} taxa, {} patterns\n",
         spec.n_taxa,
-        data.comp.n_patterns()
+        data.comp().n_patterns()
     );
     println!(
         "{:<14} {:>10} {:>10} {:>12} {:>12} {:>10}",
@@ -40,7 +40,8 @@ fn main() {
             strategy: kind,
             ..setup::base_spec(&data)
         };
-        let mut engine = setup::build_engine(&ooc_spec, &data, &BuildContext::new())
+        let mut engine = ooc_spec
+            .build(&data.tree, &setup::part_specs(&data), &BuildContext::new())
             .expect("spec build failed")
             .engine;
         // Warm up: one full likelihood computation (all vectors cold).

@@ -1,9 +1,9 @@
-//! Command-line flags of the `ooc-bench` subcommands.
+//! Command-line flags of the `phylo-ooc` and `ooc-bench` subcommands.
 //!
 //! Every subcommand declares its flags once, as a `&[Flag]` table: name,
 //! type, default — a single value, or a paper-geometry / `--quick` pair —
 //! and a help line. That one table parses the command line, backs the
-//! typed accessors and prints `ooc-bench <cmd> --help`, so a flag cannot
+//! typed accessors and prints `<program> <cmd> --help`, so a flag cannot
 //! be read that was not declared, and the `--quick` geometry of an
 //! experiment lives in one place.
 //!
@@ -141,6 +141,13 @@ impl Args {
     /// Was a bare switch given?
     pub fn flag(&self, name: &str) -> bool {
         assert_eq!(self.kind(name), Kind::Switch, "--{name} is not a switch");
+        self.given.contains_key(name)
+    }
+
+    /// Was the flag on the command line at all (for flags whose absence
+    /// means something other than their default)?
+    pub fn given(&self, name: &str) -> bool {
+        let _declared = self.kind(name);
         self.given.contains_key(name)
     }
 

@@ -18,15 +18,18 @@
 //! * [`search`] — lazy-SPR hill climbing (the realistic access pattern),
 //! * [`pager`] — the OS-paging baseline simulator.
 //!
-//! The [`setup`] module offers one-call constructors for the standard
-//! experiment configurations used by the examples, integration tests and
-//! the figure-regeneration benchmarks.
+//! On top of them this crate keeps three small modules: [`setup`] — the
+//! one dataset shape (p ≥ 1 partitions over a tree) and its simulator;
+//! [`run`] — the one run path above `EngineSpec::build` that the CLI, the
+//! service and the benchmarks share; [`args`] — the flag tables and strict
+//! parser of the `phylo-ooc` and `ooc-bench` subcommands.
 //!
 //! ## Quickstart
 //!
 //! ```
+//! use phylo_ooc::plf::{EngineSpec, LikelihoodEngine, Residency};
+//! use phylo_ooc::run::{run, Job};
 //! use phylo_ooc::setup::{self, DatasetSpec};
-//! use phylo_ooc::plf::{BuildContext, EngineSpec, LikelihoodEngine, Residency};
 //!
 //! // Simulate a small dataset; declare the engine instead of picking a
 //! // constructor: residency, strategy, shards etc. are orthogonal axes.
@@ -37,17 +40,15 @@
 //!     residency: Residency::OocMem { fraction: 0.25 },
 //!     ..setup::base_spec(&data)
 //! };
-//! let mut ooc = setup::build_engine(&ooc_spec, &data, &BuildContext::new())
-//!     .unwrap()
-//!     .engine;
+//! // (Likelihood methods return Result: store I/O can fail.)
+//! let ooc = run(Job::new(&ooc_spec, &data), |engine, _| {
+//!     engine.log_likelihood().map_err(|e| e.to_string())
+//! })
+//! .unwrap();
 //!
 //! // The paper's correctness criterion: identical likelihoods.
-//! // (Likelihood methods return Result: store I/O can fail.)
-//! assert_eq!(
-//!     standard.log_likelihood().unwrap(),
-//!     ooc.log_likelihood().unwrap(),
-//! );
-//! let stats = ooc.ooc_stats().expect("out-of-core engines expose stats");
+//! assert_eq!(standard.log_likelihood().unwrap(), ooc.value);
+//! let stats = ooc.stats.expect("out-of-core runs report their counters");
 //! assert!(stats.misses > 0, "with f = 0.25 there must be misses");
 //! ```
 
@@ -59,15 +60,14 @@ pub use phylo_search as search;
 pub use phylo_seq as seq;
 pub use phylo_tree as tree;
 
+pub mod args;
+pub mod run;
+
 pub mod setup {
     //! Canonical experiment setups shared by examples, tests and benches.
 
-    use ooc_core::StrategyKind;
     use phylo_models::{DiscreteGamma, ReversibleModel};
-    use phylo_plf::{
-        BuildContext, BuiltEngine, EngineSpec, InRamStore, PagedStore, PartSpec, PlfEngine,
-        SharedTree, SpecError, TreeOracle,
-    };
+    use phylo_plf::{AncestralStore, EngineSpec, InRamStore, PagedStore, PartSpec, PlfEngine};
     use phylo_seq::{compress_patterns, simulate_alignment, CompressedAlignment, PartitionKind};
     use phylo_tree::build::{random_topology, yule_like_lengths};
     use phylo_tree::Tree;
@@ -91,6 +91,10 @@ pub mod setup {
         pub n_cats: usize,
         /// Mean branch length of the random tree.
         pub mean_branch: f64,
+        /// `(kind, n_sites)` per partition (codon partitions count codon
+        /// sites, not nucleotides), named `p<i>_<kind>`; empty means one
+        /// unnamed DNA block of `n_sites`.
+        pub parts: Vec<(PartitionKind, usize)>,
     }
 
     impl Default for DatasetSpec {
@@ -102,125 +106,16 @@ pub mod setup {
                 alpha: 0.8,
                 n_cats: 4,
                 mean_branch: 0.12,
+                parts: Vec::new(),
             }
         }
     }
 
-    /// A simulated dataset: the true tree and the pattern-compressed
-    /// alignment, plus the model objects used to generate it.
-    pub struct Dataset {
-        /// Tree the sequences were simulated on.
-        pub tree: Tree,
-        /// Pattern-compressed alignment.
-        pub comp: CompressedAlignment,
-        /// Substitution model (HKY85 with fixed unequal frequencies).
-        pub model: ReversibleModel,
-        /// Spec it was built from.
-        pub spec: DatasetSpec,
-    }
-
-    impl Dataset {
-        /// Vector width in doubles for this dataset's engines.
-        pub fn width(&self) -> usize {
-            PlfEngine::<InRamStore>::dims_for(&self.comp, self.spec.n_cats).width()
-        }
-
-        /// Number of managed vectors (= inner nodes).
-        pub fn n_items(&self) -> usize {
-            self.tree.n_inner()
-        }
-
-        /// Bytes required to hold all ancestral vectors (the paper's
-        /// memory-requirement formula `(n-2) · 8 · states · cats · s`).
-        pub fn total_vector_bytes(&self) -> u64 {
-            self.n_items() as u64 * self.width() as u64 * 8
-        }
-    }
-
-    /// Simulate a dataset per `spec` (HKY85+Γ, the class of model used in
-    /// the paper's experiments).
-    pub fn simulate_dataset(spec: &DatasetSpec) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(spec.seed);
-        let mut tree = random_topology(spec.n_taxa, 0.1, &mut rng);
-        yule_like_lengths(&mut tree, spec.mean_branch, 1e-5, &mut rng);
-        let model = ReversibleModel::hky85(2.5, &[0.3, 0.2, 0.2, 0.3]);
-        let gamma = DiscreteGamma::new(spec.alpha, spec.n_cats);
-        let aln = simulate_alignment(&tree, &model, &gamma, spec.n_sites, &mut rng);
-        let comp = compress_patterns(&aln);
-        Dataset {
-            tree,
-            comp,
-            model,
-            spec: spec.clone(),
-        }
-    }
-
-    /// Standard (all vectors in RAM) engine on the dataset's true tree.
-    pub fn inram_engine(data: &Dataset) -> PlfEngine<InRamStore> {
-        let store = InRamStore::new(data.n_items(), data.width());
-        PlfEngine::new(
-            data.tree.clone(),
-            &data.comp,
-            data.model.clone(),
-            data.spec.alpha,
-            data.spec.n_cats,
-            store,
-        )
-    }
-
-    /// Build the replacement strategy, wiring up a [`TreeOracle`] for the
-    /// strategies that rank vectors by tree distance: Topological (its
-    /// whole policy) and NextUse (its beyond-plan fallback). Returns the
-    /// strategy and, when an oracle was wired, the shared tree handle to
-    /// refresh after rearrangements.
-    pub fn build_strategy(
-        kind: StrategyKind,
-        tree: &Tree,
-    ) -> (Box<dyn ooc_core::ReplacementStrategy>, Option<SharedTree>) {
-        match kind {
-            StrategyKind::Topological | StrategyKind::NextUse => {
-                let shared = SharedTree::new(tree);
-                let oracle = TreeOracle::new(shared.clone());
-                (kind.build(Some(Box::new(oracle))), Some(shared))
-            }
-            _ => (kind.build(None), None),
-        }
-    }
-
-    /// The dataset as a single [`PartSpec`] slice for [`EngineSpec::build`]
-    /// (empty name — the unpartitioned metrics scope).
-    pub fn part_specs(data: &Dataset) -> Vec<PartSpec<'_>> {
-        vec![PartSpec {
-            name: String::new(),
-            comp: &data.comp,
-            model: &data.model,
-        }]
-    }
-
-    /// An [`EngineSpec`] seeded with the dataset's α and Γ categories;
-    /// override residency/strategy/shards via struct update syntax.
-    pub fn base_spec(data: &Dataset) -> EngineSpec {
-        EngineSpec {
-            alpha: data.spec.alpha,
-            n_cats: data.spec.n_cats,
-            ..EngineSpec::default()
-        }
-    }
-
-    /// Resolve a spec over a simulated dataset — the declarative
-    /// replacement for the constructor matrix below.
-    pub fn build_engine(
-        spec: &EngineSpec,
-        data: &Dataset,
-        ctx: &BuildContext,
-    ) -> Result<BuiltEngine, SpecError> {
-        spec.build(&data.tree, &part_specs(data), ctx)
-    }
-
-    /// One block of a partitioned dataset: a named data partition with its
-    /// own alphabet/model over the shared tree.
-    pub struct PartitionPart {
-        /// Partition name.
+    /// One block of a dataset: a named data partition with its own
+    /// alphabet and model over the shared tree.
+    pub struct Part {
+        /// Partition name — its metrics scope; empty for the one block of
+        /// an unpartitioned dataset.
         pub name: String,
         /// Data type.
         pub kind: PartitionKind,
@@ -230,29 +125,59 @@ pub mod setup {
         pub model: ReversibleModel,
     }
 
-    /// A partitioned dataset: several data blocks simulated on one tree.
-    pub struct PartitionedDataset {
-        /// The shared tree.
+    /// A dataset: p ≥ 1 data blocks over one tree. A single-gene analysis
+    /// is the p = 1 case with the empty name.
+    pub struct Dataset {
+        /// The shared tree (the true tree, for simulated data).
         pub tree: Tree,
         /// The partitions, in spec order.
-        pub parts: Vec<PartitionPart>,
-        /// Shared Γ shape.
+        pub parts: Vec<Part>,
+        /// Shared Γ shape used for simulation and as the engines' starting α.
         pub alpha: f64,
         /// Γ categories.
         pub n_cats: usize,
     }
 
-    impl PartitionedDataset {
+    impl Dataset {
+        fn only(&self) -> &Part {
+            assert_eq!(self.parts.len(), 1, "dataset has several partitions");
+            &self.parts[0]
+        }
+
+        /// The alignment of a single-partition dataset.
+        pub fn comp(&self) -> &CompressedAlignment {
+            &self.only().comp
+        }
+
+        /// The model of a single-partition dataset.
+        pub fn model(&self) -> &ReversibleModel {
+            &self.only().model
+        }
+
         /// Vector width in doubles of partition `i`'s engines.
         pub fn width(&self, i: usize) -> usize {
             PlfEngine::<InRamStore>::dims_for(&self.parts[i].comp, self.n_cats).width()
+        }
+
+        /// Number of managed vectors per partition (= inner nodes).
+        pub fn n_items(&self) -> usize {
+            self.tree.n_inner()
         }
 
         /// Total ancestral-vector bytes of partition `i` (its weight when
         /// splitting a joint `-L` byte budget via
         /// [`ooc_core::split_budget`]).
         pub fn partition_vector_bytes(&self, i: usize) -> u64 {
-            self.tree.n_inner() as u64 * self.width(i) as u64 * 8
+            self.n_items() as u64 * self.width(i) as u64 * 8
+        }
+
+        /// Bytes required to hold all ancestral vectors (the paper's
+        /// memory-requirement formula `(n-2) · 8 · states · cats · s`,
+        /// summed over partitions).
+        pub fn total_vector_bytes(&self) -> u64 {
+            (0..self.parts.len())
+                .map(|i| self.partition_vector_bytes(i))
+                .sum()
         }
     }
 
@@ -267,35 +192,38 @@ pub mod setup {
         }
     }
 
-    /// Simulate a partitioned dataset: one random tree, then each
+    /// Simulate a dataset per `spec`: one random tree, then each
     /// partition's sites evolved independently on it under that
-    /// partition's own model — the partitioned analogue of
-    /// [`simulate_dataset`]. `parts` gives `(kind, n_sites)` per partition
-    /// (codon partitions count codon sites, not nucleotides).
-    pub fn simulate_partitioned_dataset(
-        spec: &DatasetSpec,
-        parts: &[(PartitionKind, usize)],
-    ) -> PartitionedDataset {
-        assert!(!parts.is_empty(), "need at least one partition");
+    /// partition's own model (HKY85+Γ for DNA, the class of model used in
+    /// the paper's experiments). An empty [`DatasetSpec::parts`] is one
+    /// unnamed DNA block of `n_sites`.
+    pub fn simulate_dataset(spec: &DatasetSpec) -> Dataset {
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let mut tree = random_topology(spec.n_taxa, 0.1, &mut rng);
         yule_like_lengths(&mut tree, spec.mean_branch, 1e-5, &mut rng);
         let gamma = DiscreteGamma::new(spec.alpha, spec.n_cats);
-        let parts = parts
-            .iter()
-            .enumerate()
-            .map(|(i, &(kind, n_sites))| {
-                let model = default_partition_model(kind, spec.seed ^ (i as u64 + 1));
-                let aln = simulate_alignment(&tree, &model, &gamma, n_sites, &mut rng);
-                PartitionPart {
-                    name: format!("p{i}_{}", kind.keyword().to_ascii_lowercase()),
-                    kind,
-                    comp: compress_patterns(&aln),
-                    model,
-                }
-            })
-            .collect();
-        PartitionedDataset {
+        let whole = [(PartitionKind::Dna, spec.n_sites)];
+        let (layout, named) = match spec.parts.as_slice() {
+            [] => (&whole[..], false),
+            parts => (parts, true),
+        };
+        let block = |(i, &(kind, n_sites)): (usize, &(PartitionKind, usize))| {
+            let model = default_partition_model(kind, spec.seed ^ (i as u64 + 1));
+            let aln = simulate_alignment(&tree, &model, &gamma, n_sites, &mut rng);
+            let name = if named {
+                format!("p{i}_{}", kind.keyword().to_ascii_lowercase())
+            } else {
+                String::new()
+            };
+            Part {
+                name,
+                kind,
+                comp: compress_patterns(&aln),
+                model,
+            }
+        };
+        let parts = layout.iter().enumerate().map(block).collect();
+        Dataset {
             tree,
             parts,
             alpha: spec.alpha,
@@ -303,8 +231,21 @@ pub mod setup {
         }
     }
 
-    /// The partitioned dataset as [`PartSpec`]s for [`EngineSpec::build`].
-    pub fn partitioned_part_specs(data: &PartitionedDataset) -> Vec<PartSpec<'_>> {
+    /// A serial engine over `store` on a single-partition dataset's tree.
+    fn serial_engine<S: AncestralStore>(data: &Dataset, store: S) -> PlfEngine<S> {
+        let model = data.model().clone();
+        let (alpha, n_cats) = (data.alpha, data.n_cats);
+        PlfEngine::new(data.tree.clone(), data.comp(), model, alpha, n_cats, store)
+    }
+
+    /// Standard (all vectors in RAM) engine on a single-partition
+    /// dataset's tree.
+    pub fn inram_engine(data: &Dataset) -> PlfEngine<InRamStore> {
+        serial_engine(data, InRamStore::new(data.n_items(), data.width(0)))
+    }
+
+    /// The dataset as [`PartSpec`]s for [`EngineSpec::build`].
+    pub fn part_specs(data: &Dataset) -> Vec<PartSpec<'_>> {
         data.parts
             .iter()
             .map(|p| PartSpec {
@@ -315,24 +256,14 @@ pub mod setup {
             .collect()
     }
 
-    /// An [`EngineSpec`] seeded with the partitioned dataset's α and Γ
-    /// categories.
-    pub fn base_partitioned_spec(data: &PartitionedDataset) -> EngineSpec {
+    /// An [`EngineSpec`] seeded with the dataset's α and Γ categories;
+    /// override residency/strategy/shards via struct update syntax.
+    pub fn base_spec(data: &Dataset) -> EngineSpec {
         EngineSpec {
             alpha: data.alpha,
             n_cats: data.n_cats,
             ..EngineSpec::default()
         }
-    }
-
-    /// Resolve a spec over a partitioned dataset — the declarative
-    /// replacement for the `partitioned_engine_*` constructors.
-    pub fn build_partitioned_engine(
-        spec: &EngineSpec,
-        data: &PartitionedDataset,
-        ctx: &BuildContext,
-    ) -> Result<BuiltEngine, SpecError> {
-        spec.build(&data.tree, &partitioned_part_specs(data), ctx)
     }
 
     /// Standard engine whose vectors live in a demand-paged arena with
@@ -345,23 +276,17 @@ pub mod setup {
     ) -> std::io::Result<PlfEngine<PagedStore>> {
         let arena =
             pager_sim::PagedArena::new(data.total_vector_bytes() as usize, phys_bytes, swap_path)?;
-        let store = PagedStore::new(arena, data.n_items(), data.width());
-        Ok(PlfEngine::new(
-            data.tree.clone(),
-            &data.comp,
-            data.model.clone(),
-            data.spec.alpha,
-            data.spec.n_cats,
-            store,
-        ))
+        let store = PagedStore::new(arena, data.n_items(), data.width(0));
+        Ok(serial_engine(data, store))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::run::{run, Job};
     use super::setup::{self, DatasetSpec};
     use ooc_core::StrategyKind;
-    use phylo_plf::{BuildContext, EngineSpec, LikelihoodEngine, Residency};
+    use phylo_plf::{EngineSpec, LikelihoodEngine, Residency};
 
     #[test]
     fn facade_quickstart_works() {
@@ -378,13 +303,11 @@ mod tests {
             strategy: StrategyKind::Random { seed: 1 },
             ..setup::base_spec(&data)
         };
-        let mut ooc = setup::build_engine(&ooc_spec, &data, &BuildContext::new())
-            .unwrap()
-            .engine;
-        assert_eq!(
-            standard.log_likelihood().unwrap(),
-            ooc.log_likelihood().unwrap()
-        );
+        let ooc = run(Job::new(&ooc_spec, &data), |engine, _| {
+            engine.log_likelihood().map_err(|e| e.to_string())
+        })
+        .unwrap();
+        assert_eq!(standard.log_likelihood().unwrap(), ooc.value);
     }
 
     #[test]

@@ -166,3 +166,132 @@ fn missing_inputs_fail_gracefully() {
     assert!(!ok);
     assert!(err.contains("error"));
 }
+
+#[test]
+fn a_mistyped_flag_is_refused_before_anything_runs() {
+    let dir = tempfile::tempdir().unwrap();
+    let (aln, tree) = simulate_into(dir.path());
+    // `--memroy 64M` used to be accepted and ignored: the run silently
+    // kept every vector in RAM.
+    let out = cli()
+        .args(["likelihood", "--alignment", &aln, "--tree", &tree])
+        .args(["--memroy", "64M"])
+        .output()
+        .expect("spawn CLI");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("unknown flag --memroy"), "{err}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+
+    for (bad, names) in [
+        (&["--shards", "two"][..], "--shards"),
+        (&["--alpha"][..], "--alpha"),
+        (&["--rounds", "3"][..], "--rounds"), // a `search` flag
+    ] {
+        let out = cli()
+            .args(["likelihood", "--alignment", &aln, "--tree", &tree])
+            .args(bad)
+            .output()
+            .expect("spawn CLI");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {err}");
+        assert!(err.contains(names), "{bad:?}: {err}");
+    }
+}
+
+/// Files named `phylo-ooc-vectors-*` in `dir` — where a child run with
+/// `TMPDIR=dir` keeps its evicted vectors.
+fn scratch_vectors(dir: &Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("phylo-ooc-vectors-"))
+        .collect()
+}
+
+#[test]
+fn out_of_core_runs_leave_no_scratch_vectors_behind() {
+    let dir = tempfile::tempdir().unwrap();
+    let (aln, tree) = simulate_into(dir.path());
+    let tmp = dir.path().join("tmp");
+    std::fs::create_dir(&tmp).unwrap();
+    let one = dir.path().join("one.part");
+    std::fs::write(&one, "DNA, gene = 1-200\n").unwrap();
+    let two = dir.path().join("two.part");
+    std::fs::write(&two, "DNA, left = 1-120\nDNA, right = 121-200\n").unwrap();
+
+    // A one-line partition file is one partition: its vectors go to the
+    // scratch path as given, which the partitioned code path never removed.
+    let base = ["--alignment", &aln, "--tree", &tree, "--memory", "25%"];
+    for (cmd, partitions) in [
+        ("likelihood", None),
+        ("likelihood", Some(&one)),
+        ("likelihood", Some(&two)),
+        ("search", Some(&two)),
+    ] {
+        let mut run = cli();
+        run.env("TMPDIR", &tmp).arg(cmd).args(base);
+        if let Some(file) = partitions {
+            run.arg("--partitions").arg(file);
+        }
+        if cmd == "search" {
+            run.args(["--rounds", "1", "--radius", "2"]);
+        }
+        let out = run.output().expect("spawn CLI");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{cmd} {partitions:?}: {err}");
+        assert_eq!(
+            scratch_vectors(&tmp),
+            Vec::<String>::new(),
+            "{cmd} {partitions:?}"
+        );
+    }
+}
+
+#[test]
+fn search_accepts_partitions() {
+    let dir = tempfile::tempdir().unwrap();
+    let (aln, tree) = simulate_into(dir.path());
+    let parts = dir.path().join("two.part");
+    std::fs::write(&parts, "DNA, left = 1-120\nDNA, right = 121-200\n").unwrap();
+    let common = ["--alignment", &aln, "--tree", &tree, "--partitions"];
+    let (ok, lik, err) = run(&[&["likelihood"][..], &common, &[parts.to_str().unwrap()]].concat());
+    assert!(ok, "{err}");
+    assert!(
+        lik.contains("  left: ") && lik.contains("  right: "),
+        "{lik}"
+    );
+    let best = dir.path().join("best.nwk");
+    let (ok, out, err) = run(&[
+        &["search"][..],
+        &common,
+        &[parts.to_str().unwrap(), "--alpha", "0.8"],
+        &["--rounds", "1", "--radius", "2", "--memory", "50%"],
+        &["--out", best.to_str().unwrap()],
+    ]
+    .concat());
+    assert!(ok, "{err}");
+    // The search starts from the tree `likelihood` scored, at the same α,
+    // and only ever climbs (its first report follows a smoothing pass).
+    let joint = lik
+        .lines()
+        .next()
+        .unwrap()
+        .trim_start_matches("log-likelihood: ");
+    let start: f64 = joint.parse().unwrap();
+    let line = out.lines().find(|l| l.starts_with("search: lnl")).unwrap();
+    let from: f64 = line.split_whitespace().nth(2).unwrap().parse().unwrap();
+    assert!(from >= start && from < start + 50.0, "{line} vs {joint}");
+    let text = std::fs::read_to_string(&best).unwrap();
+    assert_eq!(phylo_ooc::tree::parse_newick(&text).unwrap().0.n_tips(), 16);
+    // Without a tree there is no parsimony start for mixed data.
+    let (ok, _, err) = run(&[
+        "search",
+        "--alignment",
+        &aln,
+        "--partitions",
+        parts.to_str().unwrap(),
+    ]);
+    assert!(!ok);
+    assert!(err.contains("--partitions requires --tree"), "{err}");
+}

@@ -1,13 +1,19 @@
 //! Shared spec-built engine constructors for the integration tests: thin
-//! wrappers over [`EngineSpec`] + [`setup::build_engine`] for the
-//! configurations the suites exercise repeatedly. Each test binary
-//! compiles its own copy, so not every helper is used everywhere.
+//! wrappers over [`EngineSpec::build`] for the configurations the suites
+//! exercise repeatedly, over datasets of any partition count. Each test
+//! binary compiles its own copy, so not every helper is used everywhere.
 #![allow(dead_code)]
 
 use phylo_ooc::ooc::StrategyKind;
-use phylo_ooc::plf::{BuildContext, DynEngine, EngineSpec, Residency, SharedTree};
-use phylo_ooc::setup::{self, Dataset, PartitionedDataset};
+use phylo_ooc::plf::{BuildContext, BuiltEngine, DynEngine, EngineSpec, Residency, SharedTree};
+use phylo_ooc::setup::{self, Dataset};
 use std::path::Path;
+
+/// Resolve `spec` over the dataset.
+pub fn build(spec: &EngineSpec, data: &Dataset, ctx: &BuildContext) -> BuiltEngine {
+    spec.build(&data.tree, &setup::part_specs(data), ctx)
+        .expect("spec build")
+}
 
 /// Out-of-core engine over an in-memory backing store holding fraction
 /// `f` of vectors in slots.
@@ -27,12 +33,13 @@ pub fn ooc_mem_with_handle(
         strategy: kind,
         ..setup::base_spec(data)
     };
-    let built = setup::build_engine(&spec, data, &BuildContext::new()).expect("spec build");
+    let built = build(&spec, data, &BuildContext::new());
     (built.engine, built.handles.into_iter().next())
 }
 
-/// Out-of-core engine over a real backing file under the paper's `-L`
-/// byte budget.
+/// Out-of-core engine over real backing files (one per partition) under
+/// the paper's `-L` byte budget, split across partitions proportionally
+/// to their vector footprints.
 pub fn ooc_file(
     data: &Dataset,
     path: &Path,
@@ -45,71 +52,7 @@ pub fn ooc_file(
         ..setup::base_spec(data)
     };
     let ctx = BuildContext::new().vector_path(path);
-    setup::build_engine(&spec, data, &ctx)
-        .expect("spec build")
-        .engine
-}
-
-/// Partitioned engine with every member out-of-core over an in-memory
-/// backing store.
-pub fn partitioned_ooc_mem(
-    data: &PartitionedDataset,
-    f: f64,
-    kind: StrategyKind,
-) -> Box<dyn DynEngine> {
-    let spec = EngineSpec {
-        residency: Residency::OocMem { fraction: f },
-        strategy: kind,
-        ..setup::base_partitioned_spec(data)
-    };
-    setup::build_partitioned_engine(&spec, data, &BuildContext::new())
-        .expect("spec build")
-        .engine
-}
-
-/// Partitioned engine whose members share one `-L` byte budget split
-/// proportionally to their vector footprints, one backing file each.
-pub fn partitioned_file_limit(
-    data: &PartitionedDataset,
-    path: &Path,
-    limit_bytes: u64,
-    kind: StrategyKind,
-) -> Box<dyn DynEngine> {
-    let spec = EngineSpec {
-        residency: Residency::FileLimit { limit_bytes },
-        strategy: kind,
-        ..setup::base_partitioned_spec(data)
-    };
-    let ctx = BuildContext::new().vector_path(path);
-    setup::build_partitioned_engine(&spec, data, &ctx)
-        .expect("spec build")
-        .engine
-}
-
-/// Partitioned engine with sharded members over pipelined file regions —
-/// the full residency stack per partition.
-#[allow(clippy::too_many_arguments)]
-pub fn partitioned_sharded_pipelined(
-    data: &PartitionedDataset,
-    path: &Path,
-    f: f64,
-    kind: StrategyKind,
-    shards: usize,
-    io_threads: usize,
-    window: usize,
-) -> Box<dyn DynEngine> {
-    let spec = EngineSpec {
-        residency: Residency::File { fraction: f },
-        strategy: kind,
-        shards,
-        io_threads,
-        window,
-        ..setup::base_partitioned_spec(data)
-    };
-    let ctx = BuildContext::new().vector_path(path);
-    setup::build_partitioned_engine(&spec, data, &ctx)
-        .expect("spec build")
-        .engine
+    build(&spec, data, &ctx).engine
 }
 
 /// Sharded out-of-core engine with per-shard in-memory backing stores.
@@ -125,9 +68,7 @@ pub fn sharded_mem(
         shards,
         ..setup::base_spec(data)
     };
-    setup::build_engine(&spec, data, &BuildContext::new())
-        .expect("spec build")
-        .engine
+    build(&spec, data, &BuildContext::new()).engine
 }
 
 /// Sharded out-of-core engine over one backing file split into per-shard
@@ -148,9 +89,7 @@ pub fn sharded_file(
         ..setup::base_spec(data)
     };
     let ctx = BuildContext::new().vector_path(path);
-    setup::build_engine(&spec, data, &ctx)
-        .expect("spec build")
-        .engine
+    build(&spec, data, &ctx).engine
 }
 
 /// As [`sharded_file`] but with an explicit lookahead window for the
@@ -174,7 +113,5 @@ pub fn sharded_file_windowed(
         ..setup::base_spec(data)
     };
     let ctx = BuildContext::new().vector_path(path);
-    setup::build_engine(&spec, data, &ctx)
-        .expect("spec build")
-        .engine
+    build(&spec, data, &ctx).engine
 }

@@ -31,8 +31,7 @@ fn spec() -> DatasetSpec {
 }
 
 fn lnl(spec: &EngineSpec, data: &setup::Dataset, ctx: &BuildContext) -> f64 {
-    setup::build_engine(spec, data, ctx)
-        .unwrap()
+    common::build(spec, data, ctx)
         .engine
         .full_traversals(2)
         .unwrap()
@@ -157,7 +156,7 @@ fn exp_f32_stays_within_documented_lnl_bound() {
         ..setup::base_spec(&data)
     };
     let got = lnl(&lossy, &data, &BuildContext::new());
-    let bound = exp_f32_lnl_error_bound(data.spec.n_sites as u64, data.tree.n_inner() as u64);
+    let bound = exp_f32_lnl_error_bound(spec().n_sites as u64, data.tree.n_inner() as u64);
     let delta = (got - reference).abs();
     assert!(
         delta <= bound,
@@ -191,7 +190,8 @@ fn compressed_search_matches_uncompressed_topology() {
         compression: Some(CompressionMode::Exp),
         ..setup::base_spec(&data)
     };
-    let mut packed = setup::build_engine(&spec, &data, &BuildContext::new())
+    let mut packed = spec
+        .build(&data.tree, &setup::part_specs(&data), &BuildContext::new())
         .unwrap()
         .engine;
     let packed_stats = hill_climb(&mut packed, &cfg).unwrap();
@@ -201,7 +201,7 @@ fn compressed_search_matches_uncompressed_topology() {
         packed_stats.final_lnl.to_bits()
     );
     assert_eq!(plain_stats.spr_applied, packed_stats.spr_applied);
-    let names = data.comp.alignment.names().to_vec();
+    let names = data.comp().alignment.names().to_vec();
     assert_eq!(
         write_newick(plain.tree(), &names),
         write_newick(packed.tree(), &names),

@@ -30,9 +30,9 @@ fn simulate_export_import_evaluate() {
     let reference = setup::inram_engine(&data).log_likelihood().unwrap();
 
     let mut fasta_buf = Vec::new();
-    write_fasta(&mut fasta_buf, &data.comp.alignment).unwrap();
+    write_fasta(&mut fasta_buf, &data.comp().alignment).unwrap();
     let mut phylip_buf = Vec::new();
-    write_phylip(&mut phylip_buf, &data.comp.alignment).unwrap();
+    write_phylip(&mut phylip_buf, &data.comp().alignment).unwrap();
 
     for alignment in [
         read_fasta(BufReader::new(&fasta_buf[..]), Alphabet::Dna).unwrap(),
@@ -42,15 +42,15 @@ fn simulate_export_import_evaluate() {
         // distinct; re-compressing keeps their order, but the original
         // column weights must be carried over.
         let mut comp = compress_patterns(&alignment);
-        assert_eq!(comp.n_patterns(), data.comp.n_patterns());
-        comp.weights = data.comp.weights.clone();
+        assert_eq!(comp.n_patterns(), data.comp().n_patterns());
+        comp.weights = data.comp().weights.clone();
         let dims = PlfEngine::<InRamStore>::dims_for(&comp, 4);
         let store = InRamStore::new(data.tree.n_inner(), dims.width());
         let mut engine = PlfEngine::new(
             data.tree.clone(),
             &comp,
-            data.model.clone(),
-            data.spec.alpha,
+            data.model().clone(),
+            data.alpha,
             4,
             store,
         );
@@ -73,7 +73,7 @@ fn newick_roundtrip_preserves_likelihood() {
         ..Default::default()
     });
     let reference = setup::inram_engine(&data).log_likelihood().unwrap();
-    let names = data.comp.alignment.names().to_vec();
+    let names = data.comp().alignment.names().to_vec();
     let nwk = write_newick(&data.tree, &names);
     let (tree2, names2) = parse_newick(&nwk).unwrap();
 
@@ -84,20 +84,20 @@ fn newick_roundtrip_preserves_likelihood() {
         .collect();
     let entries: Vec<(String, String)> = order
         .iter()
-        .map(|&i| (names[i].clone(), data.comp.alignment.seq_chars(i)))
+        .map(|&i| (names[i].clone(), data.comp().alignment.seq_chars(i)))
         .collect();
     // Expand back to per-site columns (alignment in comp is pattern-level,
     // so weights must be carried over); easiest: evaluate on the pattern
     // alignment directly with its weights.
     let aln = phylo_ooc::seq::Alignment::from_chars(Alphabet::Dna, &entries).unwrap();
     let comp2 = phylo_ooc::seq::CompressedAlignment {
-        weights: data.comp.weights.clone(),
-        site_to_pattern: data.comp.site_to_pattern.clone(),
+        weights: data.comp().weights.clone(),
+        site_to_pattern: data.comp().site_to_pattern.clone(),
         alignment: aln,
     };
     let dims = PlfEngine::<InRamStore>::dims_for(&comp2, 4);
     let store = InRamStore::new(tree2.n_inner(), dims.width());
-    let mut engine = PlfEngine::new(tree2, &comp2, data.model.clone(), data.spec.alpha, 4, store);
+    let mut engine = PlfEngine::new(tree2, &comp2, data.model().clone(), data.alpha, 4, store);
     let lnl = engine.log_likelihood().unwrap();
     assert!(
         (lnl - reference).abs() < 1e-6 * reference.abs(),

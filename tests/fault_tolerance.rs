@@ -26,17 +26,17 @@ fn engine_over<S: phylo_ooc::ooc::BackingStore>(
 ) -> PlfEngine<OocStore<S>> {
     // A quarter of the vectors in RAM: evictions (store writes) and
     // reloads (store reads) both happen during a single traversal.
-    let cfg = OocConfig::builder(data.n_items(), data.width())
+    let cfg = OocConfig::builder(data.n_items(), data.width(0))
         .fraction(0.25)
         .build()
         .expect("valid out-of-core config");
     let manager = VectorManager::new(cfg, StrategyKind::Lru.build(None), store);
     PlfEngine::new(
         data.tree.clone(),
-        &data.comp,
-        data.model.clone(),
-        data.spec.alpha,
-        data.spec.n_cats,
+        data.comp(),
+        data.model().clone(),
+        data.alpha,
+        data.n_cats,
         OocStore::new(manager),
     )
 }
@@ -50,7 +50,7 @@ fn permanent_write_fault_surfaces_contextual_error() {
         start: 0,
         kind: FaultKind::Permanent,
     });
-    let store = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width()), plan);
+    let store = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width(0)), plan);
     let mut engine = engine_over(&data, store);
 
     let err = engine
@@ -76,7 +76,7 @@ fn permanent_read_fault_surfaces_contextual_error() {
         start: 0,
         kind: FaultKind::Permanent,
     });
-    let store = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width()), plan);
+    let store = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width(0)), plan);
     let mut engine = engine_over(&data, store);
 
     let err = engine
@@ -107,7 +107,7 @@ fn failed_traversal_is_recomputed_not_trusted() {
         count: 1,
         kind: FaultKind::Transient,
     });
-    let store = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width()), plan);
+    let store = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width(0)), plan);
     let mut engine = engine_over(&data, store);
 
     let err = engine
@@ -148,7 +148,7 @@ fn retrying_store_recovers_transient_faults_bit_exactly() {
         count: 2,
         kind: FaultKind::Transient,
     });
-    let faulty = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width()), plan);
+    let faulty = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width(0)), plan);
     let store = RetryingStore::new(faulty, RetryPolicy::immediate(4));
     let mut engine = engine_over(&data, store);
 
@@ -188,7 +188,7 @@ fn retried_operations_do_not_double_count_in_ooc_stats() {
     let data = setup::simulate_dataset(&spec());
 
     // Fault-free baseline over the identical store stack shape.
-    let clean = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width()), {
+    let clean = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width(0)), {
         FaultPlan::none()
     });
     let clean = RetryingStore::new(clean, RetryPolicy::immediate(4));
@@ -203,7 +203,7 @@ fn retried_operations_do_not_double_count_in_ooc_stats() {
         count: 2,
         kind: FaultKind::Transient,
     });
-    let faulty = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width()), plan);
+    let faulty = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width(0)), plan);
     let store = RetryingStore::new(faulty, RetryPolicy::immediate(4));
     let mut engine = engine_over(&data, store);
     let lnl = engine.log_likelihood().expect("transient faults absorbed");
@@ -246,7 +246,7 @@ fn retrying_store_gives_up_on_permanent_faults() {
         start: 0,
         kind: FaultKind::Permanent,
     });
-    let faulty = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width()), plan);
+    let faulty = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width(0)), plan);
     let store = RetryingStore::new(faulty, RetryPolicy::immediate(4));
     let mut engine = engine_over(&data, store);
 

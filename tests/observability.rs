@@ -390,7 +390,10 @@ fn engine_traversal_events_reconcile_with_stats() {
     };
     let handout = rec.clone();
     let ctx = BuildContext::new().recorders(move |_| handout.clone());
-    let mut engine = setup::build_engine(&spec, &data, &ctx).unwrap().engine;
+    let mut engine = spec
+        .build(&data.tree, &setup::part_specs(&data), &ctx)
+        .unwrap()
+        .engine;
 
     engine.full_traversals(2).unwrap();
 

@@ -71,7 +71,8 @@ fn minimum_slots_still_exact() {
             .slot_counts(&data.tree, &setup::part_specs(&data))
             .unwrap();
         assert_eq!(resolved, vec![Some(n_slots)]);
-        let mut ooc = setup::build_engine(&engine_spec, &data, &BuildContext::new())
+        let mut ooc = engine_spec
+            .build(&data.tree, &setup::part_specs(&data), &BuildContext::new())
             .unwrap()
             .engine;
         let lnl = ooc.full_traversals(2).unwrap();
@@ -161,7 +162,7 @@ fn whole_search_identical_out_of_core() {
             kind.label()
         );
         assert_eq!(std_stats.spr_applied, ooc_stats.spr_applied);
-        let names = data.comp.alignment.names().to_vec();
+        let names = data.comp().alignment.names().to_vec();
         assert_eq!(
             write_newick(standard.tree(), &names),
             write_newick(ooc.tree(), &names),
@@ -178,7 +179,7 @@ fn read_skipping_does_not_change_results() {
     let data = setup::simulate_dataset(&spec());
     let reference = setup::inram_engine(&data).full_traversals(2).unwrap();
     for read_skipping in [true, false] {
-        let cfg = OocConfig::builder(data.n_items(), data.width())
+        let cfg = OocConfig::builder(data.n_items(), data.width(0))
             .fraction(0.25)
             .read_skipping(read_skipping)
             .build()
@@ -186,14 +187,14 @@ fn read_skipping_does_not_change_results() {
         let manager = VectorManager::new(
             cfg,
             StrategyKind::Lru.build(None),
-            MemStore::new(data.n_items(), data.width()),
+            MemStore::new(data.n_items(), data.width(0)),
         );
         let mut engine = PlfEngine::new(
             data.tree.clone(),
-            &data.comp,
-            data.model.clone(),
-            data.spec.alpha,
-            data.spec.n_cats,
+            data.comp(),
+            data.model().clone(),
+            data.alpha,
+            data.n_cats,
             OocStore::new(manager),
         );
         let lnl = engine.full_traversals(2).unwrap();

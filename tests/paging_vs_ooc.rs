@@ -48,7 +48,7 @@ fn same_budget_same_result_fewer_ops() {
         pstats.io_ops()
     );
     // And each out-of-core request is a whole vector, far above 4 KiB.
-    assert!(data.width() * 8 > 4096 * 4);
+    assert!(data.width(0) * 8 > 4096 * 4);
 }
 
 #[test]
@@ -115,7 +115,7 @@ fn modeled_clock_replays_paper_scale_geometry() {
         seed: 12,
         ..Default::default()
     });
-    let cfg = OocConfig::builder(data.n_items(), data.width())
+    let cfg = OocConfig::builder(data.n_items(), data.width(0))
         .fraction(0.25)
         .build()
         .expect("valid out-of-core config");
@@ -123,10 +123,10 @@ fn modeled_clock_replays_paper_scale_geometry() {
     let manager = VectorManager::new(cfg, StrategyKind::Lru.build(None), store);
     let mut engine = PlfEngine::new(
         data.tree.clone(),
-        &data.comp,
-        data.model.clone(),
-        data.spec.alpha,
-        data.spec.n_cats,
+        data.comp(),
+        data.model().clone(),
+        data.alpha,
+        data.n_cats,
         OocStore::new(manager),
     );
     let _ = engine.full_traversals(5).unwrap();

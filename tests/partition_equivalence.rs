@@ -11,33 +11,26 @@ mod common;
 use phylo_ooc::ooc::StrategyKind;
 use phylo_ooc::plf::{InRamStore, LikelihoodEngine, PartitionedPlfEngine, PlfEngine};
 use phylo_ooc::seq::PartitionKind;
-use phylo_ooc::setup::{self, DatasetSpec, PartitionedDataset};
-
-fn spec() -> DatasetSpec {
-    DatasetSpec {
-        n_taxa: 14,
-        n_sites: 0, // per-partition sizes below
-        seed: 2607,
-        ..Default::default()
-    }
-}
+use phylo_ooc::setup::{self, Dataset, DatasetSpec};
 
 /// Mixed DNA + protein + codon blocks on one shared tree. Codon sites are
 /// codon counts (61-state columns), exercising the widest vectors.
-fn mixed_data() -> PartitionedDataset {
-    setup::simulate_partitioned_dataset(
-        &spec(),
-        &[
+fn mixed_data() -> Dataset {
+    setup::simulate_dataset(&DatasetSpec {
+        n_taxa: 14,
+        seed: 2607,
+        parts: vec![
             (PartitionKind::Dna, 150),
             (PartitionKind::Protein, 60),
             (PartitionKind::Codon, 20),
         ],
-    )
+        ..Default::default()
+    })
 }
 
 /// Typed all-in-RAM partitioned engine, built directly so the tests can
 /// reach member trees (`part(i)`) — access the spec layer erases.
-fn inram_partitioned(data: &PartitionedDataset) -> PartitionedPlfEngine<PlfEngine<InRamStore>> {
+fn inram_partitioned(data: &Dataset) -> PartitionedPlfEngine<PlfEngine<InRamStore>> {
     let parts = data
         .parts
         .iter()
@@ -60,7 +53,7 @@ fn inram_partitioned(data: &PartitionedDataset) -> PartitionedPlfEngine<PlfEngin
 
 /// Each partition as its own standalone serial in-RAM analysis — the
 /// reference every partitioned backend must reproduce exactly.
-fn independent_serial_lnls(data: &PartitionedDataset) -> Vec<f64> {
+fn independent_serial_lnls(data: &Dataset) -> Vec<f64> {
     data.parts
         .iter()
         .enumerate()
@@ -101,7 +94,7 @@ fn partitioned_lnls_bit_identical_across_residency_backends() {
     inram.log_likelihood().expect("in-RAM traversal");
     assert_bitwise(&inram.partition_lnls().unwrap(), &reference, "inram");
 
-    let mut ooc_mem = common::partitioned_ooc_mem(&data, 0.3, StrategyKind::Lru);
+    let mut ooc_mem = common::ooc_mem(&data, 0.3, StrategyKind::Lru);
     ooc_mem.log_likelihood().expect("OOC-mem traversal");
     assert_bitwise(&ooc_mem.partition_lnls().unwrap(), &reference, "ooc-mem");
 
@@ -110,7 +103,7 @@ fn partitioned_lnls_bit_identical_across_residency_backends() {
     let total: u64 = (0..data.parts.len())
         .map(|i| data.partition_vector_bytes(i))
         .sum();
-    let mut file = common::partitioned_file_limit(
+    let mut file = common::ooc_file(
         &data,
         &dir.path().join("vectors.bin"),
         total / 3,
@@ -121,7 +114,7 @@ fn partitioned_lnls_bit_identical_across_residency_backends() {
 
     // The full PR-6 residency stack per partition: sharded members over
     // plan-driven double-buffered prefetching file stores.
-    let mut piped = common::partitioned_sharded_pipelined(
+    let mut piped = common::sharded_file_windowed(
         &data,
         &dir.path().join("piped.bin"),
         0.3,
@@ -150,7 +143,7 @@ fn joint_optimisation_stays_in_lockstep_across_backends() {
     let dir = tempfile::tempdir().expect("tempdir");
 
     let mut inram = inram_partitioned(&data);
-    let mut file = common::partitioned_file_limit(
+    let mut file = common::ooc_file(
         &data,
         &dir.path().join("opt.bin"),
         u64::MAX / 2, // generous budget; residency must not matter anyway

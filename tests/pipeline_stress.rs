@@ -72,29 +72,29 @@ fn pipelined_engine(
     io_threads: usize,
     worker_faults: &FaultPlan,
 ) -> PlfEngine<OocStore<PrefetchingStore<FileStore>>> {
-    let main = FileStore::create(path, data.n_items(), data.width()).unwrap();
+    let main = FileStore::create(path, data.n_items(), data.width(0)).unwrap();
     let workers: Vec<_> = (0..io_threads)
         .map(|_| {
             FaultInjectingStore::new(
-                FileStore::open(path, data.width()).unwrap(),
+                FileStore::open(path, data.width(0)).unwrap(),
                 worker_faults.clone(),
             )
         })
         .collect();
-    let store = PrefetchingStore::with_pool(main, workers, data.n_items(), data.width());
-    let cfg = OocConfig::builder(data.n_items(), data.width())
+    let store = PrefetchingStore::with_pool(main, workers, data.n_items(), data.width(0));
+    let cfg = OocConfig::builder(data.n_items(), data.width(0))
         .fraction(0.25)
         .prefetch_window(window)
         .build()
         .expect("valid out-of-core config");
-    let (strategy, _) = setup::build_strategy(kind, &data.tree);
+    let (strategy, _) = phylo_ooc::plf::oracle::build_strategy(kind, &data.tree);
     let manager = VectorManager::new(cfg, strategy, store);
     PlfEngine::new(
         data.tree.clone(),
-        &data.comp,
-        data.model.clone(),
-        data.spec.alpha,
-        data.spec.n_cats,
+        data.comp(),
+        data.model().clone(),
+        data.alpha,
+        data.n_cats,
         OocStore::new(manager),
     )
 }

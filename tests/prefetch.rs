@@ -22,21 +22,21 @@ fn prefetching_store_is_transparent() {
 
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().join("vectors.bin");
-    let main = FileStore::create(&path, data.n_items(), data.width()).unwrap();
-    let worker = FileStore::open(&path, data.width()).unwrap();
-    let store = PrefetchingStore::new(main, worker, data.n_items(), data.width());
+    let main = FileStore::create(&path, data.n_items(), data.width(0)).unwrap();
+    let worker = FileStore::open(&path, data.width(0)).unwrap();
+    let store = PrefetchingStore::new(main, worker, data.n_items(), data.width(0));
 
-    let cfg = OocConfig::builder(data.n_items(), data.width())
+    let cfg = OocConfig::builder(data.n_items(), data.width(0))
         .fraction(0.25)
         .build()
         .expect("valid out-of-core config");
     let manager = VectorManager::new(cfg, StrategyKind::Lru.build(None), store);
     let mut engine = PlfEngine::new(
         data.tree.clone(),
-        &data.comp,
-        data.model.clone(),
-        data.spec.alpha,
-        data.spec.n_cats,
+        data.comp(),
+        data.model().clone(),
+        data.alpha,
+        data.n_cats,
         OocStore::new(manager),
     );
     // Mix of traversals and smoothing; prefetch hints flow from the
@@ -56,21 +56,21 @@ fn prefetch_thread_actually_stages_reads() {
     let data = setup::simulate_dataset(&spec());
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().join("vectors.bin");
-    let main = FileStore::create(&path, data.n_items(), data.width()).unwrap();
-    let worker = FileStore::open(&path, data.width()).unwrap();
-    let store = PrefetchingStore::new(main, worker, data.n_items(), data.width());
+    let main = FileStore::create(&path, data.n_items(), data.width(0)).unwrap();
+    let worker = FileStore::open(&path, data.width(0)).unwrap();
+    let store = PrefetchingStore::new(main, worker, data.n_items(), data.width(0));
 
-    let cfg = OocConfig::builder(data.n_items(), data.width())
+    let cfg = OocConfig::builder(data.n_items(), data.width(0))
         .fraction(0.2)
         .build()
         .expect("valid out-of-core config");
     let manager = VectorManager::new(cfg, StrategyKind::Lru.build(None), store);
     let mut engine = PlfEngine::new(
         data.tree.clone(),
-        &data.comp,
-        data.model.clone(),
-        data.spec.alpha,
-        data.spec.n_cats,
+        data.comp(),
+        data.model().clone(),
+        data.alpha,
+        data.n_cats,
         OocStore::new(manager),
     );
     // Smoothing passes generate many partial traversals whose upcoming

@@ -30,8 +30,8 @@ where
     S: BackingStore + Send,
     F: FnMut(usize) -> S,
 {
-    let spec = ShardSpec::even(data.comp.n_patterns(), k);
-    let dims = ShardedPlfEngine::<OocStore<S>>::shard_dims(&data.comp, data.spec.n_cats, &spec);
+    let spec = ShardSpec::even(data.comp().n_patterns(), k);
+    let dims = ShardedPlfEngine::<OocStore<S>>::shard_dims(data.comp(), data.n_cats, &spec);
     let stores = dims
         .iter()
         .map(|d| {
@@ -45,10 +45,10 @@ where
         .collect();
     ShardedPlfEngine::new(
         data.tree.clone(),
-        &data.comp,
-        data.model.clone(),
-        data.spec.alpha,
-        data.spec.n_cats,
+        data.comp(),
+        data.model().clone(),
+        data.alpha,
+        data.n_cats,
         spec,
         stores,
     )

@@ -6,11 +6,13 @@
 //! and pipelining never change computed values, so this is `assert_eq!` on
 //! `f64`, no tolerance.
 
+use ooc_core::json::Value;
 use ooc_core::{ManualClock, MemorySink, Recorder, StrategyKind};
 use phylo_ooc::plf::{
     BuildContext, EngineSpec, InRamStore, LikelihoodEngine, PartitionedPlfEngine, PlfEngine,
     Residency,
 };
+use phylo_ooc::run::{run as run_job, Job, MetricsFile};
 use phylo_ooc::seq::PartitionKind;
 use phylo_ooc::setup::{self, DatasetSpec};
 
@@ -23,21 +25,18 @@ fn fig2_dataset() -> setup::Dataset {
     })
 }
 
-fn fig2_partitioned() -> setup::PartitionedDataset {
-    setup::simulate_partitioned_dataset(
-        &DatasetSpec {
-            n_taxa: 12,
-            n_sites: 0, // per-partition lengths below
-            seed: 7,
-            ..Default::default()
-        },
-        &[(PartitionKind::Dna, 90), (PartitionKind::Protein, 40)],
-    )
+fn fig2_partitioned() -> setup::Dataset {
+    setup::simulate_dataset(&DatasetSpec {
+        n_taxa: 12,
+        seed: 7,
+        parts: vec![(PartitionKind::Dna, 90), (PartitionKind::Protein, 40)],
+        ..Default::default()
+    })
 }
 
 /// Resolve `spec` over the dataset and return its log-likelihood.
 fn spec_lnl(spec: &EngineSpec, data: &setup::Dataset, ctx: &BuildContext) -> f64 {
-    setup::build_engine(spec, data, ctx)
+    spec.build(&data.tree, &setup::part_specs(data), ctx)
         .unwrap()
         .engine
         .log_likelihood()
@@ -70,7 +69,7 @@ fn run<E: LikelihoodEngine>(
 
 /// The reference: one hand-built serial in-RAM engine per partition — on
 /// its own for one partition, joined for several.
-fn reference_run(data: &setup::PartitionedDataset, p: usize) -> Run {
+fn reference_run(data: &setup::Dataset, p: usize) -> Run {
     let mut members: Vec<PlfEngine<InRamStore>> = (0..p)
         .map(|i| {
             let part = &data.parts[i];
@@ -99,7 +98,7 @@ fn reference_run(data: &setup::PartitionedDataset, p: usize) -> Run {
 #[test]
 fn every_arity_and_residency_matches_hand_built_serial_members() {
     let data = fig2_partitioned();
-    let all_parts = setup::partitioned_part_specs(&data);
+    let all_parts = setup::part_specs(&data);
     let dir = tempfile::tempdir().unwrap();
     let total: u64 = (0..data.parts.len())
         .map(|i| data.partition_vector_bytes(i))
@@ -128,7 +127,7 @@ fn every_arity_and_residency_matches_hand_built_serial_members() {
                         strategy: StrategyKind::NextUse,
                         shards,
                         io_threads,
-                        ..setup::base_partitioned_spec(&data)
+                        ..setup::base_spec(&data)
                     };
                     let path = dir
                         .path()
@@ -196,4 +195,177 @@ fn sharded_file_pipelined_spec_matches_inram() {
     };
     let ctx = BuildContext::new().vector_path(dir.path().join("v.bin"));
     assert_eq!(reference, spec_lnl(&spec, &data, &ctx));
+}
+
+/// The run path is an identity over the hand-written sequence it
+/// replaced: for one unnamed and three named partitions × residency ×
+/// shards, [`phylo_ooc::run::run`] returns the lnL bits, per-partition
+/// lnLs and merged and per-partition counters of build → traverse →
+/// stats, records under exactly the three scope-naming rules, records
+/// nothing when nobody will read it, and leaves no vector file behind.
+#[test]
+fn the_runner_equals_the_hand_written_sequence() {
+    let three = setup::simulate_dataset(&DatasetSpec {
+        n_taxa: 12,
+        seed: 11,
+        parts: vec![
+            (PartitionKind::Dna, 90),
+            (PartitionKind::Protein, 30),
+            (PartitionKind::Codon, 12),
+        ],
+        ..Default::default()
+    });
+    let dir = tempfile::tempdir().unwrap();
+    let files = || std::fs::read_dir(dir.path()).unwrap().count();
+    for data in [fig2_dataset(), three] {
+        let p = data.parts.len();
+        let residencies = [
+            Residency::InRam,
+            Residency::OocMem { fraction: 0.3 },
+            Residency::FileLimit {
+                limit_bytes: data.total_vector_bytes() / 3,
+            },
+        ];
+        for residency in residencies {
+            for shards in [1usize, 2] {
+                let cell = format!("p={p} {} k={shards}", residency.name());
+                let spec = EngineSpec {
+                    residency,
+                    shards,
+                    ..setup::base_spec(&data)
+                };
+                let ctx = BuildContext::new().vector_path(dir.path().join("hand.bin"));
+                let built = spec.build(&data.tree, &setup::part_specs(&data), &ctx);
+                let built = built.unwrap();
+                let mut engine = built.engine;
+                let lnl = engine.full_traversals(2).unwrap();
+                let part_lnls = engine.partition_lnls().unwrap();
+                let (part_stats, stats) = (engine.partition_ooc_stats(), engine.ooc_stats());
+                drop(engine);
+                // One file per partition, for the file-backed residency only.
+                let file_backed = matches!(residency, Residency::FileLimit { .. });
+                assert_eq!(built.vector_files.len(), if file_backed { p } else { 0 });
+                assert_eq!(files(), built.vector_files.len(), "{cell}");
+                for file in &built.vector_files {
+                    std::fs::remove_file(file).unwrap();
+                }
+                let managed = residency != Residency::InRam;
+                assert_eq!(stats.is_some(), managed, "{cell}");
+
+                let work = |engine: &mut Box<dyn phylo_ooc::plf::DynEngine>, _: &[Recorder]| {
+                    let lnl = engine.full_traversals(2).map_err(|e| e.to_string())?;
+                    Ok((lnl, engine.partition_lnls().map_err(|e| e.to_string())?))
+                };
+                let stream = dir.path().join("m.jsonl");
+                for base in ["", "cell/7"] {
+                    let metrics = MetricsFile::new(Some(stream.clone()));
+                    let job = Job {
+                        scope: base,
+                        metrics: &metrics,
+                        vector_path: Some(dir.path().join("run.bin")),
+                        ..Job::new(&spec, &data)
+                    };
+                    let got = run_job(job, work).unwrap();
+                    assert_eq!(got.value.0.to_bits(), lnl.to_bits(), "{cell}: lnL");
+                    assert_eq!(got.value.1, part_lnls, "{cell}: per-partition lnLs");
+                    assert_eq!(got.stats, stats, "{cell}: merged counters");
+                    assert_eq!(got.part_stats, part_stats, "{cell}: per-partition counters");
+                    // `base`, `base/<name>`, or `<name>` when the base is empty.
+                    let want: Vec<String> = data
+                        .parts
+                        .iter()
+                        .map(|part| match (base, part.name.as_str()) {
+                            (base, "") => base.to_owned(),
+                            ("", name) => name.to_owned(),
+                            (base, name) => format!("{base}/{name}"),
+                        })
+                        .collect();
+                    let scopes: Vec<&str> = got.recs.iter().map(Recorder::scope).collect();
+                    assert_eq!(scopes, want, "{cell}: scopes");
+                    assert_eq!(got.attribution.len(), p, "{cell}");
+                    // The stream: every scope headed by one profile (the
+                    // spec, verbatim) and closed by its counters.
+                    let text = std::fs::read_to_string(&stream).unwrap();
+                    let records: Vec<Value> =
+                        text.lines().map(|l| Value::parse(l).unwrap()).collect();
+                    let of = |ty: &str, scope: &str| {
+                        let is = |r: &&Value, key: &str, v: &str| {
+                            r.get(key).and_then(Value::as_str) == Some(v)
+                        };
+                        records
+                            .iter()
+                            .filter(|r| is(r, "type", ty) && is(r, "scope", scope))
+                            .count()
+                    };
+                    for scope in &want {
+                        assert_eq!(of("profile", scope), 1, "{cell}: {scope}");
+                        assert_eq!(
+                            of("ooc-stats", scope),
+                            usize::from(managed),
+                            "{cell}: {scope}"
+                        );
+                    }
+                    let profiled = records
+                        .iter()
+                        .filter_map(|r| r.get("profile").and_then(Value::as_str))
+                        .all(|profile| profile == spec.to_toml());
+                    assert!(profiled, "{cell}: profile is the spec's TOML");
+                    std::fs::remove_file(&stream).unwrap();
+                    assert_eq!(files(), 0, "{cell}: vector files outlived the run");
+                }
+
+                // Nobody reads it: nothing is recorded, same values.
+                let job = Job {
+                    vector_path: Some(dir.path().join("run.bin")),
+                    ..Job::new(&spec, &data)
+                };
+                let silent = run_job(job, work).unwrap();
+                assert!(
+                    silent.recs.is_empty() && silent.attribution.is_empty(),
+                    "{cell}"
+                );
+                assert_eq!(silent.value.0.to_bits(), lnl.to_bits(), "{cell}");
+                assert_eq!(silent.part_stats, part_stats, "{cell}");
+                // Observed without a stream: recorded, not written.
+                let job = Job {
+                    observed: true,
+                    vector_path: Some(dir.path().join("run.bin")),
+                    ..Job::new(&spec, &data)
+                };
+                let observed = run_job(job, work).unwrap();
+                assert_eq!(observed.recs.len(), p, "{cell}");
+                assert_eq!(observed.stats, stats, "{cell}");
+                assert_eq!(files(), 0, "{cell}");
+            }
+        }
+    }
+}
+
+/// A run that fails — in the build or in the workload — still removes the
+/// vector files it created.
+#[test]
+fn a_failed_run_leaves_no_vector_files() {
+    let data = fig2_partitioned();
+    let dir = tempfile::tempdir().unwrap();
+    let spec = EngineSpec {
+        residency: Residency::File { fraction: 0.3 },
+        ..setup::base_spec(&data)
+    };
+    let job = |path: std::path::PathBuf| Job {
+        vector_path: Some(path),
+        ..Job::new(&spec, &data)
+    };
+    let err = run_job(job(dir.path().join("v.bin")), |_, _| {
+        Err::<(), _>("boom".to_owned())
+    });
+    assert_eq!(err.err().as_deref(), Some("boom"));
+    assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 0);
+    // The second partition's file cannot be created: `v.p1` is a directory.
+    std::fs::create_dir(dir.path().join("v.p1")).unwrap();
+    let err = run_job(job(dir.path().join("v.bin")), |_, _| Ok(()));
+    assert!(err.err().unwrap().contains("cannot create vector file"));
+    assert!(
+        !dir.path().join("v.p0").exists(),
+        "the first partition's file"
+    );
 }

@@ -22,7 +22,7 @@ fn arb_spec() -> impl Strategy<Value = EngineSpec> {
             (1usize..5, 0usize..3, 1usize..33), // shards, io_threads, window
         ),
         (
-            0u8..5,        // kernel selector (4 = auto)
+            0u8..4,        // kernel selector (3 = auto)
             0.05f64..5.0,  // alpha
             1usize..8,     // n_cats
             any::<bool>(), // read_skipping
@@ -51,9 +51,8 @@ fn arb_spec() -> impl Strategy<Value = EngineSpec> {
                 };
                 let kernel = match kern {
                     0 => Some(KernelBackend::Scalar),
-                    1 => Some(KernelBackend::GenericUnrolled),
-                    2 => Some(KernelBackend::Dna4Unrolled),
-                    3 => Some(KernelBackend::Avx2Fma),
+                    1 => Some(KernelBackend::Dna4Unrolled),
+                    2 => Some(KernelBackend::Avx2Fma),
                     _ => None,
                 };
                 let compression = match comp {
