@@ -10,70 +10,53 @@
 //! that the model reproduces the measured shape.
 
 use ooc_core::{
-    AccessPlan, AccessRecord, DataPlane, DiskModel, ItemId, OocConfig, SlotId, SlotTable,
+    AccessPlan, AccessRecord, DataPlane, DiskModel, Intent, ItemId, OocConfig, SlotId, SlotTable,
     StrategyKind,
 };
 use pager_sim::{PageStats, PagedArena, PAGE_SIZE};
 use phylo_plf::kernels::newview::newview_inner_inner;
 use phylo_plf::kernels::Dims;
-use phylo_tree::traverse::{plan_traversal, Orientation};
-use phylo_tree::{ChildRef, Tree};
+use phylo_tree::traverse::{plan_traversal, Orientation, TraversalPlan};
+use phylo_tree::Tree;
 use serde::Serialize;
 use std::time::Instant;
 
-/// A full-traversal combine sequence: `(parent, left, right)` inner ids,
-/// `None` for tip children.
+/// The access pattern of one full traversal plus its root evaluation, as
+/// the engine issues it (the paper's `-f z` mode recomputes every vector
+/// per traversal).
 #[derive(Debug, Clone)]
 pub struct TraversalPattern {
-    /// Combines in dependency order.
-    pub steps: Vec<(u32, Option<u32>, Option<u32>)>,
+    plan: TraversalPlan,
     /// Number of inner nodes.
     pub n_items: usize,
 }
 
-/// Extract the full-traversal access pattern of a tree (the paper's
-/// `-f z` mode recomputes every vector per traversal).
+/// Extract the full-traversal access pattern of a tree.
 pub fn full_traversal_pattern(tree: &Tree) -> TraversalPattern {
     let mut orient = Orientation::new(tree.n_inner());
-    let plan = plan_traversal(tree, tree.default_root_edge(), &mut orient, true);
-    let as_inner = |c: ChildRef| match c {
-        ChildRef::Inner(i) => Some(i),
-        ChildRef::Tip(_) => None,
-    };
     TraversalPattern {
-        steps: plan
-            .steps
-            .iter()
-            .map(|s| (s.parent, as_inner(s.left), as_inner(s.right)))
-            .collect(),
+        plan: plan_traversal(tree, tree.default_root_edge(), &mut orient, true),
         n_items: tree.n_inner(),
     }
 }
 
 impl TraversalPattern {
-    /// Lower the pattern into the residency layer's [`AccessPlan`]: per
-    /// combine, the inner children are read (left, right) before the
-    /// parent is written — the same order [`phylo_tree::traverse::TraversalPlan::lower`]
-    /// produces for the live engine.
+    /// The [`AccessPlan`] the live engine submits for this traversal.
     pub fn access_plan(&self) -> AccessPlan {
-        let mut records = Vec::with_capacity(3 * self.steps.len());
-        for &(parent, left, right) in &self.steps {
-            for i in [left, right].into_iter().flatten() {
-                records.push(AccessRecord::read(i));
-            }
-            records.push(AccessRecord::write(parent));
-        }
-        AccessPlan::from_records(records, self.n_items)
+        self.plan.lower(self.n_items)
     }
 
-    /// The traversal as pin groups — one [`combine_pins`] group per
-    /// combine, the exact shape [`pager_sim::SlotCacheSim::access_group`]
-    /// and the real engine's sessions consume.
+    /// The traversal as pin groups — one per session the live engine
+    /// opens (each stored combine, then the root evaluation), the shape
+    /// [`pager_sim::SlotCacheSim::access_group`] consumes.
     pub fn pin_groups(&self) -> Vec<Vec<AccessRecord>> {
-        self.steps
-            .iter()
-            .map(|&(parent, left, right)| combine_pins(parent, left, right))
-            .collect()
+        self.plan.pin_groups().map(Iterator::collect).collect()
+    }
+
+    /// Kernel invocations per traversal: every combine, the cherries their
+    /// readers rebuild included.
+    pub fn combines(&self) -> usize {
+        self.plan.steps.len()
     }
 }
 
@@ -134,21 +117,6 @@ pub fn calibrate_newview_secs_per_f64() -> f64 {
     dt / dims.width() as f64
 }
 
-/// Pins for one Felsenstein combine, in the same access order the PLF
-/// engine uses: read children first (left, then right), then write the
-/// parent.
-pub fn combine_pins(parent: u32, left: Option<u32>, right: Option<u32>) -> Vec<AccessRecord> {
-    let mut pins = Vec::with_capacity(3);
-    if let Some(l) = left {
-        pins.push(AccessRecord::read(l));
-    }
-    if let Some(r) = right {
-        pins.push(AccessRecord::read(r));
-    }
-    pins.push(AccessRecord::write(parent));
-    pins
-}
-
 /// The [`DataPlane`] of a modelled disk: moves nothing, charges every
 /// whole-vector transfer to a virtual clock.
 struct DiskClockPlane {
@@ -200,18 +168,19 @@ pub fn replay_ooc(
     };
 
     let plan = pattern.access_plan();
+    let groups = pattern.pin_groups();
     for _ in 0..k {
         table.begin_plan(&mut plane, plan.clone());
-        for &(parent, left, right) in &pattern.steps {
+        for group in &groups {
             table
-                .access_group(&mut plane, &combine_pins(parent, left, right))
+                .access_group(&mut plane, group)
                 .expect("a modelled disk cannot fail");
         }
     }
     let stats = *table.stats();
     let io_secs = plane.clock_ns as f64 / 1e9;
     let io_ops = plane.ops;
-    let compute_secs = compute_secs_per_f64 * width as f64 * (pattern.steps.len() * k) as f64;
+    let compute_secs = compute_secs_per_f64 * width as f64 * (pattern.combines() * k) as f64;
     (
         ReplayResult {
             io_secs,
@@ -236,16 +205,12 @@ pub fn replay_paged(
 ) -> (ReplayResult, PageStats) {
     let bytes = width * 8;
     let mut arena = PagedArena::new_virtual(pattern.n_items * bytes, phys_bytes);
+    let groups = pattern.pin_groups();
     for _ in 0..k {
-        for &(parent, left, right) in &pattern.steps {
-            if let Some(l) = left {
-                arena.touch_range(l as usize * bytes, bytes, false).unwrap();
-            }
-            if let Some(r) = right {
-                arena.touch_range(r as usize * bytes, bytes, false).unwrap();
-            }
+        for rec in groups.iter().flatten() {
+            let write = rec.intent == Intent::Write;
             arena
-                .touch_range(parent as usize * bytes, bytes, true)
+                .touch_range(rec.item as usize * bytes, bytes, write)
                 .unwrap();
         }
     }
@@ -262,7 +227,7 @@ pub fn replay_paged(
     let io_secs = (random as f64 * disk.op_cost_ns(PAGE_SIZE as u64) as f64
         + sequential as f64 * (transfer_ns + disk.seek_ns as f64 / SWAP_CLUSTER))
         / 1e9;
-    let compute_secs = compute_secs_per_f64 * width as f64 * (pattern.steps.len() * k) as f64;
+    let compute_secs = compute_secs_per_f64 * width as f64 * (pattern.combines() * k) as f64;
     (
         ReplayResult {
             io_secs,
@@ -287,13 +252,25 @@ mod tests {
     }
 
     #[test]
-    fn pattern_covers_every_inner_node() {
+    fn pattern_covers_every_stored_vector_once() {
         let p = pattern(50);
-        assert_eq!(p.steps.len(), 48);
-        let mut seen: Vec<u32> = p.steps.iter().map(|s| s.0).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 48);
+        assert_eq!(p.combines(), 48);
+        let groups = p.pin_groups();
+        let mut written: Vec<u32> = groups
+            .iter()
+            .flatten()
+            .filter(|r| r.intent == Intent::Write)
+            .map(|r| r.item)
+            .collect();
+        let cherries = p.plan.steps.iter().filter(|s| s.is_cherry()).count();
+        assert!(cherries > 0);
+        assert_eq!(written.len(), 48 - cherries);
+        written.sort_unstable();
+        written.dedup();
+        assert_eq!(written.len(), 48 - cherries);
+        // One producer: the groups are the plan, cut into sessions.
+        let flat: Vec<AccessRecord> = groups.into_iter().flatten().collect();
+        assert_eq!(flat, p.access_plan().records());
     }
 
     #[test]

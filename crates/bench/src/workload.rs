@@ -312,6 +312,7 @@ mod tests {
             ..Default::default()
         };
         let mut rates = Vec::new();
+        let mut transfers = 0; // of the last cell, f = 1.0
         for f in [0.25, 0.5, 0.75, 1.0] {
             let cfg = OocConfig::builder(data.n_items(), data.width(0))
                 .fraction(f)
@@ -319,8 +320,12 @@ mod tests {
                 .expect("valid out-of-core config");
             let r = run_search_workload(&data, cfg, StrategyKind::Lru, &spec, None);
             rates.push(r.miss_rate);
+            transfers = r.disk_reads + r.disk_writes;
         }
         assert!(rates[0] >= rates[1] && rates[1] >= rates[2] && rates[2] >= rates[3]);
-        assert_eq!(rates[3], 0.0, "f = 1.0 must not miss after warm-up");
+        // The only misses left at f = 1.0 are cold loads: a node that was
+        // a cherry (no bytes) for the warm-up's root is first stored when
+        // the search re-roots onto one of its own tip branches.
+        assert_eq!(transfers, 0, "f = 1.0 must not touch the store");
     }
 }

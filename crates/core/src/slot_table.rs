@@ -267,6 +267,13 @@ impl SlotTable {
     /// from the read-first items (windowed by
     /// [`OocConfig::prefetch_window`], or streamed whole if the plane
     /// takes it), plan positions for a plan-aware strategy.
+    ///
+    /// Contract: a plan whose first access to an item is a write declares
+    /// the item's present contents dead — even if the plan is later
+    /// abandoned. The same fact that lets the load skip the read lets a
+    /// resident copy skip its write-back: its dirty bit is cleared here,
+    /// with no plane call. (`always_write_back`, the paper's swap mode,
+    /// still writes every victim.)
     pub fn begin_plan<P: DataPlane>(&mut self, plane: &mut P, plan: AccessPlan) {
         assert!(
             plan.n_items() <= self.cfg.n_items,
@@ -285,6 +292,9 @@ impl SlotTable {
         plane.forget_hints();
         for &item in plan.write_first_items() {
             self.skip_read[item as usize] = true;
+            if let Location::InSlot(slot) = self.loc[item as usize] {
+                self.dirty[slot as usize] = false;
+            }
         }
         // An installed full-run oracle outranks per-traversal plans for
         // replacement decisions; the strategy keeps following it.
@@ -463,7 +473,12 @@ impl SlotTable {
         match self.loc[item as usize] {
             Location::Unmaterialized => {
                 self.stats.cold_loads += 1;
-                plane.zero(slot);
+                // A write overwrites the whole vector (the `Intent::Write`
+                // promise); only a read of a never-computed item needs
+                // deterministic contents.
+                if intent == Intent::Read {
+                    plane.zero(slot);
+                }
             }
             Location::InStore => {
                 let skip = self.cfg.read_skipping
@@ -741,6 +756,110 @@ mod tests {
         );
         assert_eq!(st.requests, st.hits + st.misses);
         assert_eq!(st.plans, 3);
+    }
+
+    /// A plane that records which items were transferred.
+    #[derive(Default)]
+    struct LoggingPlane {
+        written: Vec<ItemId>,
+        read: Vec<ItemId>,
+    }
+
+    impl DataPlane for LoggingPlane {
+        fn write_back(&mut self, item: ItemId, _slot: SlotId) -> io::Result<()> {
+            self.written.push(item);
+            Ok(())
+        }
+
+        fn read(&mut self, item: ItemId, _slot: SlotId) -> io::Result<()> {
+            self.read.push(item);
+            Ok(())
+        }
+    }
+
+    /// Items 0, 1, 2 resident and dirty in a 3-slot table, then a plan
+    /// whose first access to 0 is a write, to 1 a read, and which never
+    /// mentions 2.
+    fn three_dirty_residents_then_a_plan(always_write_back: bool) -> (SlotTable, LoggingPlane) {
+        let cfg = geo(8, 3)
+            .always_write_back(always_write_back)
+            .build()
+            .unwrap();
+        let mut table = SlotTable::new(cfg, StrategyKind::Lru.build(None));
+        let mut plane = LoggingPlane::default();
+        for item in 0..3 {
+            table
+                .access_group(&mut plane, &[AccessRecord::write(item)])
+                .unwrap();
+        }
+        let plan = vec![
+            AccessRecord::write(0),
+            AccessRecord::read(1),
+            AccessRecord::write(1),
+            AccessRecord::write(3),
+        ];
+        table.begin_plan(&mut plane, AccessPlan::from_records(plan, 8));
+        assert!(plane.written.is_empty(), "begin_plan makes no plane call");
+        (table, plane)
+    }
+
+    #[test]
+    fn begin_plan_cleans_resident_write_first_items_only() {
+        let (mut table, mut plane) = three_dirty_residents_then_a_plan(false);
+        let dirty_of = |t: &SlotTable, item| t.dirty[t.slot_of(item).unwrap() as usize];
+        assert!(
+            !dirty_of(&table, 0),
+            "write-first: present contents are dead"
+        );
+        assert!(dirty_of(&table, 1), "read-first keeps its dirty bit");
+        assert!(dirty_of(&table, 2), "off-plan keeps its dirty bit");
+        // Evict all three: only the two live vectors are written back.
+        for item in 4..7 {
+            table
+                .access_group(&mut plane, &[AccessRecord::write(item)])
+                .unwrap();
+        }
+        plane.written.sort_unstable();
+        assert_eq!(plane.written, [1, 2]);
+        let st = *table.stats();
+        assert_eq!((st.evictions, st.disk_writes), (3, 2));
+        // The cleaned item was never materialised: writing it again is a
+        // cold load, not a read.
+        table
+            .access_group(&mut plane, &[AccessRecord::write(0)])
+            .unwrap();
+        assert!(plane.read.is_empty());
+        let st = *table.stats();
+        assert_eq!(
+            st.misses,
+            st.disk_reads + st.skipped_reads + st.cold_loads + st.staged_loads
+        );
+    }
+
+    #[test]
+    fn flush_after_begin_plan_skips_the_cleaned_slots() {
+        let (mut table, mut plane) = three_dirty_residents_then_a_plan(false);
+        table.flush(&mut plane).unwrap();
+        plane.written.sort_unstable();
+        assert_eq!(plane.written, [1, 2]);
+        // The planned write makes the slot dirty again.
+        table
+            .access_group(&mut plane, &[AccessRecord::write(0)])
+            .unwrap();
+        table.flush(&mut plane).unwrap();
+        assert_eq!(plane.written, [1, 2, 0]);
+    }
+
+    #[test]
+    fn swap_mode_still_writes_a_cleaned_victim() {
+        let (mut table, mut plane) = three_dirty_residents_then_a_plan(true);
+        for item in 4..7 {
+            table
+                .access_group(&mut plane, &[AccessRecord::write(item)])
+                .unwrap();
+        }
+        plane.written.sort_unstable();
+        assert_eq!(plane.written, [0, 1, 2]);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! either end of the branch) are required in this phase which accounts for
 //! approximately 20-30% of overall execution time."
 
+use crate::engine::inline_pins;
 use crate::kernels::derivatives::{build_sumtable, SumSide};
 use crate::likelihood_api::LikelihoodEngine;
 use crate::store_api::{AncestralStore, VectorSession};
 use crate::PlfEngine;
-use ooc_core::{AccessRecord, OocResult};
+use ooc_core::OocResult;
 use phylo_tree::{plan_traversal, ChildRef, HalfEdgeId, Tree};
 
 /// Minimum branch length (matches RAxML's `zmin`-equivalent scale).
@@ -147,75 +148,53 @@ impl<S: AncestralStore> NrBranchEngine for PlfEngine<S> {
     fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()> {
         let plan = plan_traversal(&self.tree, h, &mut self.orient, false);
         self.execute_plan(&plan)?;
+        let (left, right) = (plan.root_left, plan.root_right);
+        // Cherry ends first: rebuilding them writes their scaling counts
+        // and borrows the LUT scratch the tip sides below reuse.
+        self.rebuild_cherry(left, 0);
+        self.rebuild_cherry(right, 1);
         let dims = self.dims;
         let eigen = &self.plf_model.eigen;
         let gamma = &self.plf_model.gamma;
         let freqs = self.plf_model.model.freqs();
 
         // Combined scale counts per pattern.
-        let side_scale = |side: ChildRef, out: &mut [u32], scale: &[Vec<u32>]| match side {
-            ChildRef::Tip(_) => {}
-            ChildRef::Inner(i) => {
-                for (o, s) in out.iter_mut().zip(scale[i as usize].iter()) {
-                    *o += s;
-                }
-            }
-        };
         self.scale_sums.fill(0);
-        side_scale(plan.root_left, &mut self.scale_sums, &self.scale);
-        side_scale(plan.root_right, &mut self.scale_sums, &self.scale);
+        for i in [left, right].into_iter().filter_map(ChildRef::inner) {
+            for (o, s) in self.scale_sums.iter_mut().zip(&self.scale[i as usize]) {
+                *o += s;
+            }
+        }
+        if let ChildRef::Tip(_) = left {
+            self.tips
+                .build_eigen_lut(eigen, gamma, freqs, &mut self.lut_l);
+        }
+        if let ChildRef::Tip(_) = right {
+            self.tips
+                .build_eigen_lut_right(eigen, gamma, &mut self.lut_r);
+        }
 
         let mut sumtable = std::mem::take(&mut self.sumtable);
-        let result = (|| match (plan.root_left, plan.root_right) {
-            (ChildRef::Inner(p), ChildRef::Inner(q)) => {
-                let sess = self
-                    .store
-                    .session(&[AccessRecord::read(p), AccessRecord::read(q)])?;
-                build_sumtable(
-                    &dims,
-                    SumSide::Inner(sess.read(p)),
-                    SumSide::Inner(sess.read(q)),
-                    eigen,
-                    freqs,
-                    &mut sumtable,
-                );
-                sess.finish()
-            }
-            (ChildRef::Tip(t), ChildRef::Inner(q)) => {
-                self.tips
-                    .build_eigen_lut(eigen, gamma, freqs, &mut self.lut_l);
-                let sess = self.store.session(&[AccessRecord::read(q)])?;
-                build_sumtable(
-                    &dims,
-                    SumSide::Tip {
-                        lut: &self.lut_l,
-                        codes: self.tips.tip(t as usize),
-                    },
-                    SumSide::Inner(sess.read(q)),
-                    eigen,
-                    freqs,
-                    &mut sumtable,
-                );
-                sess.finish()
-            }
-            (ChildRef::Inner(p), ChildRef::Tip(t)) => {
-                self.tips
-                    .build_eigen_lut_right(eigen, gamma, &mut self.lut_r);
-                let sess = self.store.session(&[AccessRecord::read(p)])?;
-                build_sumtable(
-                    &dims,
-                    SumSide::Inner(sess.read(p)),
-                    SumSide::Tip {
-                        lut: &self.lut_r,
-                        codes: self.tips.tip(t as usize),
-                    },
-                    eigen,
-                    freqs,
-                    &mut sumtable,
-                );
-                sess.finish()
-            }
-            (ChildRef::Tip(_), ChildRef::Tip(_)) => unreachable!("no tip-tip branches"),
+        let (pins, n_pins) = inline_pins(plan.root_pins());
+        let result = (|| {
+            let sess = self.store.session(&pins[..n_pins])?;
+            let side = |end: ChildRef, lut| match end {
+                ChildRef::Tip(t) => SumSide::Tip {
+                    lut,
+                    codes: self.tips.tip(t as usize),
+                },
+                ChildRef::Inner(i) => SumSide::Inner(sess.read(i)),
+                ChildRef::Cherry(_) => SumSide::Inner(&self.cherry[usize::from(end == right)]),
+            };
+            build_sumtable(
+                &dims,
+                side(left, &self.lut_l),
+                side(right, &self.lut_r),
+                eigen,
+                freqs,
+                &mut sumtable,
+            );
+            sess.finish()
         })();
         self.sumtable = sumtable;
         result

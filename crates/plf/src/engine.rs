@@ -5,12 +5,12 @@ use crate::encode::TipCodes;
 use crate::kernels::evaluate::reduce_site_lnl;
 use crate::kernels::{Dims, KernelBackend};
 use crate::store_api::{AncestralStore, VectorSession};
-use ooc_core::{AccessRecord, OocResult, Recorder, StallKind};
+use ooc_core::{AccessRecord, AlignedBuf, OocResult, Recorder, StallKind, MAX_PINS};
 use phylo_models::{DiscreteGamma, EigenDecomp, PMatrices, ReversibleModel};
 use phylo_seq::CompressedAlignment;
 use phylo_tree::spr::{nni, nni_branches, spr_prune_regraft, spr_undo, NniUndo, SprUndo};
 use phylo_tree::traverse::{invalidate_branch, plan_traversal, Orientation, TraversalPlan};
-use phylo_tree::{ChildRef, HalfEdgeId, Tree};
+use phylo_tree::{ChildRef, HalfEdgeId, InnerId, Tree};
 
 /// A substitution model bundled with its eigendecomposition and Γ rates —
 /// everything needed to evaluate transition probabilities.
@@ -66,6 +66,11 @@ pub struct PlfEngine<S: AncestralStore> {
     pub(crate) lut_l: Vec<f64>,
     pub(crate) lut_r: Vec<f64>,
     pub(crate) sumtable: Vec<f64>,
+    /// The cherry vectors the current kernel invocation reads (its left /
+    /// near-end source in `[0]`, its right / far-end source in `[1]`):
+    /// rebuilt from the two tips where they are read, never stored
+    /// ([`ChildRef::Cherry`]). Like `sumtable`, outside the store's budget.
+    pub(crate) cherry: [AlignedBuf; 2],
     pub(crate) scale_sums: Vec<u32>,
     // Newton-Raphson per-pattern term buffers, reused across every
     // `nr_derivatives` call (each Newton iteration used to allocate
@@ -138,6 +143,7 @@ impl<S: AncestralStore> PlfEngine<S> {
             lut_l: Vec::new(),
             lut_r: Vec::new(),
             sumtable: Vec::new(),
+            cherry: [(); 2].map(|()| AlignedBuf::zeroed(dims.width())),
             scale_sums: vec![0u32; dims.n_patterns],
             nr_l: vec![0.0; dims.n_patterns],
             nr_d1: vec![0.0; dims.n_patterns],
@@ -228,86 +234,97 @@ impl<S: AncestralStore> PlfEngine<S> {
         &self.orient
     }
 
-    /// Execute one Felsenstein combine. On an I/O error the parent's
-    /// scaling counts are restored untouched, so the engine stays usable
-    /// for a retry after the caller handles the error.
+    /// If `end` is a cherry, rebuild its vector (and scaling counts) into
+    /// `cherry[k]` from its two tips, as it is currently oriented — the
+    /// combine its plan step would have executed. Clobbers the P-matrix
+    /// and LUT scratch, so readers call it before setting up their own.
+    pub(crate) fn rebuild_cherry(&mut self, end: ChildRef, k: usize) {
+        let ChildRef::Cherry(inner) = end else {
+            return;
+        };
+        let dir = self.orient.get(inner).expect("a cherry is read valid");
+        let (l, r) = self.tree.children_dirs(dir);
+        let (ChildRef::Tip(a), ChildRef::Tip(b)) = (self.tree.child_ref(l), self.tree.child_ref(r))
+        else {
+            unreachable!("cherry {inner} does not join two tips");
+        };
+        let (eigen, gamma) = (&self.plf_model.eigen, &self.plf_model.gamma);
+        self.pm_l.update(eigen, gamma, self.tree.branch_length(l));
+        self.pm_r.update(eigen, gamma, self.tree.branch_length(r));
+        self.tips.build_lut(&self.pm_l, &mut self.lut_l);
+        self.tips.build_lut(&self.pm_r, &mut self.lut_r);
+        self.kernel.newview_tip_tip(
+            &self.dims,
+            &mut self.cherry[k],
+            &mut self.scale[inner as usize],
+            &self.lut_l,
+            self.tips.tip(a as usize),
+            &self.lut_r,
+            self.tips.tip(b as usize),
+        );
+    }
+
+    /// Execute one Felsenstein combine (never a cherry step). On an I/O
+    /// error the parent's scaling counts are restored untouched, so the
+    /// engine stays usable for a retry after the caller handles the error.
     pub(crate) fn newview_step(&mut self, step: &phylo_tree::TraversalStep) -> OocResult<()> {
         let dims = self.dims;
+        // Normalise so a lone tip child is always "left": kernels then only
+        // need tip/inner and inner/inner shapes.
+        let swap = matches!(step.right, ChildRef::Tip(_));
+        let (left, right) = if swap {
+            (step.right, step.left)
+        } else {
+            (step.left, step.right)
+        };
+        let r = right.inner().expect("a cherry step is not executed");
+        self.rebuild_cherry(left, 0);
+        self.rebuild_cherry(right, 1);
         let eigen = &self.plf_model.eigen;
         let gamma = &self.plf_model.gamma;
         self.pm_l.update(eigen, gamma, step.left_len);
         self.pm_r.update(eigen, gamma, step.right_len);
-
-        // Normalise so a lone tip child is always "left": kernels then only
-        // need tip/tip, tip/inner and inner/inner shapes.
-        let (left, right, pm_l, pm_r) = match (step.left, step.right) {
-            (ChildRef::Inner(_), ChildRef::Tip(_)) => {
-                (step.right, step.left, &self.pm_r, &self.pm_l)
-            }
-            _ => (step.left, step.right, &self.pm_l, &self.pm_r),
+        let (pm_l, pm_r) = if swap {
+            (&self.pm_r, &self.pm_l)
+        } else {
+            (&self.pm_l, &self.pm_r)
         };
+        if let ChildRef::Tip(_) = left {
+            self.tips.build_lut(pm_l, &mut self.lut_l);
+        }
 
         let parent = step.parent;
         let kernel = self.kernel;
         let mut scale_p = std::mem::take(&mut self.scale[parent as usize]);
-        // Pins are listed in access order (reads, then the written parent),
-        // matching the per-step record order of `TraversalPlan::lower`.
-        let result = (|| match (left, right) {
-            (ChildRef::Tip(a), ChildRef::Tip(b)) => {
-                self.tips.build_lut(pm_l, &mut self.lut_l);
-                self.tips.build_lut(pm_r, &mut self.lut_r);
-                let mut sess = self.store.session(&[AccessRecord::write(parent)])?;
-                let (pv, _, _) = sess.rw(parent, None, None);
-                kernel.newview_tip_tip(
+        let (pins, n_pins) = inline_pins(step.pins());
+        let result = (|| {
+            let mut sess = self.store.session(&pins[..n_pins])?;
+            let (pv, lv, rv) = sess.rw(parent, left.stored(), right.stored());
+            let rv = rv.unwrap_or(&self.cherry[1]);
+            match left {
+                ChildRef::Tip(a) => kernel.newview_tip_inner(
                     &dims,
                     pv,
                     &mut scale_p,
                     &self.lut_l,
                     self.tips.tip(a as usize),
-                    &self.lut_r,
-                    self.tips.tip(b as usize),
-                );
-                sess.finish()
-            }
-            (ChildRef::Tip(a), ChildRef::Inner(r)) => {
-                self.tips.build_lut(pm_l, &mut self.lut_l);
-                let mut sess = self
-                    .store
-                    .session(&[AccessRecord::read(r), AccessRecord::write(parent)])?;
-                let (pv, rv, _) = sess.rw(parent, Some(r), None);
-                kernel.newview_tip_inner(
-                    &dims,
-                    pv,
-                    &mut scale_p,
-                    &self.lut_l,
-                    self.tips.tip(a as usize),
-                    rv.unwrap(),
+                    rv,
                     &self.scale[r as usize],
                     pm_r,
-                );
-                sess.finish()
-            }
-            (ChildRef::Inner(l), ChildRef::Inner(r)) => {
-                let mut sess = self.store.session(&[
-                    AccessRecord::read(l),
-                    AccessRecord::read(r),
-                    AccessRecord::write(parent),
-                ])?;
-                let (pv, lv, rv) = sess.rw(parent, Some(l), Some(r));
-                kernel.newview_inner_inner(
+                ),
+                ChildRef::Inner(l) | ChildRef::Cherry(l) => kernel.newview_inner_inner(
                     &dims,
                     pv,
                     &mut scale_p,
-                    lv.unwrap(),
+                    lv.unwrap_or(&self.cherry[0]),
                     &self.scale[l as usize],
                     pm_l,
-                    rv.unwrap(),
+                    rv,
                     &self.scale[r as usize],
                     pm_r,
-                );
-                sess.finish()
+                ),
             }
-            (ChildRef::Inner(_), ChildRef::Tip(_)) => unreachable!("normalised above"),
+            sess.finish()
         })();
         // Put the scale buffer back even on failure: a failed combine must
         // not leave the parent with an empty scaling vector.
@@ -335,6 +352,9 @@ impl<S: AncestralStore> PlfEngine<S> {
         // two vectors the root evaluation is about to touch.
         self.store.submit_plan(plan.lower(self.tree.n_inner()));
         for (done, step) in plan.steps.iter().enumerate() {
+            if step.is_cherry() {
+                continue; // oriented by the plan, rebuilt by whoever reads it
+            }
             if let Err(e) = self.newview_step(step) {
                 // Planning marked every step's vector valid up front; the
                 // ones never computed must not stay so. A post-order suffix
@@ -347,7 +367,7 @@ impl<S: AncestralStore> PlfEngine<S> {
         }
         if let (Some(rec), Some(t0)) = (&self.obs, t0) {
             rec.span_at("plf", "combine-batch", StallKind::Compute, t0)
-                .count(plan.steps.len() as u64)
+                .count(plan.written().count() as u64)
                 .unattributed()
                 .finish();
         }
@@ -360,45 +380,52 @@ impl<S: AncestralStore> PlfEngine<S> {
     pub(crate) fn evaluate_plan(&mut self, plan: &TraversalPlan) -> OocResult<f64> {
         let dims = self.dims;
         let kernel = self.kernel;
+        let (left, right) = (plan.root_left, plan.root_right);
+        self.rebuild_cherry(left, 0);
+        self.rebuild_cherry(right, 1);
         self.pm_l
             .update(&self.plf_model.eigen, &self.plf_model.gamma, plan.root_len);
         let freqs = self.plf_model.model.freqs();
-        match (plan.root_left, plan.root_right) {
-            (ChildRef::Inner(p), ChildRef::Inner(q)) => {
-                let sess = self
-                    .store
-                    .session(&[AccessRecord::read(p), AccessRecord::read(q)])?;
+        if let (ChildRef::Tip(_), _) | (_, ChildRef::Tip(_)) = (left, right) {
+            self.tips.build_root_lut(&self.pm_l, freqs, &mut self.lut_l);
+        }
+        let (pins, n_pins) = inline_pins(plan.root_pins());
+        let sess = self.store.session(&pins[..n_pins])?;
+        let view = |end: ChildRef| match end.stored() {
+            Some(i) => sess.read(i),
+            None => &self.cherry[usize::from(end == right)],
+        };
+        match (left, right) {
+            (ChildRef::Tip(t), q) | (q, ChildRef::Tip(t)) => {
+                let qi = q.inner().expect("no tip-tip branches exist for n >= 3");
+                kernel.evaluate_tip_inner_sites(
+                    &dims,
+                    &self.lut_l,
+                    self.tips.tip(t as usize),
+                    view(q),
+                    &self.scale[qi as usize],
+                    &self.weights,
+                    &mut self.site_lnl,
+                );
+            }
+            (
+                ChildRef::Inner(p) | ChildRef::Cherry(p),
+                ChildRef::Inner(q) | ChildRef::Cherry(q),
+            ) => {
                 kernel.evaluate_inner_inner_sites(
                     &dims,
-                    sess.read(p),
+                    view(left),
                     &self.scale[p as usize],
-                    sess.read(q),
+                    view(right),
                     &self.scale[q as usize],
                     &self.pm_l,
                     freqs,
                     &self.weights,
                     &mut self.site_lnl,
                 );
-                sess.finish()?;
-            }
-            (ChildRef::Tip(t), ChildRef::Inner(q)) | (ChildRef::Inner(q), ChildRef::Tip(t)) => {
-                self.tips.build_root_lut(&self.pm_l, freqs, &mut self.lut_l);
-                let sess = self.store.session(&[AccessRecord::read(q)])?;
-                kernel.evaluate_tip_inner_sites(
-                    &dims,
-                    &self.lut_l,
-                    self.tips.tip(t as usize),
-                    sess.read(q),
-                    &self.scale[q as usize],
-                    &self.weights,
-                    &mut self.site_lnl,
-                );
-                sess.finish()?;
-            }
-            (ChildRef::Tip(_), ChildRef::Tip(_)) => {
-                unreachable!("no tip-tip branches exist for n >= 3")
             }
         }
+        sess.finish()?;
         Ok(reduce_site_lnl(&self.site_lnl))
     }
 
@@ -485,12 +512,34 @@ impl<S: AncestralStore> PlfEngine<S> {
     }
 
     /// Direct read-only access to a computed ancestral vector (test hook).
-    pub fn debug_vector(&mut self, inner: u32) -> OocResult<Vec<f64>> {
+    /// A vector currently oriented as a cherry has no stored bytes and is
+    /// rebuilt like any other read of it.
+    pub fn debug_vector(&mut self, inner: InnerId) -> OocResult<Vec<f64>> {
+        if let Some(dir) = self.orient.get(inner) {
+            let end = self.tree.child_ref(self.tree.back(dir));
+            if end.stored().is_none() {
+                self.rebuild_cherry(end, 0);
+                return Ok(self.cherry[0].to_vec());
+            }
+        }
         let sess = self.store.session(&[AccessRecord::read(inner)])?;
         let out = sess.read(inner).to_vec();
         sess.finish()?;
         Ok(out)
     }
+}
+
+/// The pins of one session, held inline: a session is opened per combine.
+pub(crate) fn inline_pins(
+    pins: impl Iterator<Item = AccessRecord>,
+) -> ([AccessRecord; MAX_PINS], usize) {
+    let mut held = [AccessRecord::read(0); MAX_PINS];
+    let mut n = 0;
+    for rec in pins {
+        held[n] = rec;
+        n += 1;
+    }
+    (held, n)
 }
 
 #[cfg(test)]

@@ -83,23 +83,27 @@ pub trait AncestralStore {
 /// All vectors permanently resident (standard implementation).
 pub struct InRamStore {
     width: usize,
+    /// Empty until the item's first pin: the engine never pins a vector it
+    /// does not store (a cherry), and an aligned zeroed allocation touches
+    /// every page it covers.
     vectors: Vec<AlignedBuf>,
 }
 
 impl InRamStore {
-    /// Allocate `n_items` zeroed vectors of `width` doubles, each
-    /// 64-byte-aligned ([`ooc_core::APV_ALIGN`]) like the manager's slot
-    /// arena, so SIMD kernels see the same alignment in every backend.
+    /// Room for `n_items` vectors of `width` doubles. Each is allocated —
+    /// zeroed and 64-byte-aligned ([`ooc_core::APV_ALIGN`]) like the
+    /// manager's slot arena, so SIMD kernels see the same alignment in
+    /// every backend — at its first pin, and stays resident from then on.
     pub fn new(n_items: usize, width: usize) -> Self {
         InRamStore {
             width,
-            vectors: (0..n_items).map(|_| AlignedBuf::zeroed(width)).collect(),
+            vectors: (0..n_items).map(|_| AlignedBuf::zeroed(0)).collect(),
         }
     }
 
     /// Total heap bytes held by vectors.
     pub fn bytes(&self) -> u64 {
-        (self.vectors.len() * self.width * 8) as u64
+        self.vectors.iter().map(|v| v.len() as u64 * 8).sum()
     }
 }
 
@@ -180,6 +184,10 @@ impl AncestralStore for InRamStore {
                 rec.item
             );
             items[pos] = Some(rec.item);
+            let vector = &mut self.vectors[rec.item as usize];
+            if vector.len() != self.width {
+                *vector = AlignedBuf::zeroed(self.width);
+            }
         }
         Ok(InRamSession {
             vectors: &mut self.vectors,
@@ -452,6 +460,24 @@ mod tests {
         check_store(&mut s, 6);
         assert_eq!(s.bytes(), 6 * 32 * 8);
         assert!(s.ooc_stats().is_none());
+    }
+
+    #[test]
+    fn in_ram_store_allocates_a_vector_at_its_first_pin() {
+        let mut s = InRamStore::new(6, 32);
+        assert_eq!(s.bytes(), 0, "a never-pinned item holds no buffer");
+        // A read of a never-written item sees zeros.
+        let sess = s.session(&[AccessRecord::read(4)]).unwrap();
+        assert!(sess.read(4).iter().all(|&x| x == 0.0));
+        sess.finish().unwrap();
+        assert_eq!(s.bytes(), 32 * 8);
+        write_one(&mut s, 4, |buf| buf.fill(1.5));
+        write_one(&mut s, 1, |buf| buf.fill(2.5));
+        assert_eq!(s.bytes(), 2 * 32 * 8);
+        // Pinning again keeps the contents.
+        let sess = s.session(&[AccessRecord::read(4)]).unwrap();
+        assert!(sess.read(4).iter().all(|&x| x == 1.5));
+        sess.finish().unwrap();
     }
 
     #[test]

@@ -13,11 +13,22 @@
 //! (c) the same through `EngineSpec::build` with two partitions × two
 //!     shards, every inner engine keeping its own books.
 //!
+//! (d) over a store that fails transfers at random, every `Err` abandons
+//!     a plan part-way — after the residency layer has already declared
+//!     the plan's write-first vectors dead — and the next evaluation that
+//!     gets through still equals a fresh in-RAM engine on the same tree.
+//!
 //! Operation sequences include several mutations in a row with no traversal
 //! between them and undos issued straight after their applies.
 
+use ooc_core::{
+    FaultInjectingStore, FaultKind, FaultOp, FaultPlan, FaultRule, MemStore, OocConfig,
+    StrategyKind, VectorManager,
+};
 use phylo_models::{DiscreteGamma, ReversibleModel};
-use phylo_plf::{BuildContext, EngineSpec, InRamStore, LikelihoodEngine, PartSpec, PlfEngine};
+use phylo_plf::{
+    BuildContext, EngineSpec, InRamStore, LikelihoodEngine, OocStore, PartSpec, PlfEngine,
+};
 use phylo_seq::{compress_patterns, simulate_alignment, CompressedAlignment};
 use phylo_tree::build::{random_topology, yule_like_lengths};
 use phylo_tree::spr::{
@@ -323,14 +334,52 @@ fn arb_case() -> impl Strategy<Value = Case> {
 
 fn serial(case: &Case) -> PlfEngine<InRamStore> {
     let dims = PlfEngine::<InRamStore>::dims_for(&case.comps[0], 4);
-    PlfEngine::new(
-        case.tree.clone(),
-        &case.comps[0],
-        case.models[0].clone(),
-        case.alpha,
-        4,
-        InRamStore::new(case.tree.n_inner(), dims.width()),
-    )
+    let store = InRamStore::new(case.tree.n_inner(), dims.width());
+    serial_over(case, case.tree.clone(), store)
+}
+
+fn serial_over<S: phylo_plf::AncestralStore>(case: &Case, tree: Tree, store: S) -> PlfEngine<S> {
+    let model = case.models[0].clone();
+    PlfEngine::new(tree, &case.comps[0], model, case.alpha, 4, store)
+}
+
+type FaultyEngine = PlfEngine<OocStore<FaultInjectingStore<MemStore>>>;
+
+/// Three slots over a store that fails about one transfer in twelve,
+/// reads and writes alike, transiently.
+fn faulty(case: &Case, seed: u64) -> FaultyEngine {
+    let n = case.tree.n_inner();
+    let width = PlfEngine::<InRamStore>::dims_for(&case.comps[0], 4).width();
+    let rule = |op, seed| FaultRule::Random {
+        op,
+        seed,
+        permille: 80,
+        kind: FaultKind::Transient,
+    };
+    let faults = FaultPlan::none()
+        .with(rule(FaultOp::Read, seed))
+        .with(rule(FaultOp::Write, !seed));
+    let cfg = OocConfig::builder(n, width)
+        .slots(3)
+        .always_write_back(false)
+        .build()
+        .unwrap();
+    let store = FaultInjectingStore::new(MemStore::new(n, width), faults);
+    let manager = VectorManager::new(cfg, StrategyKind::Lru.build(None), store);
+    serial_over(case, case.tree.clone(), OocStore::new(manager))
+}
+
+/// The next evaluation of `live` that gets through, against an engine that
+/// has never seen a fault or a stored vector.
+fn check_against_fresh(case: &Case, live: &mut FaultyEngine) -> Result<(), TestCaseError> {
+    let got = (0..256).find_map(|_| live.log_likelihood().ok());
+    let mut fresh = serial(&Case {
+        tree: live.tree().clone(),
+        ..case.clone()
+    });
+    let want = fresh.log_likelihood().unwrap();
+    prop_assert_eq!(got.map(f64::to_bits), Some(want.to_bits()));
+    Ok(())
 }
 
 fn partitions_of_shards(case: &Case) -> Box<dyn phylo_plf::DynEngine> {
@@ -371,6 +420,55 @@ proptest! {
             );
             Ok(())
         })?;
+    }
+
+    /// (d): whatever fails, and wherever in a traversal it fails.
+    #[test]
+    fn an_abandoned_plan_leaves_no_wrong_vector_behind(
+        case in arb_case(),
+        ops in arb_ops(),
+        seed in any::<u64>(),
+    ) {
+        let mut live = faulty(&case, seed);
+        check_against_fresh(&case, &mut live)?;
+        for op in &ops {
+            let branches: Vec<HalfEdgeId> = live.tree().branches().collect();
+            let outcome = match *op {
+                Op::Evaluate(r) => {
+                    let root = pick(&branches, r).unwrap();
+                    live.log_likelihood_at(root, false).map(|_| ())
+                }
+                Op::SetBranchLength(b, len) => {
+                    live.set_branch_length(pick(&branches, b).unwrap(), len);
+                    Ok(())
+                }
+                Op::OptimizeBranch(b) => {
+                    live.optimize_branch(pick(&branches, b).unwrap(), 8).map(|_| ())
+                }
+                Op::Spr(m, undo_now) => {
+                    if let Some((dir, target)) = pick(&spr_moves(live.tree()), m) {
+                        let undo = live.apply_spr(dir, target, None);
+                        if undo_now {
+                            live.undo_spr(dir, &undo);
+                        }
+                    }
+                    Ok(())
+                }
+                Op::Nni(b, variant, undo_now) => {
+                    if let Some(h) = pick(&internal_branches(live.tree()), b) {
+                        let undo = live.apply_nni(h, variant);
+                        if undo_now {
+                            live.undo_nni(&undo);
+                        }
+                    }
+                    Ok(())
+                }
+            };
+            if outcome.is_err() || matches!(op, Op::Evaluate(_)) {
+                check_against_fresh(&case, &mut live)?;
+            }
+        }
+        check_against_fresh(&case, &mut live)?;
     }
 
     /// (c): the same sequences through the one construction path, where

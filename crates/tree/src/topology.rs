@@ -12,15 +12,42 @@ pub type HalfEdgeId = u32;
 
 const INVALID: u32 = u32::MAX;
 
-/// A child of an inner node as seen from a traversal direction: either a tip
-/// (whose likelihood entries come from the encoded alignment) or another
-/// inner node (whose entries come from its ancestral probability vector).
+/// A child of an inner node as seen from a traversal direction: a tip
+/// (whose likelihood entries come from the encoded alignment), an inner
+/// node whose entries come from its stored ancestral probability vector, or
+/// a cherry, whose entries its reader rebuilds from the two tips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChildRef {
     /// Alignment tip.
     Tip(TipId),
-    /// Inner node with an ancestral probability vector.
+    /// Inner node with a stored ancestral probability vector.
     Inner(InnerId),
+    /// Inner node whose two children, as oriented towards its reader, are
+    /// both tips: its vector is a product of two tip look-up tables,
+    /// cheaper to rebuild where it is read than to store, so it has no
+    /// bytes in the residency layer for this orientation.
+    Cherry(InnerId),
+}
+
+impl ChildRef {
+    /// The inner node referred to, stored or not.
+    #[inline]
+    pub fn inner(self) -> Option<InnerId> {
+        match self {
+            ChildRef::Tip(_) => None,
+            ChildRef::Inner(i) | ChildRef::Cherry(i) => Some(i),
+        }
+    }
+
+    /// The inner node referred to, if its vector is an item of the
+    /// residency layer.
+    #[inline]
+    pub fn stored(self) -> Option<InnerId> {
+        match self {
+            ChildRef::Inner(i) => Some(i),
+            ChildRef::Tip(_) | ChildRef::Cherry(_) => None,
+        }
+    }
 }
 
 /// An unrooted binary tree over `n_tips` tips stored as a half-edge arena.
@@ -243,12 +270,19 @@ impl Tree {
         (l, r)
     }
 
-    /// Resolve the node at the far end of `h` as a [`ChildRef`].
+    /// Resolve the node at the far end of `h`, oriented towards `h`'s
+    /// owner, as a [`ChildRef`] — the one place that decides whether an
+    /// inner vector is a cherry.
     #[inline]
     pub fn child_ref(&self, h: HalfEdgeId) -> ChildRef {
-        let node = self.neighbor(h);
+        let towards_reader = self.back(h);
+        let node = self.node_of(towards_reader);
         if self.is_tip(node) {
-            ChildRef::Tip(node)
+            return ChildRef::Tip(node);
+        }
+        let (l, r) = self.children_dirs(towards_reader);
+        if self.is_tip(self.neighbor(l)) && self.is_tip(self.neighbor(r)) {
+            ChildRef::Cherry(self.inner_index(node))
         } else {
             ChildRef::Inner(self.inner_index(node))
         }
@@ -423,7 +457,25 @@ mod tests {
         let t = three_tip_tree();
         let h = t.inner_half_edge(0, 0);
         assert_eq!(t.child_ref(h), ChildRef::Tip(0));
+        // Seen from a tip of the 3-tip star, the centre joins two tips.
         let ht = t.tip_half_edge(0);
-        assert_eq!(t.child_ref(ht), ChildRef::Inner(0));
+        assert_eq!(t.child_ref(ht), ChildRef::Cherry(0));
+    }
+
+    #[test]
+    fn cherry_ness_depends_on_the_reader() {
+        // ((0,1),(2,3)): each inner node is a cherry seen from the other
+        // and a stored tip-inner vector seen from one of its own tips.
+        let mut t = Tree::with_capacity(4);
+        t.join(t.tip_half_edge(0), t.inner_half_edge(0, 0), 0.1);
+        t.join(t.tip_half_edge(1), t.inner_half_edge(0, 1), 0.1);
+        t.join(t.tip_half_edge(2), t.inner_half_edge(1, 0), 0.1);
+        t.join(t.tip_half_edge(3), t.inner_half_edge(1, 1), 0.1);
+        t.join(t.inner_half_edge(0, 2), t.inner_half_edge(1, 2), 0.1);
+        assert_eq!(t.child_ref(t.inner_half_edge(1, 2)), ChildRef::Cherry(0));
+        assert_eq!(t.child_ref(t.inner_half_edge(0, 2)), ChildRef::Cherry(1));
+        assert_eq!(t.child_ref(t.tip_half_edge(0)), ChildRef::Inner(0));
+        assert_eq!(ChildRef::Cherry(0).inner(), Some(0));
+        assert_eq!(ChildRef::Cherry(0).stored(), None);
     }
 }

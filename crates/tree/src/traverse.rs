@@ -10,7 +10,7 @@
 //! knowledge needed for the paper's *read skipping* technique (every parent
 //! in the plan is fully overwritten on its first access).
 
-use crate::topology::{ChildRef, HalfEdgeId, InnerId, NodeId, Tree};
+use crate::topology::{ChildRef, HalfEdgeId, InnerId, Tree};
 use ooc_core::{AccessPlan, AccessRecord};
 
 /// Per-inner-node record of the direction for which the stored ancestral
@@ -101,42 +101,83 @@ pub struct TraversalPlan {
     pub root_len: f64,
 }
 
+/// The pins of one engine session, in access order: the stored vectors among
+/// `sources` read, then `target` written. Tips and cherries have no bytes in
+/// the residency layer and produce no record.
+fn session_pins(
+    sources: [ChildRef; 2],
+    target: Option<InnerId>,
+) -> impl Iterator<Item = AccessRecord> {
+    let reads = sources.into_iter().filter_map(ChildRef::stored);
+    reads
+        .map(AccessRecord::read)
+        .chain(target.map(AccessRecord::write))
+}
+
+impl TraversalStep {
+    /// Both children are tips. A cherry step still orients its node, but
+    /// it is never executed, lowered or pinned: whoever reads the vector
+    /// rebuilds it from the two tips ([`ChildRef::Cherry`]).
+    #[inline]
+    pub fn is_cherry(&self) -> bool {
+        matches!(
+            (self.left, self.right),
+            (ChildRef::Tip(_), ChildRef::Tip(_))
+        )
+    }
+
+    /// The pins of the session that executes this combine: stored children
+    /// (left, right), then the parent. Empty for a cherry step.
+    pub fn pins(&self) -> impl Iterator<Item = AccessRecord> {
+        let target = (!self.is_cherry()).then_some(self.parent);
+        session_pins([self.left, self.right], target)
+    }
+}
+
 impl TraversalPlan {
-    /// Inner indices written by this plan, in order. These are exactly the
-    /// vectors that are write-only on first access (read-skip candidates).
+    /// Stored vectors written by this plan, in order (cherry steps write
+    /// none). These are exactly the vectors that are write-only on first
+    /// access (read-skip candidates).
     pub fn written(&self) -> impl Iterator<Item = InnerId> + '_ {
-        self.steps.iter().map(|s| s.parent)
+        let executed = self.steps.iter().filter(|s| !s.is_cherry());
+        executed.map(|s| s.parent)
+    }
+
+    /// The pins of the root evaluation's session: the stored vectors at the
+    /// two ends of the virtual-root branch.
+    pub fn root_pins(&self) -> impl Iterator<Item = AccessRecord> {
+        session_pins([self.root_left, self.root_right], None)
+    }
+
+    /// Every session the engine opens when it executes this plan and
+    /// evaluates at its root, in order — the one lowering of steps to
+    /// [`AccessRecord`]s, shared by the engine, [`TraversalPlan::lower`]
+    /// and the replays.
+    pub fn pin_groups(&self) -> impl Iterator<Item = impl Iterator<Item = AccessRecord>> + '_ {
+        let executed = self.steps.iter().filter(|s| !s.is_cherry());
+        executed
+            .map(|s| session_pins([s.left, s.right], Some(s.parent)))
+            .chain(std::iter::once(session_pins(
+                [self.root_left, self.root_right],
+                None,
+            )))
     }
 
     /// Lower this plan into the residency layer's [`AccessPlan`] IR: the
     /// exact ordered `{item, intent}` sequence the PLF engine issues when
     /// executing the plan over `n_items` ancestral vectors.
     ///
-    /// Per combine step, the engine pins the inner children (reads, in
+    /// Per executed combine, the engine pins the stored children (reads, in
     /// left/right order) before acquiring the parent slot (write); the
-    /// final root evaluation then reads the vectors at the inner endpoints
-    /// of the virtual-root branch. Tip children live outside the managed
+    /// final root evaluation then reads the stored vectors at the ends of
+    /// the virtual-root branch. Tips and cherries live outside the managed
     /// item space and produce no records. Because steps are in dependency
     /// order, every written item's *first* access is its write — the
     /// lowered plan's write-first set is exactly [`TraversalPlan::written`],
     /// which is what makes read skipping (§3.4) fall out of first-access
     /// analysis instead of a side-channel flag.
     pub fn lower(&self, n_items: usize) -> AccessPlan {
-        let mut records = Vec::with_capacity(3 * self.steps.len() + 2);
-        for step in &self.steps {
-            for child in [step.left, step.right] {
-                if let ChildRef::Inner(i) = child {
-                    records.push(AccessRecord::read(i));
-                }
-            }
-            records.push(AccessRecord::write(step.parent));
-        }
-        for endpoint in [self.root_left, self.root_right] {
-            if let ChildRef::Inner(i) = endpoint {
-                records.push(AccessRecord::read(i));
-            }
-        }
-        AccessPlan::from_records(records, n_items)
+        AccessPlan::from_records(self.pin_groups().flatten().collect(), n_items)
     }
 }
 
@@ -160,17 +201,9 @@ pub fn plan_traversal(
     }
     TraversalPlan {
         steps,
-        root_left: node_ref(tree, tree.node_of(root_he)),
-        root_right: node_ref(tree, tree.node_of(tree.back(root_he))),
+        root_left: tree.child_ref(tree.back(root_he)),
+        root_right: tree.child_ref(root_he),
         root_len: tree.branch_length(root_he),
-    }
-}
-
-fn node_ref(tree: &Tree, node: NodeId) -> ChildRef {
-    if tree.is_tip(node) {
-        ChildRef::Tip(node)
-    } else {
-        ChildRef::Inner(tree.inner_index(node))
     }
 }
 
@@ -263,13 +296,54 @@ mod tests {
     fn full_traversal_covers_all_inner_nodes() {
         let (t, mut o) = tree_and_orient(40, 1);
         let plan = plan_traversal(&t, t.default_root_edge(), &mut o, true);
-        let mut written: Vec<InnerId> = plan.written().collect();
-        written.sort_unstable();
-        written.dedup();
+        let mut planned: Vec<InnerId> = plan.steps.iter().map(|s| s.parent).collect();
+        planned.sort_unstable();
+        planned.dedup();
         // Root edge endpoints: their vectors are also computed (they feed the
         // root evaluation), so every inner node must appear exactly once.
-        assert_eq!(written.len(), t.n_inner());
+        assert_eq!(planned.len(), t.n_inner());
         assert_eq!(plan.steps.len(), t.n_inner());
+    }
+
+    #[test]
+    fn cherry_steps_orient_but_are_never_lowered() {
+        let (t, mut o) = tree_and_orient(40, 1);
+        let plan = plan_traversal(&t, t.default_root_edge(), &mut o, true);
+        let cherries: Vec<InnerId> = plan
+            .steps
+            .iter()
+            .filter(|s| s.is_cherry())
+            .map(|s| s.parent)
+            .collect();
+        assert!(!cherries.is_empty());
+        assert_eq!(plan.written().count(), t.n_inner() - cherries.len());
+        let access = plan.lower(t.n_inner());
+        for &c in &cherries {
+            assert!(
+                o.get(c).is_some(),
+                "a cherry node is oriented like any other"
+            );
+            assert!(access.records().iter().all(|r| r.item != c));
+            assert_eq!(
+                plan.steps
+                    .iter()
+                    .find(|s| s.parent == c)
+                    .unwrap()
+                    .pins()
+                    .count(),
+                0
+            );
+        }
+        // Its reader sees it as a cherry, not as a stored vector.
+        let reads_cherry = |s: &TraversalStep| {
+            [s.left, s.right]
+                .iter()
+                .any(|c| matches!(c, ChildRef::Cherry(_)))
+        };
+        assert!(plan.steps.iter().any(reads_cherry));
+        // The groups are the lowered plan, cut into sessions.
+        let flat: Vec<AccessRecord> = plan.pin_groups().flatten().collect();
+        assert_eq!(flat, access.records());
     }
 
     #[test]
@@ -278,10 +352,11 @@ mod tests {
         let plan = plan_traversal(&t, t.default_root_edge(), &mut o, true);
         let mut ready = vec![false; t.n_inner()];
         for step in &plan.steps {
-            for child in [step.left, step.right] {
-                if let ChildRef::Inner(i) = child {
-                    assert!(ready[i as usize], "child {i} used before computed");
-                }
+            for i in [step.left, step.right]
+                .into_iter()
+                .filter_map(ChildRef::inner)
+            {
+                assert!(ready[i as usize], "child {i} used before computed");
             }
             ready[step.parent as usize] = true;
         }
@@ -373,10 +448,7 @@ mod tests {
         let (t, mut o) = tree_and_orient(20, 9);
         let plan = plan_traversal(&t, t.default_root_edge(), &mut o, true);
         let access = plan.lower(t.n_inner());
-        let n_root_inner = [plan.root_left, plan.root_right]
-            .iter()
-            .filter(|r| matches!(r, ChildRef::Inner(_)))
-            .count();
+        let n_root_inner = plan.root_pins().count();
         let records = access.records();
         assert!(n_root_inner >= 1);
         for rec in &records[records.len() - n_root_inner..] {
@@ -385,7 +457,7 @@ mod tests {
         // Last combine writes its parent just before the root reads.
         let last_write = records[records.len() - n_root_inner - 1];
         assert_eq!(last_write.intent, ooc_core::Intent::Write);
-        assert_eq!(last_write.item, plan.steps.last().unwrap().parent);
+        assert_eq!(Some(last_write.item), plan.written().last());
     }
 
     #[test]

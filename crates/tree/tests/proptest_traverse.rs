@@ -105,7 +105,7 @@ proptest! {
         let root = t.tip_half_edge(tip % n_taxa as u32);
         let plan = plan_traversal(&t, root, &mut o, full);
         let mut seen = HashSet::new();
-        for parent in plan.written() {
+        for parent in plan.steps.iter().map(|s| s.parent) {
             prop_assert!(seen.insert(parent), "inner {parent} written twice");
         }
     }
@@ -132,13 +132,11 @@ proptest! {
         let plan = plan_traversal(&t, root, &mut o, false);
         let mut written_so_far = HashSet::new();
         for step in &plan.steps {
-            for child in [step.left, step.right] {
-                if let ChildRef::Inner(i) = child {
-                    prop_assert!(
-                        written_so_far.contains(&i) || valid_before.contains(&i),
-                        "child {i} used before computed"
-                    );
-                }
+            for i in [step.left, step.right].into_iter().filter_map(ChildRef::inner) {
+                prop_assert!(
+                    written_so_far.contains(&i) || valid_before.contains(&i),
+                    "child {i} used before computed"
+                );
             }
             written_so_far.insert(step.parent);
         }

@@ -101,10 +101,8 @@ proptest! {
         prop_assert_eq!(plan.steps.len(), tree.n_inner());
         let mut ready = vec![false; tree.n_inner()];
         for step in &plan.steps {
-            for child in [step.left, step.right] {
-                if let ChildRef::Inner(i) = child {
-                    prop_assert!(ready[i as usize]);
-                }
+            for i in [step.left, step.right].into_iter().filter_map(ChildRef::inner) {
+                prop_assert!(ready[i as usize]);
             }
             prop_assert!(!ready[step.parent as usize], "parent written twice");
             ready[step.parent as usize] = true;

@@ -79,9 +79,13 @@ fn permanent_read_fault_surfaces_contextual_error() {
     let store = FaultInjectingStore::new(MemStore::new(data.n_items(), data.width(0)), plan);
     let mut engine = engine_over(&data, store);
 
-    let err = engine
-        .log_likelihood()
-        .expect_err("reloads fail: the likelihood run must error");
+    // Re-rooting reads valid vectors the traversal before has evicted.
+    let err = (0..data.tree.n_tips() as u32)
+        .find_map(|t| {
+            let root = data.tree.tip_half_edge(t);
+            engine.log_likelihood_at(root, false).err()
+        })
+        .expect("reloads fail: a re-rooted evaluation must error");
     assert_eq!(err.op, OocOp::Read);
     assert!(err.item.is_some());
     assert!(err.to_string().contains("slot load"), "{}", err);

@@ -15,6 +15,8 @@ use phylo_ooc::plf::{
 use phylo_ooc::run::{run as run_job, Job, MetricsFile};
 use phylo_ooc::seq::PartitionKind;
 use phylo_ooc::setup::{self, DatasetSpec};
+use phylo_ooc::tree::spr::subtree_contains;
+use phylo_ooc::tree::HalfEdgeId;
 
 fn fig2_dataset() -> setup::Dataset {
     setup::simulate_dataset(&DatasetSpec {
@@ -67,10 +69,9 @@ fn run<E: LikelihoodEngine>(
     }
 }
 
-/// The reference: one hand-built serial in-RAM engine per partition — on
-/// its own for one partition, joined for several.
-fn reference_run(data: &setup::Dataset, p: usize) -> Run {
-    let mut members: Vec<PlfEngine<InRamStore>> = (0..p)
+/// One hand-built serial in-RAM engine per partition.
+fn reference_members(data: &setup::Dataset, p: usize) -> Vec<PlfEngine<InRamStore>> {
+    (0..p)
         .map(|i| {
             let part = &data.parts[i];
             PlfEngine::new(
@@ -82,7 +83,13 @@ fn reference_run(data: &setup::Dataset, p: usize) -> Run {
                 InRamStore::new(data.tree.n_inner(), data.width(i)),
             )
         })
-        .collect();
+        .collect()
+}
+
+/// The reference: the hand-built member on its own for one partition,
+/// the members joined for several.
+fn reference_run(data: &setup::Dataset, p: usize) -> Run {
+    let mut members = reference_members(data, p);
     if p == 1 {
         return run(&mut members[0], |e| vec![e.log_likelihood().unwrap()]);
     }
@@ -90,6 +97,104 @@ fn reference_run(data: &setup::Dataset, p: usize) -> Run {
     run(&mut PartitionedPlfEngine::new(members, names), |e| {
         e.partition_lnls().unwrap()
     })
+}
+
+/// Take one cherry through every state its vector can be in and return
+/// the bits of every number that comes out: rebuilt by its parent, one tip
+/// branch changed, the root moved onto each of its own tip branches (it
+/// stops being a cherry for that orientation and becomes a stored
+/// tip-inner vector), Newton–Raphson with it as a root end, back to a
+/// cherry, then cut apart by an SPR and put back.
+fn cherry_walk<E: LikelihoodEngine>(engine: &mut E) -> Vec<u64> {
+    let tree = engine.tree().clone();
+    let is_tip = |h: HalfEdgeId| tree.is_tip(tree.neighbor(h));
+    let up = (0..tree.n_inner() as u32)
+        .flat_map(|i| (0..3).map(move |k| (i, k)))
+        .map(|(i, k)| tree.inner_half_edge(i, k))
+        .find(|&h| {
+            let (l, r) = tree.children_dirs(h);
+            !is_tip(h) && is_tip(l) && is_tip(r)
+        })
+        .expect("a tree of five or more tips has a cherry");
+    let (to_a, to_b) = tree.children_dirs(up);
+    let mut out = vec![engine.log_likelihood().unwrap().to_bits()];
+    engine.set_branch_length(to_a, 0.37);
+    out.push(engine.log_likelihood().unwrap().to_bits());
+    for root in [to_a, to_b] {
+        out.push(engine.log_likelihood_at(root, false).unwrap().to_bits());
+    }
+    let (z, lnl) = engine.optimize_branch(to_a, 8).unwrap();
+    out.extend([z.to_bits(), lnl.to_bits()]);
+    out.push(engine.log_likelihood().unwrap().to_bits());
+
+    // Prune tip a together with the cherry's node, regraft far away.
+    let beside = [up, to_b, tree.back(up), tree.back(to_b)];
+    let target = tree
+        .branches()
+        .find(|&t| {
+            !beside.contains(&t)
+                && !beside.contains(&tree.back(t))
+                && !subtree_contains(&tree, to_a, tree.node_of(t))
+                && !subtree_contains(&tree, to_a, tree.neighbor(t))
+        })
+        .expect("a regraft branch away from the cherry");
+    let undo = engine.apply_spr(to_a, target, None);
+    out.push(engine.log_likelihood().unwrap().to_bits());
+    engine.undo_spr(to_a, &undo);
+    out.push(engine.log_likelihood().unwrap().to_bits());
+    out.push(engine.log_likelihood_at(to_b, false).unwrap().to_bits());
+    out
+}
+
+fn three_kinds() -> setup::Dataset {
+    setup::simulate_dataset(&DatasetSpec {
+        n_taxa: 12,
+        seed: 11,
+        parts: vec![
+            (PartitionKind::Dna, 90),
+            (PartitionKind::Protein, 30),
+            (PartitionKind::Codon, 12),
+        ],
+        ..Default::default()
+    })
+}
+
+/// Cherry-ness changes with the orientation and with the topology; the
+/// numbers never do, in whatever shape the spec resolves to.
+#[test]
+fn a_cherry_reads_the_same_rebuilt_or_stored_in_every_shape() {
+    let dir = tempfile::tempdir().unwrap();
+    for data in [fig2_dataset(), three_kinds()] {
+        let p = data.parts.len();
+        let mut members = reference_members(&data, p);
+        let want = if p == 1 {
+            cherry_walk(&mut members[0])
+        } else {
+            let names = data.parts.iter().map(|part| part.name.clone()).collect();
+            cherry_walk(&mut PartitionedPlfEngine::new(members, names))
+        };
+        let residencies = [
+            Residency::InRam,
+            Residency::OocMem { fraction: 0.3 },
+            Residency::FileLimit {
+                limit_bytes: data.total_vector_bytes() / 3,
+            },
+        ];
+        for residency in residencies {
+            for shards in [1usize, 2] {
+                let spec = EngineSpec {
+                    residency,
+                    shards,
+                    ..setup::base_spec(&data)
+                };
+                let ctx = BuildContext::new().vector_path(dir.path().join("cherry.bin"));
+                let built = spec.build(&data.tree, &setup::part_specs(&data), &ctx);
+                let mut engine = built.unwrap().engine;
+                let got = cherry_walk(&mut engine);
+                assert_eq!(got, want, "p={p} {} k={shards}", residency.name());
+            }
+        }
+    }
 }
 
 /// Every cell of residency × shards × partitions × I/O threads resolves to
@@ -205,19 +310,9 @@ fn sharded_file_pipelined_spec_matches_inram() {
 /// nothing when nobody will read it, and leaves no vector file behind.
 #[test]
 fn the_runner_equals_the_hand_written_sequence() {
-    let three = setup::simulate_dataset(&DatasetSpec {
-        n_taxa: 12,
-        seed: 11,
-        parts: vec![
-            (PartitionKind::Dna, 90),
-            (PartitionKind::Protein, 30),
-            (PartitionKind::Codon, 12),
-        ],
-        ..Default::default()
-    });
     let dir = tempfile::tempdir().unwrap();
     let files = || std::fs::read_dir(dir.path()).unwrap().count();
-    for data in [fig2_dataset(), three] {
+    for data in [fig2_dataset(), three_kinds()] {
         let p = data.parts.len();
         let residencies = [
             Residency::InRam,
