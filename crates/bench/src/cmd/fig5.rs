@@ -355,7 +355,7 @@ struct ShardPoint {
 /// all five replacement strategies, asserting bit-identical likelihoods.
 fn sharded_sweep(args: &Args, traversals: usize, metrics: &MetricsFile, dir: &Path) {
     let shards = args.usize("shards");
-    let (n_taxa, n_sites, budget) = geometry(args, [512, 128], [2000, 600], [64, 8]);
+    let (n_taxa, n_sites, budget) = geometry(args, [512, 128], [2000, 600], [32, 4]);
     println!(
         "Figure 5 (sharded sweep): {n_taxa} taxa x {n_sites} sites, {shards} shards over {} worker threads, \
          RAM budget {:.0} MiB, {traversals} full traversals\n",
@@ -616,7 +616,7 @@ struct CompressionPoint {
 /// `compress/bytes-*` histograms — the same ones `ooc-bench check
 /// --reconcile-compression` validates when `--metrics` is on.
 fn compression_sweep(args: &Args, traversals: usize, metrics: &MetricsFile, dir: &Path) {
-    let (n_taxa, n_sites, budget) = geometry(args, [256, 96], [1500, 400], [32, 4]);
+    let (n_taxa, n_sites, budget) = geometry(args, [256, 96], [1500, 400], [16, 2]);
     println!(
         "Figure 5 (compression sweep): {n_taxa} taxa x {n_sites} sites, RAM budget {:.0} MiB, {traversals} full traversals\n",
         mib(budget)

@@ -53,8 +53,8 @@ impl TraversalPattern {
         self.plan.pin_groups().map(Iterator::collect).collect()
     }
 
-    /// Kernel invocations per traversal: every combine, the cherries their
-    /// readers rebuild included.
+    /// Kernel invocations per traversal: every combine, the ones whose
+    /// vectors their readers rebuild included.
     pub fn combines(&self) -> usize {
         self.plan.steps.len()
     }
@@ -262,12 +262,12 @@ mod tests {
             .filter(|r| r.intent == Intent::Write)
             .map(|r| r.item)
             .collect();
-        let cherries = p.plan.steps.iter().filter(|s| s.is_cherry()).count();
-        assert!(cherries > 0);
-        assert_eq!(written.len(), 48 - cherries);
+        let rebuilt = p.plan.steps.iter().filter(|s| s.is_rebuilt()).count();
+        assert!(rebuilt > 0);
+        assert_eq!(written.len(), 48 - rebuilt);
         written.sort_unstable();
         written.dedup();
-        assert_eq!(written.len(), 48 - cherries);
+        assert_eq!(written.len(), 48 - rebuilt);
         // One producer: the groups are the plan, cut into sessions.
         let flat: Vec<AccessRecord> = groups.into_iter().flatten().collect();
         assert_eq!(flat, p.access_plan().records());

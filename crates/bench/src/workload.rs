@@ -324,8 +324,8 @@ mod tests {
         }
         assert!(rates[0] >= rates[1] && rates[1] >= rates[2] && rates[2] >= rates[3]);
         // The only misses left at f = 1.0 are cold loads: a node that was
-        // a cherry (no bytes) for the warm-up's root is first stored when
-        // the search re-roots onto one of its own tip branches.
+        // rebuilt (no bytes) for the warm-up's root is first stored when
+        // the search re-roots so that its class flips.
         assert_eq!(transfers, 0, "f = 1.0 must not touch the store");
     }
 }

@@ -220,7 +220,7 @@ fn fig5_every_part_runs() {
     let m = dir.path().join("fig5.jsonl");
     let rest = format!(
         "fig5 --quick --skip-real --skip-model --shards 4 --partitioned --compression \
-         --taxa 20 --sites 1200 --budget-mib 1 --traversals 1 {} {} {} --metrics {}",
+         --taxa 40 --sites 1200 --budget-mib 1 --traversals 1 {} {} {} --metrics {}",
         out("shards"),
         out("partitioned"),
         out("compression"),

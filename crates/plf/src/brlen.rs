@@ -146,72 +146,65 @@ impl<S: AncestralStore> NrBranchEngine for PlfEngine<S> {
     /// per-pattern scale counts into the engine scratch. Ancestral vectors
     /// at both ends are made valid towards the branch by a plan.
     fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()> {
-        let plan = plan_traversal(&self.tree, h, &mut self.orient, false);
+        let plan = plan_traversal(&self.st.tree, h, &mut self.st.orient, false);
         self.execute_plan(&plan)?;
+        let st = &mut self.st;
         let (left, right) = (plan.root_left, plan.root_right);
-        // Cherry ends first: rebuilding them writes their scaling counts
+        let (pins, n_pins) = inline_pins(plan.root_pins());
+        // One session serves the rebuilds and the sumtable.
+        let sess = self.store.session(&pins[..n_pins])?;
+        // Rebuilt ends first: rebuilding them writes their scaling counts
         // and borrows the LUT scratch the tip sides below reuse.
-        self.rebuild_cherry(left, 0);
-        self.rebuild_cherry(right, 1);
-        let dims = self.dims;
-        let eigen = &self.plf_model.eigen;
-        let gamma = &self.plf_model.gamma;
-        let freqs = self.plf_model.model.freqs();
+        st.rebuild(&sess, left, 0);
+        st.rebuild(&sess, right, 1);
+        let eigen = &st.plf_model.eigen;
+        let gamma = &st.plf_model.gamma;
+        let freqs = st.plf_model.model.freqs();
 
         // Combined scale counts per pattern.
-        self.scale_sums.fill(0);
+        st.scale_sums.fill(0);
         for i in [left, right].into_iter().filter_map(ChildRef::inner) {
-            for (o, s) in self.scale_sums.iter_mut().zip(&self.scale[i as usize]) {
+            for (o, s) in st.scale_sums.iter_mut().zip(&st.scale[i as usize]) {
                 *o += s;
             }
         }
         if let ChildRef::Tip(_) = left {
-            self.tips
-                .build_eigen_lut(eigen, gamma, freqs, &mut self.lut_l);
+            st.tips.build_eigen_lut(eigen, gamma, freqs, &mut st.lut_l);
         }
         if let ChildRef::Tip(_) = right {
-            self.tips
-                .build_eigen_lut_right(eigen, gamma, &mut self.lut_r);
+            st.tips.build_eigen_lut_right(eigen, gamma, &mut st.lut_r);
         }
-
-        let mut sumtable = std::mem::take(&mut self.sumtable);
-        let (pins, n_pins) = inline_pins(plan.root_pins());
-        let result = (|| {
-            let sess = self.store.session(&pins[..n_pins])?;
-            let side = |end: ChildRef, lut| match end {
-                ChildRef::Tip(t) => SumSide::Tip {
-                    lut,
-                    codes: self.tips.tip(t as usize),
-                },
-                ChildRef::Inner(i) => SumSide::Inner(sess.read(i)),
-                ChildRef::Cherry(_) => SumSide::Inner(&self.cherry[usize::from(end == right)]),
-            };
-            build_sumtable(
-                &dims,
-                side(left, &self.lut_l),
-                side(right, &self.lut_r),
-                eigen,
-                freqs,
-                &mut sumtable,
-            );
-            sess.finish()
-        })();
-        self.sumtable = sumtable;
-        result
+        let side = |end: ChildRef, lut| match end {
+            ChildRef::Tip(t) => SumSide::Tip {
+                lut,
+                codes: st.tips.tip(t as usize),
+            },
+            ChildRef::Inner(i) => SumSide::Inner(sess.read(i)),
+            ChildRef::Rebuilt { .. } => SumSide::Inner(&st.rebuilt[usize::from(end == right)]),
+        };
+        build_sumtable(
+            &st.dims,
+            side(left, &st.lut_l),
+            side(right, &st.lut_r),
+            eigen,
+            freqs,
+            &mut st.sumtable,
+        );
+        sess.finish()
     }
 
     /// Uses the engine's reusable per-pattern term buffers — a Newton
     /// iteration performs no allocation.
     fn nr_derivatives(&mut self, z: f64) -> (f64, f64, f64) {
-        let mut out_l = std::mem::take(&mut self.nr_l);
-        let mut out_d1 = std::mem::take(&mut self.nr_d1);
-        let mut out_d2 = std::mem::take(&mut self.nr_d2);
+        let mut out_l = std::mem::take(&mut self.st.nr_l);
+        let mut out_d1 = std::mem::take(&mut self.st.nr_d1);
+        let mut out_d2 = std::mem::take(&mut self.st.nr_d2);
         self.branch_derivatives_sites(z, &mut out_l, &mut out_d1, &mut out_d2);
         let fold = |b: &[f64]| b.iter().fold(0.0, |acc, &t| acc + t);
         let result = (fold(&out_l), fold(&out_d1), fold(&out_d2));
-        self.nr_l = out_l;
-        self.nr_d1 = out_d1;
-        self.nr_d2 = out_d2;
+        self.st.nr_l = out_l;
+        self.st.nr_d1 = out_d1;
+        self.st.nr_d2 = out_d2;
         result
     }
 }
@@ -226,13 +219,13 @@ impl<S: AncestralStore> PlfEngine<S> {
         out_d1: &mut [f64],
         out_d2: &mut [f64],
     ) {
-        self.kernel.nr_derivatives_sites(
-            &self.dims,
-            &self.sumtable,
-            &self.weights,
-            &self.scale_sums,
-            self.plf_model.eigen.values(),
-            self.plf_model.gamma.rates(),
+        self.st.kernel.nr_derivatives_sites(
+            &self.st.dims,
+            &self.st.sumtable,
+            &self.st.weights,
+            &self.st.scale_sums,
+            self.st.plf_model.eigen.values(),
+            self.st.plf_model.gamma.rates(),
             z,
             out_l,
             out_d1,

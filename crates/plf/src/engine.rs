@@ -43,12 +43,19 @@ impl PlfModel {
 
 /// The PLF engine over a tree, an encoded alignment and a residency backend.
 pub struct PlfEngine<S: AncestralStore> {
+    pub(crate) store: S,
+    pub(crate) st: EngineState,
+}
+
+/// Everything of a [`PlfEngine`] but its store: a field of its own so that
+/// a reader can rebuild a vector ([`EngineState::rebuild`]) while its
+/// session borrows the store.
+pub(crate) struct EngineState {
     pub(crate) tree: Tree,
     pub(crate) plf_model: PlfModel,
     pub(crate) dims: Dims,
     pub(crate) tips: TipCodes,
     pub(crate) weights: Vec<u32>,
-    pub(crate) store: S,
     /// Which vectors are valid, and for which direction. Invariant
     /// (DESIGN.md §5k): below a valid vector every vector is valid and
     /// oriented towards it — established by each completed traversal, kept
@@ -66,11 +73,12 @@ pub struct PlfEngine<S: AncestralStore> {
     pub(crate) lut_l: Vec<f64>,
     pub(crate) lut_r: Vec<f64>,
     pub(crate) sumtable: Vec<f64>,
-    /// The cherry vectors the current kernel invocation reads (its left /
+    /// The rebuilt vectors the current kernel invocation reads (its left /
     /// near-end source in `[0]`, its right / far-end source in `[1]`):
-    /// rebuilt from the two tips where they are read, never stored
-    /// ([`ChildRef::Cherry`]). Like `sumtable`, outside the store's budget.
-    pub(crate) cherry: [AlignedBuf; 2],
+    /// recomputed where they are read from a tip and a tip or a stored
+    /// vector, never stored ([`ChildRef::Rebuilt`]). Like `sumtable`,
+    /// outside the store's budget.
+    pub(crate) rebuilt: [AlignedBuf; 2],
     pub(crate) scale_sums: Vec<u32>,
     // Newton-Raphson per-pattern term buffers, reused across every
     // `nr_derivatives` call (each Newton iteration used to allocate
@@ -134,7 +142,7 @@ impl<S: AncestralStore> PlfEngine<S> {
         assert_eq!(weights.len(), dims.n_patterns, "weights length mismatch");
         let plf_model = PlfModel::new(model, alpha, dims.n_cats);
         let n_inner = tree.n_inner();
-        PlfEngine {
+        let st = EngineState {
             orient: Orientation::new(n_inner),
             kernel: KernelBackend::choose(),
             scale: vec![vec![0u32; dims.n_patterns]; n_inner],
@@ -143,7 +151,7 @@ impl<S: AncestralStore> PlfEngine<S> {
             lut_l: Vec::new(),
             lut_r: Vec::new(),
             sumtable: Vec::new(),
-            cherry: [(); 2].map(|()| AlignedBuf::zeroed(dims.width())),
+            rebuilt: [(); 2].map(|()| AlignedBuf::zeroed(dims.width())),
             scale_sums: vec![0u32; dims.n_patterns],
             nr_l: vec![0.0; dims.n_patterns],
             nr_d1: vec![0.0; dims.n_patterns],
@@ -155,19 +163,19 @@ impl<S: AncestralStore> PlfEngine<S> {
             plf_model,
             dims,
             tips,
-            store,
-        }
+        };
+        PlfEngine { store, st }
     }
 
     /// Vector dimensions in use.
     pub fn dims(&self) -> Dims {
-        self.dims
+        self.st.dims
     }
 
     /// The kernel backend this engine dispatches through (the *requested*
     /// one; see [`KernelBackend::effective`] for what actually runs).
     pub fn kernel(&self) -> KernelBackend {
-        self.kernel
+        self.st.kernel
     }
 
     /// Replace the kernel backend. All cached ancestral vectors are
@@ -175,20 +183,20 @@ impl<S: AncestralStore> PlfEngine<S> {
     /// contraction), and mixing vectors computed under different backends
     /// would break the engine's reproducibility guarantees.
     pub fn set_kernel(&mut self, kernel: KernelBackend) {
-        if kernel != self.kernel {
-            self.kernel = kernel;
-            self.orient.invalidate_all();
+        if kernel != self.st.kernel {
+            self.st.kernel = kernel;
+            self.st.orient.invalidate_all();
         }
     }
 
     /// The tree (read-only; use the engine's topology operations to mutate).
     pub fn tree(&self) -> &Tree {
-        &self.tree
+        &self.st.tree
     }
 
     /// Current Γ shape parameter.
     pub fn alpha(&self) -> f64 {
-        self.plf_model.gamma.alpha()
+        self.st.plf_model.gamma.alpha()
     }
 
     /// The residency backend.
@@ -206,69 +214,39 @@ impl<S: AncestralStore> PlfEngine<S> {
     /// residency layers below carve their own demand-read / write-back
     /// time out of it, so the span itself stays unattributed.
     pub fn set_recorder(&mut self, rec: Recorder) {
-        self.obs = Some(rec);
+        self.st.obs = Some(rec);
     }
 
     /// The attached recorder, if any.
     pub fn recorder(&self) -> Option<&Recorder> {
-        self.obs.as_ref()
+        self.st.obs.as_ref()
     }
 
     /// Replace the Γ shape parameter; all ancestral vectors become stale.
     pub fn set_alpha(&mut self, alpha: f64) {
-        self.plf_model.set_alpha(alpha);
-        self.orient.invalidate_all();
+        self.st.plf_model.set_alpha(alpha);
+        self.st.orient.invalidate_all();
     }
 
     /// Set a branch length, invalidating exactly the vectors computed
     /// across that branch.
     pub fn set_branch_length(&mut self, h: HalfEdgeId, len: f64) {
-        self.tree.set_branch_length(h, len);
-        invalidate_branch(&self.tree, &mut self.orient, h);
+        self.st.tree.set_branch_length(h, len);
+        invalidate_branch(&self.st.tree, &mut self.st.orient, h);
     }
 
     /// Which vectors are currently valid, and for which direction
     /// (read-only: the differential staleness tests compare it against the
     /// conservative search-based bookkeeping).
     pub fn orientation(&self) -> &Orientation {
-        &self.orient
+        &self.st.orient
     }
 
-    /// If `end` is a cherry, rebuild its vector (and scaling counts) into
-    /// `cherry[k]` from its two tips, as it is currently oriented — the
-    /// combine its plan step would have executed. Clobbers the P-matrix
-    /// and LUT scratch, so readers call it before setting up their own.
-    pub(crate) fn rebuild_cherry(&mut self, end: ChildRef, k: usize) {
-        let ChildRef::Cherry(inner) = end else {
-            return;
-        };
-        let dir = self.orient.get(inner).expect("a cherry is read valid");
-        let (l, r) = self.tree.children_dirs(dir);
-        let (ChildRef::Tip(a), ChildRef::Tip(b)) = (self.tree.child_ref(l), self.tree.child_ref(r))
-        else {
-            unreachable!("cherry {inner} does not join two tips");
-        };
-        let (eigen, gamma) = (&self.plf_model.eigen, &self.plf_model.gamma);
-        self.pm_l.update(eigen, gamma, self.tree.branch_length(l));
-        self.pm_r.update(eigen, gamma, self.tree.branch_length(r));
-        self.tips.build_lut(&self.pm_l, &mut self.lut_l);
-        self.tips.build_lut(&self.pm_r, &mut self.lut_r);
-        self.kernel.newview_tip_tip(
-            &self.dims,
-            &mut self.cherry[k],
-            &mut self.scale[inner as usize],
-            &self.lut_l,
-            self.tips.tip(a as usize),
-            &self.lut_r,
-            self.tips.tip(b as usize),
-        );
-    }
-
-    /// Execute one Felsenstein combine (never a cherry step). On an I/O
+    /// Execute one Felsenstein combine (never a rebuilt step). On an I/O
     /// error the parent's scaling counts are restored untouched, so the
     /// engine stays usable for a retry after the caller handles the error.
     pub(crate) fn newview_step(&mut self, step: &phylo_tree::TraversalStep) -> OocResult<()> {
-        let dims = self.dims;
+        let st = &mut self.st;
         // Normalise so a lone tip child is always "left": kernels then only
         // need tip/inner and inner/inner shapes.
         let swap = matches!(step.right, ChildRef::Tip(_));
@@ -277,58 +255,57 @@ impl<S: AncestralStore> PlfEngine<S> {
         } else {
             (step.left, step.right)
         };
-        let r = right.inner().expect("a cherry step is not executed");
-        self.rebuild_cherry(left, 0);
-        self.rebuild_cherry(right, 1);
-        let eigen = &self.plf_model.eigen;
-        let gamma = &self.plf_model.gamma;
-        self.pm_l.update(eigen, gamma, step.left_len);
-        self.pm_r.update(eigen, gamma, step.right_len);
-        let (pm_l, pm_r) = if swap {
-            (&self.pm_r, &self.pm_l)
-        } else {
-            (&self.pm_l, &self.pm_r)
-        };
-        if let ChildRef::Tip(_) = left {
-            self.tips.build_lut(pm_l, &mut self.lut_l);
-        }
-
+        let r = right.inner().expect("a rebuilt step is not executed");
         let parent = step.parent;
-        let kernel = self.kernel;
-        let mut scale_p = std::mem::take(&mut self.scale[parent as usize]);
+        let mut scale_p = std::mem::take(&mut st.scale[parent as usize]);
         let (pins, n_pins) = inline_pins(step.pins());
         let result = (|| {
             let mut sess = self.store.session(&pins[..n_pins])?;
+            st.rebuild(&sess, left, 0);
+            st.rebuild(&sess, right, 1);
+            let (eigen, gamma) = (&st.plf_model.eigen, &st.plf_model.gamma);
+            st.pm_l.update(eigen, gamma, step.left_len);
+            st.pm_r.update(eigen, gamma, step.right_len);
+            let (pm_l, pm_r) = if swap {
+                (&st.pm_r, &st.pm_l)
+            } else {
+                (&st.pm_l, &st.pm_r)
+            };
+            if let ChildRef::Tip(_) = left {
+                st.tips.build_lut(pm_l, &mut st.lut_l);
+            }
             let (pv, lv, rv) = sess.rw(parent, left.stored(), right.stored());
-            let rv = rv.unwrap_or(&self.cherry[1]);
+            let rv = rv.unwrap_or(&st.rebuilt[1]);
             match left {
-                ChildRef::Tip(a) => kernel.newview_tip_inner(
-                    &dims,
+                ChildRef::Tip(a) => st.kernel.newview_tip_inner(
+                    &st.dims,
                     pv,
                     &mut scale_p,
-                    &self.lut_l,
-                    self.tips.tip(a as usize),
+                    &st.lut_l,
+                    st.tips.tip(a as usize),
                     rv,
-                    &self.scale[r as usize],
+                    &st.scale[r as usize],
                     pm_r,
                 ),
-                ChildRef::Inner(l) | ChildRef::Cherry(l) => kernel.newview_inner_inner(
-                    &dims,
-                    pv,
-                    &mut scale_p,
-                    lv.unwrap_or(&self.cherry[0]),
-                    &self.scale[l as usize],
-                    pm_l,
-                    rv,
-                    &self.scale[r as usize],
-                    pm_r,
-                ),
+                ChildRef::Inner(l) | ChildRef::Rebuilt { node: l, .. } => {
+                    st.kernel.newview_inner_inner(
+                        &st.dims,
+                        pv,
+                        &mut scale_p,
+                        lv.unwrap_or(&st.rebuilt[0]),
+                        &st.scale[l as usize],
+                        pm_l,
+                        rv,
+                        &st.scale[r as usize],
+                        pm_r,
+                    )
+                }
             }
             sess.finish()
         })();
         // Put the scale buffer back even on failure: a failed combine must
         // not leave the parent with an empty scaling vector.
-        self.scale[parent as usize] = scale_p;
+        st.scale[parent as usize] = scale_p;
         result
     }
 
@@ -346,13 +323,13 @@ impl<S: AncestralStore> PlfEngine<S> {
     /// never their contents, so likelihoods are bit-identical with or
     /// without it — per shard and in serial.
     pub(crate) fn execute_plan(&mut self, plan: &TraversalPlan) -> OocResult<()> {
-        let t0 = self.obs.as_ref().map(|r| r.now());
+        let t0 = self.st.obs.as_ref().map(|r| r.now());
         // Even a step-free plan (fully oriented tree) is submitted: its
         // trailing root-read records let the residency layer prefetch the
         // two vectors the root evaluation is about to touch.
-        self.store.submit_plan(plan.lower(self.tree.n_inner()));
+        self.store.submit_plan(plan.lower(self.st.tree.n_inner()));
         for (done, step) in plan.steps.iter().enumerate() {
-            if step.is_cherry() {
+            if step.is_rebuilt() {
                 continue; // oriented by the plan, rebuilt by whoever reads it
             }
             if let Err(e) = self.newview_step(step) {
@@ -360,12 +337,12 @@ impl<S: AncestralStore> PlfEngine<S> {
                 // ones never computed must not stay so. A post-order suffix
                 // has nothing valid above it, so the invariant holds.
                 for missed in &plan.steps[done..] {
-                    self.orient.invalidate(missed.parent);
+                    self.st.orient.invalidate(missed.parent);
                 }
                 return Err(e);
             }
         }
-        if let (Some(rec), Some(t0)) = (&self.obs, t0) {
+        if let (Some(rec), Some(t0)) = (&self.st.obs, t0) {
             rec.span_at("plf", "combine-batch", StallKind::Compute, t0)
                 .count(plan.written().count() as u64)
                 .unattributed()
@@ -376,78 +353,75 @@ impl<S: AncestralStore> PlfEngine<S> {
 
     /// Evaluate the log-likelihood at the plan's root branch (vectors must
     /// already be up to date, i.e. call after [`PlfEngine::execute_plan`]).
-    /// Fills `self.site_lnl` with per-pattern terms as a side effect.
+    /// Fills `site_lnl` with per-pattern terms as a side effect.
     pub(crate) fn evaluate_plan(&mut self, plan: &TraversalPlan) -> OocResult<f64> {
-        let dims = self.dims;
-        let kernel = self.kernel;
+        let st = &mut self.st;
         let (left, right) = (plan.root_left, plan.root_right);
-        self.rebuild_cherry(left, 0);
-        self.rebuild_cherry(right, 1);
-        self.pm_l
-            .update(&self.plf_model.eigen, &self.plf_model.gamma, plan.root_len);
-        let freqs = self.plf_model.model.freqs();
-        if let (ChildRef::Tip(_), _) | (_, ChildRef::Tip(_)) = (left, right) {
-            self.tips.build_root_lut(&self.pm_l, freqs, &mut self.lut_l);
-        }
         let (pins, n_pins) = inline_pins(plan.root_pins());
         let sess = self.store.session(&pins[..n_pins])?;
+        st.rebuild(&sess, left, 0);
+        st.rebuild(&sess, right, 1);
+        st.pm_l
+            .update(&st.plf_model.eigen, &st.plf_model.gamma, plan.root_len);
+        let freqs = st.plf_model.model.freqs();
+        if let (ChildRef::Tip(_), _) | (_, ChildRef::Tip(_)) = (left, right) {
+            st.tips.build_root_lut(&st.pm_l, freqs, &mut st.lut_l);
+        }
         let view = |end: ChildRef| match end.stored() {
             Some(i) => sess.read(i),
-            None => &self.cherry[usize::from(end == right)],
+            None => &st.rebuilt[usize::from(end == right)],
         };
         match (left, right) {
             (ChildRef::Tip(t), q) | (q, ChildRef::Tip(t)) => {
                 let qi = q.inner().expect("no tip-tip branches exist for n >= 3");
-                kernel.evaluate_tip_inner_sites(
-                    &dims,
-                    &self.lut_l,
-                    self.tips.tip(t as usize),
+                st.kernel.evaluate_tip_inner_sites(
+                    &st.dims,
+                    &st.lut_l,
+                    st.tips.tip(t as usize),
                     view(q),
-                    &self.scale[qi as usize],
-                    &self.weights,
-                    &mut self.site_lnl,
+                    &st.scale[qi as usize],
+                    &st.weights,
+                    &mut st.site_lnl,
                 );
             }
-            (
-                ChildRef::Inner(p) | ChildRef::Cherry(p),
-                ChildRef::Inner(q) | ChildRef::Cherry(q),
-            ) => {
-                kernel.evaluate_inner_inner_sites(
-                    &dims,
+            (p, q) => {
+                let (pi, qi) = (p.inner().expect("not a tip"), q.inner().expect("not a tip"));
+                st.kernel.evaluate_inner_inner_sites(
+                    &st.dims,
                     view(left),
-                    &self.scale[p as usize],
+                    &st.scale[pi as usize],
                     view(right),
-                    &self.scale[q as usize],
-                    &self.pm_l,
+                    &st.scale[qi as usize],
+                    &st.pm_l,
                     freqs,
-                    &self.weights,
-                    &mut self.site_lnl,
+                    &st.weights,
+                    &mut st.site_lnl,
                 );
             }
         }
         sess.finish()?;
-        Ok(reduce_site_lnl(&self.site_lnl))
+        Ok(reduce_site_lnl(&st.site_lnl))
     }
 
     /// Per-pattern weighted log-likelihood terms of the most recent root
     /// evaluation. A sharded engine folds these across shards in shard
     /// order, reproducing the serial reduction bit-for-bit.
     pub fn site_lnl(&self) -> &[f64] {
-        &self.site_lnl
+        &self.st.site_lnl
     }
 
     /// Log-likelihood evaluated at the branch of `root_he`. With
     /// `full == true` every ancestral vector is recomputed (the worst case
     /// of the paper's §4.3); otherwise only stale vectors are.
     pub fn log_likelihood_at(&mut self, root_he: HalfEdgeId, full: bool) -> OocResult<f64> {
-        let plan = plan_traversal(&self.tree, root_he, &mut self.orient, full);
+        let plan = plan_traversal(&self.st.tree, root_he, &mut self.st.orient, full);
         self.execute_plan(&plan)?;
         self.evaluate_plan(&plan)
     }
 
     /// Log-likelihood at the default root branch, reusing valid vectors.
     pub fn log_likelihood(&mut self) -> OocResult<f64> {
-        self.log_likelihood_at(self.tree.default_root_edge(), false)
+        self.log_likelihood_at(self.st.tree.default_root_edge(), false)
     }
 
     /// The paper's `-f z` experiment: `count` successive *full* tree
@@ -456,7 +430,7 @@ impl<S: AncestralStore> PlfEngine<S> {
     /// since full tree traversals exhibit the smallest degree of vector
     /// locality."
     pub fn full_traversals(&mut self, count: usize) -> OocResult<f64> {
-        let root = self.tree.default_root_edge();
+        let root = self.st.tree.default_root_edge();
         let mut lnl = 0.0;
         for _ in 0..count {
             lnl = self.log_likelihood_at(root, true)?;
@@ -473,32 +447,32 @@ impl<S: AncestralStore> PlfEngine<S> {
         target: HalfEdgeId,
         graft_lens: Option<(f64, f64)>,
     ) -> SprUndo {
-        let (a, b) = self.tree.children_dirs(prune_dir);
+        let (a, b) = self.st.tree.children_dirs(prune_dir);
         for cut in [a, b, target] {
-            invalidate_branch(&self.tree, &mut self.orient, cut);
+            invalidate_branch(&self.st.tree, &mut self.st.orient, cut);
         }
-        spr_prune_regraft(&mut self.tree, prune_dir, target, graft_lens)
+        spr_prune_regraft(&mut self.st.tree, prune_dir, target, graft_lens)
     }
 
     /// Revert an SPR move; the branches cut are the two graft branches and
     /// the one the move merged.
     pub fn undo_spr(&mut self, prune_dir: HalfEdgeId, undo: &SprUndo) {
-        let (a, b) = self.tree.children_dirs(prune_dir);
+        let (a, b) = self.st.tree.children_dirs(prune_dir);
         for cut in [a, b, undo.merged_branch()] {
-            invalidate_branch(&self.tree, &mut self.orient, cut);
+            invalidate_branch(&self.st.tree, &mut self.st.orient, cut);
         }
-        spr_undo(&mut self.tree, undo);
+        spr_undo(&mut self.st.tree, undo);
     }
 
     /// Apply a nearest-neighbour interchange across the internal branch of
     /// `h`, first invalidating the vectors computed across the two
     /// branches it swaps (both ends of `h` always among them).
     pub fn apply_nni(&mut self, h: HalfEdgeId, variant: u8) -> NniUndo {
-        let (x, y) = nni_branches(&self.tree, h, variant);
+        let (x, y) = nni_branches(&self.st.tree, h, variant);
         for cut in [x, y] {
-            invalidate_branch(&self.tree, &mut self.orient, cut);
+            invalidate_branch(&self.st.tree, &mut self.st.orient, cut);
         }
-        nni(&mut self.tree, h, variant)
+        nni(&mut self.st.tree, h, variant)
     }
 
     /// Revert an NNI move (an involution: the same swap again).
@@ -508,24 +482,84 @@ impl<S: AncestralStore> PlfEngine<S> {
 
     /// Invalidate all cached vectors (used by tests and after bulk edits).
     pub fn invalidate_all(&mut self) {
-        self.orient.invalidate_all();
+        self.st.orient.invalidate_all();
     }
 
     /// Direct read-only access to a computed ancestral vector (test hook).
-    /// A vector currently oriented as a cherry has no stored bytes and is
+    /// A vector currently oriented as rebuilt has no stored bytes and is
     /// rebuilt like any other read of it.
     pub fn debug_vector(&mut self, inner: InnerId) -> OocResult<Vec<f64>> {
-        if let Some(dir) = self.orient.get(inner) {
-            let end = self.tree.child_ref(self.tree.back(dir));
-            if end.stored().is_none() {
-                self.rebuild_cherry(end, 0);
-                return Ok(self.cherry[0].to_vec());
-            }
-        }
-        let sess = self.store.session(&[AccessRecord::read(inner)])?;
-        let out = sess.read(inner).to_vec();
+        let dir = self.st.orient.get(inner);
+        let end = dir.map_or(ChildRef::Inner(inner), |dir| {
+            self.st.tree.child_ref(self.st.tree.back(dir))
+        });
+        let (pins, n_pins) = inline_pins(end.pinned().map(AccessRecord::read).into_iter());
+        let sess = self.store.session(&pins[..n_pins])?;
+        self.st.rebuild(&sess, end, 0);
+        let out = end
+            .stored()
+            .map_or(&self.st.rebuilt[0][..], |i| sess.read(i));
+        let out = out.to_vec();
         sess.finish()?;
         Ok(out)
+    }
+}
+
+impl EngineState {
+    /// If `end` is rebuilt, recompute its vector (and scaling counts) into
+    /// `rebuilt[k]` as it is currently oriented — the one kernel call its
+    /// plan step would have executed, on the same operands in the same
+    /// roles: the tip (a cherry's first) left, a stored operand read through
+    /// `sess`, which must pin it. Returns before touching anything for a
+    /// tip or a stored vector; otherwise clobbers the P-matrix and LUT
+    /// scratch, so readers call it before setting up their own.
+    pub(crate) fn rebuild(&mut self, sess: &impl VectorSession, end: ChildRef, k: usize) {
+        let ChildRef::Rebuilt { node, operand } = end else {
+            return;
+        };
+        let dir = self
+            .orient
+            .get(node)
+            .expect("a rebuilt vector is read valid");
+        let (l, r) = self.tree.children_dirs(dir);
+        let (tip_dir, other_dir) = if self.tree.is_tip(self.tree.neighbor(l)) {
+            (l, r)
+        } else {
+            (r, l)
+        };
+        let tip_codes = |h| self.tips.tip(self.tree.neighbor(h) as usize);
+        let (eigen, gamma) = (&self.plf_model.eigen, &self.plf_model.gamma);
+        self.pm_l
+            .update(eigen, gamma, self.tree.branch_length(tip_dir));
+        self.pm_r
+            .update(eigen, gamma, self.tree.branch_length(other_dir));
+        self.tips.build_lut(&self.pm_l, &mut self.lut_l);
+        let mut scale_n = std::mem::take(&mut self.scale[node as usize]);
+        match operand {
+            None => {
+                self.tips.build_lut(&self.pm_r, &mut self.lut_r);
+                self.kernel.newview_tip_tip(
+                    &self.dims,
+                    &mut self.rebuilt[k],
+                    &mut scale_n,
+                    &self.lut_l,
+                    tip_codes(tip_dir),
+                    &self.lut_r,
+                    tip_codes(other_dir),
+                )
+            }
+            Some(o) => self.kernel.newview_tip_inner(
+                &self.dims,
+                &mut self.rebuilt[k],
+                &mut scale_n,
+                &self.lut_l,
+                tip_codes(tip_dir),
+                sess.read(o),
+                &self.scale[o as usize],
+                &self.pm_r,
+            ),
+        }
+        self.scale[node as usize] = scale_n;
     }
 }
 

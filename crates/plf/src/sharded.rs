@@ -351,9 +351,9 @@ impl<S: AncestralStore + Send> NrBranchEngine for ShardedPlfEngine<S> {
     fn nr_derivatives(&mut self, z: f64) -> (f64, f64, f64) {
         let shards = &mut self.shards;
         let triples = par_each_mut(shards, |_, e| {
-            let mut l = std::mem::take(&mut e.nr_l);
-            let mut d1 = std::mem::take(&mut e.nr_d1);
-            let mut d2 = std::mem::take(&mut e.nr_d2);
+            let mut l = std::mem::take(&mut e.st.nr_l);
+            let mut d1 = std::mem::take(&mut e.st.nr_d1);
+            let mut d2 = std::mem::take(&mut e.st.nr_d2);
             e.branch_derivatives_sites(z, &mut l, &mut d1, &mut d2);
             (l, d1, d2)
         });
@@ -363,9 +363,9 @@ impl<S: AncestralStore + Send> NrBranchEngine for ShardedPlfEngine<S> {
             Self::fold_shards(triples.iter().map(|t| t.2.as_slice())),
         );
         for (e, (l, d1, d2)) in shards.iter_mut().zip(triples) {
-            e.nr_l = l;
-            e.nr_d1 = d1;
-            e.nr_d2 = d2;
+            e.st.nr_l = l;
+            e.st.nr_d1 = d1;
+            e.st.nr_d2 = d2;
         }
         folded
     }

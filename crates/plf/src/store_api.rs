@@ -84,7 +84,7 @@ pub trait AncestralStore {
 pub struct InRamStore {
     width: usize,
     /// Empty until the item's first pin: the engine never pins a vector it
-    /// does not store (a cherry), and an aligned zeroed allocation touches
+    /// does not store (a rebuilt one), and an aligned zeroed allocation touches
     /// every page it covers.
     vectors: Vec<AlignedBuf>,
 }

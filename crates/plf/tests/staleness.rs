@@ -18,6 +18,12 @@
 //!     the plan's write-first vectors dead — and the next evaluation that
 //!     gets through still equals a fresh in-RAM engine on the same tree.
 //!
+//! (e) on caterpillar-heavy trees, where one SPR at the bottom of a chain
+//!     flips the class — stored or rebuilt by its reader — of every vector
+//!     above it: (b) again, out of core on three slots, and (d) draws from
+//!     these trees too (a failed operand read inside a rebuild takes the
+//!     same roll-back).
+//!
 //! Operation sequences include several mutations in a row with no traversal
 //! between them and undos issued straight after their applies.
 
@@ -30,7 +36,7 @@ use phylo_plf::{
     BuildContext, EngineSpec, InRamStore, LikelihoodEngine, OocStore, PartSpec, PlfEngine,
 };
 use phylo_seq::{compress_patterns, simulate_alignment, CompressedAlignment};
-use phylo_tree::build::{random_topology, yule_like_lengths};
+use phylo_tree::build::{caterpillar_tree, random_topology, yule_like_lengths};
 use phylo_tree::spr::{
     nni, nni_undo, spr_prune_regraft, spr_undo, subtree_contains, NniUndo, SprUndo,
 };
@@ -311,25 +317,46 @@ struct Case {
     alpha: f64,
 }
 
+/// Lengths and two alignments for `tree`, drawn from `rng`.
+fn case_on(mut tree: Tree, sites: usize, alpha: f64, rng: &mut StdRng) -> Case {
+    yule_like_lengths(&mut tree, 0.15, 1e-5, rng);
+    let models = [
+        ReversibleModel::hky85(2.2, &[0.3, 0.2, 0.2, 0.3]),
+        ReversibleModel::jc69(),
+    ];
+    let gamma = DiscreteGamma::new(alpha, 4);
+    let comps = [&models[0], &models[1]]
+        .map(|m| compress_patterns(&simulate_alignment(&tree, m, &gamma, sites, rng)));
+    Case {
+        tree,
+        comps,
+        models,
+        alpha,
+    }
+}
+
 fn arb_case() -> impl Strategy<Value = Case> {
     (4usize..14, 30usize..70, any::<u64>(), 0.2f64..3.0).prop_map(|(n, sites, seed, alpha)| {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut tree = random_topology(n, 0.1, &mut rng);
-        yule_like_lengths(&mut tree, 0.15, 1e-5, &mut rng);
-        let models = [
-            ReversibleModel::hky85(2.2, &[0.3, 0.2, 0.2, 0.3]),
-            ReversibleModel::jc69(),
-        ];
-        let gamma = DiscreteGamma::new(alpha, 4);
-        let comps = [&models[0], &models[1]]
-            .map(|m| compress_patterns(&simulate_alignment(&tree, m, &gamma, sites, &mut rng)));
-        Case {
-            tree,
-            comps,
-            models,
-            alpha,
-        }
+        let tree = random_topology(n, 0.1, &mut rng);
+        case_on(tree, sites, alpha, &mut rng)
     })
+}
+
+/// A caterpillar, up to two random SPRs away from one: long tip-inner
+/// chains, on which stored and rebuilt vectors alternate.
+fn arb_chain_case() -> impl Strategy<Value = Case> {
+    let moves = proptest::collection::vec(any::<u64>(), 0..3);
+    (5usize..20, 30usize..70, any::<u64>(), 0.2f64..3.0, moves).prop_map(
+        |(n, sites, seed, alpha, moves)| {
+            let mut tree = caterpillar_tree(n, 0.1);
+            for m in moves {
+                let (dir, target) = pick(&spr_moves(&tree), m).expect("n >= 5 has SPR moves");
+                spr_prune_regraft(&mut tree, dir, target, None);
+            }
+            case_on(tree, sites, alpha, &mut StdRng::seed_from_u64(seed))
+        },
+    )
 }
 
 fn serial(case: &Case) -> PlfEngine<InRamStore> {
@@ -345,11 +372,22 @@ fn serial_over<S: phylo_plf::AncestralStore>(case: &Case, tree: Tree, store: S) 
 
 type FaultyEngine = PlfEngine<OocStore<FaultInjectingStore<MemStore>>>;
 
-/// Three slots over a store that fails about one transfer in twelve,
-/// reads and writes alike, transiently.
-fn faulty(case: &Case, seed: u64) -> FaultyEngine {
+/// Three slots over a store that fails transfers as `faults` says.
+fn three_slots(case: &Case, faults: FaultPlan) -> FaultyEngine {
     let n = case.tree.n_inner();
     let width = PlfEngine::<InRamStore>::dims_for(&case.comps[0], 4).width();
+    let cfg = OocConfig::builder(n, width)
+        .slots(3)
+        .always_write_back(false)
+        .build()
+        .unwrap();
+    let store = FaultInjectingStore::new(MemStore::new(n, width), faults);
+    let manager = VectorManager::new(cfg, StrategyKind::Lru.build(None), store);
+    serial_over(case, case.tree.clone(), OocStore::new(manager))
+}
+
+/// About one transfer in twelve fails, reads and writes alike, transiently.
+fn faulty(case: &Case, seed: u64) -> FaultyEngine {
     let rule = |op, seed| FaultRule::Random {
         op,
         seed,
@@ -359,14 +397,7 @@ fn faulty(case: &Case, seed: u64) -> FaultyEngine {
     let faults = FaultPlan::none()
         .with(rule(FaultOp::Read, seed))
         .with(rule(FaultOp::Write, !seed));
-    let cfg = OocConfig::builder(n, width)
-        .slots(3)
-        .always_write_back(false)
-        .build()
-        .unwrap();
-    let store = FaultInjectingStore::new(MemStore::new(n, width), faults);
-    let manager = VectorManager::new(cfg, StrategyKind::Lru.build(None), store);
-    serial_over(case, case.tree.clone(), OocStore::new(manager))
+    three_slots(case, faults)
 }
 
 /// The next evaluation of `live` that gets through, against an engine that
@@ -425,7 +456,7 @@ proptest! {
     /// (d): whatever fails, and wherever in a traversal it fails.
     #[test]
     fn an_abandoned_plan_leaves_no_wrong_vector_behind(
-        case in arb_case(),
+        case in prop_oneof![arb_case(), arb_chain_case()],
         ops in arb_ops(),
         seed in any::<u64>(),
     ) {
@@ -477,5 +508,14 @@ proptest! {
     fn partitions_of_shards_inherit_the_walk(case in arb_case(), ops in arb_ops()) {
         let (mut live, mut twin) = (partitions_of_shards(&case), partitions_of_shards(&case));
         drive(&mut live, &mut twin, &ops, |_, _| Ok(()))?;
+    }
+
+    /// (e): a cut that flips a vector's class has staled it, so a partial
+    /// traversal never meets a stored vector without bytes nor a rebuilt
+    /// one whose operand is stale.
+    #[test]
+    fn class_flips_happen_only_under_cuts_that_stale(case in arb_chain_case(), ops in arb_ops()) {
+        let fault_free = || three_slots(&case, FaultPlan::none());
+        drive(&mut fault_free(), &mut fault_free(), &ops, |_, _| Ok(()))?;
     }
 }

@@ -8,6 +8,11 @@
 //!   stales and at most once more per branch end it starts from, so this
 //!   bounds the nodes it visits too.
 //!
+//! Deciding a vector's class (`Tree::child_ref`: stored, or rebuilt by its
+//! reader) costs the tip-inner chain below it and nothing else: it does not
+//! allocate, planning allocates per plan and not per step, and with the
+//! rest of the tree cut away the answer is the same.
+//!
 //! A 1024-taxon random tree is the search-like case (paths of up to a
 //! hundred nodes among a thousand); a 5000-taxon caterpillar covers both a change
 //! right under the root of a very deep tree and a path that *is* the tree.
@@ -17,7 +22,8 @@ use phylo_plf::{InRamStore, PlfEngine};
 use phylo_seq::{compress_patterns, simulate_alignment};
 use phylo_tree::build::{caterpillar_tree, random_topology};
 use phylo_tree::spr::subtree_contains;
-use phylo_tree::{HalfEdgeId, Tree};
+use phylo_tree::traverse::{invalidate_branch, plan_traversal, Orientation};
+use phylo_tree::{ChildRef, HalfEdgeId, Tree};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -187,4 +193,51 @@ fn caterpillar_operations_cost_the_path() {
     for dir in dirs {
         probe(&mut engine, root, dir);
     }
+}
+
+#[test]
+fn a_class_costs_the_chain_below_it_and_planning_allocates_per_plan() {
+    let tree = caterpillar_tree(5000, 0.05);
+    let n_inner = tree.n_inner() as u32;
+    // Rooted at tip 0 the spine is one chain; inner node `k` reads node
+    // `k + 1` through the ring half-edge that is not its tip's or `k - 1`'s.
+    let reads_next = |k: u32| {
+        let ring = tree.ring(tree.inner_node(k));
+        ring.into_iter()
+            .find(|&h| tree.neighbor(h) == tree.inner_node(k + 1))
+            .unwrap()
+    };
+    for k in [1, n_inner / 2, n_inner - 3, n_inner - 2] {
+        let h = reads_next(k);
+        let (n, class) = allocations(|| tree.child_ref(h));
+        assert_eq!(n, 0, "child_ref allocated");
+        // The chain below node k + 1 ends in the far cherry, n_inner - 1:
+        // classes alternate from there.
+        let node = k + 1;
+        let want = if (n_inner - 1 - node).is_multiple_of(2) {
+            let operand = (node + 1 < n_inner).then_some(node + 1);
+            ChildRef::Rebuilt { node, operand }
+        } else {
+            ChildRef::Inner(node)
+        };
+        assert_eq!(class, want);
+        // Nothing above the reader is looked at: cut it off.
+        let mut cut = tree.clone();
+        for up in [tree.next(h), tree.next(tree.next(h))] {
+            cut.split(up);
+        }
+        assert_eq!(cut.child_ref(h), class, "node {k} looked above itself");
+    }
+
+    // A change at the far end stales the whole spine; planning it again
+    // allocates for its step vector and work stack as they double, and for
+    // nothing per step.
+    let root = tree.default_root_edge();
+    let mut orient = Orientation::new(tree.n_inner());
+    plan_traversal(&tree, root, &mut orient, false);
+    invalidate_branch(&tree, &mut orient, tree.tip_half_edge(4999));
+    let (n, plan) = allocations(|| plan_traversal(&tree, root, &mut orient, false));
+    assert_eq!(plan.steps.len(), tree.n_inner());
+    let doublings = usize::BITS - plan.steps.len().leading_zeros();
+    assert!(n <= 3 * (doublings as u64 + 2), "{n} allocations");
 }

@@ -39,7 +39,7 @@ impl<'a> FitchScorer<'a> {
         let child_set = |c: ChildRef, sets: &Vec<Vec<SiteMask>>, i: usize| -> SiteMask {
             match c {
                 ChildRef::Tip(t) => aln.seq(t as usize)[i],
-                ChildRef::Inner(x) | ChildRef::Cherry(x) => sets[x as usize][i],
+                ChildRef::Inner(x) | ChildRef::Rebuilt { node: x, .. } => sets[x as usize][i],
             }
         };
         for step in &plan.steps {

@@ -15,18 +15,25 @@ const INVALID: u32 = u32::MAX;
 /// A child of an inner node as seen from a traversal direction: a tip
 /// (whose likelihood entries come from the encoded alignment), an inner
 /// node whose entries come from its stored ancestral probability vector, or
-/// a cherry, whose entries its reader rebuilds from the two tips.
+/// an inner node whose entries its reader rebuilds with one kernel call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChildRef {
     /// Alignment tip.
     Tip(TipId),
     /// Inner node with a stored ancestral probability vector.
     Inner(InnerId),
-    /// Inner node whose two children, as oriented towards its reader, are
-    /// both tips: its vector is a product of two tip look-up tables,
-    /// cheaper to rebuild where it is read than to store, so it has no
-    /// bytes in the residency layer for this orientation.
-    Cherry(InnerId),
+    /// Inner node one of whose children, as oriented towards its reader, is
+    /// a tip, and whose other child is a tip too (`operand: None`, a
+    /// cherry) or the stored vector `operand`: one tip look-up table
+    /// contracted with one stored tensor, cheaper to rebuild where it is
+    /// read than to store, so it has no bytes in the residency layer for
+    /// this orientation.
+    Rebuilt {
+        /// The inner node whose vector is rebuilt.
+        node: InnerId,
+        /// The stored vector the rebuild reads, if any.
+        operand: Option<InnerId>,
+    },
 }
 
 impl ChildRef {
@@ -35,7 +42,7 @@ impl ChildRef {
     pub fn inner(self) -> Option<InnerId> {
         match self {
             ChildRef::Tip(_) => None,
-            ChildRef::Inner(i) | ChildRef::Cherry(i) => Some(i),
+            ChildRef::Inner(i) | ChildRef::Rebuilt { node: i, .. } => Some(i),
         }
     }
 
@@ -45,7 +52,31 @@ impl ChildRef {
     pub fn stored(self) -> Option<InnerId> {
         match self {
             ChildRef::Inner(i) => Some(i),
-            ChildRef::Tip(_) | ChildRef::Cherry(_) => None,
+            ChildRef::Tip(_) | ChildRef::Rebuilt { .. } => None,
+        }
+    }
+
+    /// The stored vector a reader pins on behalf of this child: its own, or
+    /// the one its rebuild reads.
+    #[inline]
+    pub fn pinned(self) -> Option<InnerId> {
+        match self {
+            ChildRef::Tip(_) => None,
+            ChildRef::Inner(i) => Some(i),
+            ChildRef::Rebuilt { operand, .. } => operand,
+        }
+    }
+
+    /// One level of the rule [`Tree::child_ref`] decides: a vector with
+    /// these two children is rebuilt iff one is a tip and the other is not
+    /// itself rebuilt.
+    #[inline]
+    pub fn rebuilt_from(left: ChildRef, right: ChildRef) -> bool {
+        match (left, right) {
+            (ChildRef::Tip(_), other) | (other, ChildRef::Tip(_)) => {
+                !matches!(other, ChildRef::Rebuilt { .. })
+            }
+            _ => false,
         }
     }
 }
@@ -272,7 +303,11 @@ impl Tree {
 
     /// Resolve the node at the far end of `h`, oriented towards `h`'s
     /// owner, as a [`ChildRef`] — the one place that decides whether an
-    /// inner vector is a cherry.
+    /// inner vector is stored or rebuilt: `rebuilt(v) = has_tip_child(v) ∧
+    /// ¬rebuilt(other_child(v))`, a tip counting as not rebuilt. The
+    /// recursion only ever descends a chain of nodes with exactly one tip
+    /// child, so it is a parity count down that chain (no allocation; mean
+    /// ≈ 2 nodes on random trees, the whole chain on a caterpillar).
     #[inline]
     pub fn child_ref(&self, h: HalfEdgeId) -> ChildRef {
         let towards_reader = self.back(h);
@@ -280,11 +315,25 @@ impl Tree {
         if self.is_tip(node) {
             return ChildRef::Tip(node);
         }
-        let (l, r) = self.children_dirs(towards_reader);
-        if self.is_tip(self.neighbor(l)) && self.is_tip(self.neighbor(r)) {
-            ChildRef::Cherry(self.inner_index(node))
+        // `flipped`: an odd number of chain links separate `dir` from `node`;
+        // `operand`: the first link's far end.
+        let (mut dir, mut flipped, mut operand) = (towards_reader, false, None);
+        let bottom_rebuilt = loop {
+            let (l, r) = self.children_dirs(dir);
+            let below = match (self.is_tip(self.neighbor(l)), self.is_tip(self.neighbor(r))) {
+                (true, true) => break true,
+                (false, false) => break false,
+                (true, false) => self.back(r),
+                (false, true) => self.back(l),
+            };
+            operand.get_or_insert(self.inner_index(self.node_of(below)));
+            (dir, flipped) = (below, !flipped);
+        };
+        let node = self.inner_index(node);
+        if bottom_rebuilt != flipped {
+            ChildRef::Rebuilt { node, operand }
         } else {
-            ChildRef::Inner(self.inner_index(node))
+            ChildRef::Inner(node)
         }
     }
 
@@ -459,23 +508,57 @@ mod tests {
         assert_eq!(t.child_ref(h), ChildRef::Tip(0));
         // Seen from a tip of the 3-tip star, the centre joins two tips.
         let ht = t.tip_half_edge(0);
-        assert_eq!(t.child_ref(ht), ChildRef::Cherry(0));
+        let cherry = ChildRef::Rebuilt {
+            node: 0,
+            operand: None,
+        };
+        assert_eq!(t.child_ref(ht), cherry);
     }
 
     #[test]
-    fn cherry_ness_depends_on_the_reader() {
+    fn the_class_depends_on_the_reader() {
         // ((0,1),(2,3)): each inner node is a cherry seen from the other
-        // and a stored tip-inner vector seen from one of its own tips.
+        // and, seen from one of its own tips, a stored tip-inner vector
+        // (its other child is rebuilt).
         let mut t = Tree::with_capacity(4);
         t.join(t.tip_half_edge(0), t.inner_half_edge(0, 0), 0.1);
         t.join(t.tip_half_edge(1), t.inner_half_edge(0, 1), 0.1);
         t.join(t.tip_half_edge(2), t.inner_half_edge(1, 0), 0.1);
         t.join(t.tip_half_edge(3), t.inner_half_edge(1, 1), 0.1);
         t.join(t.inner_half_edge(0, 2), t.inner_half_edge(1, 2), 0.1);
-        assert_eq!(t.child_ref(t.inner_half_edge(1, 2)), ChildRef::Cherry(0));
-        assert_eq!(t.child_ref(t.inner_half_edge(0, 2)), ChildRef::Cherry(1));
+        let cherry = |node| ChildRef::Rebuilt {
+            node,
+            operand: None,
+        };
+        assert_eq!(t.child_ref(t.inner_half_edge(1, 2)), cherry(0));
+        assert_eq!(t.child_ref(t.inner_half_edge(0, 2)), cherry(1));
         assert_eq!(t.child_ref(t.tip_half_edge(0)), ChildRef::Inner(0));
-        assert_eq!(ChildRef::Cherry(0).inner(), Some(0));
-        assert_eq!(ChildRef::Cherry(0).stored(), None);
+        assert_eq!(cherry(0).inner(), Some(0));
+        assert_eq!((cherry(0).stored(), cherry(0).pinned()), (None, None));
+    }
+
+    #[test]
+    fn classes_alternate_up_a_caterpillar() {
+        // Seen from the last tip, inner node `k` hangs below node `k + 1`
+        // and joins a tip to node `k - 1`; node 0 is the cherry.
+        let t = crate::build::caterpillar_tree(9, 0.1);
+        let mut from_above = t.tip_half_edge(8);
+        for k in (0..t.n_inner() as InnerId).rev() {
+            let class = t.child_ref(from_above);
+            if k.is_multiple_of(2) {
+                let operand = k.checked_sub(1);
+                assert_eq!(class, ChildRef::Rebuilt { node: k, operand });
+                assert_eq!((class.stored(), class.pinned()), (None, operand));
+            } else {
+                assert_eq!(class, ChildRef::Inner(k));
+            }
+            assert_eq!(
+                ChildRef::rebuilt_from(ChildRef::Tip(0), class),
+                !k.is_multiple_of(2),
+                "the node above {k}"
+            );
+            let (l, r) = t.children_dirs(t.back(from_above));
+            from_above = if t.is_tip(t.neighbor(l)) { r } else { l };
+        }
     }
 }

@@ -101,50 +101,52 @@ pub struct TraversalPlan {
     pub root_len: f64,
 }
 
-/// The pins of one engine session, in access order: the stored vectors among
-/// `sources` read, then `target` written. Tips and cherries have no bytes in
-/// the residency layer and produce no record.
+/// The pins of one engine session, in access order: what `sources` have
+/// the reader pin ([`ChildRef::pinned`]: a stored vector itself, a rebuilt
+/// one's operand) read, then `target` written. Tips and rebuilt vectors
+/// have no bytes in the residency layer and produce no record.
 fn session_pins(
     sources: [ChildRef; 2],
     target: Option<InnerId>,
 ) -> impl Iterator<Item = AccessRecord> {
-    let reads = sources.into_iter().filter_map(ChildRef::stored);
+    let reads = sources.into_iter().filter_map(ChildRef::pinned);
     reads
         .map(AccessRecord::read)
         .chain(target.map(AccessRecord::write))
 }
 
 impl TraversalStep {
-    /// Both children are tips. A cherry step still orients its node, but
-    /// it is never executed, lowered or pinned: whoever reads the vector
-    /// rebuilds it from the two tips ([`ChildRef::Cherry`]).
+    /// This step's vector is rebuilt by whoever reads it
+    /// ([`ChildRef::Rebuilt`]): the step still orients its node, but it is
+    /// never executed, lowered or pinned.
     #[inline]
-    pub fn is_cherry(&self) -> bool {
-        matches!(
-            (self.left, self.right),
-            (ChildRef::Tip(_), ChildRef::Tip(_))
-        )
+    pub fn is_rebuilt(&self) -> bool {
+        ChildRef::rebuilt_from(self.left, self.right)
     }
 
-    /// The pins of the session that executes this combine: stored children
-    /// (left, right), then the parent. Empty for a cherry step.
+    /// The pins of the session that executes this combine: what its
+    /// children have it pin (left, right), then the parent.
     pub fn pins(&self) -> impl Iterator<Item = AccessRecord> {
-        let target = (!self.is_cherry()).then_some(self.parent);
-        session_pins([self.left, self.right], target)
+        debug_assert!(!self.is_rebuilt(), "a rebuilt step opens no session");
+        session_pins([self.left, self.right], Some(self.parent))
     }
 }
 
 impl TraversalPlan {
-    /// Stored vectors written by this plan, in order (cherry steps write
+    /// The steps the engine executes, in order: all but the rebuilt ones.
+    fn executed(&self) -> impl Iterator<Item = &TraversalStep> + '_ {
+        self.steps.iter().filter(|s| !s.is_rebuilt())
+    }
+
+    /// Stored vectors written by this plan, in order (rebuilt steps write
     /// none). These are exactly the vectors that are write-only on first
     /// access (read-skip candidates).
     pub fn written(&self) -> impl Iterator<Item = InnerId> + '_ {
-        let executed = self.steps.iter().filter(|s| !s.is_cherry());
-        executed.map(|s| s.parent)
+        self.executed().map(|s| s.parent)
     }
 
-    /// The pins of the root evaluation's session: the stored vectors at the
-    /// two ends of the virtual-root branch.
+    /// The pins of the root evaluation's session: what the two ends of the
+    /// virtual-root branch have it pin.
     pub fn root_pins(&self) -> impl Iterator<Item = AccessRecord> {
         session_pins([self.root_left, self.root_right], None)
     }
@@ -154,8 +156,7 @@ impl TraversalPlan {
     /// [`AccessRecord`]s, shared by the engine, [`TraversalPlan::lower`]
     /// and the replays.
     pub fn pin_groups(&self) -> impl Iterator<Item = impl Iterator<Item = AccessRecord>> + '_ {
-        let executed = self.steps.iter().filter(|s| !s.is_cherry());
-        executed
+        self.executed()
             .map(|s| session_pins([s.left, s.right], Some(s.parent)))
             .chain(std::iter::once(session_pins(
                 [self.root_left, self.root_right],
@@ -167,15 +168,15 @@ impl TraversalPlan {
     /// exact ordered `{item, intent}` sequence the PLF engine issues when
     /// executing the plan over `n_items` ancestral vectors.
     ///
-    /// Per executed combine, the engine pins the stored children (reads, in
-    /// left/right order) before acquiring the parent slot (write); the
-    /// final root evaluation then reads the stored vectors at the ends of
-    /// the virtual-root branch. Tips and cherries live outside the managed
-    /// item space and produce no records. Because steps are in dependency
-    /// order, every written item's *first* access is its write — the
-    /// lowered plan's write-first set is exactly [`TraversalPlan::written`],
-    /// which is what makes read skipping (§3.4) fall out of first-access
-    /// analysis instead of a side-channel flag.
+    /// Per executed combine, the engine pins what the children have it pin
+    /// (reads, in left/right order) before acquiring the parent slot
+    /// (write); the final root evaluation then reads on behalf of the two
+    /// ends of the virtual-root branch. Tips and rebuilt vectors live
+    /// outside the managed item space and produce no records. Because steps
+    /// are in dependency order, every written item's *first* access is its
+    /// write — the lowered plan's write-first set is exactly
+    /// [`TraversalPlan::written`], which is what makes read skipping (§3.4)
+    /// fall out of first-access analysis instead of a side-channel flag.
     pub fn lower(&self, n_items: usize) -> AccessPlan {
         AccessPlan::from_records(self.pin_groups().flatten().collect(), n_items)
     }
@@ -306,41 +307,46 @@ mod tests {
     }
 
     #[test]
-    fn cherry_steps_orient_but_are_never_lowered() {
+    fn rebuilt_steps_orient_but_are_never_lowered() {
         let (t, mut o) = tree_and_orient(40, 1);
         let plan = plan_traversal(&t, t.default_root_edge(), &mut o, true);
-        let cherries: Vec<InnerId> = plan
+        let rebuilt: Vec<&TraversalStep> = plan.steps.iter().filter(|s| s.is_rebuilt()).collect();
+        // Cherries and tip-inner vectors over a stored operand, both.
+        for tips in [2, 1] {
+            let n_tips = |s: &&TraversalStep| [s.left, s.right].map(|c| c.inner().is_none() as u8);
+            assert!(rebuilt.iter().any(|s| n_tips(s).iter().sum::<u8>() == tips));
+        }
+        assert_eq!(plan.written().count(), t.n_inner() - rebuilt.len());
+        let access = plan.lower(t.n_inner());
+        for step in &rebuilt {
+            let node = step.parent;
+            assert!(
+                o.get(node).is_some(),
+                "a rebuilt node is oriented like any other"
+            );
+            assert!(access.records().iter().all(|r| r.item != node));
+            assert!([step.left, step.right]
+                .iter()
+                .all(|c| !matches!(c, ChildRef::Rebuilt { .. })));
+        }
+        // A reader sees it as rebuilt and pins its operand instead.
+        let reader = plan
             .steps
             .iter()
-            .filter(|s| s.is_cherry())
-            .map(|s| s.parent)
-            .collect();
-        assert!(!cherries.is_empty());
-        assert_eq!(plan.written().count(), t.n_inner() - cherries.len());
-        let access = plan.lower(t.n_inner());
-        for &c in &cherries {
-            assert!(
-                o.get(c).is_some(),
-                "a cherry node is oriented like any other"
-            );
-            assert!(access.records().iter().all(|r| r.item != c));
-            assert_eq!(
-                plan.steps
-                    .iter()
-                    .find(|s| s.parent == c)
-                    .unwrap()
-                    .pins()
-                    .count(),
-                0
-            );
-        }
-        // Its reader sees it as a cherry, not as a stored vector.
-        let reads_cherry = |s: &TraversalStep| {
-            [s.left, s.right]
-                .iter()
-                .any(|c| matches!(c, ChildRef::Cherry(_)))
-        };
-        assert!(plan.steps.iter().any(reads_cherry));
+            .find(|s| {
+                matches!(
+                    s.left,
+                    ChildRef::Rebuilt {
+                        operand: Some(_),
+                        ..
+                    }
+                )
+            })
+            .expect("some step reads a rebuilt tip-inner vector");
+        assert_eq!(
+            reader.pins().next(),
+            reader.left.pinned().map(AccessRecord::read)
+        );
         // The groups are the lowered plan, cut into sessions.
         let flat: Vec<AccessRecord> = plan.pin_groups().flatten().collect();
         assert_eq!(flat, access.records());
@@ -466,10 +472,7 @@ mod tests {
         let root = t.tip_half_edge(0);
         let plan = plan_traversal(&t, root, &mut o, true);
         assert_eq!(plan.root_left, ChildRef::Tip(0));
-        match plan.root_right {
-            ChildRef::Inner(_) => {}
-            other => panic!("expected inner endpoint, got {other:?}"),
-        }
+        assert!(plan.root_right.inner().is_some(), "{:?}", plan.root_right);
         assert_eq!(plan.root_len, t.branch_length(root));
     }
 }

@@ -6,8 +6,8 @@
 //! skipping), and the lowered plan's first-access analysis must agree
 //! with the written/reads scan the PLF engine used to perform inline.
 
-use ooc_core::Intent;
-use phylo_tree::build::random_topology;
+use ooc_core::{AccessRecord, Intent, MAX_PINS};
+use phylo_tree::build::{caterpillar_tree, random_topology};
 use phylo_tree::spr::subtree_contains;
 use phylo_tree::traverse::{invalidate_branch, plan_traversal, Orientation, TraversalPlan};
 use phylo_tree::{ChildRef, HalfEdgeId, Tree};
@@ -27,23 +27,36 @@ fn stale_two_branches(t: &Tree, o: &mut Orientation, a: u32, b: u32) {
 }
 
 /// The scan `PlfEngine::execute_plan` performed before plan lowering
-/// existed: written parents in order, plus every inner child read before
-/// it is (re)written in this plan.
+/// existed: written parents in order, plus every vector an executed combine
+/// pins for a child before it is (re)written in this plan.
 fn inline_scan(plan: &TraversalPlan) -> (HashSet<u32>, HashSet<u32>) {
     let written: HashSet<u32> = plan.written().collect();
     let mut will_write: HashSet<u32> = HashSet::new();
     let mut reads: HashSet<u32> = HashSet::new();
-    for step in &plan.steps {
-        for child in [step.left, step.right] {
-            if let ChildRef::Inner(i) = child {
-                if !will_write.contains(&i) {
-                    reads.insert(i);
-                }
+    for step in plan.steps.iter().filter(|s| !s.is_rebuilt()) {
+        for i in [step.left, step.right]
+            .into_iter()
+            .filter_map(ChildRef::pinned)
+        {
+            if !will_write.contains(&i) {
+                reads.insert(i);
             }
         }
         will_write.insert(step.parent);
     }
     (written, reads)
+}
+
+/// The rule as written: the vector of `node_of(dir)`, oriented towards
+/// `dir`, is rebuilt iff one child is a tip and the other is not rebuilt.
+fn rebuilt_by_definition(t: &Tree, dir: HalfEdgeId) -> bool {
+    if t.is_tip(t.node_of(dir)) {
+        return false;
+    }
+    let (l, r) = t.children_dirs(dir);
+    let below = [t.back(l), t.back(r)];
+    let has_tip_child = below.iter().any(|&c| t.is_tip(t.node_of(c)));
+    has_tip_child && !below.iter().any(|&c| rebuilt_by_definition(t, c))
 }
 
 /// By definition: the valid vectors computed across the branch of `h` —
@@ -200,11 +213,9 @@ proptest! {
         prop_assert_eq!(&write_first, &written, "write-first must equal written");
 
         let mut expected_reads = reads.clone();
-        for endpoint in [plan.root_left, plan.root_right] {
-            if let ChildRef::Inner(i) = endpoint {
-                if !written.contains(&i) {
-                    expected_reads.insert(i);
-                }
+        for i in [plan.root_left, plan.root_right].into_iter().filter_map(ChildRef::pinned) {
+            if !written.contains(&i) {
+                expected_reads.insert(i);
             }
         }
         let read_first: HashSet<u32> = lowered.read_first_items().iter().copied().collect();
@@ -219,5 +230,64 @@ proptest! {
         for &item in &read_first {
             prop_assert_eq!(lowered.first_access(item).map(|(_, i)| i), Some(Intent::Read));
         }
+    }
+
+    /// One function decides a vector's class, and it is the recursive rule:
+    /// on random trees and caterpillars, seen from every half-edge; and a
+    /// plan built from it never has a rebuilt vector read a rebuilt one,
+    /// never pins an item twice or more than `MAX_PINS` in one session, and
+    /// lowers to its sessions laid end to end.
+    #[test]
+    fn classes_follow_the_rule_and_sessions_stay_small(
+        n_taxa in 4usize..48,
+        seed in 0u64..1000,
+        caterpillar in any::<bool>(),
+        a in 0u32..48,
+        b in 0u32..48,
+        full in any::<bool>(),
+        root in any::<u64>(),
+    ) {
+        let t = if caterpillar { caterpillar_tree(n_taxa, 0.1) } else { tree_for(n_taxa, seed) };
+        for h in 0..t.n_half_edges() as HalfEdgeId {
+            let dir = t.back(h);
+            let class = t.child_ref(h);
+            if t.is_tip(t.node_of(dir)) {
+                prop_assert_eq!(class, ChildRef::Tip(t.node_of(dir)));
+                continue;
+            }
+            let node = t.inner_index(t.node_of(dir));
+            if !rebuilt_by_definition(&t, dir) {
+                prop_assert_eq!(class, ChildRef::Inner(node));
+                continue;
+            }
+            let (l, r) = t.children_dirs(dir);
+            let operand = [l, r].into_iter().find(|&c| !t.is_tip(t.neighbor(c)));
+            prop_assert!(operand.is_none_or(|c| !rebuilt_by_definition(&t, t.back(c))));
+            let operand = operand.map(|c| t.inner_index(t.neighbor(c)));
+            prop_assert_eq!(class, ChildRef::Rebuilt { node, operand });
+        }
+
+        let mut o = Orientation::new(t.n_inner());
+        if !full {
+            plan_traversal(&t, t.default_root_edge(), &mut o, true);
+            stale_two_branches(&t, &mut o, a, b);
+        }
+        let root = (root % t.n_half_edges() as u64) as HalfEdgeId;
+        let plan = plan_traversal(&t, root, &mut o, full);
+        for step in &plan.steps {
+            prop_assert_eq!(step.is_rebuilt(), rebuilt_by_definition(&t, step.parent_dir));
+            let reads_rebuilt = [step.left, step.right]
+                .iter()
+                .any(|c| matches!(c, ChildRef::Rebuilt { .. }));
+            prop_assert!(!(step.is_rebuilt() && reads_rebuilt), "{:?}", step);
+        }
+        let groups: Vec<Vec<AccessRecord>> = plan.pin_groups().map(Iterator::collect).collect();
+        prop_assert_eq!(groups.len(), plan.written().count() + 1);
+        for group in &groups {
+            let items: HashSet<u32> = group.iter().map(|r| r.item).collect();
+            prop_assert!(group.len() <= MAX_PINS && items.len() == group.len(), "{:?}", group);
+        }
+        let lowered = plan.lower(t.n_inner());
+        prop_assert_eq!(groups.concat(), lowered.records());
     }
 }

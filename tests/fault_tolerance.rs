@@ -103,11 +103,12 @@ fn failed_traversal_is_recomputed_not_trusted() {
         .log_likelihood()
         .expect("in-RAM reference cannot fail");
 
-    // The sixth store write fails, once: evictions start after the first
-    // few combines, so this is the middle of the first traversal.
+    // The third store write fails, once: evictions start after the first
+    // few stored combines (half the vectors are rebuilt, never written),
+    // so this is the middle of the first traversal.
     let plan = FaultPlan::none().with(FaultRule::Window {
         op: FaultOp::Write,
-        start: 5,
+        start: 2,
         count: 1,
         kind: FaultKind::Transient,
     });

@@ -98,7 +98,7 @@ fn ooc_io_scales_with_misses_not_touches() {
     let mut orient = Orientation::new(data.n_items());
     let plan = plan_traversal(&data.tree, root, &mut orient, true);
     let stored = plan.written().count();
-    assert!(stored < data.n_items(), "cherries are never stored");
+    assert!(stored < data.n_items(), "rebuilt vectors are never stored");
     assert_eq!(
         stats.misses as usize, stored,
         "f = 1.0: only the cold loads of the stored vectors miss"

@@ -16,7 +16,7 @@ use phylo_ooc::run::{run as run_job, Job, MetricsFile};
 use phylo_ooc::seq::PartitionKind;
 use phylo_ooc::setup::{self, DatasetSpec};
 use phylo_ooc::tree::spr::subtree_contains;
-use phylo_ooc::tree::HalfEdgeId;
+use phylo_ooc::tree::{ChildRef, HalfEdgeId};
 
 fn fig2_dataset() -> setup::Dataset {
     setup::simulate_dataset(&DatasetSpec {
@@ -99,35 +99,50 @@ fn reference_run(data: &setup::Dataset, p: usize) -> Run {
     })
 }
 
-/// Take one cherry through every state its vector can be in and return
-/// the bits of every number that comes out: rebuilt by its parent, one tip
-/// branch changed, the root moved onto each of its own tip branches (it
-/// stops being a cherry for that orientation and becomes a stored
-/// tip-inner vector), Newton–Raphson with it as a root end, back to a
-/// cherry, then cut apart by an SPR and put back.
-fn cherry_walk<E: LikelihoodEngine>(engine: &mut E) -> Vec<u64> {
+/// Take one rebuilt vector — a cherry, or with `with_operand` a tip-inner
+/// vector over a stored operand — through every state it can be in and
+/// return the bits of every number that comes out: rebuilt by its parent,
+/// its tip branch changed, its operand's subtree changed, the root moved
+/// onto each of its own child branches (rooted on its tip branch it is
+/// a stored vector for that orientation), Newton–Raphson with it as a root
+/// end, stored and rebuilt, back to where it started, then cut apart by an
+/// SPR and put back.
+fn rebuilt_walk<E: LikelihoodEngine>(engine: &mut E, with_operand: bool) -> Vec<u64> {
     let tree = engine.tree().clone();
     let is_tip = |h: HalfEdgeId| tree.is_tip(tree.neighbor(h));
     let up = (0..tree.n_inner() as u32)
         .flat_map(|i| (0..3).map(move |k| (i, k)))
         .map(|(i, k)| tree.inner_half_edge(i, k))
         .find(|&h| {
-            let (l, r) = tree.children_dirs(h);
-            !is_tip(h) && is_tip(l) && is_tip(r)
+            let class = tree.child_ref(tree.back(h));
+            !is_tip(h)
+                && matches!(class, ChildRef::Rebuilt { operand, .. } if operand.is_some() == with_operand)
         })
-        .expect("a tree of five or more tips has a cherry");
-    let (to_a, to_b) = tree.children_dirs(up);
+        .expect("a tree of a dozen tips has a cherry and a tip-inner vector over a stored one");
+    let (l, r) = tree.children_dirs(up);
+    let (to_a, to_b) = if is_tip(l) { (l, r) } else { (r, l) };
+    // A branch on the reader's far side: rooted there, the reader's own
+    // combine rebuilds the subject.
+    let far = tree.children_dirs(tree.back(up)).0;
     let mut out = vec![engine.log_likelihood().unwrap().to_bits()];
+    out.push(engine.log_likelihood_at(far, false).unwrap().to_bits());
     engine.set_branch_length(to_a, 0.37);
-    out.push(engine.log_likelihood().unwrap().to_bits());
+    out.push(engine.log_likelihood_at(far, false).unwrap().to_bits());
+    if with_operand {
+        let below = tree.children_dirs(tree.back(to_b)).0;
+        engine.set_branch_length(below, 0.21);
+        out.push(engine.log_likelihood_at(far, false).unwrap().to_bits());
+    }
     for root in [to_a, to_b] {
         out.push(engine.log_likelihood_at(root, false).unwrap().to_bits());
     }
-    let (z, lnl) = engine.optimize_branch(to_a, 8).unwrap();
-    out.extend([z.to_bits(), lnl.to_bits()]);
+    for end_of in [to_a, up] {
+        let (z, lnl) = engine.optimize_branch(end_of, 8).unwrap();
+        out.extend([z.to_bits(), lnl.to_bits()]);
+    }
     out.push(engine.log_likelihood().unwrap().to_bits());
 
-    // Prune tip a together with the cherry's node, regraft far away.
+    // Prune tip a together with the subject's node, regraft far away.
     let beside = [up, to_b, tree.back(up), tree.back(to_b)];
     let target = tree
         .branches()
@@ -137,7 +152,7 @@ fn cherry_walk<E: LikelihoodEngine>(engine: &mut E) -> Vec<u64> {
                 && !subtree_contains(&tree, to_a, tree.node_of(t))
                 && !subtree_contains(&tree, to_a, tree.neighbor(t))
         })
-        .expect("a regraft branch away from the cherry");
+        .expect("a regraft branch away from the subject");
     let undo = engine.apply_spr(to_a, target, None);
     out.push(engine.log_likelihood().unwrap().to_bits());
     engine.undo_spr(to_a, &undo);
@@ -159,19 +174,23 @@ fn three_kinds() -> setup::Dataset {
     })
 }
 
-/// Cherry-ness changes with the orientation and with the topology; the
-/// numbers never do, in whatever shape the spec resolves to.
+/// A vector's class — stored, or rebuilt by its reader — changes with the
+/// orientation and with the topology; the numbers never do, in whatever
+/// shape the spec resolves to.
 #[test]
 fn a_cherry_reads_the_same_rebuilt_or_stored_in_every_shape() {
     let dir = tempfile::tempdir().unwrap();
-    for data in [fig2_dataset(), three_kinds()] {
+    for (data, with_operand) in [fig2_dataset(), three_kinds()]
+        .iter()
+        .flat_map(|data| [(data, false), (data, true)])
+    {
         let p = data.parts.len();
-        let mut members = reference_members(&data, p);
+        let mut members = reference_members(data, p);
         let want = if p == 1 {
-            cherry_walk(&mut members[0])
+            rebuilt_walk(&mut members[0], with_operand)
         } else {
             let names = data.parts.iter().map(|part| part.name.clone()).collect();
-            cherry_walk(&mut PartitionedPlfEngine::new(members, names))
+            rebuilt_walk(&mut PartitionedPlfEngine::new(members, names), with_operand)
         };
         let residencies = [
             Residency::InRam,
@@ -185,13 +204,14 @@ fn a_cherry_reads_the_same_rebuilt_or_stored_in_every_shape() {
                 let spec = EngineSpec {
                     residency,
                     shards,
-                    ..setup::base_spec(&data)
+                    ..setup::base_spec(data)
                 };
-                let ctx = BuildContext::new().vector_path(dir.path().join("cherry.bin"));
-                let built = spec.build(&data.tree, &setup::part_specs(&data), &ctx);
+                let ctx = BuildContext::new().vector_path(dir.path().join("rebuilt.bin"));
+                let built = spec.build(&data.tree, &setup::part_specs(data), &ctx);
                 let mut engine = built.unwrap().engine;
-                let got = cherry_walk(&mut engine);
-                assert_eq!(got, want, "p={p} {} k={shards}", residency.name());
+                let got = rebuilt_walk(&mut engine, with_operand);
+                let cell = format!("p={p} {} k={shards}", residency.name());
+                assert_eq!(got, want, "{cell} operand={with_operand}");
             }
         }
     }
