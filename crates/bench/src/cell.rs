@@ -1,9 +1,8 @@
 //! The cell runner: the one place this crate builds an engine to time it.
 //!
-//! Every timed experiment cell — Figure 5's real / sharded / partitioned /
-//! compression / tuned-profile cells, the ablations, `correctness` and the
-//! tuner's probes — is one call of [`phylo_ooc::run::run`]: an
-//! [`EngineSpec`], one metrics scope per partition, a workload under the
+//! Every timed experiment cell — Figure 5's real and tuned-profile cells,
+//! the ablations, `correctness` and the tuner's probes — is one call of
+//! [`phylo_ooc::run::run`]: an [`EngineSpec`], one metrics scope per partition, a workload under the
 //! clock, the residency counters, the teardown. [`run_cell`] is that call
 //! with this crate's conventions: the workload returns its final lnL, and
 //! a cell that cannot be built or fails is a panic, not an error path.

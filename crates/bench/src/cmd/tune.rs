@@ -145,7 +145,8 @@ fn run(args: &Args) -> Result<(), String> {
 }
 
 /// The default search grid: a fixed-RAM out-of-core competition over
-/// every replacement strategy and behaviour flag. Residency is pinned to
+/// every replacement strategy, with and without the I/O pipeline and the
+/// codec (5 × 2 × 2 = 20 cells). Residency is pinned to
 /// `file-limit` — in-RAM would win trivially (no budget) and the OS pager
 /// has no slot geometry to simulate; `ooc-bench fig5` measures both.
 fn default_space(data: &Dataset, budget: u64) -> SpecSpace {
@@ -164,9 +165,6 @@ fn default_space(data: &Dataset, budget: u64) -> SpecSpace {
         StrategyKind::Topological,
     ];
     space.io_threads = vec![0, 2];
-    space.windows = vec![4, 16, 64];
-    space.read_skipping = vec![true, false];
-    space.always_write_back = vec![false, true];
     space.compressions = vec![None, Some(CompressionMode::Exp)];
     space
 }

@@ -313,6 +313,9 @@ mod tests {
             paged.io_secs,
             ooc.io_secs
         );
+        // Every modelled transfer costs at least the seek latency.
+        assert!(ooc.io_ops > 0);
+        assert!(ooc.io_secs >= ooc.io_ops as f64 * disk.seek_ns as f64 / 1e9);
         // Identical compute charge.
         assert_eq!(ooc.compute_secs, paged.compute_secs);
     }

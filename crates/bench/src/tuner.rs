@@ -11,7 +11,7 @@
 //!    survivor's slot geometry through [`EngineSpec::slot_counts`].
 //! 2. **Prune by model** — replay the dataset's traversal [`AccessPlan`]
 //!    through [`pager_sim::SlotCacheSim`] under the candidate's exact
-//!    strategy and flags (the simulator's counters equal the real
+//!    strategy (the simulator's counters equal the real
 //!    manager's — see `pager-sim/tests/slotsim_parity.rs`), convert the
 //!    byte traffic into I/O time with a [`DiskModel`], and lower-bound the
 //!    candidate with a NextUse replay under a full-run oracle plan (the
@@ -123,7 +123,7 @@ pub enum Outcome {
 pub struct Candidate {
     /// The spec.
     pub spec: EngineSpec,
-    /// Short display label (strategy/window/flags).
+    /// Short display label (strategy/shards/pipeline/codec).
     pub label: String,
     /// Model stage output.
     pub estimate: ModelEstimate,
@@ -278,32 +278,23 @@ pub fn calibrate_disk(dir: &Path) -> DiskModel {
     DiskModel::fit_from_probes(small_bytes, small_ns, large_bytes, large_ns)
 }
 
-/// Achieved-ratio estimate per compression mode (encoded ÷ raw bytes),
-/// used for *prediction only* — the probe stage measures reality. The
-/// numbers mirror the typical ratios of the fig5 compression sweep: `exp`
-/// strips the shared exponent (~54 of 64 bits survive), `exp-f32`
-/// additionally narrows mantissas.
+/// Achieved-ratio estimate of the codec (encoded ÷ raw bytes), used for
+/// *prediction only* — the probe stage measures reality: `exp` strips the
+/// shared exponent (~54 of 64 bits survive).
 fn compression_ratio(mode: Option<CompressionMode>) -> f64 {
     match mode {
         None => 1.0,
         Some(CompressionMode::Exp) => 54.0 / 64.0,
-        Some(CompressionMode::ExpF32) => 25.0 / 64.0,
     }
 }
 
 fn spec_label(spec: &EngineSpec) -> String {
-    let mut label = format!("{}/w{}", spec.strategy.label(), spec.window);
+    let mut label = spec.strategy.label().to_owned();
     if spec.shards > 1 {
         label.push_str(&format!("/sh{}", spec.shards));
     }
     if spec.io_threads > 0 {
         label.push_str(&format!("/io{}", spec.io_threads));
-    }
-    if !spec.read_skipping {
-        label.push_str("/noskip");
-    }
-    if spec.always_write_back {
-        label.push_str("/awb");
     }
     if let Some(mode) = spec.compression {
         label.push('/');
@@ -312,7 +303,7 @@ fn spec_label(spec: &EngineSpec) -> String {
     label
 }
 
-/// Simulated traffic of one manager under `spec`'s strategy and flags.
+/// Simulated traffic of one manager under `spec`'s strategy.
 fn simulate(
     spec: &EngineSpec,
     data: &Dataset,
@@ -322,10 +313,8 @@ fn simulate(
     rounds: usize,
     oracle: bool,
 ) -> OocStats {
-    let geo = SimGeometry::new(data.n_items(), data.width(0), n_slots)
-        .read_skipping(spec.read_skipping)
-        .always_write_back(spec.always_write_back)
-        .window(spec.window);
+    // Dirty tracking, as `EngineSpec::build` configures its managers.
+    let geo = SimGeometry::new(data.n_items(), data.width(0), n_slots).always_write_back(false);
     let (strategy, _handle) = if oracle {
         build_strategy(ooc_core::StrategyKind::NextUse, &data.tree)
     } else {
@@ -374,9 +363,9 @@ pub fn tune(
         }
     }
 
-    // Stage 2: model. The oracle replay depends only on geometry + flags,
+    // Stage 2: model. The oracle replay depends only on the slot count,
     // not on the candidate's strategy — cache it across candidates.
-    let mut oracle_cache: HashMap<(usize, bool, bool, usize), OocStats> = HashMap::new();
+    let mut oracle_cache: HashMap<usize, OocStats> = HashMap::new();
     let mut candidates: Vec<Candidate> = specs
         .into_iter()
         .zip(is_baseline)
@@ -471,7 +460,7 @@ fn model_candidate(
     cfg: &TuneConfig,
     secs_per_f64: f64,
     parallelism: usize,
-    oracle_cache: &mut HashMap<(usize, bool, bool, usize), OocStats>,
+    oracle_cache: &mut HashMap<usize, OocStats>,
 ) -> ModelEstimate {
     let rounds = cfg.traversals;
     let steps = groups.len();
@@ -523,12 +512,11 @@ fn model_candidate(
     };
 
     // Lower bound: Belady replay (NextUse + full-run oracle plan) with the
-    // candidate's geometry and flags floors the miss count; perfect
+    // candidate's geometry floors the miss count; perfect
     // compute/I/O overlap floors the wall time. `margin` (applied at prune
     // time) absorbs what the model cannot see.
-    let key = (n_slots, spec.read_skipping, spec.always_write_back, rounds);
     let oracle = *oracle_cache
-        .entry(key)
+        .entry(n_slots)
         .or_insert_with(|| simulate(spec, data, n_slots, plan, groups, rounds, true));
     let lb_ops = (oracle.disk_reads + oracle.disk_writes) * spec.shards as u64;
     let lb_bytes = ((oracle.bytes_read + oracle.bytes_written) as f64 * ratio) as u64;
@@ -630,7 +618,7 @@ mod tests {
         };
         let mut space = SpecSpace::around(base);
         space.strategies = vec![StrategyKind::Lru, StrategyKind::NextUse];
-        space.read_skipping = vec![true, false];
+        space.compressions = vec![None, Some(CompressionMode::Exp)];
         (space, budget)
     }
 

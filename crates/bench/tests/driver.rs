@@ -161,7 +161,8 @@ fn what_the_driver_does_not_understand_exits_2() {
         "fig2 --taxa 1e3",
         "fig2 --taxa",
         "fig2 stray",
-        "fig5 --shards four",
+        "fig5 --taxa many",
+        "fig5 --shards 4",
         "tune --margin wide",
         "check a.jsonl b.jsonl",
         "kernels --bin kernels_baseline",
@@ -215,32 +216,6 @@ fn fig5_every_part_runs() {
     let points = real.as_array().unwrap();
     assert_eq!(points.len(), 3, "--quick sweeps three data/RAM ratios");
     assert!(points.iter().all(|p| p.get("ooc_tuned_secs").is_some()));
-
-    // Parts 3-5 on one metered stream.
-    let m = dir.path().join("fig5.jsonl");
-    let rest = format!(
-        "fig5 --quick --skip-real --skip-model --shards 4 --partitioned --compression \
-         --taxa 40 --sites 1200 --budget-mib 1 --traversals 1 {} {} {} --metrics {}",
-        out("shards"),
-        out("partitioned"),
-        out("compression"),
-        m.display()
-    );
-    assert_eq!(bench(&rest), 0);
-    let reconcile = format!("check --reconcile-compression {}", m.display());
-    assert_eq!(bench(&reconcile), 0);
-    let stream = std::fs::read_to_string(&m).unwrap();
-    for scope in [
-        "fig5-shards/LFU/serial",
-        "fig5-shards/NextUse/sharded4",
-        "fig5-partitioned/LRU/p1_prot",
-        "fig5-compression/exp/LRU/sharded+pipelined",
-    ] {
-        assert!(
-            stream.contains(&format!("\"scope\":\"{scope}\"")),
-            "{scope}"
-        );
-    }
 }
 
 #[test]
@@ -452,14 +427,17 @@ fn check_accepts_the_stream_of_every_front_end() {
             assert_eq!(text.matches(&head).count(), 1, "{name}: {scope}");
         }
     };
-    for (name, data, scopes) in [
-        ("cli.jsonl", &whole, &[""][..]),
-        ("cli-parts.jsonl", &parts, &["p0_dna", "p1_prot"][..]),
+    let exp = Some(CompressionMode::Exp);
+    for (name, data, scopes, compression) in [
+        ("cli.jsonl", &whole, &[""][..], None),
+        ("cli-parts.jsonl", &parts, &["p0_dna", "p1_prot"][..], None),
+        ("cli-exp.jsonl", &parts, &["p0_dna", "p1_prot"][..], exp),
     ] {
         let file_limit = EngineSpec {
             residency: Residency::FileLimit {
                 limit_bytes: data.total_vector_bytes() / 3,
             },
+            compression,
             ..setup::base_spec(data)
         };
         let metrics = MetricsFile::new(Some(dir.path().join(name)));
@@ -470,6 +448,13 @@ fn check_accepts_the_stream_of_every_front_end() {
         };
         run(job, traverse).unwrap();
         stream(name, scopes);
+        if compression.is_some() {
+            // Per scope: as many bytes-disk as bytes-logical samples, and
+            // strictly fewer bytes.
+            let path = dir.path().join(name);
+            let reconcile = format!("check --reconcile-compression {}", path.display());
+            assert_eq!(bench(&reconcile), 0, "{name}");
+        }
     }
     let ooc_mem = EngineSpec {
         residency: Residency::OocMem { fraction: 0.4 },

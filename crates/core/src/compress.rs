@@ -18,15 +18,9 @@
 //!    distinct block once and references it from every position where it
 //!    repeats.
 //!
-//! Two modes:
-//!
-//! - [`CompressionMode::Exp`] is **lossless**: decode returns bit-identical
-//!   doubles, so every likelihood is exactly the raw-store result.
-//! - [`CompressionMode::ExpF32`] additionally rounds each mantissa to 23
-//!   bits (`f32` precision, round-to-nearest-even) before encoding. The
-//!   per-entry relative error is at most 2⁻²⁴
-//!   ([`exp_f32_rel_error_bound`]); [`exp_f32_lnl_error_bound`] turns that
-//!   into a documented |Δlnl| bound that tests assert.
+//! The one mode, [`CompressionMode::Exp`], is **lossless**: decode returns
+//! bit-identical doubles, so every likelihood is exactly the raw-store
+//! result.
 //!
 //! # Encoded payload layout (per item, little-endian, byte stream)
 //!
@@ -38,7 +32,7 @@
 //!
 //! ```text
 //! u32  n_distinct          distinct blocks actually stored
-//! u8   mant_bits           stored mantissa bits (52 = Exp, 23 = ExpF32)
+//! u8   mant_bits           stored mantissa bits (52)
 //! u8   alias_bytes         2 (n_blocks ≤ 65535) or 4
 //! u16  reserved            0
 //! u16|u32 × n_blocks       alias table: distinct index per block position
@@ -72,10 +66,6 @@ const EXP_MAX: u64 = 0x7FF;
 pub enum CompressionMode {
     /// Shared-exponent + alias-table encoding, bit-identical round trip.
     Exp,
-    /// As [`CompressionMode::Exp`] with mantissas rounded to 23 bits
-    /// (round-to-nearest-even) before encoding; per-entry relative error
-    /// bounded by [`exp_f32_rel_error_bound`].
-    ExpF32,
 }
 
 impl CompressionMode {
@@ -83,15 +73,13 @@ impl CompressionMode {
     pub fn mant_bits(self) -> u32 {
         match self {
             CompressionMode::Exp => 52,
-            CompressionMode::ExpF32 => 23,
         }
     }
 
-    /// Stable config-file name (`"exp"` / `"exp-f32"`).
+    /// Stable config-file name (`"exp"`).
     pub fn name(self) -> &'static str {
         match self {
             CompressionMode::Exp => "exp",
-            CompressionMode::ExpF32 => "exp-f32",
         }
     }
 
@@ -99,7 +87,6 @@ impl CompressionMode {
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
             "exp" => Some(CompressionMode::Exp),
-            "exp-f32" => Some(CompressionMode::ExpF32),
             _ => None,
         }
     }
@@ -117,54 +104,6 @@ pub fn compressed_capacity_f64s(width: usize, stride: usize, mode: CompressionMo
     let block_bytes = 2 + (stride * per_entry_bits).div_ceil(8);
     let total_bytes = 8 + n_blocks * (alias_bytes + block_bytes);
     total_bytes.div_ceil(8)
-}
-
-/// Round a double's mantissa to 23 bits (round-to-nearest-even), the exact
-/// transform [`CompressionMode::ExpF32`] applies before encoding. Mantissa
-/// overflow carries into the exponent (possibly to ±∞, the correct
-/// round-to-nearest result); ∞/NaN keep their class (dropped NaN payload
-/// bits are sticky-ORed into the lowest kept bit).
-pub fn round_to_f32_mantissa(v: f64) -> f64 {
-    const DROP: u32 = 52 - 23;
-    let bits = v.to_bits();
-    let exp = (bits >> 52) & EXP_MAX;
-    let frac = bits & ((1u64 << DROP) - 1);
-    let kept = bits & !((1u64 << DROP) - 1);
-    if exp == EXP_MAX {
-        // ∞ stays ∞ (mantissa already 0); NaN must stay NaN even if all
-        // its payload lived in the dropped bits.
-        let sticky = if frac != 0 { 1u64 << DROP } else { 0 };
-        return f64::from_bits(kept | sticky);
-    }
-    let half = 1u64 << (DROP - 1);
-    let round_up = frac > half || (frac == half && (bits >> DROP) & 1 == 1);
-    f64::from_bits(if round_up {
-        kept + (1u64 << DROP)
-    } else {
-        kept
-    })
-}
-
-/// Per-entry relative error of the [`CompressionMode::ExpF32`] rounding:
-/// round-to-nearest over 23 mantissa bits, |Δx/x| ≤ 2⁻²⁴.
-pub fn exp_f32_rel_error_bound() -> f64 {
-    (2f64).powi(-24)
-}
-
-/// Documented |Δlnl| bound for [`CompressionMode::ExpF32`].
-///
-/// Derivation: each stored APV entry carries relative error u = 2⁻²⁴.
-/// A site's likelihood is a sum of products in which every factor chain
-/// passes through at most `n_inner_nodes` store round trips plus the root
-/// reduction, and first-order error propagation through products and
-/// positively-weighted sums is additive in relative error, giving a
-/// per-site relative likelihood error ≤ 2·(n_inner_nodes + 1)·u (factor 2:
-/// both child operands of each combine are store-rounded). Then
-/// |Δlnl| ≤ Σ_sites |ln(1 + ε)| ≈ Σ_sites ε, summed over *unique sites*
-/// weighted by pattern multiplicity — i.e. `total_sites`. The ≈ is made
-/// safe by doubling u to 2⁻²³.
-pub fn exp_f32_lnl_error_bound(total_sites: u64, n_inner_nodes: u64) -> f64 {
-    (total_sites as f64) * 2.0 * (n_inner_nodes as f64 + 1.0) * (2f64).powi(-23)
 }
 
 /// Byte-stream totals a [`CompressingStore`] accumulates across clones
@@ -209,13 +148,12 @@ pub struct CompressingStore<S> {
     counters: Arc<CompressionCounters>,
     obs: Option<Recorder>,
     // Scratch, per handle: encoded bytes, word-padded inner I/O buffer,
-    // decoded distinct blocks (+ lengths), alias table, rounded values.
+    // decoded distinct blocks (+ lengths), alias table.
     enc: Vec<u8>,
     packed: Vec<f64>,
     dist: Vec<f64>,
     dist_len: Vec<usize>,
     alias: Vec<u32>,
-    rounded: Vec<f64>,
 }
 
 impl<S: BackingStore> CompressingStore<S> {
@@ -246,7 +184,6 @@ impl<S: BackingStore> CompressingStore<S> {
             dist: Vec::new(),
             dist_len: Vec::new(),
             alias: Vec::new(),
-            rounded: Vec::new(),
         }
     }
 
@@ -295,7 +232,6 @@ impl<S: BackingStore> CompressingStore<S> {
             dist: Vec::new(),
             dist_len: Vec::new(),
             alias: Vec::new(),
-            rounded: Vec::new(),
         }
     }
 }
@@ -334,15 +270,8 @@ impl<S: BackingStore> BackingStore for CompressingStore<S> {
     fn write(&mut self, item: ItemId, buf: &[f64]) -> io::Result<()> {
         debug_assert_eq!(buf.len(), self.width);
         self.enc.clear();
-        let (n_blocks, n_distinct) = match self.mode {
-            CompressionMode::Exp => encode_item(buf, self.stride, 52, &mut self.enc),
-            CompressionMode::ExpF32 => {
-                self.rounded.clear();
-                self.rounded
-                    .extend(buf.iter().map(|&v| round_to_f32_mantissa(v)));
-                encode_item(&self.rounded, self.stride, 23, &mut self.enc)
-            }
-        };
+        let (n_blocks, n_distinct) =
+            encode_item(buf, self.stride, self.mode.mant_bits(), &mut self.enc);
         let len = self.enc.len();
         let words = len.div_ceil(8);
         debug_assert!(
@@ -747,81 +676,29 @@ mod tests {
     }
 
     #[test]
-    fn exp_f32_respects_per_entry_bound() {
-        let mut rng = Rng(7);
-        let width = 64;
-        let mut s = store(width, 16, CompressionMode::ExpF32);
-        let v: Vec<f64> = (0..width).map(|_| rng.apv()).collect();
-        let mut back = vec![0.0; width];
-        s.write(0, &v).unwrap();
-        s.read(0, &mut back).unwrap();
-        let bound = exp_f32_rel_error_bound();
-        for (a, b) in v.iter().zip(&back) {
-            if *a == 0.0 {
-                assert_eq!(*b, 0.0);
-            } else {
-                assert!(((a - b) / a).abs() <= bound, "{a} -> {b} exceeds {bound}");
-            }
-        }
-        // Idempotent: re-writing the decoded values changes nothing.
-        let first = back.clone();
-        s.write(0, &first).unwrap();
-        s.read(0, &mut back).unwrap();
-        assert_eq!(first, back);
-    }
-
-    #[test]
-    fn f32_rounding_preserves_value_class() {
-        assert!(round_to_f32_mantissa(f64::NAN).is_nan());
-        assert!(round_to_f32_mantissa(f64::from_bits(0x7FF0_0000_0000_0001)).is_nan());
-        assert_eq!(round_to_f32_mantissa(f64::INFINITY), f64::INFINITY);
-        assert_eq!(round_to_f32_mantissa(f64::NEG_INFINITY), f64::NEG_INFINITY);
-        assert_eq!(round_to_f32_mantissa(0.0).to_bits(), 0.0f64.to_bits());
-        assert_eq!(round_to_f32_mantissa(-0.0).to_bits(), (-0.0f64).to_bits());
-        assert_eq!(round_to_f32_mantissa(1.0), 1.0);
-        // Mantissa overflow carries into the exponent.
-        let just_below_two = f64::from_bits(0x3FFF_FFFF_FFFF_FFFF);
-        assert_eq!(round_to_f32_mantissa(just_below_two), 2.0);
-        // Overflow at the top of the range rounds to infinity.
-        assert_eq!(round_to_f32_mantissa(f64::MAX), f64::INFINITY);
-    }
-
-    #[test]
     fn worst_case_payload_stays_within_capacity() {
         // Adversarial input: every entry nonzero, exponents spanning the
         // full IEEE range so delta_bits hits 11, no block repeats.
         let mut rng = Rng(0xDEAD_BEEF);
         for &(width, stride) in &[(16usize, 16usize), (48, 16), (50, 16), (80, 20), (7, 3)] {
-            for &mode in &[CompressionMode::Exp, CompressionMode::ExpF32] {
-                let vals: Vec<f64> = (0..width)
-                    .map(|_| {
-                        let e = rng.next() % 2047;
-                        let m = rng.next() & MANT_MASK;
-                        let s = (rng.next() & 1) << 63;
-                        f64::from_bits(s | (e << 52) | m)
-                    })
-                    .collect();
-                let mut enc = Vec::new();
-                encode_item(
-                    match mode {
-                        CompressionMode::Exp => vals.clone(),
-                        CompressionMode::ExpF32 => {
-                            vals.iter().map(|&v| round_to_f32_mantissa(v)).collect()
-                        }
-                    }
-                    .as_slice(),
-                    stride,
-                    mode.mant_bits(),
-                    &mut enc,
-                );
-                let cap = compressed_capacity_f64s(width, stride, mode) * 8;
-                assert!(
-                    enc.len() <= cap,
-                    "payload {} exceeds capacity {} (width {width}, stride {stride})",
-                    enc.len(),
-                    cap
-                );
-            }
+            let mode = CompressionMode::Exp;
+            let vals: Vec<f64> = (0..width)
+                .map(|_| {
+                    let e = rng.next() % 2047;
+                    let m = rng.next() & MANT_MASK;
+                    let s = (rng.next() & 1) << 63;
+                    f64::from_bits(s | (e << 52) | m)
+                })
+                .collect();
+            let mut enc = Vec::new();
+            encode_item(&vals, stride, mode.mant_bits(), &mut enc);
+            let cap = compressed_capacity_f64s(width, stride, mode) * 8;
+            assert!(
+                enc.len() <= cap,
+                "payload {} exceeds capacity {} (width {width}, stride {stride})",
+                enc.len(),
+                cap
+            );
         }
     }
 

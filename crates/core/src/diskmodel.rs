@@ -1,16 +1,12 @@
-//! Virtual-clock disk cost model.
+//! Disk cost model.
 //!
 //! Figure 5 of the paper runs datasets of up to 32 GB against a 2 GB-RAM
 //! machine. Re-running that geometry verbatim needs tens of gigabytes of
-//! physical I/O; [`ModeledStore`] instead charges each store operation a
-//! latency + bandwidth cost against a monotone virtual clock, so the
+//! physical I/O; a replay instead charges each store operation a
+//! [`DiskModel`] latency + bandwidth cost against a virtual clock, so the
 //! paper-scale experiment can be *replayed* (same access sequence, same
 //! swap decisions) in seconds. Scaled-down runs with real I/O validate the
-//! model's shape; see `crates/bench/src/cmd/fig5.rs`.
-
-use crate::manager::ItemId;
-use crate::store::BackingStore;
-use std::io;
+//! model's shape; see `crates/bench/src/{replay.rs,cmd/fig5.rs}`.
 
 /// Latency/bandwidth cost model of one storage device.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,8 +43,7 @@ impl DiskModel {
     /// Cost of an aggregate traffic summary — `ops` operations moving
     /// `bytes` in total — in nanoseconds. This is what a simulator that
     /// only counted operations (no virtual clock) converts to time: the
-    /// same arithmetic [`ModeledStore`] would have accumulated had every
-    /// operation been charged individually.
+    /// same sum as charging [`Self::op_cost_ns`] per operation.
     pub fn traffic_cost_ns(&self, ops: u64, bytes: u64) -> u64 {
         ops.saturating_mul(self.seek_ns)
             + bytes.saturating_mul(1_000_000_000) / self.bandwidth_bytes_per_sec
@@ -107,85 +102,9 @@ impl DiskModel {
     }
 }
 
-/// Wraps any store, forwarding operations while accumulating modelled time.
-#[derive(Debug)]
-pub struct ModeledStore<S> {
-    inner: S,
-    model: DiskModel,
-    clock_ns: u64,
-    ops: u64,
-}
-
-impl<S> ModeledStore<S> {
-    /// Wrap `inner` with cost model `model`.
-    pub fn new(inner: S, model: DiskModel) -> Self {
-        ModeledStore {
-            inner,
-            model,
-            clock_ns: 0,
-            ops: 0,
-        }
-    }
-
-    /// Accumulated modelled I/O time in nanoseconds.
-    pub fn clock_ns(&self) -> u64 {
-        self.clock_ns
-    }
-
-    /// Accumulated modelled I/O time in seconds.
-    pub fn clock_secs(&self) -> f64 {
-        self.clock_ns as f64 / 1e9
-    }
-
-    /// Number of charged operations.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Reset the virtual clock.
-    pub fn reset_clock(&mut self) {
-        self.clock_ns = 0;
-        self.ops = 0;
-    }
-
-    /// Access the wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: BackingStore> BackingStore for ModeledStore<S> {
-    fn read(&mut self, item: ItemId, buf: &mut [f64]) -> io::Result<()> {
-        self.inner.read(item, buf)?;
-        self.clock_ns += self.model.op_cost_ns(buf.len() as u64 * 8);
-        self.ops += 1;
-        Ok(())
-    }
-
-    fn write(&mut self, item: ItemId, buf: &[f64]) -> io::Result<()> {
-        self.inner.write(item, buf)?;
-        self.clock_ns += self.model.op_cost_ns(buf.len() as u64 * 8);
-        self.ops += 1;
-        Ok(())
-    }
-
-    fn hint(&mut self, upcoming: &[ItemId]) {
-        self.inner.hint(upcoming);
-    }
-
-    fn forget_hints(&mut self) {
-        self.inner.forget_hints();
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{MemStore, NullStore};
 
     #[test]
     fn op_cost_combines_seek_and_transfer() {
@@ -195,25 +114,6 @@ mod tests {
         };
         assert_eq!(m.op_cost_ns(0), 1000);
         assert_eq!(m.op_cost_ns(500), 1500);
-    }
-
-    #[test]
-    fn clock_accumulates() {
-        let model = DiskModel {
-            seek_ns: 10,
-            bandwidth_bytes_per_sec: 8_000_000_000, // 8 bytes/ns -> 1 ns per f64
-        };
-        let mut s = ModeledStore::new(MemStore::new(4, 16), model);
-        let buf = vec![1.0; 16];
-        s.write(0, &buf).unwrap();
-        let mut out = vec![0.0; 16];
-        s.read(0, &mut out).unwrap();
-        assert_eq!(out, buf);
-        // Two ops, each 10 + 128/8 = 26 ns.
-        assert_eq!(s.clock_ns(), 52);
-        assert_eq!(s.ops(), 2);
-        s.reset_clock();
-        assert_eq!(s.clock_ns(), 0);
     }
 
     #[test]
@@ -280,16 +180,5 @@ mod tests {
         // Equal sizes cannot produce a slope either.
         let m = DiskModel::fit_from_probes(4096, 1.0, 4096, 2.0);
         assert_eq!(m.seek_ns, 0);
-    }
-
-    #[test]
-    fn works_over_null_store_for_replay() {
-        let mut s = ModeledStore::new(NullStore, DiskModel::ssd());
-        let mut buf = vec![0.0; 8];
-        for i in 0..100u32 {
-            s.read(i % 4, &mut buf).unwrap();
-        }
-        assert_eq!(s.ops(), 100);
-        assert!(s.clock_ns() > 0);
     }
 }

@@ -25,16 +25,16 @@
 //!   plus NextUse (Belady's OPT over the access plan), the miss-rate
 //!   lower bound the heuristics are judged against.
 //! * [`store`] — backing stores: one binary file with positioned I/O
-//!   ([`store::FileStore`]), in-memory ([`store::MemStore`]) for measuring
-//!   pure miss rates, and a no-op store for access-pattern replay.
+//!   ([`store::FileStore`]) and in-memory ([`store::MemStore`]) for
+//!   measuring pure miss rates.
 //! * [`compress`] — scale-exponent-aware APV compression behind the store
-//!   trait ([`CompressingStore`]): shared-exponent headers, a site-block
-//!   alias table for repeated columns, and an opt-in error-bounded
-//!   `f32`-mantissa mode, shrinking the bytes every backend moves.
+//!   trait ([`CompressingStore`]): shared-exponent headers and a
+//!   site-block alias table for repeated columns, shrinking the bytes
+//!   every backend moves, losslessly.
 //! * read skipping (§3.4): vectors known a priori to be overwritten on
 //!   first access are swapped in without reading the file.
-//! * [`diskmodel`] — a virtual-clock disk cost model so paper-scale (32 GB)
-//!   geometries can be replayed without 32 GB of physical I/O.
+//! * [`diskmodel`] — a disk cost model so paper-scale (32 GB) geometries
+//!   can be replayed without 32 GB of physical I/O.
 //! * [`prefetch`] — the paper's §5 future-work direction: a prefetch
 //!   thread, grown into a plan-driven I/O pipeline.
 //! * [`error`], [`fault`], [`retry`] — fault tolerance: store I/O failures
@@ -71,10 +71,9 @@ pub use aligned::{AlignedBuf, APV_ALIGN};
 pub use arena::{AdmissionError, ArenaCounters, SlotArena, TenantGrant};
 pub use cancel::{CancelToken, CancellingStore};
 pub use compress::{
-    compressed_capacity_f64s, exp_f32_lnl_error_bound, exp_f32_rel_error_bound,
-    round_to_f32_mantissa, CompressingStore, CompressionCounters, CompressionMode,
+    compressed_capacity_f64s, CompressingStore, CompressionCounters, CompressionMode,
 };
-pub use diskmodel::{DiskModel, ModeledStore};
+pub use diskmodel::DiskModel;
 pub use error::{OocError, OocOp, OocResult};
 pub use fault::{FaultInjectingStore, FaultKind, FaultOp, FaultPlan, FaultRule, FaultStats};
 pub use manager::{
@@ -91,5 +90,5 @@ pub use retry::{RetryPolicy, RetryStats, RetryingStore};
 pub use shard::{par_each_mut, parallelism, split_budget, split_budget_checked, ShardSpec};
 pub use slot_table::{DataPlane, NullPlane, SlotCacheSim, SlotTable};
 pub use stats::OocStats;
-pub use store::{BackingStore, FileStore, MemStore, NullStore};
+pub use store::{BackingStore, FileStore, MemStore};
 pub use strategy::{EvictionView, ReplacementStrategy, StrategyKind, TopologyOracle};

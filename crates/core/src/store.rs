@@ -354,22 +354,6 @@ impl BackingStore for FileStore {
     }
 }
 
-/// A store that discards writes and leaves read buffers untouched. Only for
-/// access-pattern replay, where the vector *contents* are irrelevant and
-/// I/O costs are charged by a [`crate::ModeledStore`] wrapper instead.
-#[derive(Debug, Default)]
-pub struct NullStore;
-
-impl BackingStore for NullStore {
-    fn read(&mut self, _item: ItemId, _buf: &mut [f64]) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn write(&mut self, _item: ItemId, _buf: &[f64]) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,16 +502,6 @@ mod tests {
         // Region 0 is untouched (still zeros).
         regions[0].read(0, &mut buf).unwrap();
         assert!(buf.iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn null_store_is_inert() {
-        let mut s = NullStore;
-        let mut buf = vec![42.0; 8];
-        s.write(0, &buf).unwrap();
-        buf.fill(7.0);
-        s.read(0, &mut buf).unwrap();
-        assert!(buf.iter().all(|&x| x == 7.0), "read must not touch buffer");
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! * **strategy** — [`StrategyKind`], with tree oracles wired automatically
 //!   for the strategies that rank by topology;
 //! * **shards** — pattern-parallel shards per partition;
-//! * **pipeline** — I/O worker threads and the plan lookahead window;
-//! * **kernel** — a forced [`KernelBackend`], or auto-detection;
+//! * **io_threads** — I/O worker threads streaming the plan ahead of
+//!   compute (lookahead is [`ooc_core::DEFAULT_PREFETCH_WINDOW`]);
+//! * **compression** — the lossless APV codec behind the backing store;
 //! * **partitions** — not an axis of the spec at all: [`EngineSpec::build`]
 //!   takes the partition list as data, so the same profile drives a
 //!   single-gene and a 100-gene analysis.
@@ -33,7 +34,9 @@
 //! which is what lets a *service* hold engines of any residency in one
 //! table. Construction-time concerns that used to be ad-hoc
 //! (observability recorders, multi-tenant arena grants, cooperative
-//! cancellation) enter through [`BuildContext`].
+//! cancellation) enter through [`BuildContext`]. Not axes: the kernel
+//! backend (auto-detected; `OOC_PLF_KERNEL` overrides it) and the paper's
+//! swap / no-read-skipping modes ([`OocConfig`] switches of the figures).
 //!
 //! A spec round-trips through a flat TOML profile ([`EngineSpec::to_toml`]
 //! / [`EngineSpec::from_toml`]) so runs are reproducible from a file and
@@ -46,12 +49,11 @@ use crate::oracle::{build_strategy, SharedTree};
 use crate::partition::PartitionedPlfEngine;
 use crate::sharded::ShardedPlfEngine;
 use crate::store_api::{AncestralStore, InRamStore, OocStore, PagedStore};
-use crate::{KernelBackend, PlfEngine};
+use crate::PlfEngine;
 use ooc_core::{
     compressed_capacity_f64s, split_budget, validate_byte_budget, BackingStore, CancelToken,
     CancellingStore, CompressingStore, CompressionMode, FileStore, MemStore, OocConfig, OocResult,
     PrefetchingStore, Recorder, ShardSpec, StrategyKind, TenantGrant, VectorManager,
-    DEFAULT_PREFETCH_WINDOW,
 };
 use phylo_models::ReversibleModel;
 use phylo_seq::CompressedAlignment;
@@ -230,25 +232,14 @@ pub struct EngineSpec {
     /// Dedicated I/O worker threads per shard (0 = no prefetch pipeline;
     /// requires a file-backed residency).
     pub io_threads: usize,
-    /// Plan lookahead window for prefetch hints and the pipeline.
-    pub window: usize,
-    /// Forced kernel backend; `None` auto-detects per
-    /// [`KernelBackend::choose`].
-    pub kernel: Option<KernelBackend>,
     /// Γ shape parameter at construction.
     pub alpha: f64,
     /// Discrete Γ categories.
     pub n_cats: usize,
-    /// §3.4 read skipping.
-    pub read_skipping: bool,
-    /// Write every evicted vector back even if clean.
-    pub always_write_back: bool,
     /// Scale-exponent-aware APV compression behind the backing store
-    /// (`None` = raw `f64`s). Requires a managed residency — slots hold
-    /// decoded vectors, so in-RAM and OS-paged runs have nothing to
-    /// compress. [`CompressionMode::Exp`] is bit-exact;
-    /// [`CompressionMode::ExpF32`] is error-bounded
-    /// (see [`ooc_core::exp_f32_lnl_error_bound`]).
+    /// (`None` = raw `f64`s), bit-exact. Requires a managed residency —
+    /// slots hold decoded vectors, so in-RAM and OS-paged runs have
+    /// nothing to compress.
     pub compression: Option<CompressionMode>,
 }
 
@@ -259,12 +250,8 @@ impl Default for EngineSpec {
             strategy: StrategyKind::Lru,
             shards: 1,
             io_threads: 0,
-            window: DEFAULT_PREFETCH_WINDOW,
-            kernel: None,
             alpha: 0.8,
             n_cats: 4,
-            read_skipping: true,
-            always_write_back: false,
             compression: None,
         }
     }
@@ -399,9 +386,6 @@ impl EngineSpec {
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.shards == 0 {
             return Err(SpecError("shards must be at least 1".into()));
-        }
-        if self.window == 0 {
-            return Err(SpecError("window must be at least 1".into()));
         }
         if self.n_cats == 0 {
             return Err(SpecError("n_cats must be at least 1".into()));
@@ -660,9 +644,6 @@ impl EngineSpec {
                     layout,
                     stores(&site)?,
                 );
-                if let Some(k) = self.kernel {
-                    member.set_kernel(k);
-                }
                 // Combine-batch spans (and, past one shard, the barrier
                 // spans); the residency layers carry their own recorders.
                 if let Some(rec) = site.rec {
@@ -711,10 +692,9 @@ impl EngineSpec {
         width: usize,
         partition_budget: Option<u64>,
     ) -> Result<OocConfig, SpecError> {
-        let builder = OocConfig::builder(n_items, width)
-            .prefetch_window(self.window)
-            .read_skipping(self.read_skipping)
-            .always_write_back(self.always_write_back);
+        // Engines track dirtiness; the paper's unconditional swap (the
+        // builder's default) is a figure preset, not a spec axis.
+        let builder = OocConfig::builder(n_items, width).always_write_back(false);
         let builder = match self.residency {
             Residency::OocMem { fraction } | Residency::File { fraction } => {
                 builder.fraction(fraction)
@@ -901,15 +881,8 @@ impl EngineSpec {
         }
         out.push_str(&format!("shards = {}\n", self.shards));
         out.push_str(&format!("io_threads = {}\n", self.io_threads));
-        out.push_str(&format!("window = {}\n", self.window));
-        out.push_str(&format!(
-            "kernel = \"{}\"\n",
-            self.kernel.map_or("auto", |k| k.name())
-        ));
         out.push_str(&format!("alpha = {}\n", self.alpha));
         out.push_str(&format!("n_cats = {}\n", self.n_cats));
-        out.push_str(&format!("read_skipping = {}\n", self.read_skipping));
-        out.push_str(&format!("always_write_back = {}\n", self.always_write_back));
         out.push_str(&format!(
             "compression = \"{}\"\n",
             self.compression.map_or("none", |m| m.name())
@@ -918,10 +891,23 @@ impl EngineSpec {
     }
 
     /// Parse a flat TOML profile produced by [`EngineSpec::to_toml`] (or
-    /// written by hand). Unknown keys and malformed values are errors;
-    /// omitted keys keep their [`Default`] values.
+    /// written by hand). Unknown keys, a key given twice and malformed
+    /// values are errors; omitted keys keep their [`Default`] values.
     pub fn from_toml(text: &str) -> Result<EngineSpec, SpecError> {
-        let mut keys: Vec<(String, String)> = Vec::new();
+        const KNOWN: [&str; 11] = [
+            "residency",
+            "fraction",
+            "limit_bytes",
+            "phys_bytes",
+            "strategy",
+            "seed",
+            "shards",
+            "io_threads",
+            "alpha",
+            "n_cats",
+            "compression",
+        ];
+        let mut keys: Vec<(&str, &str)> = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -939,18 +925,21 @@ impl EngineSpec {
                     lineno + 1
                 )));
             };
+            let key = key.trim();
+            if !KNOWN.contains(&key) {
+                return Err(SpecError(format!("unknown profile key '{key}'")));
+            }
+            if keys.iter().any(|(k, _)| *k == key) {
+                return Err(SpecError(format!("duplicate profile key '{key}'")));
+            }
             let value = value.trim();
             let value = value
                 .strip_prefix('"')
                 .and_then(|v| v.strip_suffix('"'))
                 .unwrap_or(value);
-            keys.push((key.trim().to_string(), value.to_string()));
+            keys.push((key, value));
         }
-        let find = |k: &str| {
-            keys.iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.as_str())
-        };
+        let find = |k: &str| keys.iter().find(|(key, _)| *key == k).map(|(_, v)| *v);
         let parse_u64 = |k: &str| -> Result<Option<u64>, SpecError> {
             find(k)
                 .map(|v| {
@@ -967,36 +956,6 @@ impl EngineSpec {
                 })
                 .transpose()
         };
-        let parse_bool = |k: &str| -> Result<Option<bool>, SpecError> {
-            find(k)
-                .map(|v| {
-                    v.parse::<bool>()
-                        .map_err(|_| SpecError(format!("key '{k}': invalid boolean '{v}'")))
-                })
-                .transpose()
-        };
-
-        const KNOWN: [&str; 14] = [
-            "residency",
-            "fraction",
-            "limit_bytes",
-            "phys_bytes",
-            "strategy",
-            "seed",
-            "shards",
-            "io_threads",
-            "window",
-            "kernel",
-            "alpha",
-            "n_cats",
-            "read_skipping",
-            "compression",
-        ];
-        for (key, _) in &keys {
-            if !KNOWN.contains(&key.as_str()) && key != "always_write_back" {
-                return Err(SpecError(format!("unknown profile key '{key}'")));
-            }
-        }
 
         let mut spec = EngineSpec::default();
         if let Some(name) = find("residency") {
@@ -1044,38 +1003,18 @@ impl EngineSpec {
         if let Some(v) = parse_u64("io_threads")? {
             spec.io_threads = v as usize;
         }
-        if let Some(v) = parse_u64("window")? {
-            spec.window = v as usize;
-        }
-        if let Some(name) = find("kernel") {
-            spec.kernel = match name {
-                "auto" | "" => None,
-                other => Some(KernelBackend::from_name(other).ok_or_else(|| {
-                    SpecError(format!(
-                        "unknown kernel '{other}': expected \
-                         auto | scalar | dna4 | avx2"
-                    ))
-                })?),
-            };
-        }
         if let Some(v) = parse_f64("alpha")? {
             spec.alpha = v;
         }
         if let Some(v) = parse_u64("n_cats")? {
             spec.n_cats = v as usize;
         }
-        if let Some(v) = parse_bool("read_skipping")? {
-            spec.read_skipping = v;
-        }
-        if let Some(v) = parse_bool("always_write_back")? {
-            spec.always_write_back = v;
-        }
         if let Some(name) = find("compression") {
             spec.compression = match name {
                 "none" | "" => None,
                 other => Some(CompressionMode::from_name(other).ok_or_else(|| {
                     SpecError(format!(
-                        "unknown compression '{other}': expected none | exp | exp-f32"
+                        "unknown compression '{other}': expected none | exp"
                     ))
                 })?),
             };
@@ -1092,7 +1031,7 @@ impl EngineSpec {
 /// A declarative grid over the [`EngineSpec`] axes — the autotuner's
 /// search space. Every axis is a list of values to try; the cartesian
 /// product over all axes, stamped onto `base` (which supplies the axes a
-/// space does not sweep, like `alpha`/`n_cats`/`kernel`), is the
+/// space does not sweep, `alpha` and `n_cats`), is the
 /// candidate set. Axes the caller leaves as singletons contribute no
 /// combinations, so a space is exactly as wide as its interesting axes.
 #[derive(Debug, Clone)]
@@ -1107,12 +1046,6 @@ pub struct SpecSpace {
     pub shards: Vec<usize>,
     /// I/O-thread candidates.
     pub io_threads: Vec<usize>,
-    /// Lookahead-window candidates.
-    pub windows: Vec<usize>,
-    /// Read-skipping candidates.
-    pub read_skipping: Vec<bool>,
-    /// Always-write-back candidates.
-    pub always_write_back: Vec<bool>,
     /// Compression candidates.
     pub compressions: Vec<Option<CompressionMode>>,
 }
@@ -1127,9 +1060,6 @@ impl SpecSpace {
             strategies: vec![base.strategy],
             shards: vec![base.shards],
             io_threads: vec![base.io_threads],
-            windows: vec![base.window],
-            read_skipping: vec![base.read_skipping],
-            always_write_back: vec![base.always_write_back],
             compressions: vec![base.compression],
             base,
         }
@@ -1141,9 +1071,6 @@ impl SpecSpace {
             * self.strategies.len()
             * self.shards.len()
             * self.io_threads.len()
-            * self.windows.len()
-            * self.read_skipping.len()
-            * self.always_write_back.len()
             * self.compressions.len()
     }
 
@@ -1160,24 +1087,15 @@ impl SpecSpace {
             for &strategy in &self.strategies {
                 for &shards in &self.shards {
                     for &io_threads in &self.io_threads {
-                        for &window in &self.windows {
-                            for &read_skipping in &self.read_skipping {
-                                for &always_write_back in &self.always_write_back {
-                                    for &compression in &self.compressions {
-                                        out.push(EngineSpec {
-                                            residency,
-                                            strategy,
-                                            shards,
-                                            io_threads,
-                                            window,
-                                            read_skipping,
-                                            always_write_back,
-                                            compression,
-                                            ..self.base.clone()
-                                        });
-                                    }
-                                }
-                            }
+                        for &compression in &self.compressions {
+                            out.push(EngineSpec {
+                                residency,
+                                strategy,
+                                shards,
+                                io_threads,
+                                compression,
+                                ..self.base.clone()
+                            });
                         }
                     }
                 }
@@ -1222,8 +1140,6 @@ mod tests {
                 strategy: StrategyKind::NextUse,
                 shards: 4,
                 io_threads: 2,
-                window: 8,
-                kernel: Some(KernelBackend::Scalar),
                 ..Default::default()
             },
             EngineSpec {
@@ -1234,8 +1150,6 @@ mod tests {
                 shards: 2,
                 alpha: 1.2,
                 n_cats: 8,
-                read_skipping: false,
-                always_write_back: true,
                 ..Default::default()
             },
             EngineSpec {
@@ -1248,11 +1162,6 @@ mod tests {
                 residency: Residency::File { fraction: 0.3 },
                 compression: Some(CompressionMode::Exp),
                 io_threads: 1,
-                ..Default::default()
-            },
-            EngineSpec {
-                residency: Residency::OocMem { fraction: 0.5 },
-                compression: Some(CompressionMode::ExpF32),
                 ..Default::default()
             },
         ]
@@ -1274,8 +1183,26 @@ mod tests {
         assert_eq!(spec.strategy, StrategyKind::Lfu);
         assert_eq!(spec.residency, Residency::InRam);
         assert_eq!(spec.shards, 1);
-        assert_eq!(spec.window, DEFAULT_PREFETCH_WINDOW);
-        assert!(spec.read_skipping);
+    }
+
+    #[test]
+    fn default_has_exactly_seven_axes() {
+        // Exhaustive on purpose (no `..`): an eighth field must fail to
+        // compile here before it can appear unnoticed.
+        let EngineSpec {
+            residency,
+            strategy,
+            shards,
+            io_threads,
+            alpha,
+            n_cats,
+            compression,
+        } = EngineSpec::default();
+        assert_eq!(residency, Residency::InRam);
+        assert_eq!(strategy, StrategyKind::Lru);
+        assert_eq!((shards, io_threads, n_cats), (1, 0, 4));
+        assert_eq!(alpha, 0.8);
+        assert_eq!(compression, None);
     }
 
     #[test]
@@ -1285,6 +1212,10 @@ mod tests {
         assert!(EngineSpec::from_toml("nonsense_key = 3").is_err());
         assert!(EngineSpec::from_toml("shards = banana").is_err());
         assert!(EngineSpec::from_toml("just a line").is_err());
+        // A key given twice used to keep its first value silently.
+        let err =
+            EngineSpec::from_toml("shards = 2\nstrategy = \"lfu\"\nshards = 4\n").unwrap_err();
+        assert!(err.to_string().contains("duplicate profile key 'shards'"));
         // Validation runs on parse: zero byte budgets error like the
         // builder does (shared validate_byte_budget).
         let err =
@@ -1325,7 +1256,7 @@ mod tests {
         assert!(bad.validate().is_err());
         let bad = EngineSpec {
             residency: Residency::Paged { phys_bytes: 4096 },
-            compression: Some(CompressionMode::ExpF32),
+            compression: Some(CompressionMode::Exp),
             ..Default::default()
         };
         assert!(bad.validate().is_err());

@@ -27,6 +27,7 @@ use ooc_serve::net::{self, Request};
 use ooc_serve::{
     solo_likelihood, DatasetRequest, JobKind, JobRequest, PartitionRequest, ServeConfig, Service,
 };
+use phylo_ooc::args::{self, Args, Flag, METRICS};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -34,64 +35,116 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: ooc-serve listen [--addr HOST:PORT] [--arena-bytes N] [--workers N]\n\
-         \x20                     [--queue-depth N] [--metrics FILE] [--scratch DIR]\n\
-         \x20      ooc-serve smoke  [--arena-bytes N] [--metrics FILE] [--scratch DIR]"
-    );
-    std::process::exit(2);
+/// One subcommand: its flag table and its entry point.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Args) -> ExitCode,
 }
 
-struct Args {
-    addr: String,
-    cfg: ServeConfig,
+const SCRATCH: Flag = Flag::text(
+    "scratch",
+    "",
+    "directory for file-backed vector stores [the temp dir]",
+);
+
+const COMMANDS: [Command; 2] = [
+    Command {
+        name: "listen",
+        about: "serve jobs over newline-delimited JSON on TCP",
+        flags: &[
+            Flag::text("addr", "127.0.0.1:7811", "HOST:PORT to listen on"),
+            Flag::int("arena-bytes", 64 << 20, "slot RAM shared by all tenants"),
+            Flag::int("workers", 2, "worker threads (= max concurrent engines)"),
+            Flag::int("queue-depth", 64, "job-queue depth; more is refused"),
+            METRICS,
+            SCRATCH,
+        ],
+        run: listen,
+    },
+    Command {
+        name: "smoke",
+        about: "self-contained end-to-end check over real TCP",
+        flags: &[
+            // Tight on purpose: below the two tenants' joint demand (so
+            // their overlap forces fair evictions), above their floors.
+            Flag::int("arena-bytes", 3 << 20, "slot RAM shared by all tenants"),
+            METRICS,
+            SCRATCH,
+        ],
+        run: smoke,
+    },
+];
+
+fn usage() -> String {
+    let mut out =
+        String::from("usage: ooc-serve <command> [flags]   (ooc-serve <command> --help)\n\n");
+    for cmd in &COMMANDS {
+        out.push_str(&format!("  {:<8} {}\n", cmd.name, cmd.about));
+    }
+    out
 }
 
-fn parse_args(mut args: std::env::Args) -> (String, Args) {
-    let mode = args.next().unwrap_or_else(|| usage());
-    let mut out = Args {
-        addr: "127.0.0.1:7811".to_string(),
-        cfg: ServeConfig::default(),
+/// The flags both commands share, over the library's defaults.
+fn serve_config(args: &Args) -> ServeConfig {
+    let metrics = args.string("metrics");
+    let scratch = args.string("scratch");
+    let mut cfg = ServeConfig {
+        arena_bytes: args.u64("arena-bytes"),
+        metrics_path: (!metrics.is_empty()).then(|| PathBuf::from(metrics)),
+        ..ServeConfig::default()
     };
-    if mode == "smoke" {
-        out.cfg.arena_bytes = 4 << 20; // deliberately tight
+    if !scratch.is_empty() {
+        cfg.scratch_dir = PathBuf::from(scratch);
     }
-    while let Some(flag) = args.next() {
-        let mut val = || args.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--addr" => out.addr = val(),
-            "--arena-bytes" => out.cfg.arena_bytes = val().parse().unwrap_or_else(|_| usage()),
-            "--workers" => out.cfg.workers = val().parse().unwrap_or_else(|_| usage()),
-            "--queue-depth" => out.cfg.queue_depth = val().parse().unwrap_or_else(|_| usage()),
-            "--metrics" => out.cfg.metrics_path = Some(PathBuf::from(val())),
-            "--scratch" => out.cfg.scratch_dir = PathBuf::from(val()),
-            _ => usage(),
-        }
-    }
-    (mode, out)
+    cfg
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args();
-    args.next(); // argv[0]
-    let (mode, args) = parse_args(args);
-    match mode.as_str() {
-        "listen" => listen(args),
-        "smoke" => smoke(args),
-        _ => usage(),
+    let tokens: Vec<String> = std::env::args().skip(1).collect();
+    let wants_help = |t: &[String]| t.iter().any(|t| t == "--help" || t == "-h");
+    let cmd = tokens
+        .split_first()
+        .and_then(|(name, rest)| Some((COMMANDS.iter().find(|c| c.name == name)?, rest)));
+    let Some((cmd, rest)) = cmd else {
+        if wants_help(&tokens) {
+            print!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        eprint!("{}", usage());
+        return ExitCode::from(2);
+    };
+    if wants_help(rest) {
+        println!("ooc-serve {} — {}\n", cmd.name, cmd.about);
+        print!("{}", args::help(cmd.flags));
+        return ExitCode::SUCCESS;
+    }
+    match Args::parse(cmd.flags, None, rest) {
+        Ok(args) => (cmd.run)(&args),
+        Err(e) => {
+            eprintln!("ooc-serve {}: {e}", cmd.name);
+            eprint!("valid flags:\n{}", args::help(cmd.flags));
+            ExitCode::from(2)
+        }
     }
 }
 
-fn listen(args: Args) -> ExitCode {
-    let listener = match TcpListener::bind(&args.addr) {
+fn listen(args: &Args) -> ExitCode {
+    let addr = args.string("addr");
+    let listener = match TcpListener::bind(&addr) {
         Ok(l) => l,
         Err(e) => {
-            eprintln!("ooc-serve: cannot bind {}: {e}", args.addr);
+            eprintln!("ooc-serve: cannot bind {addr}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let service = match Service::start(args.cfg) {
+    let cfg = ServeConfig {
+        workers: args.usize("workers"),
+        queue_depth: args.usize("queue-depth"),
+        ..serve_config(args)
+    };
+    let service = match Service::start(cfg) {
         Ok(s) => Arc::new(s),
         Err(e) => {
             eprintln!("ooc-serve: {e}");
@@ -181,8 +234,13 @@ fn status_kind(status: &Value) -> &str {
 const OOC_PROFILE: &str = "residency = \"ooc-mem\"\nfraction = 0.5\nstrategy = \"lru\"\n";
 const FILE_PROFILE: &str = "residency = \"file\"\nfraction = 0.25\nstrategy = \"lru\"\n";
 
-fn smoke(args: Args) -> ExitCode {
-    match smoke_inner(args) {
+fn smoke(args: &Args) -> ExitCode {
+    // Two workers: the overlap below needs both.
+    let cfg = ServeConfig {
+        workers: 2,
+        ..serve_config(args)
+    };
+    match smoke_inner(cfg) {
         Ok(()) => {
             eprintln!("ooc-serve smoke: OK");
             ExitCode::SUCCESS
@@ -194,9 +252,8 @@ fn smoke(args: Args) -> ExitCode {
     }
 }
 
-fn smoke_inner(mut args: Args) -> Result<(), String> {
-    args.cfg.workers = 2;
-    let scratch = args.cfg.scratch_dir.clone();
+fn smoke_inner(cfg: ServeConfig) -> Result<(), String> {
+    let scratch = cfg.scratch_dir.clone();
 
     // Ground truth, computed solo before the server runs anything.
     let alice_ds = DatasetRequest {
@@ -230,7 +287,7 @@ fn smoke_inner(mut args: Args) -> Result<(), String> {
         .local_addr()
         .map_err(|e| e.to_string())?
         .to_string();
-    let service = Arc::new(Service::start(args.cfg)?);
+    let service = Arc::new(Service::start(cfg)?);
     {
         let service = service.clone();
         std::thread::spawn(move || {

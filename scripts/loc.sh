@@ -2,7 +2,7 @@
 # Non-test Rust lines per crate, plus `root` for the root package's src/:
 # every line of every crates/*/src/**/*.rs and src/**/*.rs up to (not
 # including) the file's first module-level `#[cfg(test)]`. This is the
-# ruler for ROADMAP item 4's line target; run it from any checkout root:
+# ruler for ROADMAP item 5's line target; run it from any checkout root:
 #   bash scripts/loc.sh [ROOT]
 set -euo pipefail
 cd "${1:-$(dirname "${BASH_SOURCE[0]}")/..}"

@@ -1,4 +1,5 @@
-//! Command-line flags of the `phylo-ooc` and `ooc-bench` subcommands.
+//! Command-line flags of the `phylo-ooc`, `ooc-bench` and `ooc-serve`
+//! subcommands.
 //!
 //! Every subcommand declares its flags once, as a `&[Flag]` table: name,
 //! type, default — a single value, or a paper-geometry / `--quick` pair —

@@ -13,8 +13,8 @@
 
 use phylo_ooc::args::{self, Args, Flag};
 use phylo_ooc::models::{DiscreteGamma, ReversibleModel};
-use phylo_ooc::ooc::{CompressionMode, OocError, Recorder, StrategyKind, DEFAULT_PREFETCH_WINDOW};
-use phylo_ooc::plf::{DynEngine, EngineSpec, KernelBackend, LikelihoodEngine, Residency};
+use phylo_ooc::ooc::{CompressionMode, OocError, Recorder, StrategyKind};
+use phylo_ooc::plf::{DynEngine, EngineSpec, LikelihoodEngine, Residency};
 use phylo_ooc::run::{self, Job, MetricsFile, Run};
 use phylo_ooc::search::{hill_climb_observed, parsimony_stepwise_tree, SearchConfig};
 use phylo_ooc::seq::phylip::{read_phylip_raw, write_phylip, PhylipError};
@@ -42,7 +42,6 @@ struct Command {
 }
 
 const PROTEIN: Flag = Flag::switch("protein", "20-state protein data instead of DNA");
-const WINDOW: u64 = DEFAULT_PREFETCH_WINDOW as u64;
 
 /// The flags `likelihood` and `search` share — the data, the engine axes
 /// and the reports — followed by the command's own.
@@ -60,10 +59,8 @@ macro_rules! analysis_flags {
             Flag::text("vector-file", "", "where evicted vectors go during the run [a temp file]"),
             Flag::float("alpha", 0.8, "Gamma shape; search optimises it unless given"),
             Flag::int("seed", 42, "RNG seed"),
-            Flag::text("kernel", "", "scalar | dna4 | avx2 [auto; env OOC_PLF_KERNEL]"),
             Flag::int("io-threads", 0, "I/O workers prefetching along the plan (0 = synchronous)"),
-            Flag::int("window", WINDOW, "plan lookahead in vectors, per pipeline buffer"),
-            Flag::text("compression", "", "none | exp (bit-exact) | exp-f32; needs --memory"),
+            Flag::text("compression", "", "none | exp (bit-exact); needs --memory"),
             Flag::switch("stats", "print out-of-core statistics"),
             args::METRICS,
             $($own),*
@@ -195,12 +192,12 @@ fn parse_memory(spec: &str) -> Result<Residency, String> {
         Some(b'G' | b'g') => (&spec[..spec.len() - 1], 1 << 30),
         _ => (spec, 1),
     };
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("bad --memory {spec:?}"))?;
-    Ok(Residency::FileLimit {
-        limit_bytes: n * mult,
-    })
+    let limit_bytes = digits
+        .parse::<u64>()
+        .ok()
+        .and_then(|n| n.checked_mul(mult))
+        .ok_or_else(|| format!("bad --memory {spec:?}"))?;
+    Ok(Residency::FileLimit { limit_bytes })
 }
 
 /// §3.1 memory arithmetic: ancestral-vector requirements for an analysis.
@@ -380,43 +377,29 @@ fn load_dataset(args: &Args, spec: &EngineSpec) -> Result<(Dataset, Vec<String>)
 /// Resolve the engine configuration for this invocation: a TOML
 /// `--profile` verbatim, or an [`EngineSpec`] assembled from the
 /// individual axis flags (`--memory` → residency, `--strategy`,
-/// `--shards`, `--io-threads`, `--window`, `--kernel`, `--alpha`).
+/// `--shards`, `--io-threads`, `--compression`, `--alpha`).
 fn cli_spec(args: &Args) -> Result<EngineSpec, String> {
     if let Some(path) = text(args, "profile") {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
         return EngineSpec::from_toml(&text).map_err(|e| e.to_string());
     }
-    let residency = parse_memory(&args.string("memory"))?;
-    // I/O pipelining only applies to file-backed residency; tolerate the
-    // flag on an in-RAM run the way the pre-spec CLI did.
-    let io_threads = if matches!(residency, Residency::InRam) {
-        0
-    } else {
-        args.usize("io-threads")
-    };
     let compression = match args.string("compression").as_str() {
         "" | "none" => None,
         name => Some(
             CompressionMode::from_name(name)
-                .ok_or_else(|| format!("bad --compression {name:?}: none | exp | exp-f32"))?,
+                .ok_or_else(|| format!("bad --compression {name:?}: none | exp"))?,
         ),
     };
-    // No `--kernel` keeps the auto-detected backend (which the
-    // `OOC_PLF_KERNEL` environment variable can still override).
-    let kernel: Option<KernelBackend> = text(args, "kernel").map(|k| k.parse()).transpose()?;
     let strategy = args.string("strategy");
     Ok(EngineSpec {
-        residency,
+        residency: parse_memory(&args.string("memory"))?,
         strategy: StrategyKind::from_name(&strategy, args.u64("seed"))
             .ok_or_else(|| format!("unknown strategy {strategy:?}"))?,
         shards: args.usize("shards"),
-        io_threads,
-        window: args.usize("window"),
-        kernel,
+        io_threads: args.usize("io-threads"),
         alpha: args.f64("alpha"),
         n_cats: 4,
         compression,
-        ..EngineSpec::default()
     })
 }
 

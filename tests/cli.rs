@@ -125,6 +125,41 @@ fn memory_suffixes_accepted() {
 }
 
 #[test]
+fn bad_engine_flags_fail_with_one_rule_each() {
+    let dir = tempfile::tempdir().unwrap();
+    let (aln, tree) = simulate_into(dir.path());
+    for (flags, names) in [
+        // n * 2^30 overflows u64: used to panic (debug) or wrap (release).
+        (&["--memory", "99999999999G"][..], "bad --memory"),
+        (&["--memory", "lots"][..], "bad --memory"),
+        // In-RAM runs have no store to pipeline or compress behind; the
+        // spec's validation is the one place that says so.
+        (
+            &["--io-threads", "2"][..],
+            "io_threads requires a file-backed residency",
+        ),
+        (
+            &["--compression", "exp"][..],
+            "compression requires a managed residency",
+        ),
+        (
+            &["--memory", "25%", "--compression", "zip"][..],
+            "bad --compression",
+        ),
+    ] {
+        let out = cli()
+            .args(["likelihood", "--alignment", &aln, "--tree", &tree])
+            .args(flags)
+            .output()
+            .expect("spawn CLI");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {err}");
+        assert!(err.contains(names), "{flags:?}: {err}");
+        assert!(!err.contains("panicked"), "{flags:?}: {err}");
+    }
+}
+
+#[test]
 fn unwritable_vector_file_fails_with_context() {
     let dir = tempfile::tempdir().unwrap();
     let (aln, tree) = simulate_into(dir.path());
@@ -187,6 +222,8 @@ fn a_mistyped_flag_is_refused_before_anything_runs() {
         (&["--shards", "two"][..], "--shards"),
         (&["--alpha"][..], "--alpha"),
         (&["--rounds", "3"][..], "--rounds"), // a `search` flag
+        (&["--window", "8"][..], "--window"), // retired with the spec axis
+        (&["--kernel", "scalar"][..], "--kernel"),
     ] {
         let out = cli()
             .args(["likelihood", "--alignment", &aln, "--tree", &tree])

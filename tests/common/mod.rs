@@ -91,27 +91,3 @@ pub fn sharded_file(
     let ctx = BuildContext::new().vector_path(path);
     build(&spec, data, &ctx).engine
 }
-
-/// As [`sharded_file`] but with an explicit lookahead window for the
-/// prefetch pipeline.
-#[allow(clippy::too_many_arguments)]
-pub fn sharded_file_windowed(
-    data: &Dataset,
-    path: &Path,
-    f: f64,
-    kind: StrategyKind,
-    shards: usize,
-    io_threads: usize,
-    window: usize,
-) -> Box<dyn DynEngine> {
-    let spec = EngineSpec {
-        residency: Residency::File { fraction: f },
-        strategy: kind,
-        shards,
-        io_threads,
-        window,
-        ..setup::base_spec(data)
-    };
-    let ctx = BuildContext::new().vector_path(path);
-    build(&spec, data, &ctx).engine
-}

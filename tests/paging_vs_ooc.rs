@@ -105,39 +105,3 @@ fn ooc_io_scales_with_misses_not_touches() {
     );
     assert_eq!(stats.disk_reads, 0, "nothing is ever evicted at f = 1.0");
 }
-
-#[test]
-fn modeled_clock_replays_paper_scale_geometry() {
-    // The modelled-disk replay used for the paper-scale Figure 5 points:
-    // identical access pattern, virtual I/O clock instead of real I/O.
-    use phylo_ooc::ooc::{DiskModel, ModeledStore, NullStore, OocConfig, VectorManager};
-    use phylo_ooc::plf::OocStore;
-    use phylo_ooc::plf::PlfEngine;
-
-    let data = setup::simulate_dataset(&DatasetSpec {
-        n_taxa: 32,
-        n_sites: 120,
-        seed: 12,
-        ..Default::default()
-    });
-    let cfg = OocConfig::builder(data.n_items(), data.width(0))
-        .fraction(0.25)
-        .build()
-        .expect("valid out-of-core config");
-    let store = ModeledStore::new(NullStore, DiskModel::hdd_2010());
-    let manager = VectorManager::new(cfg, StrategyKind::Lru.build(None), store);
-    let mut engine = PlfEngine::new(
-        data.tree.clone(),
-        data.comp(),
-        data.model().clone(),
-        data.alpha,
-        data.n_cats,
-        OocStore::new(manager),
-    );
-    let _ = engine.full_traversals(5).unwrap();
-    let clock = engine.store().manager().store().clock_secs();
-    let ops = engine.store().manager().store().ops();
-    assert!(ops > 0);
-    // Each op costs at least the seek latency.
-    assert!(clock >= ops as f64 * 0.008);
-}

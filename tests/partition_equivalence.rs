@@ -114,14 +114,13 @@ fn partitioned_lnls_bit_identical_across_residency_backends() {
 
     // The full PR-6 residency stack per partition: sharded members over
     // plan-driven double-buffered prefetching file stores.
-    let mut piped = common::sharded_file_windowed(
+    let mut piped = common::sharded_file(
         &data,
         &dir.path().join("piped.bin"),
         0.3,
         StrategyKind::Lru,
         3,
         2,
-        8,
     );
     piped.log_likelihood().expect("pipelined traversal");
     assert_bitwise(
@@ -133,7 +132,13 @@ fn partitioned_lnls_bit_identical_across_residency_backends() {
     // Joint likelihood is the per-partition sum, in partition order, for
     // every backend.
     let joint = inram.log_likelihood().unwrap();
-    assert_eq!(joint.to_bits(), file.log_likelihood().unwrap().to_bits());
+    let file_joint = file.log_likelihood().unwrap();
+    assert_eq!(
+        file_joint,
+        file.partition_lnls().unwrap().iter().sum::<f64>(),
+        "file-limit: joint lnl must be the per-partition sum"
+    );
+    assert_eq!(joint.to_bits(), file_joint.to_bits());
     assert_eq!(joint.to_bits(), piped.log_likelihood().unwrap().to_bits());
 }
 

@@ -189,24 +189,21 @@ fn sharded_pipelines_bit_identical_and_stats_merge() {
     let dir = tempfile::tempdir().unwrap();
 
     for k in [2, 4] {
-        for window in [1, 8] {
-            let path = dir.path().join(format!("sharded-{k}-{window}.bin"));
-            let mut engine =
-                common::sharded_file_windowed(&data, &path, 0.25, StrategyKind::Lru, k, 1, window);
-            let lnl = engine.log_likelihood().unwrap();
-            assert_eq!(
-                lnl.to_bits(),
-                reference.to_bits(),
-                "{k} shards, window {window}: sharded pipeline changed the likelihood"
-            );
-            let merged = engine
-                .ooc_stats()
-                .expect("sharded OOC engine reports merged stats");
-            assert_stats_consistent(&merged, &format!("{k} shards, window {window}"));
-            assert!(
-                merged.requests > 0,
-                "{k} shards: merged stats must reflect real traffic"
-            );
-        }
+        let path = dir.path().join(format!("sharded-{k}.bin"));
+        let mut engine = common::sharded_file(&data, &path, 0.25, StrategyKind::Lru, k, 1);
+        let lnl = engine.log_likelihood().unwrap();
+        assert_eq!(
+            lnl.to_bits(),
+            reference.to_bits(),
+            "{k} shards: sharded pipeline changed the likelihood"
+        );
+        let merged = engine
+            .ooc_stats()
+            .expect("sharded OOC engine reports merged stats");
+        assert_stats_consistent(&merged, &format!("{k} shards"));
+        assert!(
+            merged.requests > 0,
+            "{k} shards: merged stats must reflect real traffic"
+        );
     }
 }

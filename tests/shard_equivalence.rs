@@ -84,19 +84,27 @@ fn sharded_file_regions_bit_identical_to_serial() {
         .log_likelihood()
         .expect("in-RAM reference cannot fail");
 
-    for k in SHARD_COUNTS {
-        let mut sharded = common::sharded_file(
-            &data,
-            &dir.path().join(format!("shards_{k}.bin")),
-            0.25,
-            StrategyKind::Lru,
-            k,
-            0,
-        );
-        let lnl = sharded
-            .log_likelihood()
-            .expect("sharded file traversal failed");
-        assert_eq!(lnl.to_bits(), reference.to_bits(), "k={k}");
+    for kind in [
+        StrategyKind::Random { seed: 5 },
+        StrategyKind::Lru,
+        StrategyKind::Lfu,
+        StrategyKind::Topological,
+        StrategyKind::NextUse,
+    ] {
+        for k in SHARD_COUNTS {
+            let mut sharded = common::sharded_file(
+                &data,
+                &dir.path().join(format!("shards_{k}.bin")),
+                0.25,
+                kind,
+                k,
+                0,
+            );
+            let lnl = sharded
+                .log_likelihood()
+                .expect("sharded file traversal failed");
+            assert_eq!(lnl.to_bits(), reference.to_bits(), "{kind:?}, k={k}");
+        }
     }
 }
 

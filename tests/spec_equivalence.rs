@@ -283,6 +283,14 @@ fn every_arity_and_residency_matches_hand_built_serial_members() {
                     let mut engine = built.engine;
                     let got = run(&mut engine, |e| e.partition_lnls().unwrap());
                     assert_eq!(got, want, "{cell}");
+                    // Spec-built managers track dirtiness: the paper's
+                    // unconditional swap is a figure preset, not the engine.
+                    if let Some(s) = engine.ooc_stats() {
+                        assert!(
+                            s.evictions == 0 || s.disk_writes < s.evictions,
+                            "{cell}: {s}"
+                        );
+                    }
 
                     // Every residency shards — in-RAM too — and a single
                     // shard has no barrier to record spans around.
@@ -315,7 +323,6 @@ fn sharded_file_pipelined_spec_matches_inram() {
         residency: Residency::File { fraction: 0.25 },
         shards: 2,
         io_threads: 2,
-        window: 8,
         ..setup::base_spec(&data)
     };
     let ctx = BuildContext::new().vector_path(dir.path().join("v.bin"));

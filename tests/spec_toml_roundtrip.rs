@@ -1,10 +1,11 @@
 //! Property test for the `EngineSpec` profile format: serializing any
 //! valid spec to TOML and parsing it back must reproduce the spec
 //! exactly — every axis, including the `compression` field, with no
-//! drift in floats (`f64::to_string` round-trips bit-exactly).
+//! drift in floats (`f64::to_string` round-trips bit-exactly). Keys and
+//! values the format retired are refused by name.
 
 use phylo_ooc::ooc::{CompressionMode, StrategyKind};
-use phylo_ooc::plf::{EngineSpec, KernelBackend, Residency};
+use phylo_ooc::plf::{EngineSpec, Residency};
 use proptest::prelude::*;
 
 /// Any *valid* spec: the generator draws every axis independently, then
@@ -14,27 +15,21 @@ use proptest::prelude::*;
 fn arb_spec() -> impl Strategy<Value = EngineSpec> {
     (
         (
-            0u8..5,                             // residency selector
-            0.01f64..1.0,                       // fraction
-            1u64..(1 << 40),                    // byte budget
-            0u8..5,                             // strategy selector
-            any::<u64>(),                       // random-strategy seed
-            (1usize..5, 0usize..3, 1usize..33), // shards, io_threads, window
+            0u8..5,                 // residency selector
+            0.01f64..1.0,           // fraction
+            1u64..(1 << 40),        // byte budget
+            0u8..5,                 // strategy selector
+            any::<u64>(),           // random-strategy seed
+            (1usize..5, 0usize..3), // shards, io_threads
         ),
         (
-            0u8..4,        // kernel selector (3 = auto)
             0.05f64..5.0,  // alpha
             1usize..8,     // n_cats
-            any::<bool>(), // read_skipping
-            any::<bool>(), // always_write_back
-            0u8..3,        // compression selector
+            any::<bool>(), // compression
         ),
     )
         .prop_map(
-            |(
-                (res, fraction, bytes, strat, seed, (shards, io_threads, window)),
-                (kern, alpha, n_cats, read_skipping, always_write_back, comp),
-            )| {
+            |((res, fraction, bytes, strat, seed, (shards, io_threads)), (alpha, n_cats, comp))| {
                 let residency = match res {
                     0 => Residency::InRam,
                     1 => Residency::OocMem { fraction },
@@ -49,17 +44,7 @@ fn arb_spec() -> impl Strategy<Value = EngineSpec> {
                     3 => StrategyKind::Topological,
                     _ => StrategyKind::NextUse,
                 };
-                let kernel = match kern {
-                    0 => Some(KernelBackend::Scalar),
-                    1 => Some(KernelBackend::Dna4Unrolled),
-                    2 => Some(KernelBackend::Avx2Fma),
-                    _ => None,
-                };
-                let compression = match comp {
-                    0 => None,
-                    1 => Some(CompressionMode::Exp),
-                    _ => Some(CompressionMode::ExpF32),
-                };
+                let compression = comp.then_some(CompressionMode::Exp);
                 // Repair the combinations validate() rejects.
                 let file_backed = matches!(
                     residency,
@@ -75,12 +60,8 @@ fn arb_spec() -> impl Strategy<Value = EngineSpec> {
                         shards
                     },
                     io_threads: if file_backed { io_threads } else { 0 },
-                    window,
-                    kernel,
                     alpha,
                     n_cats,
-                    read_skipping,
-                    always_write_back,
                     compression: if managed { compression } else { None },
                 }
             },
@@ -99,5 +80,26 @@ proptest! {
         prop_assert_eq!(&parsed, &spec);
         // Serialization is deterministic: a second hop is a fixpoint.
         prop_assert_eq!(parsed.to_toml(), text);
+    }
+}
+
+#[test]
+fn retired_keys_and_values_are_refused_by_name() {
+    for (line, names) in [
+        ("window = 16", "unknown profile key 'window'"),
+        ("kernel = \"auto\"", "unknown profile key 'kernel'"),
+        (
+            "read_skipping = true",
+            "unknown profile key 'read_skipping'",
+        ),
+        (
+            "always_write_back = false",
+            "unknown profile key 'always_write_back'",
+        ),
+        ("compression = \"exp-f32\"", "unknown compression 'exp-f32'"),
+    ] {
+        let text = format!("residency = \"ooc-mem\"\nfraction = 0.5\n{line}\n");
+        let err = EngineSpec::from_toml(&text).unwrap_err().to_string();
+        assert!(err.contains(names), "{line}: {err}");
     }
 }
