@@ -24,42 +24,9 @@ pub mod report;
 pub mod tuner;
 pub mod workload;
 
-use phylo_ooc::args::{self, Args};
-
 /// Run `ooc-bench` with `tokens` (the command line without the program
-/// name) and return its exit code: 0 on success, 1 when the experiment or
-/// check fails, 2 when the command line is not understood.
+/// name) and return its exit code ([`phylo_ooc::args::run`]).
 pub fn run(tokens: &[String]) -> i32 {
-    let wants_help = |t: &[String]| t.iter().any(|t| t == "--help" || t == "-h");
-    let Some((cmd, rest)) = cmd::lookup(tokens) else {
-        if wants_help(tokens) {
-            print!("{}", cmd::usage());
-            return 0;
-        }
-        if let Some(typed) = tokens.first() {
-            eprintln!("ooc-bench: unknown command '{typed}'");
-        }
-        eprint!("{}", cmd::usage());
-        return 2;
-    };
-    if wants_help(rest) {
-        println!("ooc-bench {} — {}\n", cmd.name, cmd.about);
-        print!("{}", args::help(cmd.flags));
-        return 0;
-    }
-    let args = match Args::parse(cmd.flags, cmd.positional, rest) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("ooc-bench {}: {e}", cmd.name);
-            eprint!("valid flags:\n{}", args::help(cmd.flags));
-            return 2;
-        }
-    };
-    match (cmd.run)(&args) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("ooc-bench {}: {e}", cmd.name);
-            1
-        }
-    }
+    let about = "regenerate the paper's tables and figures";
+    phylo_ooc::args::run("ooc-bench", about, &cmd::COMMANDS, tokens)
 }

@@ -4,16 +4,16 @@
 //! 1–32 GB against 1–2 GB of RAM. Re-running that verbatim needs tens of
 //! gigabytes of physical I/O; instead we *replay* the exact vector access
 //! sequence of the traversals — through the out-of-core manager's own
-//! bookkeeping (`ooc_core::SlotTable`) and the real page-reclaim
-//! machinery — while charging each store operation to a virtual disk
-//! clock and adding a calibrated per-vector compute cost. The scaled-down real-I/O runs (same binary, `--real`) validate
-//! that the model reproduces the measured shape.
+//! bookkeeping ([`simulate`], which the tuner's model shares) and the real
+//! page-reclaim machinery — pricing each counted store operation with a
+//! [`DiskModel`] and adding a calibrated per-vector compute cost. The
+//! scaled-down real-I/O runs (same binary, `--real`) validate that the
+//! model reproduces the measured shape.
 
 use ooc_core::{
-    AccessPlan, AccessRecord, DataPlane, DiskModel, Intent, ItemId, OocConfig, SlotId, SlotTable,
-    StrategyKind,
+    AccessRecord, DiskModel, Intent, OocConfig, OocStats, ReplacementStrategy, StrategyKind,
 };
-use pager_sim::{PageStats, PagedArena, PAGE_SIZE};
+use pager_sim::{PageStats, PagedArena, SlotCacheSim, PAGE_SIZE};
 use phylo_plf::kernels::newview::newview_inner_inner;
 use phylo_plf::kernels::Dims;
 use phylo_tree::traverse::{plan_traversal, Orientation, TraversalPlan};
@@ -41,11 +41,6 @@ pub fn full_traversal_pattern(tree: &Tree) -> TraversalPattern {
 }
 
 impl TraversalPattern {
-    /// The [`AccessPlan`] the live engine submits for this traversal.
-    pub fn access_plan(&self) -> AccessPlan {
-        self.plan.lower(self.n_items)
-    }
-
     /// The traversal as pin groups — one per session the live engine
     /// opens (each stored combine, then the root evaluation), the shape
     /// [`pager_sim::SlotCacheSim::access_group`] consumes.
@@ -57,6 +52,25 @@ impl TraversalPattern {
     /// vectors their readers rebuild included.
     pub fn combines(&self) -> usize {
         self.plan.steps.len()
+    }
+
+    /// The modelled cost of `k` traversals: the I/O charged, plus the
+    /// calibrated compute cost of every combine.
+    fn priced(
+        &self,
+        width: usize,
+        k: usize,
+        per_f64: f64,
+        io_secs: f64,
+        io_ops: u64,
+    ) -> ReplayResult {
+        let compute_secs = per_f64 * width as f64 * (self.combines() * k) as f64;
+        ReplayResult {
+            io_secs,
+            io_ops,
+            compute_secs,
+            total_secs: io_secs + compute_secs,
+        }
     }
 }
 
@@ -117,36 +131,32 @@ pub fn calibrate_newview_secs_per_f64() -> f64 {
     dt / dims.width() as f64
 }
 
-/// The [`DataPlane`] of a modelled disk: moves nothing, charges every
-/// whole-vector transfer to a virtual clock.
-struct DiskClockPlane {
-    /// Modelled cost of one vector transfer.
-    op_cost_ns: u64,
-    clock_ns: u64,
-    ops: u64,
+/// Replay `rounds` full traversals through the out-of-core manager's own
+/// bookkeeping and return what it counted — the one traversal replay,
+/// behind Figure 5's model and the tuner's. `geometry` carries the
+/// write-back mode: the paper's unconditional swap for the figure, dirty
+/// tracking for the tuner. Under `oracle` the strategy sees the whole run
+/// up front (with NextUse: Belady, a floor on any strategy's misses). No
+/// vector is allocated, whatever the budget.
+pub fn simulate(
+    pattern: &TraversalPattern,
+    geometry: impl Into<OocConfig>,
+    strategy: Box<dyn ReplacementStrategy>,
+    rounds: usize,
+    oracle: bool,
+) -> OocStats {
+    let plan = pattern.plan.lower(pattern.n_items);
+    let mut sim = SlotCacheSim::new(geometry, strategy);
+    if oracle {
+        sim.install_oracle_plan(plan.repeated(rounds));
+    }
+    sim.run_rounds(&plan, &pattern.pin_groups(), rounds);
+    *sim.stats()
 }
 
-impl DiskClockPlane {
-    fn charge(&mut self) -> std::io::Result<()> {
-        self.clock_ns += self.op_cost_ns;
-        self.ops += 1;
-        Ok(())
-    }
-}
-
-impl DataPlane for DiskClockPlane {
-    fn write_back(&mut self, _item: ItemId, _slot: SlotId) -> std::io::Result<()> {
-        self.charge()
-    }
-
-    fn read(&mut self, _item: ItemId, _slot: SlotId) -> std::io::Result<()> {
-        self.charge()
-    }
-}
-
-/// Replay `k` full traversals through the out-of-core manager's
-/// [`SlotTable`] with a modelled disk, returning the modelled times and
-/// the manager statistics. No vector is allocated, whatever the budget.
+/// [`simulate`] `k` full traversals under a `-L` budget in the paper's
+/// swap mode, every counted whole-vector transfer charged to a modelled
+/// disk.
 pub fn replay_ooc(
     pattern: &TraversalPattern,
     width: usize,
@@ -155,41 +165,17 @@ pub fn replay_ooc(
     disk: DiskModel,
     k: usize,
     compute_secs_per_f64: f64,
-) -> (ReplayResult, ooc_core::OocStats) {
+) -> (ReplayResult, OocStats) {
     let cfg = OocConfig::builder(pattern.n_items, width)
         .byte_limit(ram_limit_bytes)
         .build()
         .expect("valid out-of-core config");
-    let mut table = SlotTable::new(cfg, kind.build(None));
-    let mut plane = DiskClockPlane {
-        op_cost_ns: disk.op_cost_ns(width as u64 * 8),
-        clock_ns: 0,
-        ops: 0,
-    };
-
-    let plan = pattern.access_plan();
-    let groups = pattern.pin_groups();
-    for _ in 0..k {
-        table.begin_plan(&mut plane, plan.clone());
-        for group in &groups {
-            table
-                .access_group(&mut plane, group)
-                .expect("a modelled disk cannot fail");
-        }
-    }
-    let stats = *table.stats();
-    let io_secs = plane.clock_ns as f64 / 1e9;
-    let io_ops = plane.ops;
-    let compute_secs = compute_secs_per_f64 * width as f64 * (pattern.combines() * k) as f64;
-    (
-        ReplayResult {
-            io_secs,
-            io_ops,
-            compute_secs,
-            total_secs: io_secs + compute_secs,
-        },
-        stats,
-    )
+    let stats = simulate(pattern, cfg, kind.build(None), k, false);
+    let io_ops = stats.disk_reads + stats.disk_writes;
+    // Charged per transfer, each rounded down to whole nanoseconds.
+    let io_secs = (io_ops * disk.op_cost_ns(width as u64 * 8)) as f64 / 1e9;
+    let result = pattern.priced(width, k, compute_secs_per_f64, io_secs, io_ops);
+    (result, stats)
 }
 
 /// Replay `k` full traversals through the virtual paging arena (standard
@@ -227,16 +213,8 @@ pub fn replay_paged(
     let io_secs = (random as f64 * disk.op_cost_ns(PAGE_SIZE as u64) as f64
         + sequential as f64 * (transfer_ns + disk.seek_ns as f64 / SWAP_CLUSTER))
         / 1e9;
-    let compute_secs = compute_secs_per_f64 * width as f64 * (pattern.combines() * k) as f64;
-    (
-        ReplayResult {
-            io_secs,
-            io_ops,
-            compute_secs,
-            total_secs: io_secs + compute_secs,
-        },
-        stats,
-    )
+    let result = pattern.priced(width, k, compute_secs_per_f64, io_secs, io_ops);
+    (result, stats)
 }
 
 #[cfg(test)]
@@ -270,7 +248,7 @@ mod tests {
         assert_eq!(written.len(), 48 - rebuilt);
         // One producer: the groups are the plan, cut into sessions.
         let flat: Vec<AccessRecord> = groups.into_iter().flatten().collect();
-        assert_eq!(flat, p.access_plan().records());
+        assert_eq!(flat, p.plan.lower(p.n_items).records());
     }
 
     #[test]

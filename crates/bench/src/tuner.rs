@@ -9,7 +9,7 @@
 //! 1. **Enumerate** — the declarative [`SpecSpace`] grid, dropping invalid
 //!    axis combinations via [`EngineSpec::validate`] and resolving each
 //!    survivor's slot geometry through [`EngineSpec::slot_counts`].
-//! 2. **Prune by model** — replay the dataset's traversal [`AccessPlan`]
+//! 2. **Prune by model** — replay the dataset's traversal [`ooc_core::AccessPlan`]
 //!    through [`pager_sim::SlotCacheSim`] under the candidate's exact
 //!    strategy (the simulator's counters equal the real
 //!    manager's — see `pager-sim/tests/slotsim_parity.rs`), convert the
@@ -26,9 +26,11 @@
 //!    --profile`) loads directly.
 
 use crate::cell::{full_traversals, run_cell, CellInput};
-use crate::replay::{calibrate_newview_secs_per_f64, full_traversal_pattern};
-use ooc_core::{AccessPlan, BackingStore, CompressionMode, DiskModel, FileStore, OocStats};
-use pager_sim::{SimGeometry, SlotCacheSim};
+use crate::replay::{
+    self, calibrate_newview_secs_per_f64, full_traversal_pattern, TraversalPattern,
+};
+use ooc_core::{BackingStore, CompressionMode, DiskModel, FileStore, OocStats};
+use pager_sim::SimGeometry;
 use phylo_ooc::plf::oracle::build_strategy;
 use phylo_ooc::plf::{EngineSpec, Residency, SpecSpace};
 use phylo_ooc::run::MetricsFile;
@@ -303,31 +305,6 @@ fn spec_label(spec: &EngineSpec) -> String {
     label
 }
 
-/// Simulated traffic of one manager under `spec`'s strategy.
-fn simulate(
-    spec: &EngineSpec,
-    data: &Dataset,
-    n_slots: usize,
-    plan: &AccessPlan,
-    groups: &[Vec<ooc_core::AccessRecord>],
-    rounds: usize,
-    oracle: bool,
-) -> OocStats {
-    // Dirty tracking, as `EngineSpec::build` configures its managers.
-    let geo = SimGeometry::new(data.n_items(), data.width(0), n_slots).always_write_back(false);
-    let (strategy, _handle) = if oracle {
-        build_strategy(ooc_core::StrategyKind::NextUse, &data.tree)
-    } else {
-        build_strategy(spec.strategy, &data.tree)
-    };
-    let mut sim = SlotCacheSim::new(geo, strategy);
-    if oracle {
-        sim.install_oracle_plan(plan.repeated(rounds));
-    }
-    sim.run_rounds(plan, groups, rounds);
-    *sim.stats()
-}
-
 /// Search `space` over `data`: enumerate, prune by model, probe the
 /// survivors. `baselines` are probed unconditionally (hand-picked configs
 /// the tuned spec must beat; they also compete for the win). `metrics`
@@ -340,8 +317,6 @@ pub fn tune(
     metrics: &MetricsFile,
 ) -> TuneOutcome {
     let pattern = full_traversal_pattern(&data.tree);
-    let plan = pattern.access_plan();
-    let groups = pattern.pin_groups();
     let secs_per_f64 = cfg
         .secs_per_f64
         .unwrap_or_else(calibrate_newview_secs_per_f64);
@@ -373,8 +348,7 @@ pub fn tune(
             let estimate = model_candidate(
                 &spec,
                 data,
-                &plan,
-                &groups,
+                &pattern,
                 cfg,
                 secs_per_f64,
                 parallelism,
@@ -451,19 +425,17 @@ pub fn tune(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn model_candidate(
     spec: &EngineSpec,
     data: &Dataset,
-    plan: &AccessPlan,
-    groups: &[Vec<ooc_core::AccessRecord>],
+    pattern: &TraversalPattern,
     cfg: &TuneConfig,
     secs_per_f64: f64,
     parallelism: usize,
     oracle_cache: &mut HashMap<usize, OocStats>,
 ) -> ModelEstimate {
     let rounds = cfg.traversals;
-    let steps = groups.len();
+    let steps = pattern.pin_groups().len();
     // Kernel cost covers the full vector width regardless of sharding;
     // shards execute combines in parallel.
     let serial_compute = secs_per_f64 * data.width(0) as f64 * (steps * rounds) as f64;
@@ -501,7 +473,13 @@ fn model_candidate(
     // while each transfer moves only that shard's slice of the width — so
     // `shards` managers moving `width/shards`-wide vectors cost the same
     // bytes and `shards ×` the per-operation seeks.
-    let sim = simulate(spec, data, n_slots, plan, groups, rounds, false);
+    // Dirty tracking, as `EngineSpec::build` configures its managers.
+    let geo = SimGeometry::new(data.n_items(), data.width(0), n_slots).always_write_back(false);
+    let replay = |kind, oracle| {
+        let (strategy, _handle) = build_strategy(kind, &data.tree);
+        replay::simulate(pattern, geo, strategy, rounds, oracle)
+    };
+    let sim = replay(spec.strategy, false);
     let io_ops = (sim.disk_reads + sim.disk_writes) * spec.shards as u64;
     let io_bytes = ((sim.bytes_read + sim.bytes_written) as f64 * ratio) as u64;
     let io_secs = cfg.disk.traffic_cost_ns(io_ops, io_bytes) as f64 / 1e9;
@@ -517,7 +495,7 @@ fn model_candidate(
     // time) absorbs what the model cannot see.
     let oracle = *oracle_cache
         .entry(n_slots)
-        .or_insert_with(|| simulate(spec, data, n_slots, plan, groups, rounds, true));
+        .or_insert_with(|| replay(ooc_core::StrategyKind::NextUse, true));
     let lb_ops = (oracle.disk_reads + oracle.disk_writes) * spec.shards as u64;
     let lb_bytes = ((oracle.bytes_read + oracle.bytes_written) as f64 * ratio) as u64;
     let lb_io = cfg.disk.traffic_cost_ns(lb_ops, lb_bytes) as f64 / 1e9;

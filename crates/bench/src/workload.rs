@@ -216,6 +216,8 @@ fn run_pass(
                 .smooth_branches(spec.smooth_passes, spec.nr_iter)
                 .expect("MemStore workload cannot fail on I/O");
         }
+        // Not `set_shared_tree`: a snapshot per round is the cadence the
+        // committed Fig. 2–4 / supplement goldens were measured under.
         if let Some(h) = &handle {
             h.update(engine.tree());
         }

@@ -187,21 +187,6 @@ impl<S: BackingStore> CompressingStore<S> {
         }
     }
 
-    /// Logical (decoded) item width in `f64`s.
-    pub fn logical_width(&self) -> usize {
-        self.width
-    }
-
-    /// Inner-store item width in `f64`s (the worst-case capacity).
-    pub fn capacity_f64s(&self) -> usize {
-        self.packed.len()
-    }
-
-    /// Encoding mode.
-    pub fn mode(&self) -> CompressionMode {
-        self.mode
-    }
-
     /// Shared byte counters (also visible through every clone).
     pub fn counters(&self) -> Arc<CompressionCounters> {
         Arc::clone(&self.counters)

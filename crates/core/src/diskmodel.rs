@@ -129,6 +129,16 @@ mod tests {
         let m = DiskModel::hdd_2010();
         let per_op: u64 = (0..7).map(|_| m.op_cost_ns(1024)).sum();
         assert_eq!(m.traffic_cost_ns(7, 7 * 1024), per_op);
+        // A transfer that is not a whole number of nanoseconds: charging
+        // per operation rounds each one down (Figure 5's model keeps that),
+        // the aggregate rounds once — less than 1 ns per operation apart.
+        let odd = DiskModel {
+            seek_ns: 9_000_000,
+            bandwidth_bytes_per_sec: 110_000_000,
+        };
+        assert_ne!(1000 * 1_000_000_000 % odd.bandwidth_bytes_per_sec, 0);
+        let (per_op, total) = (7 * odd.op_cost_ns(1000), odd.traffic_cost_ns(7, 7000));
+        assert!(per_op <= total && total < per_op + 7, "{per_op} vs {total}");
     }
 
     #[test]

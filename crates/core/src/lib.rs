@@ -87,7 +87,7 @@ pub use obs::{
 pub use plan::{AccessPlan, AccessRecord, PlanCursor};
 pub use prefetch::{PrefetchStats, PrefetchingStore};
 pub use retry::{RetryPolicy, RetryStats, RetryingStore};
-pub use shard::{par_each_mut, parallelism, split_budget, split_budget_checked, ShardSpec};
+pub use shard::{even_ranges, par_each_mut, parallelism, split_budget, split_budget_checked};
 pub use slot_table::{DataPlane, NullPlane, SlotCacheSim, SlotTable};
 pub use stats::OocStats;
 pub use store::{BackingStore, FileStore, MemStore};

@@ -14,66 +14,21 @@
 
 use std::ops::Range;
 
-/// A partition of `n_columns` alignment columns into contiguous,
-/// non-empty, in-order shards.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardSpec {
-    ranges: Vec<Range<usize>>,
-}
-
-impl ShardSpec {
-    /// Balanced partition into (at most) `k` shards: the first
-    /// `n_columns mod k` shards get one extra column. `k` is clamped to
-    /// `[1, n_columns]` so no shard is ever empty — a manager over zero
-    /// columns has no backing geometry.
-    pub fn even(n_columns: usize, k: usize) -> Self {
-        assert!(n_columns > 0, "cannot shard an empty alignment");
-        let k = k.clamp(1, n_columns);
-        let per = n_columns / k;
-        let extra = n_columns % k;
-        let mut ranges = Vec::with_capacity(k);
-        let mut start = 0usize;
-        for s in 0..k {
-            let len = per + usize::from(s < extra);
-            ranges.push(start..start + len);
-            start += len;
-        }
-        debug_assert_eq!(start, n_columns);
-        ShardSpec { ranges }
-    }
-
-    /// Partition from explicit ranges; they must be non-empty, contiguous
-    /// and start at column 0.
-    pub fn from_ranges(ranges: Vec<Range<usize>>) -> Self {
-        assert!(!ranges.is_empty(), "need at least one shard");
-        let mut expect = 0usize;
-        for r in &ranges {
-            assert_eq!(r.start, expect, "shard ranges must be contiguous");
-            assert!(r.end > r.start, "shard ranges must be non-empty");
-            expect = r.end;
-        }
-        ShardSpec { ranges }
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Column range of shard `s`.
-    pub fn range(&self, s: usize) -> Range<usize> {
-        self.ranges[s].clone()
-    }
-
-    /// All column ranges, in shard order.
-    pub fn ranges(&self) -> &[Range<usize>] {
-        &self.ranges
-    }
-
-    /// Total columns covered.
-    pub fn n_columns(&self) -> usize {
-        self.ranges.last().map_or(0, |r| r.end)
-    }
+/// Balanced partition of `n_columns` alignment columns into (at most) `k`
+/// contiguous, non-empty, in-order ranges: the first `n_columns mod k` get
+/// one extra column. `k` is clamped to `[1, n_columns]` so no range is ever
+/// empty — a manager over zero columns has no backing geometry.
+pub fn even_ranges(n_columns: usize, k: usize) -> Vec<Range<usize>> {
+    assert!(n_columns > 0, "cannot shard an empty alignment");
+    let k = k.clamp(1, n_columns);
+    let (per, extra) = (n_columns / k, n_columns % k);
+    let mut start = 0usize;
+    let range = |s| {
+        let len = per + usize::from(s < extra);
+        start += len;
+        start - len..start
+    };
+    (0..k).map(range).collect()
 }
 
 /// Worker count for sharded execution: `RAYON_NUM_THREADS` if set (the
@@ -223,19 +178,11 @@ mod tests {
 
     #[test]
     fn even_spec_is_balanced_and_contiguous() {
-        let spec = ShardSpec::even(10, 4);
-        assert_eq!(spec.n_shards(), 4);
-        assert_eq!(spec.ranges(), &[0..3, 3..6, 6..8, 8..10]);
-        assert_eq!(spec.n_columns(), 10);
+        assert_eq!(even_ranges(10, 4), [0..3, 3..6, 6..8, 8..10]);
         // k = 1 is the serial layout.
-        assert_eq!(
-            ShardSpec::even(10, 1).ranges(),
-            std::slice::from_ref(&(0..10))
-        );
+        assert_eq!(even_ranges(10, 1), vec![0..10]);
         // k > n clamps so no shard is empty.
-        let spec = ShardSpec::even(3, 8);
-        assert_eq!(spec.n_shards(), 3);
-        assert_eq!(spec.ranges(), &[0..1, 1..2, 2..3]);
+        assert_eq!(even_ranges(3, 8), [0..1, 1..2, 2..3]);
     }
 
     #[test]
@@ -254,12 +201,6 @@ mod tests {
         assert!(shares[1] > shares[0] * 15 - 64 && shares[1] < shares[0] * 16);
         // Zero weights spread evenly.
         assert_eq!(split_budget(7, &[0, 0, 0]), vec![3, 2, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "contiguous")]
-    fn from_ranges_rejects_gaps() {
-        let _ = ShardSpec::from_ranges(vec![0..3, 4..6]);
     }
 
     #[test]

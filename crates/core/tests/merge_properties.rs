@@ -1,8 +1,8 @@
 //! Property tests for the merge algebra shared by [`OocStats`] and
 //! [`LatencyHistogram`]: summing per-shard partials must equal the serial
 //! totals, for every shard count the benchmarks use (k ∈ {1, 2, 4, 7}).
-//! This is the invariant `ShardedPlfEngine::merged_ooc_stats` and the
-//! sharded histogram roll-up rely on.
+//! This is the invariant the engine's merged `ooc_stats` and the sharded
+//! histogram roll-up rely on.
 
 use ooc_core::{LatencyHistogram, OocStats};
 use proptest::prelude::*;

@@ -84,7 +84,7 @@ fn is_transition(x: u8, y: u8) -> bool {
 
 /// Build a GY94-style codon model: exchangeability between codons `i < j`
 /// is zero if they differ at more than one position, else
-/// `kappa`^[transition] · `omega`^[non-synonymous]. `freqs` are the 61
+/// `kappa`^\[transition\] · `omega`^\[non-synonymous\]. `freqs` are the 61
 /// codon frequencies (renormalised internally).
 pub fn gy94(kappa: f64, omega: f64, freqs: &[f64]) -> ReversibleModel {
     assert!(kappa > 0.0 && omega > 0.0);

@@ -7,13 +7,12 @@
 //! either end of the branch) are required in this phase which accounts for
 //! approximately 20-30% of overall execution time."
 
-use crate::engine::inline_pins;
+use crate::engine::{fold_blocks, inline_pins, Block, PartCx};
 use crate::kernels::derivatives::{build_sumtable, SumSide};
-use crate::likelihood_api::LikelihoodEngine;
 use crate::store_api::{AncestralStore, VectorSession};
 use crate::PlfEngine;
 use ooc_core::OocResult;
-use phylo_tree::{plan_traversal, ChildRef, HalfEdgeId, Tree};
+use phylo_tree::{ChildRef, HalfEdgeId, TraversalPlan, Tree};
 
 /// Minimum branch length (matches RAxML's `zmin`-equivalent scale).
 pub const BL_MIN: f64 = 1e-6;
@@ -21,53 +20,6 @@ pub const BL_MIN: f64 = 1e-6;
 pub const BL_MAX: f64 = 20.0;
 /// Convergence tolerance on the derivative of the log-likelihood.
 pub const BL_TOL: f64 = 1e-8;
-
-/// The branch-length Newton–Raphson hooks of an engine: prepare a branch's
-/// sumtable(s), then evaluate `(lnL, d1, d2)` at a proposed length. A
-/// sharded engine folds them across shards, a partitioned engine across
-/// members, so one proposal sequence (`brlen::optimize_branch`) drives them
-/// all.
-pub trait NrBranchEngine {
-    /// Build the branch's sumtable(s); vectors at both ends are refreshed.
-    fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()>;
-
-    /// `(lnL, d1, d2)` of the prepared branch at length `z`.
-    fn nr_derivatives(&mut self, z: f64) -> (f64, f64, f64);
-}
-
-/// Optimise the length of the branch of `h` by guarded Newton–Raphson over
-/// the engine's [`NrBranchEngine`] hooks. Returns
-/// `(new_length, log_likelihood_at_new_length)`. Every engine's
-/// `optimize_branch` is this function, so bit-identical derivatives in
-/// give a bit-identical branch length out, whatever the engine's shape.
-pub(crate) fn optimize_branch<E: LikelihoodEngine + NrBranchEngine>(
-    engine: &mut E,
-    h: HalfEdgeId,
-    max_iter: u32,
-) -> OocResult<(f64, f64)> {
-    engine.nr_prepare(h)?;
-    let z0 = engine.tree().branch_length(h);
-    let (z, best_lnl) = newton_optimize(z0, max_iter, |z| engine.nr_derivatives(z));
-    engine.set_branch_length(h, z); // engine method: staleness tracked
-    Ok((z, best_lnl))
-}
-
-/// `passes` smoothing passes over every branch in [`smoothing_order`],
-/// each branch optimised by the engine's own `optimize_branch`. Returns
-/// the final log-likelihood.
-pub(crate) fn smooth_branches<E: LikelihoodEngine>(
-    engine: &mut E,
-    passes: usize,
-    nr_iter: u32,
-) -> OocResult<f64> {
-    let mut lnl = f64::NEG_INFINITY;
-    for _ in 0..passes {
-        for h in smoothing_order(engine.tree()) {
-            lnl = engine.optimize_branch(h, nr_iter)?.1;
-        }
-    }
-    Ok(lnl)
-}
 
 /// The guarded Newton–Raphson iteration over a prepared branch, given how
 /// `(lnL, d1, d2)` are computed. Returns `(z, best_lnl)`.
@@ -141,13 +93,11 @@ fn smoothing_order(tree: &Tree) -> Vec<HalfEdgeId> {
     order
 }
 
-impl<S: AncestralStore> NrBranchEngine for PlfEngine<S> {
-    /// Build the sumtable for the branch of `h` and the combined
-    /// per-pattern scale counts into the engine scratch. Ancestral vectors
-    /// at both ends are made valid towards the branch by a plan.
-    fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()> {
-        let plan = plan_traversal(&self.st.tree, h, &mut self.st.orient, false);
-        self.execute_plan(&plan)?;
+impl<S: AncestralStore> Block<S> {
+    /// Build the sumtable for the plan's root branch and the combined
+    /// per-pattern scale counts into the block's scratch (the vectors at
+    /// both ends must be up to date).
+    fn build_sumtable(&mut self, cx: &PartCx<'_>, plan: &TraversalPlan) -> OocResult<()> {
         let st = &mut self.st;
         let (left, right) = (plan.root_left, plan.root_right);
         let (pins, n_pins) = inline_pins(plan.root_pins());
@@ -155,11 +105,11 @@ impl<S: AncestralStore> NrBranchEngine for PlfEngine<S> {
         let sess = self.store.session(&pins[..n_pins])?;
         // Rebuilt ends first: rebuilding them writes their scaling counts
         // and borrows the LUT scratch the tip sides below reuse.
-        st.rebuild(&sess, left, 0);
-        st.rebuild(&sess, right, 1);
-        let eigen = &st.plf_model.eigen;
-        let gamma = &st.plf_model.gamma;
-        let freqs = st.plf_model.model.freqs();
+        st.rebuild(cx, &sess, left, 0);
+        st.rebuild(cx, &sess, right, 1);
+        let eigen = &cx.model.eigen;
+        let gamma = &cx.model.gamma;
+        let freqs = cx.model.model.freqs();
 
         // Combined scale counts per pattern.
         st.scale_sums.fill(0);
@@ -192,58 +142,71 @@ impl<S: AncestralStore> NrBranchEngine for PlfEngine<S> {
         );
         sess.finish()
     }
-
-    /// Uses the engine's reusable per-pattern term buffers — a Newton
-    /// iteration performs no allocation.
-    fn nr_derivatives(&mut self, z: f64) -> (f64, f64, f64) {
-        let mut out_l = std::mem::take(&mut self.st.nr_l);
-        let mut out_d1 = std::mem::take(&mut self.st.nr_d1);
-        let mut out_d2 = std::mem::take(&mut self.st.nr_d2);
-        self.branch_derivatives_sites(z, &mut out_l, &mut out_d1, &mut out_d2);
-        let fold = |b: &[f64]| b.iter().fold(0.0, |acc, &t| acc + t);
-        let result = (fold(&out_l), fold(&out_d1), fold(&out_d2));
-        self.st.nr_l = out_l;
-        self.st.nr_d1 = out_d1;
-        self.st.nr_d2 = out_d2;
-        result
-    }
 }
 
 impl<S: AncestralStore> PlfEngine<S> {
-    /// Per-pattern `(lnL, d1, d2)` terms of the prepared branch at length
-    /// `z`, for the sharded engine's cross-shard ordered reduction.
-    pub(crate) fn branch_derivatives_sites(
-        &self,
-        z: f64,
-        out_l: &mut [f64],
-        out_d1: &mut [f64],
-        out_d2: &mut [f64],
-    ) {
-        self.st.kernel.nr_derivatives_sites(
-            &self.st.dims,
-            &self.st.sumtable,
-            &self.st.weights,
-            &self.st.scale_sums,
-            self.st.plf_model.eigen.values(),
-            self.st.plf_model.gamma.rates(),
-            z,
-            out_l,
-            out_d1,
-            out_d2,
-        );
+    /// Prepare the branch of `h` for [`PlfEngine::nr_derivatives`]: one
+    /// plan makes the vectors at both ends valid towards it, then every
+    /// block builds its sumtable.
+    pub fn nr_prepare(&mut self, h: HalfEdgeId) -> OocResult<()> {
+        let plan = self.plan(h, false);
+        self.run_plan(&plan, |block, cx| block.build_sumtable(cx, &plan))
+    }
+
+    /// `(lnL, d1, d2)` of the prepared branch at length `z`: per-pattern
+    /// terms into each block's reusable buffers (a Newton iteration
+    /// allocates nothing per pattern), each accumulator folded over a
+    /// partition's blocks in block order, the partitions' sums added in
+    /// partition order — so every partition sees the identical proposal
+    /// sequence and final length.
+    pub fn nr_derivatives(&mut self, z: f64) -> (f64, f64, f64) {
+        let mut sum = (0.0, 0.0, 0.0);
+        for p in 0..self.parts.len() {
+            let (blocks, cx, run) = self.split(p);
+            run(blocks, &|block| {
+                let st = &mut block.st;
+                cx.kernel.nr_derivatives_sites(
+                    &st.dims,
+                    &st.sumtable,
+                    &st.weights,
+                    &st.scale_sums,
+                    cx.model.eigen.values(),
+                    cx.model.gamma.rates(),
+                    z,
+                    &mut st.nr_l,
+                    &mut st.nr_d1,
+                    &mut st.nr_d2,
+                );
+                (Ok(()), 0, 0)
+            });
+            sum.0 += fold_blocks(blocks, |st| &st.nr_l);
+            sum.1 += fold_blocks(blocks, |st| &st.nr_d1);
+            sum.2 += fold_blocks(blocks, |st| &st.nr_d2);
+        }
+        sum
     }
 
     /// Optimise the length of the branch of `h` by guarded Newton–Raphson.
     /// Returns `(new_length, log_likelihood_at_new_length)`.
     pub fn optimize_branch(&mut self, h: HalfEdgeId, max_iter: u32) -> OocResult<(f64, f64)> {
-        optimize_branch(self, h, max_iter)
+        self.nr_prepare(h)?;
+        let z0 = self.tree().branch_length(h);
+        let (z, best_lnl) = newton_optimize(z0, max_iter, |z| self.nr_derivatives(z));
+        self.set_branch_length(h, z); // engine method: staleness tracked
+        Ok((z, best_lnl))
     }
 
     /// One smoothing pass over every branch in depth-first order (adjacent
     /// branches in sequence — the access pattern the out-of-core layer
     /// likes), repeated `passes` times. Returns the final log-likelihood.
     pub fn smooth_branches(&mut self, passes: usize, nr_iter: u32) -> OocResult<f64> {
-        smooth_branches(self, passes, nr_iter)
+        let mut lnl = f64::NEG_INFINITY;
+        for _ in 0..passes {
+            for h in smoothing_order(self.tree()) {
+                lnl = self.optimize_branch(h, nr_iter)?.1;
+            }
+        }
+        Ok(lnl)
     }
 }
 

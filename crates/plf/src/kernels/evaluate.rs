@@ -8,21 +8,12 @@ use phylo_models::PMatrices;
 /// rounding to zero (RAxML clamps the same way).
 const L_FLOOR: f64 = 1e-300;
 
-/// Left-to-right sum of per-pattern log-likelihood terms. This is *the*
-/// reduction order: the serial engine folds one full-alignment buffer, a
-/// sharded engine folds the shards' sub-buffers concatenated in shard
-/// order — the identical sequence of additions, hence bit-identical
-/// results regardless of how the terms were computed in parallel.
-pub fn reduce_site_lnl(site_lnl: &[f64]) -> f64 {
-    site_lnl.iter().fold(0.0, |acc, &t| acc + t)
-}
-
 /// Evaluate at a branch whose two ends both carry ancestral vectors
 /// (`p`, `q`), with transition matrices `pm_root` for the branch length,
 /// writing each pattern's weighted log-likelihood term into `site_out`
 /// (one slot per pattern). `weights` are pattern multiplicities;
 /// `scale_*` per-pattern scaling counts. Category weights are uniform
-/// `1/n_cats`. Reduce with [`reduce_site_lnl`].
+/// `1/n_cats`. The engine folds the terms left to right, block after block.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_inner_inner_sites(
     dims: &Dims,
@@ -78,14 +69,13 @@ pub fn evaluate_inner_inner(
     evaluate_inner_inner_sites(
         dims, pvec, scale_p, qvec, scale_q, pm_root, freqs, weights, &mut sites,
     );
-    reduce_site_lnl(&sites)
+    sites.iter().fold(0.0, |acc, &t| acc + t)
 }
 
 /// Evaluate at a tip branch: the tip side is folded into a root-side lookup
 /// table (`root_lut`, see [`crate::TipCodes::build_root_lut`]) so the site
 /// likelihood is a plain dot product with the inner vector `qvec`. Writes
-/// per-pattern weighted terms into `site_out`; reduce with
-/// [`reduce_site_lnl`].
+/// per-pattern weighted terms into `site_out`.
 pub fn evaluate_tip_inner_sites(
     dims: &Dims,
     root_lut: &[f64],
@@ -124,7 +114,7 @@ pub fn evaluate_tip_inner(
     evaluate_tip_inner_sites(
         dims, root_lut, codes_tip, qvec, scale_q, weights, &mut sites,
     );
-    reduce_site_lnl(&sites)
+    sites.iter().fold(0.0, |acc, &t| acc + t)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   ([`kernels::newview`], [`scaling`]), behind runtime-dispatched
 //!   backends — scalar reference, unrolled DNA/Γ4, AVX2+FMA
 //!   ([`kernels::backend`]), selected per CPU at engine construction and
-//!   overridable via `OOC_PLF_KERNEL` or `--kernel`,
+//!   overridable via `OOC_PLF_KERNEL`,
 //! * root evaluation and eigenbasis "sumtable" branch-length derivatives
 //!   for Newton–Raphson optimisation ([`kernels::evaluate`],
 //!   [`kernels::derivatives`]),
@@ -33,20 +33,15 @@ pub mod kernels;
 pub mod likelihood_api;
 pub mod modelopt;
 pub mod oracle;
-pub mod partition;
 pub mod scaling;
-pub mod sharded;
 pub mod spec;
 pub mod store_api;
 
-pub use brlen::NrBranchEngine;
 pub use encode::TipCodes;
-pub use engine::{PlfEngine, PlfModel};
+pub use engine::{PartLayout, PlfEngine, PlfModel};
 pub use kernels::KernelBackend;
 pub use likelihood_api::LikelihoodEngine;
 pub use oracle::{SharedTree, TreeOracle};
-pub use partition::PartitionedPlfEngine;
-pub use sharded::ShardedPlfEngine;
 pub use spec::{
     BuildContext, BuiltEngine, DynEngine, EngineSpec, PartSpec, Residency, SpecError, SpecSpace,
 };

@@ -1,15 +1,12 @@
 //! The engine surface the tree searches drive.
 //!
-//! [`LikelihoodEngine`] abstracts over every engine shape: the serial
-//! [`crate::PlfEngine`], the sharded [`crate::ShardedPlfEngine`], the
-//! partitioned [`crate::PartitionedPlfEngine`] and the boxed
-//! partitions-of-shards engine an [`crate::EngineSpec`] resolves to — so
-//! hill climbing, SPR/NNI rounds and MCMC run unchanged over any of them.
-//! All are bit-identical for the same inputs (see `crate::sharded` and
-//! `crate::partition` for why), and the branch, smoothing and α optimisers
-//! are one generic driver each, so a search driven through this trait
-//! produces the same tree regardless of which engine — or how many shards
-//! or partitions — computed it.
+//! [`LikelihoodEngine`] is what hill climbing, SPR/NNI rounds and MCMC are
+//! written against. It has two implementations: [`crate::PlfEngine`] —
+//! whatever its arities and residency, bit-identical for the same inputs
+//! (`crate::engine`) — and the boxed engine an [`crate::EngineSpec`]
+//! resolves to, so a search produces the same tree however many blocks or
+//! partitions computed it, and wrappers (`benchmark/`'s timed engine) can
+//! stand in for either.
 
 use ooc_core::{OocResult, OocStats};
 use phylo_tree::spr::{NniUndo, SprUndo};
@@ -137,10 +134,12 @@ impl<S: crate::AncestralStore> LikelihoodEngine for crate::PlfEngine<S> {
     }
 
     fn ooc_stats(&self) -> Option<OocStats> {
-        self.store().ooc_stats()
+        self.stores().map(|s| s.ooc_stats()).sum()
     }
 
     fn reset_ooc_stats(&mut self) {
-        self.store_mut().reset_ooc_stats()
+        for block in self.parts.iter_mut().flat_map(|p| &mut p.blocks) {
+            block.store.reset_ooc_stats();
+        }
     }
 }

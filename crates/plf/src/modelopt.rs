@@ -7,7 +7,6 @@
 //! real analyses: "Full tree traversals are required to optimize likelihood
 //! model parameters such as the α shape parameter of the Γ model."
 
-use crate::likelihood_api::LikelihoodEngine;
 use crate::store_api::AncestralStore;
 use crate::PlfEngine;
 use ooc_core::{OocError, OocResult};
@@ -18,53 +17,41 @@ pub const ALPHA_MIN: f64 = 0.02;
 /// Upper bound for α.
 pub const ALPHA_MAX: f64 = 100.0;
 
-/// Optimise α by Brent's method on `ln α` (the likelihood surface is better
-/// conditioned in log space) over the engine's own `set_alpha` /
-/// `log_likelihood`. Returns `(alpha, log_likelihood)`. Every engine's
-/// `optimize_alpha` is this function: bit-identical log-likelihoods make
-/// Brent probe the same α sequence and stop at the same optimum.
-pub(crate) fn optimize_alpha<E: LikelihoodEngine>(
-    engine: &mut E,
-    tol: f64,
-    max_iter: u32,
-) -> OocResult<(f64, f64)> {
-    // Brent's minimiser takes an infallible objective; capture the first
-    // I/O error, poison further evaluations with +inf, and surface the
-    // error afterwards.
-    let mut io_error: Option<OocError> = None;
-    let result = brent_minimize(
-        |ln_a| {
-            if io_error.is_some() {
-                return f64::INFINITY;
-            }
-            engine.set_alpha(ln_a.exp());
-            match engine.log_likelihood() {
-                Ok(lnl) => -lnl,
-                Err(e) => {
-                    io_error = Some(e);
-                    f64::INFINITY
-                }
-            }
-        },
-        ALPHA_MIN.ln(),
-        ALPHA_MAX.ln(),
-        tol,
-        max_iter,
-    );
-    if let Some(e) = io_error {
-        return Err(e);
-    }
-    let alpha = result.x.exp();
-    engine.set_alpha(alpha);
-    let lnl = engine.log_likelihood()?;
-    Ok((alpha, lnl))
-}
-
 impl<S: AncestralStore> PlfEngine<S> {
-    /// Optimise α by Brent's method on `ln α`. Returns
-    /// `(alpha, log_likelihood)`.
+    /// Optimise the Γ shape the partitions share by Brent's method on
+    /// `ln α` (the likelihood surface is better conditioned in log space)
+    /// over the joint log-likelihood. Returns `(alpha, log_likelihood)`.
     pub fn optimize_alpha(&mut self, tol: f64, max_iter: u32) -> OocResult<(f64, f64)> {
-        optimize_alpha(self, tol, max_iter)
+        // Brent's minimiser takes an infallible objective; capture the first
+        // I/O error, poison further evaluations with +inf, and surface the
+        // error afterwards.
+        let mut io_error: Option<OocError> = None;
+        let result = brent_minimize(
+            |ln_a| {
+                if io_error.is_some() {
+                    return f64::INFINITY;
+                }
+                self.set_alpha(ln_a.exp());
+                match self.log_likelihood() {
+                    Ok(lnl) => -lnl,
+                    Err(e) => {
+                        io_error = Some(e);
+                        f64::INFINITY
+                    }
+                }
+            },
+            ALPHA_MIN.ln(),
+            ALPHA_MAX.ln(),
+            tol,
+            max_iter,
+        );
+        if let Some(e) = io_error {
+            return Err(e);
+        }
+        let alpha = result.x.exp();
+        self.set_alpha(alpha);
+        let lnl = self.log_likelihood()?;
+        Ok((alpha, lnl))
     }
 }
 

@@ -5,8 +5,10 @@
 //! strategy asks an opaque [`TopologyOracle`] for hop distances between
 //! items (= inner nodes). [`TreeOracle`] implements that oracle over a
 //! [`SharedTree`] handle so the distances can track the topology as a
-//! search rearranges it: callers refresh the handle (typically at round
-//! boundaries) with [`SharedTree::update`].
+//! search rearranges it: an engine given the handle
+//! ([`crate::PlfEngine::set_shared_tree`]) refreshes it before the first
+//! plan after a rearrangement; whoever else holds one calls
+//! [`SharedTree::update`].
 
 use ooc_core::{ItemId, ReplacementStrategy, StrategyKind, TopologyOracle};
 use parking_lot::RwLock;
@@ -27,6 +29,19 @@ impl SharedTree {
     /// Replace the snapshot (e.g. after accepted rearrangements).
     pub fn update(&self, tree: &Tree) {
         *self.0.write() = tree.clone();
+    }
+
+    /// A snapshot of `tree` if `kind` ranks vectors by tree distance —
+    /// Topological (its whole policy) and NextUse (its beyond-plan
+    /// fallback) — for any number of managers' strategies to read.
+    pub fn for_strategy(kind: StrategyKind, tree: &Tree) -> Option<SharedTree> {
+        matches!(kind, StrategyKind::Topological | StrategyKind::NextUse)
+            .then(|| SharedTree::new(tree))
+    }
+
+    /// An oracle reading this snapshot, for one manager's strategy.
+    pub fn oracle(&self) -> Box<dyn TopologyOracle> {
+        Box::new(TreeOracle::new(self.clone()))
     }
 }
 
@@ -64,22 +79,15 @@ impl TopologyOracle for TreeOracle {
 }
 
 /// Build the replacement strategy for one manager, wiring up a
-/// [`TreeOracle`] for the strategies that rank vectors by tree distance:
-/// Topological (its whole policy) and NextUse (its beyond-plan fallback).
+/// [`TreeOracle`] for the strategies that rank vectors by tree distance.
 /// Returns the strategy and, when an oracle was wired, the shared tree
 /// handle to refresh after rearrangements.
 pub fn build_strategy(
     kind: StrategyKind,
     tree: &Tree,
 ) -> (Box<dyn ReplacementStrategy>, Option<SharedTree>) {
-    match kind {
-        StrategyKind::Topological | StrategyKind::NextUse => {
-            let shared = SharedTree::new(tree);
-            let oracle = TreeOracle::new(shared.clone());
-            (kind.build(Some(Box::new(oracle))), Some(shared))
-        }
-        _ => (kind.build(None), None),
-    }
+    let shared = SharedTree::for_strategy(kind, tree);
+    (kind.build(shared.as_ref().map(SharedTree::oracle)), shared)
 }
 
 #[cfg(test)]

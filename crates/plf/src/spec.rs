@@ -1,12 +1,10 @@
 //! Declarative engine construction: one [`EngineSpec`] describing *what*
 //! to run, resolved into a boxed [`DynEngine`] that runs it.
 //!
-//! The paper's experiment matrix is combinatorial — backend (serial,
-//! sharded, partitioned) × residency (in-RAM, out-of-core over memory or
-//! files, OS-paged) × replacement strategy × I/O pipeline — and the
-//! historical one-constructor-per-cell `setup::` API grew a function for
-//! every cell actually used. [`EngineSpec`] replaces that with orthogonal
-//! axes:
+//! The paper's experiment matrix is combinatorial — arity (blocks,
+//! partitions) × residency (in-RAM, out-of-core over memory or files,
+//! OS-paged) × replacement strategy × I/O pipeline. [`EngineSpec`] spans
+//! it with orthogonal axes:
 //!
 //! * **residency** — [`Residency`]: where ancestral vectors live and how
 //!   much RAM they may occupy (fraction `f` or the paper's `-L` byte
@@ -21,14 +19,11 @@
 //!   takes the partition list as data, so the same profile drives a
 //!   single-gene and a 100-gene analysis.
 //!
-//! Every spec resolves to **one shape**: a [`PartitionedPlfEngine`] of
-//! `p ≥ 1` [`ShardedPlfEngine`] members of `k ≥ 1` serial shard engines
-//! each, through one assembly routine. A single-gene serial run is the
-//! `p = 1, k = 1` case of the same code, and arity 1 is free: one shard
-//! runs inline on the caller's thread with no barrier (and records no
-//! barrier spans), and folding one shard's per-pattern terms, or one
-//! partition's log-likelihood, from zero is the serial reduction
-//! bit-for-bit. Only the per-shard store type differs between residencies
+//! Every spec resolves to **one type**: a [`PlfEngine`] of `p ≥ 1`
+//! partitions of `k ≥ 1` column blocks each under one tree
+//! ([`PlfEngine::with_layout`]; a single-gene serial run is its
+//! `p = 1, k = 1` case, see `crate::engine` for why arity 1 is free).
+//! Only the per-block store type differs between residencies
 //! ([`InRamStore`], [`PagedStore`], or [`OocStore`] over a type-erased
 //! [`BackingStore`]); the result is boxed once as a [`Box<dyn DynEngine>`],
 //! which is what lets a *service* hold engines of any residency in one
@@ -43,17 +38,15 @@
 //! every metrics stream can embed the exact configuration that produced it
 //! (the `"profile"` JSONL record).
 
-use crate::brlen::NrBranchEngine;
+use crate::engine::{Part, PartLayout};
 use crate::likelihood_api::LikelihoodEngine;
-use crate::oracle::{build_strategy, SharedTree};
-use crate::partition::PartitionedPlfEngine;
-use crate::sharded::ShardedPlfEngine;
+use crate::oracle::SharedTree;
 use crate::store_api::{AncestralStore, InRamStore, OocStore, PagedStore};
 use crate::PlfEngine;
 use ooc_core::{
     compressed_capacity_f64s, split_budget, validate_byte_budget, BackingStore, CancelToken,
     CancellingStore, CompressingStore, CompressionMode, FileStore, MemStore, OocConfig, OocResult,
-    PrefetchingStore, Recorder, ShardSpec, StrategyKind, TenantGrant, VectorManager,
+    PrefetchingStore, Recorder, StrategyKind, TenantGrant, VectorManager,
 };
 use phylo_models::ReversibleModel;
 use phylo_seq::CompressedAlignment;
@@ -67,7 +60,7 @@ use std::path::{Path, PathBuf};
 
 /// Everything a job runner needs from an engine, object-safe: the search
 /// surface ([`LikelihoodEngine`]) and the per-partition reports jobs ask
-/// for beyond it. Implemented by the one shape the spec resolves to, so a
+/// for beyond it. Implemented by the one type the spec resolves to, so a
 /// service queues heterogeneous jobs against one `Box<dyn DynEngine>`
 /// table.
 pub trait DynEngine: LikelihoodEngine + Send {
@@ -92,15 +85,17 @@ pub trait DynEngine: LikelihoodEngine + Send {
     fn partition_ooc_stats(&self) -> Vec<Option<ooc_core::OocStats>>;
 }
 
-impl<E: LikelihoodEngine + NrBranchEngine + Send> DynEngine for PartitionedPlfEngine<E> {
+impl<S: AncestralStore + Send> DynEngine for PlfEngine<S> {
+    /// Each value is bit-identical to an engine of that partition alone:
+    /// partitions never exchange data.
     fn partition_lnls(&mut self) -> OocResult<Vec<f64>> {
-        PartitionedPlfEngine::partition_lnls(self)
+        let root = self.tree().default_root_edge();
+        Ok(self.evaluate(root, false)?.collect())
     }
 
     fn partition_ooc_stats(&self) -> Vec<Option<ooc_core::OocStats>> {
-        (0..self.n_partitions())
-            .map(|i| self.part(i).ooc_stats())
-            .collect()
+        let of = |part: &Part<S>| part.blocks.iter().map(|b| b.store.ooc_stats()).sum();
+        self.parts.iter().map(of).collect()
     }
 }
 
@@ -226,8 +221,8 @@ pub struct EngineSpec {
     /// Replacement strategy for out-of-core residencies (ignored by
     /// `inram`/`paged`). Tree oracles are wired automatically.
     pub strategy: StrategyKind,
-    /// Pattern-parallel shards per partition (1 = one shard, run inline
-    /// on the caller's thread).
+    /// Pattern-parallel column blocks per partition (1 = one block, run
+    /// inline on the caller's thread).
     pub shards: usize,
     /// Dedicated I/O worker threads per shard (0 = no prefetch pipeline;
     /// requires a file-backed residency).
@@ -351,13 +346,10 @@ impl BuildContext {
     }
 }
 
-/// A resolved engine plus the shared-tree handles of any topology-aware
-/// replacement strategies (refresh them after SPR/NNI rearrangements).
+/// A resolved engine and what it left on disk.
 pub struct BuiltEngine {
     /// The engine, type-erased.
     pub engine: Box<dyn DynEngine>,
-    /// One handle per oracle-wired manager.
-    pub handles: Vec<SharedTree>,
     /// The backing files the build created (one per partition for the
     /// file-backed residencies, none otherwise). They hold evicted vectors
     /// only while the engine lives; whoever owns the run removes them.
@@ -457,7 +449,7 @@ impl EngineSpec {
         let mut want = 0u64;
         let mut min = 0u64;
         for (i, part) in parts.iter().enumerate() {
-            for width in self.shard_layout(part.comp).1 {
+            for width in self.block_widths(part.comp) {
                 let w = width as u64;
                 match self.residency {
                     Residency::InRam => {
@@ -480,37 +472,6 @@ impl EngineSpec {
         Ok((want, min))
     }
 
-    /// Backing-store demand of this spec over the given data:
-    /// `(logical, reserved)` bytes. `logical` is the raw `f64` footprint
-    /// of every managed vector; `reserved` is what the backing store
-    /// provisions — equal when uncompressed, the worst-case encoded
-    /// capacity under [`EngineSpec::compression`] otherwise (actual
-    /// on-disk traffic is reported at run time through the
-    /// `compress/bytes-disk` metric and normally sits far below
-    /// `logical`). Non-managed residencies (in-RAM, paged) keep no
-    /// backing store and report `(0, 0)`.
-    pub fn disk_demand(
-        &self,
-        tree: &Tree,
-        parts: &[PartSpec<'_>],
-    ) -> Result<(u64, u64), SpecError> {
-        self.validate()?;
-        if matches!(self.residency, Residency::InRam | Residency::Paged { .. }) {
-            return Ok((0, 0));
-        }
-        let n_items = tree.n_inner() as u64;
-        let mut logical = 0u64;
-        let mut reserved = 0u64;
-        for part in parts {
-            let stride = PlfEngine::<InRamStore>::dims_for(part.comp, self.n_cats).site_stride();
-            for width in self.shard_layout(part.comp).1 {
-                logical += n_items * width as u64 * 8;
-                reserved += n_items * self.backing_width(width, stride) as u64 * 8;
-            }
-        }
-        Ok((logical, reserved))
-    }
-
     /// Per-partition resident slot counts the spec resolves to — the
     /// CLI's "N of M vectors in RAM" report without building anything.
     /// `None` entries for non-managed residencies (in-RAM, paged); the
@@ -531,8 +492,7 @@ impl EngineSpec {
             .enumerate()
             .map(|(i, part)| {
                 let budget = budgets.as_ref().map(|b| b[i]);
-                self.shard_layout(part.comp)
-                    .1
+                self.block_widths(part.comp)
                     .into_iter()
                     .map(|w| Ok(self.ooc_config(tree.n_inner(), w, budget)?.n_slots))
                     .collect::<Result<Vec<_>, SpecError>>()
@@ -542,9 +502,8 @@ impl EngineSpec {
     }
 
     /// Resolve the spec over `tree` and `parts` into a boxed engine: one
-    /// [`ShardedPlfEngine`] member per partition under a
-    /// [`PartitionedPlfEngine`], whatever the arities (see the module
-    /// docs). The residency only chooses the per-shard store type.
+    /// [`PlfEngine`], whatever the arities (see the module docs). The
+    /// residency only chooses the per-block store type.
     pub fn build(
         &self,
         tree: &Tree,
@@ -574,33 +533,36 @@ impl EngineSpec {
             _ => Vec::new(),
         };
         let n_items = tree.n_inner();
-        let mut handles = Vec::new();
         let files = &vector_files;
         let engine = match self.residency {
-            Residency::InRam => self.assemble(tree, parts, files, ctx, |site| {
+            Residency::InRam => self.assemble(tree, parts, files, ctx, None, |site| {
                 let stores = site.widths.iter().map(|&w| InRamStore::new(n_items, w));
                 Ok(stores.collect())
             }),
-            Residency::Paged { phys_bytes } => self.assemble(tree, parts, files, ctx, |site| {
-                // `validate` holds paged residency to one shard: one arena
-                // holds the partition's full-width vectors.
-                let w = site.widths[0];
-                let path = site.path.expect("checked above");
-                let arena = pager_sim::PagedArena::new(n_items * w * 8, phys_bytes as usize, path)?;
-                Ok(vec![PagedStore::new(arena, n_items, w)])
-            }),
+            Residency::Paged { phys_bytes } => {
+                self.assemble(tree, parts, files, ctx, None, |site| {
+                    // `validate` holds paged residency to one block: one
+                    // arena holds the partition's full-width vectors.
+                    let (w, phys) = (site.widths[0], phys_bytes as usize);
+                    let path = site.path.expect("checked above");
+                    let arena = pager_sim::PagedArena::new(n_items * w * 8, phys, path)?;
+                    Ok(vec![PagedStore::new(arena, n_items, w)])
+                })
+            }
             _ => {
                 let budgets = self.partition_budgets(tree, parts);
-                self.assemble(tree, parts, files, ctx, |site| {
+                // One snapshot for every manager's oracle: the engine owns
+                // the one tree and keeps it fresh.
+                let shared = SharedTree::for_strategy(self.strategy, tree);
+                self.assemble(tree, parts, files, ctx, shared.clone(), |site| {
                     let budget = budgets.as_ref().map(|b| b[site.index]);
-                    self.managed_stores(tree, site, budget, ctx, &mut handles)
+                    self.managed_stores(n_items, site, budget, ctx, shared.as_ref())
                 })
             }
         };
         match engine {
             Ok(engine) => Ok(BuiltEngine {
                 engine,
-                handles,
                 vector_files,
             }),
             Err(e) => {
@@ -613,47 +575,42 @@ impl EngineSpec {
         }
     }
 
-    /// The one assembly routine: per partition, lay out the shards, take
-    /// one store per shard from `stores` and build the member over them.
+    /// The one assembly routine: per partition, take one store per column
+    /// block from `stores`; the engine over them gets `shared`, the tree
+    /// snapshot their replacement strategies rank by, to keep fresh.
     fn assemble<S: AncestralStore + Send + 'static>(
         &self,
         tree: &Tree,
         parts: &[PartSpec<'_>],
         vector_files: &[PathBuf],
         ctx: &BuildContext,
+        shared: Option<SharedTree>,
         mut stores: impl FnMut(&PartSite<'_>) -> Result<Vec<S>, SpecError>,
     ) -> Result<Box<dyn DynEngine>, SpecError> {
-        let members = parts
-            .iter()
-            .enumerate()
-            .map(|(index, part)| {
-                let (layout, widths) = self.shard_layout(part.comp);
-                let site = PartSite {
-                    index,
-                    part,
-                    widths: &widths,
-                    path: vector_files.get(index).map(PathBuf::as_path),
-                    rec: ctx.recorders.as_ref().map(|f| f(&part.name)),
-                };
-                let mut member = ShardedPlfEngine::new(
-                    tree.clone(),
-                    part.comp,
-                    part.model.clone(),
-                    self.alpha,
-                    self.n_cats,
-                    layout,
-                    stores(&site)?,
-                );
-                // Combine-batch spans (and, past one shard, the barrier
-                // spans); the residency layers carry their own recorders.
-                if let Some(rec) = site.rec {
-                    member.set_recorder(rec);
-                }
-                Ok(member)
+        let layouts = parts.iter().enumerate().map(|(index, part)| {
+            let site = PartSite {
+                index,
+                part,
+                widths: &self.block_widths(part.comp),
+                path: vector_files.get(index).map(PathBuf::as_path),
+                rec: ctx.recorders.as_ref().map(|f| f(&part.name)),
+            };
+            // The engine's recorder carries combine-batch spans (and, past
+            // one block, the barrier spans); the residency layers have
+            // their own.
+            Ok(PartLayout {
+                comp: part.comp,
+                model: part.model,
+                stores: stores(&site)?,
+                recorder: site.rec,
             })
-            .collect::<Result<Vec<_>, SpecError>>()?;
-        let names = parts.iter().map(|p| p.name.clone()).collect();
-        Ok(Box::new(PartitionedPlfEngine::new(members, names)))
+        });
+        let layouts = layouts.collect::<Result<Vec<_>, SpecError>>()?;
+        let mut engine = PlfEngine::with_layout(tree.clone(), layouts, self.alpha, self.n_cats);
+        if let Some(shared) = shared {
+            engine.set_shared_tree(shared);
+        }
+        Ok(Box::new(engine))
     }
 
     /// Per-partition `-L` budgets (largest-remainder split over vector
@@ -673,16 +630,11 @@ impl EngineSpec {
         Some(split_budget(limit_bytes, &weights))
     }
 
-    /// Shard layout of one partition: the pattern split and the per-shard
-    /// vector widths (they sum to the partition's full width). The sizing
-    /// reports and the build both read this.
-    fn shard_layout(&self, comp: &CompressedAlignment) -> (ShardSpec, Vec<usize>) {
-        let spec = ShardSpec::even(comp.n_patterns(), self.shards);
-        let widths = ShardedPlfEngine::<InRamStore>::shard_dims(comp, self.n_cats, &spec)
-            .iter()
-            .map(|d| d.width())
-            .collect();
-        (spec, widths)
+    /// Per-block vector widths of one partition (they sum to its full
+    /// width). The sizing reports and the build both read this.
+    fn block_widths(&self, comp: &CompressedAlignment) -> Vec<usize> {
+        let dims = PlfEngine::<InRamStore>::block_dims(comp, self.n_cats, self.shards);
+        dims.iter().map(|d| d.width()).collect()
     }
 
     /// The out-of-core config of one manager under this spec.
@@ -724,13 +676,12 @@ impl EngineSpec {
     /// under a [`VectorManager`] of its own.
     fn managed_stores(
         &self,
-        tree: &Tree,
+        n_items: usize,
         site: &PartSite<'_>,
         partition_budget: Option<u64>,
         ctx: &BuildContext,
-        handles: &mut Vec<SharedTree>,
+        shared: Option<&SharedTree>,
     ) -> Result<Vec<OocStore<DynStore>>, SpecError> {
-        let n_items = tree.n_inner();
         let stride = PlfEngine::<InRamStore>::dims_for(site.part.comp, self.n_cats).site_stride();
         // Backing stores are provisioned at the (worst-case) encoded
         // capacity; the managers still see logical widths.
@@ -768,8 +719,7 @@ impl EngineSpec {
                         self.shard_store(mem, Vec::new(), n_items, w, stride, ctx, rec)
                     }
                 };
-                let (strategy, handle) = build_strategy(self.strategy, tree);
-                handles.extend(handle);
+                let strategy = self.strategy.build(shared.map(SharedTree::oracle));
                 let mut mgr = VectorManager::new(cfg, strategy, store);
                 if let Some(grant) = &ctx.tenant {
                     mgr.attach_tenant(grant.clone());

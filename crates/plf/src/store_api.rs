@@ -301,11 +301,6 @@ impl PagedStore {
     pub fn arena(&self) -> &PagedArena {
         &self.arena
     }
-
-    /// Mutable arena access.
-    pub fn arena_mut(&mut self) -> &mut PagedArena {
-        &mut self.arena
-    }
 }
 
 /// Lease over a [`PagedStore`]: read pins were staged into scratch

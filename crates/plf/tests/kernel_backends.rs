@@ -1,13 +1,12 @@
 //! Engine-level backend equivalence: the same dataset evaluated with
 //! every kernel backend that runs on this machine must produce the same
 //! log-likelihood (Dna4Unrolled bit-identically — it preserves the scalar
-//! summation order; AVX2+FMA within 1e-13 relative), and the sharded
-//! engine must stay bit-identical to the serial engine for any fixed
-//! backend.
+//! summation order; AVX2+FMA within 1e-13 relative), and an engine of
+//! several blocks must stay bit-identical to the serial engine for any
+//! fixed backend.
 
-use ooc_core::ShardSpec;
 use phylo_models::{DiscreteGamma, ReversibleModel};
-use phylo_plf::{InRamStore, KernelBackend, LikelihoodEngine, PlfEngine, ShardedPlfEngine};
+use phylo_plf::{InRamStore, KernelBackend, PartLayout, PlfEngine};
 use phylo_seq::{compress_patterns, simulate_alignment, CompressedAlignment};
 use phylo_tree::build::{random_topology, yule_like_lengths};
 use phylo_tree::Tree;
@@ -49,13 +48,18 @@ fn sharded(
     comp: &CompressedAlignment,
     model: &ReversibleModel,
     k: usize,
-) -> ShardedPlfEngine<InRamStore> {
-    let spec = ShardSpec::even(comp.n_patterns(), k);
-    let stores = ShardedPlfEngine::<InRamStore>::shard_dims(comp, 4, &spec)
+) -> PlfEngine<InRamStore> {
+    let stores = PlfEngine::<InRamStore>::block_dims(comp, 4, k)
         .iter()
         .map(|d| InRamStore::new(tree.n_inner(), d.width()))
         .collect();
-    ShardedPlfEngine::new(tree.clone(), comp, model.clone(), 0.8, 4, spec, stores)
+    let layout = PartLayout {
+        comp,
+        model,
+        stores,
+        recorder: None,
+    };
+    PlfEngine::with_layout(tree.clone(), vec![layout], 0.8, 4)
 }
 
 /// Backends that run their own code path for DNA/Γ4 on this machine.

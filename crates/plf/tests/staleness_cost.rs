@@ -11,19 +11,20 @@
 //! Deciding a vector's class (`Tree::child_ref`: stored, or rebuilt by its
 //! reader) costs the tip-inner chain below it and nothing else: it does not
 //! allocate, planning allocates per plan and not per step, and with the
-//! rest of the tree cut away the answer is the same.
+//! rest of the tree cut away the answer is the same. And an evaluation
+//! plans once, however many partitions and blocks execute the plan.
 //!
 //! A 1024-taxon random tree is the search-like case (paths of up to a
 //! hundred nodes among a thousand); a 5000-taxon caterpillar covers both a change
 //! right under the root of a very deep tree and a path that *is* the tree.
 
 use phylo_models::{DiscreteGamma, ReversibleModel};
-use phylo_plf::{InRamStore, PlfEngine};
+use phylo_plf::{InRamStore, PartLayout, PlfEngine};
 use phylo_seq::{compress_patterns, simulate_alignment};
 use phylo_tree::build::{caterpillar_tree, random_topology};
 use phylo_tree::spr::subtree_contains;
 use phylo_tree::traverse::{invalidate_branch, plan_traversal, Orientation};
-use phylo_tree::{ChildRef, HalfEdgeId, Tree};
+use phylo_tree::{ChildRef, HalfEdgeId, TraversalStep, Tree};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -36,21 +37,31 @@ thread_local! {
     /// Allocations made by this thread (the test harness runs each test on
     /// its own, so tests do not see each other's).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// A size in bytes, and this thread's allocations of at least that.
+    static LARGE: Cell<(usize, u64)> = const { Cell::new((usize::MAX, 0)) };
 }
 
-// SAFETY: defers to `System` for every operation; the counter is a
-// const-initialised thread-local `Cell` with no destructor, so touching it
-// inside the allocator neither allocates nor runs after teardown.
+fn count(size: usize) {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = LARGE.try_with(|c| {
+        let (min, n) = c.get();
+        c.set((min, n + u64::from(size >= min)));
+    });
+}
+
+// SAFETY: defers to `System` for every operation; the counters are
+// const-initialised thread-local `Cell`s with no destructor, so touching
+// them inside the allocator neither allocates nor runs after teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -240,4 +251,41 @@ fn a_class_costs_the_chain_below_it_and_planning_allocates_per_plan() {
     assert_eq!(plan.steps.len(), tree.n_inner());
     let doublings = usize::BITS - plan.steps.len().leading_zeros();
     assert!(n <= 3 * (doublings as u64 + 2), "{n} allocations");
+}
+
+/// Three partitions of two blocks each execute one plan: the evaluation's
+/// thread makes one allocation large enough to hold the plan's steps (the
+/// step vector's last doubling), not one per block.
+#[test]
+fn an_evaluation_plans_once_whatever_the_arities() {
+    let tree = caterpillar_tree(5000, 0.05);
+    let model = ReversibleModel::jc69();
+    let gamma = DiscreteGamma::new(1.0, 4);
+    let comps = [31u64, 32, 33].map(|seed| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        compress_patterns(&simulate_alignment(&tree, &model, &gamma, 6, &mut rng))
+    });
+    let layout = |comp| PartLayout {
+        comp,
+        model: &model,
+        stores: PlfEngine::<InRamStore>::block_dims(comp, 4, 2)
+            .iter()
+            .map(|d| InRamStore::new(tree.n_inner(), d.width()))
+            .collect(),
+        recorder: None,
+    };
+    let layouts: Vec<_> = comps.iter().map(layout).collect();
+    assert!(layouts.iter().all(|l| l.stores.len() == 2));
+    let mut engine = PlfEngine::with_layout(tree.clone(), layouts, 1.0, 4);
+    engine.log_likelihood().unwrap();
+    // A change at the far end stales the whole spine.
+    engine.set_branch_length(tree.tip_half_edge(4999), 0.07);
+    assert!(
+        stale(&engine) + 2 > tree.n_inner(),
+        "the whole spine is stale"
+    );
+    LARGE.with(|c| c.set((tree.n_inner() * std::mem::size_of::<TraversalStep>(), 0)));
+    engine.log_likelihood().unwrap();
+    let (_, plans) = LARGE.with(|c| c.replace((usize::MAX, 0)));
+    assert_eq!(plans, 1, "one evaluation planned {plans} times");
 }

@@ -7,7 +7,7 @@
 //!   can store 8 ambiguity-encoded nucleotides; [`alphabet::pack_dna`]
 //!   implements exactly that packing,
 //! * the multiple-sequence-alignment container ([`alignment`]),
-//! * FASTA and relaxed PHYLIP readers/writers ([`fasta`], [`phylip`]),
+//! * a relaxed PHYLIP reader/writer ([`phylip`]),
 //! * site-pattern compression with column weights ([`compress`]),
 //! * a sequence simulator ([`simulate`]) standing in for INDELible: it
 //!   evolves sites along a tree under any reversible model with discrete-Γ
@@ -17,7 +17,6 @@
 pub mod alignment;
 pub mod alphabet;
 pub mod compress;
-pub mod fasta;
 pub mod partition;
 pub mod phylip;
 pub mod simulate;

@@ -27,21 +27,12 @@ use ooc_serve::net::{self, Request};
 use ooc_serve::{
     solo_likelihood, DatasetRequest, JobKind, JobRequest, PartitionRequest, ServeConfig, Service,
 };
-use phylo_ooc::args::{self, Args, Flag, METRICS};
+use phylo_ooc::args::{self, Args, Command, Flag, METRICS};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One subcommand: its flag table and its entry point.
-struct Command {
-    name: &'static str,
-    about: &'static str,
-    flags: &'static [Flag],
-    run: fn(&Args) -> ExitCode,
-}
 
 const SCRATCH: Flag = Flag::text(
     "scratch",
@@ -49,8 +40,8 @@ const SCRATCH: Flag = Flag::text(
     "directory for file-backed vector stores [the temp dir]",
 );
 
-const COMMANDS: [Command; 2] = [
-    Command {
+const COMMANDS: [&Command; 2] = [
+    &Command {
         name: "listen",
         about: "serve jobs over newline-delimited JSON on TCP",
         flags: &[
@@ -61,9 +52,10 @@ const COMMANDS: [Command; 2] = [
             METRICS,
             SCRATCH,
         ],
+        positional: None,
         run: listen,
     },
-    Command {
+    &Command {
         name: "smoke",
         about: "self-contained end-to-end check over real TCP",
         flags: &[
@@ -73,18 +65,10 @@ const COMMANDS: [Command; 2] = [
             METRICS,
             SCRATCH,
         ],
+        positional: None,
         run: smoke,
     },
 ];
-
-fn usage() -> String {
-    let mut out =
-        String::from("usage: ooc-serve <command> [flags]   (ooc-serve <command> --help)\n\n");
-    for cmd in &COMMANDS {
-        out.push_str(&format!("  {:<8} {}\n", cmd.name, cmd.about));
-    }
-    out
-}
 
 /// The flags both commands share, over the library's defaults.
 fn serve_config(args: &Args) -> ServeConfig {
@@ -101,56 +85,21 @@ fn serve_config(args: &Args) -> ServeConfig {
     cfg
 }
 
-fn main() -> ExitCode {
+fn main() {
     let tokens: Vec<String> = std::env::args().skip(1).collect();
-    let wants_help = |t: &[String]| t.iter().any(|t| t == "--help" || t == "-h");
-    let cmd = tokens
-        .split_first()
-        .and_then(|(name, rest)| Some((COMMANDS.iter().find(|c| c.name == name)?, rest)));
-    let Some((cmd, rest)) = cmd else {
-        if wants_help(&tokens) {
-            print!("{}", usage());
-            return ExitCode::SUCCESS;
-        }
-        eprint!("{}", usage());
-        return ExitCode::from(2);
-    };
-    if wants_help(rest) {
-        println!("ooc-serve {} — {}\n", cmd.name, cmd.about);
-        print!("{}", args::help(cmd.flags));
-        return ExitCode::SUCCESS;
-    }
-    match Args::parse(cmd.flags, None, rest) {
-        Ok(args) => (cmd.run)(&args),
-        Err(e) => {
-            eprintln!("ooc-serve {}: {e}", cmd.name);
-            eprint!("valid flags:\n{}", args::help(cmd.flags));
-            ExitCode::from(2)
-        }
-    }
+    let about = "multi-tenant likelihood server";
+    std::process::exit(args::run("ooc-serve", about, &COMMANDS, &tokens));
 }
 
-fn listen(args: &Args) -> ExitCode {
+fn listen(args: &Args) -> Result<(), String> {
     let addr = args.string("addr");
-    let listener = match TcpListener::bind(&addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("ooc-serve: cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let listener = TcpListener::bind(&addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let cfg = ServeConfig {
         workers: args.usize("workers"),
         queue_depth: args.usize("queue-depth"),
         ..serve_config(args)
     };
-    let service = match Service::start(cfg) {
-        Ok(s) => Arc::new(s),
-        Err(e) => {
-            eprintln!("ooc-serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let service = Arc::new(Service::start(cfg).map_err(|e| e.to_string())?);
     eprintln!(
         "ooc-serve: listening on {} (arena {} bytes, {} workers)",
         listener
@@ -160,13 +109,7 @@ fn listen(args: &Args) -> ExitCode {
         service.arena_bytes(),
         service.config().workers,
     );
-    match net::serve(service, listener) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("ooc-serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    net::serve(service, listener).map_err(|e| e.to_string())
 }
 
 // ---------------------------------------------------------------------------
@@ -234,25 +177,12 @@ fn status_kind(status: &Value) -> &str {
 const OOC_PROFILE: &str = "residency = \"ooc-mem\"\nfraction = 0.5\nstrategy = \"lru\"\n";
 const FILE_PROFILE: &str = "residency = \"file\"\nfraction = 0.25\nstrategy = \"lru\"\n";
 
-fn smoke(args: &Args) -> ExitCode {
+fn smoke(args: &Args) -> Result<(), String> {
     // Two workers: the overlap below needs both.
     let cfg = ServeConfig {
         workers: 2,
         ..serve_config(args)
     };
-    match smoke_inner(cfg) {
-        Ok(()) => {
-            eprintln!("ooc-serve smoke: OK");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("ooc-serve smoke: FAILED: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn smoke_inner(cfg: ServeConfig) -> Result<(), String> {
     let scratch = cfg.scratch_dir.clone();
 
     // Ground truth, computed solo before the server runs anything.
@@ -466,9 +396,9 @@ fn smoke_inner(cfg: ServeConfig) -> Result<(), String> {
         ));
     }
 
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
+    if !failures.is_empty() {
+        return Err(failures.join("; "));
     }
+    eprintln!("ooc-serve smoke: OK");
+    Ok(())
 }

@@ -1,5 +1,5 @@
-//! Command-line flags of the `phylo-ooc`, `ooc-bench` and `ooc-serve`
-//! subcommands.
+//! The command line of `phylo-ooc`, `ooc-bench` and `ooc-serve`: each
+//! binary is a table of [`Command`]s and a `main` that hands it to [`run`].
 //!
 //! Every subcommand declares its flags once, as a `&[Flag]` table: name,
 //! type, default — a single value, or a paper-geometry / `--quick` pair —
@@ -215,6 +215,77 @@ pub fn help(flags: &[Flag]) -> String {
         ));
     }
     out
+}
+
+/// One subcommand of a binary.
+pub struct Command {
+    /// Name as typed (one word, or two as in `ablation mcmc`).
+    pub name: &'static str,
+    /// One-line description.
+    pub about: &'static str,
+    /// Every flag the command reads.
+    pub flags: &'static [Flag],
+    /// Name of its positional argument, if it takes one.
+    pub positional: Option<&'static str>,
+    /// Run it; `Err` is a failed run (exit code 1).
+    pub run: fn(&Args) -> Result<(), String>,
+}
+
+/// Top-level usage text of a binary.
+pub fn usage(program: &str, about: &str, commands: &[&Command]) -> String {
+    let mut out = format!(
+        "{program} — {about}\n\nUSAGE:\n  {program} <command> [flags]     \
+         ({program} <command> --help lists them)\n\n"
+    );
+    let width = commands.iter().map(|c| c.name.len()).max().unwrap_or(0);
+    for cmd in commands {
+        out.push_str(&format!("  {:<width$}  {}\n", cmd.name, cmd.about));
+    }
+    out
+}
+
+/// Run `program` with `tokens` (the command line without the program
+/// name) and return its exit code: 0 on success (asking for help is one),
+/// 1 when the command fails, 2 when the command line is not understood —
+/// before anything runs.
+pub fn run(program: &str, about: &str, commands: &[&Command], tokens: &[String]) -> i32 {
+    let wants_help = |t: &[String]| t.iter().any(|t| t == "--help" || t == "-h");
+    let typed = commands.iter().find_map(|cmd| {
+        let words = cmd.name.split(' ').count();
+        (tokens.get(..words)?.join(" ") == cmd.name).then(|| (cmd, &tokens[words..]))
+    });
+    let Some((cmd, rest)) = typed else {
+        if wants_help(tokens) || tokens.first().is_some_and(|t| t == "help") {
+            print!("{}", usage(program, about, commands));
+            return 0;
+        }
+        if let Some(typed) = tokens.first() {
+            eprintln!("{program}: unknown command '{typed}'");
+        }
+        eprint!("{}", usage(program, about, commands));
+        return 2;
+    };
+    if wants_help(rest) {
+        println!("{program} {} — {}\n", cmd.name, cmd.about);
+        print!("{}", help(cmd.flags));
+        return 0;
+    }
+    // Strict: a typo must not silently run a default.
+    let args = match Args::parse(cmd.flags, cmd.positional, rest) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{program} {}: {e}", cmd.name);
+            eprint!("valid flags:\n{}", help(cmd.flags));
+            return 2;
+        }
+    };
+    match (cmd.run)(&args) {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("{program} {}: {e}", cmd.name);
+            1
+        }
+    }
 }
 
 #[cfg(test)]

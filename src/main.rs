@@ -11,7 +11,7 @@
 //! (`64M`, `1G`, raw bytes) or a fraction of the full vector set (`25%`).
 //! Omitting it runs the standard all-in-RAM implementation.
 
-use phylo_ooc::args::{self, Args, Flag};
+use phylo_ooc::args::{self, Args, Command, Flag};
 use phylo_ooc::models::{DiscreteGamma, ReversibleModel};
 use phylo_ooc::ooc::{CompressionMode, OocError, Recorder, StrategyKind};
 use phylo_ooc::plf::{DynEngine, EngineSpec, LikelihoodEngine, Residency};
@@ -31,15 +31,6 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::path::PathBuf;
-use std::process::ExitCode;
-
-/// One subcommand: its flag table and its entry point.
-struct Command {
-    name: &'static str,
-    about: &'static str,
-    flags: &'static [Flag],
-    run: fn(&Args) -> Result<(), String>,
-}
 
 const PROTEIN: Flag = Flag::switch("protein", "20-state protein data instead of DNA");
 
@@ -68,8 +59,8 @@ macro_rules! analysis_flags {
     };
 }
 
-const COMMANDS: [Command; 4] = [
-    Command {
+const COMMANDS: [&Command; 4] = [
+    &Command {
         name: "memsize",
         about: "§3.1 memory arithmetic: ancestral-vector requirements of an analysis",
         flags: &[
@@ -78,9 +69,10 @@ const COMMANDS: [Command; 4] = [
             Flag::int("cats", 4, "Gamma rate categories"),
             PROTEIN,
         ],
+        positional: None,
         run: cmd_memsize,
     },
-    Command {
+    &Command {
         name: "simulate",
         about: "evolve an alignment on a random tree",
         flags: &[
@@ -92,15 +84,17 @@ const COMMANDS: [Command; 4] = [
             Flag::text("out", "", "PHYLIP file to write (required)"),
             Flag::text("tree-out", "", "also write the true tree (Newick)"),
         ],
+        positional: None,
         run: cmd_simulate,
     },
-    Command {
+    &Command {
         name: "likelihood",
         about: "log-likelihood of a tree, in RAM or out-of-core",
         flags: analysis_flags![],
+        positional: None,
         run: cmd_likelihood,
     },
-    Command {
+    &Command {
         name: "search",
         about: "lazy-SPR hill-climbing tree search",
         flags: analysis_flags![
@@ -108,60 +102,15 @@ const COMMANDS: [Command; 4] = [
             Flag::int("rounds", 8, "max SPR rounds"),
             Flag::text("out", "", "write the best tree (Newick)"),
         ],
+        positional: None,
         run: cmd_search,
     },
 ];
 
-fn usage() -> String {
-    let mut out = String::from(
-        "phylo-ooc — out-of-core phylogenetic likelihood analyses\n\n\
-         USAGE:\n  phylo-ooc <command> [flags]     (phylo-ooc <command> --help lists them)\n\n",
-    );
-    for cmd in &COMMANDS {
-        out.push_str(&format!("  {:<12} {}\n", cmd.name, cmd.about));
-    }
-    out
-}
-
-fn main() -> ExitCode {
+fn main() {
     let tokens: Vec<String> = std::env::args().skip(1).collect();
-    let Some((name, rest)) = tokens.split_first() else {
-        eprint!("{}", usage());
-        return ExitCode::FAILURE;
-    };
-    if matches!(name.as_str(), "help" | "--help" | "-h") {
-        print!("{}", usage());
-        return ExitCode::SUCCESS;
-    }
-    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
-        eprintln!("error: unknown command {name:?}");
-        return ExitCode::FAILURE;
-    };
-    if rest.iter().any(|t| t == "--help" || t == "-h") {
-        println!("phylo-ooc {} — {}\n", cmd.name, cmd.about);
-        print!("{}", args::help(cmd.flags));
-        return ExitCode::SUCCESS;
-    }
-    // Strict: a typo must not silently run the all-in-RAM default.
-    let args = match Args::parse(cmd.flags, None, rest) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprint!(
-                "valid flags of `phylo-ooc {}`:\n{}",
-                cmd.name,
-                args::help(cmd.flags)
-            );
-            return ExitCode::from(2);
-        }
-    };
-    match (cmd.run)(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let about = "out-of-core phylogenetic likelihood analyses";
+    std::process::exit(args::run("phylo-ooc", about, &COMMANDS, &tokens));
 }
 
 /// A text flag that must be given.

@@ -41,9 +41,15 @@ fn help_and_bad_command() {
     let (ok, out, _) = run(&["help"]);
     assert!(ok);
     assert!(out.contains("USAGE"));
-    let (ok, _, err) = run(&["frobnicate"]);
-    assert!(!ok);
-    assert!(err.contains("unknown command"));
+    // Not understood — a command unknown or missing — is exit code 2, as
+    // for `ooc-bench` and `ooc-serve`; 1 is a run that failed.
+    for line in [&["frobnicate"][..], &[]] {
+        let out = cli().args(line).output().expect("spawn CLI");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line:?}: {err}");
+        assert!(err.contains("USAGE"), "{line:?}: {err}");
+        assert_eq!(err.contains("unknown command"), !line.is_empty(), "{err}");
+    }
 }
 
 #[test]

@@ -5,7 +5,9 @@
 #![allow(dead_code)]
 
 use phylo_ooc::ooc::StrategyKind;
-use phylo_ooc::plf::{BuildContext, BuiltEngine, DynEngine, EngineSpec, Residency, SharedTree};
+use phylo_ooc::plf::{
+    BuildContext, BuiltEngine, DynEngine, EngineSpec, InRamStore, PartLayout, PlfEngine, Residency,
+};
 use phylo_ooc::setup::{self, Dataset};
 use std::path::Path;
 
@@ -18,23 +20,28 @@ pub fn build(spec: &EngineSpec, data: &Dataset, ctx: &BuildContext) -> BuiltEngi
 /// Out-of-core engine over an in-memory backing store holding fraction
 /// `f` of vectors in slots.
 pub fn ooc_mem(data: &Dataset, f: f64, kind: StrategyKind) -> Box<dyn DynEngine> {
-    ooc_mem_with_handle(data, f, kind).0
-}
-
-/// As [`ooc_mem`] but also returning the topology-aware strategy's
-/// shared-tree handle (None for history-based strategies).
-pub fn ooc_mem_with_handle(
-    data: &Dataset,
-    f: f64,
-    kind: StrategyKind,
-) -> (Box<dyn DynEngine>, Option<SharedTree>) {
     let spec = EngineSpec {
         residency: Residency::OocMem { fraction: f },
         strategy: kind,
         ..setup::base_spec(data)
     };
-    let built = build(&spec, data, &BuildContext::new());
-    (built.engine, built.handles.into_iter().next())
+    build(&spec, data, &BuildContext::new()).engine
+}
+
+/// Typed all-in-RAM engine over the dataset's first `p` partitions in `k`
+/// blocks each, assembled by hand — not through the spec layer, which
+/// erases the type.
+pub fn inram_joint(data: &Dataset, p: usize, k: usize) -> PlfEngine<InRamStore> {
+    let layout = data.parts[..p].iter().map(|part| PartLayout {
+        comp: &part.comp,
+        model: &part.model,
+        stores: PlfEngine::<InRamStore>::block_dims(&part.comp, data.n_cats, k)
+            .iter()
+            .map(|d| InRamStore::new(data.tree.n_inner(), d.width()))
+            .collect(),
+        recorder: None,
+    });
+    PlfEngine::with_layout(data.tree.clone(), layout.collect(), data.alpha, data.n_cats)
 }
 
 /// Out-of-core engine over real backing files (one per partition) under

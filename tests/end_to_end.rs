@@ -7,7 +7,6 @@ use phylo_ooc::models::{DiscreteGamma, ReversibleModel};
 use phylo_ooc::ooc::StrategyKind;
 use phylo_ooc::plf::{InRamStore, PlfEngine};
 use phylo_ooc::search::{hill_climb, nni_round, SearchConfig};
-use phylo_ooc::seq::fasta::{read_fasta, write_fasta};
 use phylo_ooc::seq::phylip::{read_phylip, write_phylip};
 use phylo_ooc::seq::{compress_patterns, simulate_alignment, Alphabet};
 use phylo_ooc::setup::{self, DatasetSpec};
@@ -19,8 +18,8 @@ use std::io::BufReader;
 
 #[test]
 fn simulate_export_import_evaluate() {
-    // Simulate, dump to FASTA and PHYLIP, re-read both, and verify the
-    // likelihood of the re-read data matches the original exactly.
+    // Simulate, dump to PHYLIP, re-read it, and verify the likelihood of
+    // the re-read data matches the original exactly.
     let data = setup::simulate_dataset(&DatasetSpec {
         n_taxa: 12,
         n_sites: 140,
@@ -29,36 +28,30 @@ fn simulate_export_import_evaluate() {
     });
     let reference = setup::inram_engine(&data).log_likelihood().unwrap();
 
-    let mut fasta_buf = Vec::new();
-    write_fasta(&mut fasta_buf, &data.comp().alignment).unwrap();
     let mut phylip_buf = Vec::new();
     write_phylip(&mut phylip_buf, &data.comp().alignment).unwrap();
 
-    for alignment in [
-        read_fasta(BufReader::new(&fasta_buf[..]), Alphabet::Dna).unwrap(),
-        read_phylip(BufReader::new(&phylip_buf[..]), Alphabet::Dna).unwrap(),
-    ] {
-        // We exported the *pattern* alignment, whose columns are already
-        // distinct; re-compressing keeps their order, but the original
-        // column weights must be carried over.
-        let mut comp = compress_patterns(&alignment);
-        assert_eq!(comp.n_patterns(), data.comp().n_patterns());
-        comp.weights = data.comp().weights.clone();
-        let dims = PlfEngine::<InRamStore>::dims_for(&comp, 4);
-        let store = InRamStore::new(data.tree.n_inner(), dims.width());
-        let mut engine = PlfEngine::new(
-            data.tree.clone(),
-            &comp,
-            data.model().clone(),
-            data.alpha,
-            4,
-            store,
-        );
-        assert_eq!(
-            engine.log_likelihood().unwrap().to_bits(),
-            reference.to_bits()
-        );
-    }
+    let alignment = read_phylip(BufReader::new(&phylip_buf[..]), Alphabet::Dna).unwrap();
+    // We exported the *pattern* alignment, whose columns are already
+    // distinct; re-compressing keeps their order, but the original
+    // column weights must be carried over.
+    let mut comp = compress_patterns(&alignment);
+    assert_eq!(comp.n_patterns(), data.comp().n_patterns());
+    comp.weights = data.comp().weights.clone();
+    let dims = PlfEngine::<InRamStore>::dims_for(&comp, 4);
+    let store = InRamStore::new(data.tree.n_inner(), dims.width());
+    let mut engine = PlfEngine::new(
+        data.tree.clone(),
+        &comp,
+        data.model().clone(),
+        data.alpha,
+        4,
+        store,
+    );
+    assert_eq!(
+        engine.log_likelihood().unwrap().to_bits(),
+        reference.to_bits()
+    );
 }
 
 #[test]

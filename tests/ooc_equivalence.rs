@@ -10,11 +10,14 @@
 
 mod common;
 
-use phylo_ooc::ooc::StrategyKind;
-use phylo_ooc::plf::{BuildContext, EngineSpec, Residency};
+use phylo_ooc::ooc::{OocResult, OocStats, StrategyKind};
+use phylo_ooc::plf::oracle::build_strategy;
+use phylo_ooc::plf::{BuildContext, EngineSpec, LikelihoodEngine, Residency, SharedTree};
+use phylo_ooc::run::{run, Job};
 use phylo_ooc::search::{hill_climb, SearchConfig};
 use phylo_ooc::setup::{self, DatasetSpec};
-use phylo_ooc::tree::write_newick;
+use phylo_ooc::tree::spr::{NniUndo, SprUndo};
+use phylo_ooc::tree::{write_newick, HalfEdgeId, Tree};
 
 fn spec() -> DatasetSpec {
     DatasetSpec {
@@ -150,11 +153,8 @@ fn whole_search_identical_out_of_core() {
     let std_stats = hill_climb(&mut standard, &cfg).unwrap();
 
     for kind in STRATEGIES {
-        let (mut ooc, handle) = common::ooc_mem_with_handle(&data, 0.25, kind);
+        let mut ooc = common::ooc_mem(&data, 0.25, kind);
         let ooc_stats = hill_climb(&mut ooc, &cfg).unwrap();
-        if let Some(h) = handle {
-            h.update(ooc.tree());
-        }
         assert_eq!(
             std_stats.final_lnl.to_bits(),
             ooc_stats.final_lnl.to_bits(),
@@ -204,4 +204,144 @@ fn read_skipping_does_not_change_results() {
             "read_skipping={read_skipping}"
         );
     }
+}
+
+/// The independent reference for the oracle refresh: an engine that takes
+/// a fresh snapshot of its tree before *every* call that plans.
+struct RefreshedAtEveryPlan<E> {
+    engine: E,
+    shared: SharedTree,
+}
+
+impl<E: LikelihoodEngine> RefreshedAtEveryPlan<E> {
+    fn fresh(&mut self) -> &mut E {
+        self.shared.update(self.engine.tree());
+        &mut self.engine
+    }
+}
+
+impl<E: LikelihoodEngine> LikelihoodEngine for RefreshedAtEveryPlan<E> {
+    fn tree(&self) -> &Tree {
+        self.engine.tree()
+    }
+    fn alpha(&self) -> f64 {
+        self.engine.alpha()
+    }
+    fn set_alpha(&mut self, alpha: f64) {
+        self.engine.set_alpha(alpha)
+    }
+    fn invalidate_all(&mut self) {
+        self.engine.invalidate_all()
+    }
+    fn log_likelihood(&mut self) -> OocResult<f64> {
+        self.fresh().log_likelihood()
+    }
+    fn log_likelihood_at(&mut self, root_he: HalfEdgeId, full: bool) -> OocResult<f64> {
+        self.fresh().log_likelihood_at(root_he, full)
+    }
+    fn set_branch_length(&mut self, h: HalfEdgeId, len: f64) {
+        self.engine.set_branch_length(h, len)
+    }
+    fn optimize_branch(&mut self, h: HalfEdgeId, max_iter: u32) -> OocResult<(f64, f64)> {
+        self.fresh().optimize_branch(h, max_iter)
+    }
+    fn smooth_branches(&mut self, passes: usize, nr_iter: u32) -> OocResult<f64> {
+        self.fresh().smooth_branches(passes, nr_iter)
+    }
+    fn optimize_alpha(&mut self, tol: f64, max_iter: u32) -> OocResult<(f64, f64)> {
+        self.fresh().optimize_alpha(tol, max_iter)
+    }
+    fn apply_spr(
+        &mut self,
+        prune_dir: HalfEdgeId,
+        target: HalfEdgeId,
+        graft_lens: Option<(f64, f64)>,
+    ) -> SprUndo {
+        self.engine.apply_spr(prune_dir, target, graft_lens)
+    }
+    fn undo_spr(&mut self, prune_dir: HalfEdgeId, undo: &SprUndo) {
+        self.engine.undo_spr(prune_dir, undo)
+    }
+    fn apply_nni(&mut self, h: HalfEdgeId, variant: u8) -> NniUndo {
+        self.engine.apply_nni(h, variant)
+    }
+    fn undo_nni(&mut self, undo: &NniUndo) {
+        self.engine.undo_nni(undo)
+    }
+    fn ooc_stats(&self) -> Option<OocStats> {
+        self.engine.ooc_stats()
+    }
+}
+
+/// A search through the production run path ranks victims by distances in
+/// the tree as it is, not as it started: its counters equal those of a
+/// hand-assembled engine whose oracle is refreshed at every plan — and
+/// differ from those of one whose oracle is never refreshed.
+#[test]
+fn the_production_path_keeps_the_topology_oracle_fresh() {
+    use phylo_ooc::ooc::{MemStore, OocConfig, VectorManager};
+    use phylo_ooc::plf::{OocStore, PlfEngine};
+    let simulated = |seed| {
+        setup::simulate_dataset(&DatasetSpec {
+            n_taxa: 20,
+            n_sites: 120,
+            seed,
+            ..Default::default()
+        })
+    };
+    // Start from another dataset's tree, so that the search has moves to
+    // make.
+    let mut data = simulated(77);
+    data.tree = simulated(78).tree;
+    let cfg = SearchConfig {
+        spr_radius: 3,
+        max_rounds: 2,
+        seed: 5,
+        ..Default::default()
+    };
+    let spec = EngineSpec {
+        residency: Residency::OocMem { fraction: 0.25 },
+        strategy: StrategyKind::Topological,
+        ..setup::base_spec(&data)
+    };
+    let produced = run(Job::new(&spec, &data), |engine, _| {
+        hill_climb(engine, &cfg).map_err(|e| e.to_string())
+    })
+    .unwrap();
+    assert!(produced.value.spr_applied > 0, "the tree must have moved");
+
+    let by_hand = |refresh: bool| {
+        let (strategy, shared) = build_strategy(StrategyKind::Topological, &data.tree);
+        let ooc = OocConfig::builder(data.n_items(), data.width(0))
+            .fraction(0.25)
+            .always_write_back(false)
+            .build()
+            .unwrap();
+        let store = MemStore::new(data.n_items(), data.width(0));
+        let engine = PlfEngine::new(
+            data.tree.clone(),
+            data.comp(),
+            data.model().clone(),
+            data.alpha,
+            data.n_cats,
+            OocStore::new(VectorManager::new(ooc, strategy, store)),
+        );
+        let shared = match refresh {
+            true => shared.expect("topological ranks by tree distance"),
+            false => SharedTree::new(&data.tree), // a snapshot nobody reads
+        };
+        let mut engine = RefreshedAtEveryPlan { engine, shared };
+        let stats = hill_climb(&mut engine, &cfg).unwrap();
+        assert_eq!(
+            stats.final_lnl.to_bits(),
+            produced.value.final_lnl.to_bits()
+        );
+        engine.ooc_stats().unwrap()
+    };
+    assert_eq!(produced.stats, Some(by_hand(true)));
+    assert_ne!(
+        produced.stats.unwrap().misses,
+        by_hand(false).misses,
+        "this search cannot tell a fresh oracle from a stale one"
+    );
 }

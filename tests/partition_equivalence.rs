@@ -9,7 +9,7 @@
 mod common;
 
 use phylo_ooc::ooc::StrategyKind;
-use phylo_ooc::plf::{InRamStore, LikelihoodEngine, PartitionedPlfEngine, PlfEngine};
+use phylo_ooc::plf::{DynEngine, InRamStore, LikelihoodEngine, PlfEngine};
 use phylo_ooc::seq::PartitionKind;
 use phylo_ooc::setup::{self, Dataset, DatasetSpec};
 
@@ -28,27 +28,9 @@ fn mixed_data() -> Dataset {
     })
 }
 
-/// Typed all-in-RAM partitioned engine, built directly so the tests can
-/// reach member trees (`part(i)`) — access the spec layer erases.
-fn inram_partitioned(data: &Dataset) -> PartitionedPlfEngine<PlfEngine<InRamStore>> {
-    let parts = data
-        .parts
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let store = InRamStore::new(data.tree.n_inner(), data.width(i));
-            PlfEngine::new(
-                data.tree.clone(),
-                &p.comp,
-                p.model.clone(),
-                data.alpha,
-                data.n_cats,
-                store,
-            )
-        })
-        .collect();
-    let names = data.parts.iter().map(|p| p.name.clone()).collect();
-    PartitionedPlfEngine::new(parts, names)
+/// Typed all-in-RAM partitioned engine, assembled by hand.
+fn inram_partitioned(data: &Dataset) -> PlfEngine<InRamStore> {
+    common::inram_joint(data, data.parts.len(), 1)
 }
 
 /// Each partition as its own standalone serial in-RAM analysis — the
@@ -174,14 +156,11 @@ fn joint_optimisation_stays_in_lockstep_across_backends() {
     assert_eq!(l_inram.to_bits(), l_file.to_bits());
     assert!(l_inram >= s_inram, "shared-alpha fit must not regress");
 
-    // All members hold the same (shared) branch lengths afterwards.
-    for h in 0..inram.part(0).tree().n_half_edges() as u32 {
-        let len = inram.part(0).tree().branch_length(h);
-        for i in 1..inram.n_partitions() {
-            assert_eq!(
-                len.to_bits(),
-                inram.part(i).tree().branch_length(h).to_bits()
-            );
-        }
+    // Both backends' one tree holds the same branch lengths afterwards.
+    for h in 0..inram.tree().n_half_edges() as u32 {
+        assert_eq!(
+            inram.tree().branch_length(h).to_bits(),
+            file.tree().branch_length(h).to_bits()
+        );
     }
 }

@@ -1,15 +1,16 @@
-//! Shard-equivalence suite: the sharded parallel engine must be
-//! bit-identical to the serial path for every shard count, merge its
-//! per-shard residency statistics exactly, and keep both properties
-//! under injected store faults with a retry layer.
+//! Shard-equivalence suite: an engine of several column blocks must be
+//! bit-identical to the serial path for every block count, merge its
+//! per-block residency statistics exactly, keep both properties under
+//! injected store faults with a retry layer, and recover from a fault in
+//! one block without one.
 
 mod common;
 
 use phylo_ooc::ooc::{
     BackingStore, FaultInjectingStore, FaultKind, FaultOp, FaultPlan, FaultRule, MemStore,
-    OocConfig, OocStats, RetryPolicy, RetryingStore, ShardSpec, StrategyKind, VectorManager,
+    OocConfig, OocStats, RetryPolicy, RetryingStore, StrategyKind, VectorManager,
 };
-use phylo_ooc::plf::{LikelihoodEngine, OocStore, ShardedPlfEngine};
+use phylo_ooc::plf::{LikelihoodEngine, OocStore, PartLayout, PlfEngine};
 use phylo_ooc::setup::{self, DatasetSpec};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -25,13 +26,12 @@ fn spec() -> DatasetSpec {
 
 /// Sharded engine over arbitrary per-shard backing stores built by `mk`
 /// (the spec layer only covers Mem/File stores).
-fn sharded_over<S, F>(data: &setup::Dataset, k: usize, mut mk: F) -> ShardedPlfEngine<OocStore<S>>
+fn sharded_over<S, F>(data: &setup::Dataset, k: usize, mut mk: F) -> PlfEngine<OocStore<S>>
 where
     S: BackingStore + Send,
     F: FnMut(usize) -> S,
 {
-    let spec = ShardSpec::even(data.comp().n_patterns(), k);
-    let dims = ShardedPlfEngine::<OocStore<S>>::shard_dims(data.comp(), data.n_cats, &spec);
+    let dims = PlfEngine::<OocStore<S>>::block_dims(data.comp(), data.n_cats, k);
     let stores = dims
         .iter()
         .map(|d| {
@@ -43,15 +43,13 @@ where
             OocStore::new(manager)
         })
         .collect();
-    ShardedPlfEngine::new(
-        data.tree.clone(),
-        data.comp(),
-        data.model().clone(),
-        data.alpha,
-        data.n_cats,
-        spec,
+    let layout = PartLayout {
+        comp: data.comp(),
+        model: data.model(),
         stores,
-    )
+        recorder: None,
+    };
+    PlfEngine::with_layout(data.tree.clone(), vec![layout], data.alpha, data.n_cats)
 }
 
 #[test]
@@ -140,10 +138,8 @@ fn merged_stats_equal_sum_of_per_shard_stats() {
     let mut sharded = sharded_over(&data, 4, |width| MemStore::new(n_items, width));
     sharded.full_traversals(3).expect("traversals failed");
 
-    let merged = sharded.merged_ooc_stats().expect("merged stats");
-    let sum: OocStats = (0..sharded.n_shards())
-        .map(|i| *sharded.shard(i).store().manager().stats())
-        .sum();
+    let merged = sharded.ooc_stats().expect("merged stats");
+    let sum: OocStats = sharded.stores().map(|s| *s.manager().stats()).sum();
     assert_eq!(merged, sum, "merged stats must be the exact field-wise sum");
     assert!(merged.requests > 0);
     assert!(
@@ -182,8 +178,8 @@ fn sharded_engine_absorbs_transient_faults_with_retry() {
     );
 
     let (mut retries, mut recoveries, mut io_errors) = (0, 0, 0);
-    for i in 0..sharded.n_shards() {
-        let mgr = sharded.shard(i).store().manager();
+    for store in sharded.stores() {
+        let mgr = store.manager();
         let r = mgr.store().retry_stats();
         retries += r.retries;
         recoveries += r.recoveries;
@@ -214,4 +210,56 @@ fn sharded_engine_surfaces_permanent_faults() {
         .log_likelihood()
         .expect_err("permanent write faults must surface from the sharded engine");
     assert!(err.to_string().contains("write failed"), "{err}");
+}
+
+/// One block's j-th write-back fails while its sibling's store is sound:
+/// the evaluation fails, the one orientation invalidates what the failed
+/// block missed for both, and the next evaluation — the fault window has
+/// passed — is bit-identical to a fresh full traversal.
+#[test]
+fn a_fault_in_one_block_is_recomputed_in_all() {
+    let data = setup::simulate_dataset(&spec());
+    let reference = setup::inram_engine(&data)
+        .log_likelihood()
+        .expect("in-RAM reference cannot fail");
+    let n_items = data.n_items();
+    // Write-backs 0, 2 and 4 of a block all fall inside the combine loop.
+    for j in [0, 2, 4] {
+        let mut block = 0;
+        let mut sharded = sharded_over(&data, 2, |width| {
+            let mut plan = FaultPlan::none();
+            if block == 1 {
+                plan = plan.with(FaultRule::Window {
+                    op: FaultOp::Write,
+                    start: j,
+                    count: 1,
+                    kind: FaultKind::Permanent,
+                });
+            }
+            block += 1;
+            FaultInjectingStore::new(MemStore::new(n_items, width), plan)
+        });
+        let err = sharded
+            .log_likelihood()
+            .expect_err("nothing retries the failed write-back");
+        assert!(err.to_string().contains("write failed"), "j={j}: {err}");
+        let missed = sharded.orientation().stale().count();
+        assert!(missed > 0, "j={j}: the uncomputed suffix must be stale");
+
+        let lnl = sharded.log_likelihood().expect("the fault has passed");
+        assert_eq!(lnl.to_bits(), reference.to_bits(), "j={j}");
+        assert_eq!(sharded.orientation().stale().count(), 0);
+        let faults: Vec<u64> = sharded
+            .stores()
+            .map(|s| s.manager().store().fault_stats().total_faults())
+            .collect();
+        assert_eq!(faults, [0, 1], "j={j}: exactly the one planned fault");
+        // The sound block recomputed the missed suffix too: it is one
+        // orientation, so both executed the same second plan.
+        let requests: Vec<u64> = sharded
+            .stores()
+            .map(|s| s.manager().stats().requests)
+            .collect();
+        assert!(requests[0] >= requests[1], "j={j}: {requests:?}");
+    }
 }

@@ -1,16 +1,20 @@
 //! Spec-resolution equivalence: every arity and residency `EngineSpec`
 //! resolves — in-RAM or managed over memory/file/file-limit backing, one
-//! shard or several, one partition or several, pipelined or not — goes
+//! block or several, one partition or several, pipelined or not — goes
 //! through one construction path and must compute exactly what hand-built
-//! serial in-RAM `PlfEngine`s compute. Residency, sharding, partitioning
+//! serial in-RAM `PlfEngine`s compute: one `PlfEngine::new` per partition
+//! is the oracle for everything a partition computes alone, a
+//! hand-assembled in-RAM one-block engine for what the partitions
+//! optimise jointly. Residency, sharding, partitioning
 //! and pipelining never change computed values, so this is `assert_eq!` on
 //! `f64`, no tolerance.
+
+mod common;
 
 use ooc_core::json::Value;
 use ooc_core::{ManualClock, MemorySink, Recorder, StrategyKind};
 use phylo_ooc::plf::{
-    BuildContext, EngineSpec, InRamStore, LikelihoodEngine, PartitionedPlfEngine, PlfEngine,
-    Residency,
+    BuildContext, DynEngine, EngineSpec, InRamStore, LikelihoodEngine, PlfEngine, Residency,
 };
 use phylo_ooc::run::{run as run_job, Job, MetricsFile};
 use phylo_ooc::seq::PartitionKind;
@@ -86,17 +90,26 @@ fn reference_members(data: &setup::Dataset, p: usize) -> Vec<PlfEngine<InRamStor
         .collect()
 }
 
-/// The reference: the hand-built member on its own for one partition,
-/// the members joined for several.
+/// The reference: the hand-built member on its own for one partition —
+/// there the joint optimum is the serial one; for several, the
+/// hand-assembled in-RAM engine of one block each, held to the members
+/// run independently: their log-likelihoods bit for bit, the joint one
+/// their in-order sum.
 fn reference_run(data: &setup::Dataset, p: usize) -> Run {
     let mut members = reference_members(data, p);
     if p == 1 {
         return run(&mut members[0], |e| vec![e.log_likelihood().unwrap()]);
     }
-    let names = (0..p).map(|i| data.parts[i].name.clone()).collect();
-    run(&mut PartitionedPlfEngine::new(members, names), |e| {
+    let want = run(&mut common::inram_joint(data, p, 1), |e| {
         e.partition_lnls().unwrap()
-    })
+    });
+    let alone: Vec<f64> = members
+        .iter_mut()
+        .map(|e| e.log_likelihood().unwrap())
+        .collect();
+    assert_eq!(want.partition_lnls, alone);
+    assert_eq!(want.lnl, alone.iter().fold(0.0, |sum, lnl| sum + lnl));
+    want
 }
 
 /// Take one rebuilt vector — a cherry, or with `with_operand` a tip-inner
@@ -185,12 +198,19 @@ fn a_cherry_reads_the_same_rebuilt_or_stored_in_every_shape() {
         .flat_map(|data| [(data, false), (data, true)])
     {
         let p = data.parts.len();
+        // The oracle that shares no constructor with what it checks: each
+        // partition alone. For p = 1 it is the whole walk's reference (the
+        // joint optimum is the serial one); for p = 3 the walk compares
+        // against the hand-assembled one-block engine.
         let mut members = reference_members(data, p);
+        let alone: Vec<f64> = members
+            .iter_mut()
+            .map(|e| e.log_likelihood().unwrap())
+            .collect();
         let want = if p == 1 {
             rebuilt_walk(&mut members[0], with_operand)
         } else {
-            let names = data.parts.iter().map(|part| part.name.clone()).collect();
-            rebuilt_walk(&mut PartitionedPlfEngine::new(members, names), with_operand)
+            rebuilt_walk(&mut common::inram_joint(data, p, 1), with_operand)
         };
         let residencies = [
             Residency::InRam,
@@ -209,17 +229,19 @@ fn a_cherry_reads_the_same_rebuilt_or_stored_in_every_shape() {
                 let ctx = BuildContext::new().vector_path(dir.path().join("rebuilt.bin"));
                 let built = spec.build(&data.tree, &setup::part_specs(data), &ctx);
                 let mut engine = built.unwrap().engine;
-                let got = rebuilt_walk(&mut engine, with_operand);
                 let cell = format!("p={p} {} k={shards}", residency.name());
+                assert_eq!(engine.partition_lnls().unwrap(), alone, "{cell}");
+                let joint = alone.iter().fold(0.0, |sum, lnl| sum + lnl);
+                assert_eq!(engine.log_likelihood().unwrap(), joint, "{cell}");
+                let got = rebuilt_walk(&mut engine, with_operand);
                 assert_eq!(got, want, "{cell} operand={with_operand}");
             }
         }
     }
 }
 
-/// Every cell of residency × shards × partitions × I/O threads resolves to
-/// the same partitions-of-shards shape and is bit-identical to the serial
-/// reference.
+/// Every cell of residency × blocks × partitions × I/O threads resolves to
+/// the same type and is bit-identical to the serial reference.
 #[test]
 fn every_arity_and_residency_matches_hand_built_serial_members() {
     let data = fig2_partitioned();
@@ -264,13 +286,6 @@ fn every_arity_and_residency_matches_hand_built_serial_members() {
                         .recorders(move |_| rec.clone());
                     let built = spec.build(&data.tree, &all_parts[..p], &ctx).unwrap();
 
-                    // One oracle handle per manager: p partitions × k shards.
-                    let managers = if residency == Residency::InRam {
-                        0
-                    } else {
-                        p * shards
-                    };
-                    assert_eq!(built.handles.len(), managers, "{cell}");
                     // A single partition's file is the path as given;
                     // several take extensions `p<i>`.
                     assert_eq!(path.exists(), file_backed && p == 1, "{cell}");
@@ -374,7 +389,7 @@ fn the_runner_equals_the_hand_written_sequence() {
                 let managed = residency != Residency::InRam;
                 assert_eq!(stats.is_some(), managed, "{cell}");
 
-                let work = |engine: &mut Box<dyn phylo_ooc::plf::DynEngine>, _: &[Recorder]| {
+                let work = |engine: &mut Box<dyn DynEngine>, _: &[Recorder]| {
                     let lnl = engine.full_traversals(2).map_err(|e| e.to_string())?;
                     Ok((lnl, engine.partition_lnls().map_err(|e| e.to_string())?))
                 };
