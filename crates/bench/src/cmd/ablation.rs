@@ -1,11 +1,6 @@
 //! **Ablations** beyond the paper's figures, one arm per question
 //! (`ooc-bench ablation <arm>`):
 //!
-//! * `prefetch` (A2, §5 future work) — "We will assess if pre-fetching can
-//!   be deployed by means of a prefetch thread." The same traversal +
-//!   smoothing workload over a plain file store and over the I/O pipeline
-//!   (one worker thread streaming the plan's reads into a staging cache),
-//!   comparing wall time and where the demand reads were served from.
 //! * `writeback` (A5, design choice in §3.2/3.3) — the paper swaps
 //!   unconditionally (every eviction writes the victim to the file); this
 //!   implementation adds dirty tracking as an option. The arm quantifies
@@ -18,130 +13,16 @@
 //!   ordering and the exactness guarantee must survive.
 
 use super::{dataset, Command};
-use crate::cell::{full_traversals, run_cell, CellInput};
-use crate::report::{pct, print_table, secs};
+use crate::cell::{run_cell, CellInput};
+use crate::report::{pct, print_table};
 use crate::workload::{all_strategies, run_search_workload, WorkloadSpec};
-use ooc_core::{OocConfig, StallKind, StrategyKind};
+use ooc_core::{OocConfig, StrategyKind};
 use phylo_ooc::args::{Args, Flag, METRICS, QUICK};
-use phylo_ooc::plf::{EngineSpec, LikelihoodEngine, Residency};
+use phylo_ooc::plf::{EngineSpec, Residency};
 use phylo_ooc::run::MetricsFile;
 use phylo_ooc::search::{run_mcmc, McmcConfig};
 use phylo_ooc::setup;
 use rayon::prelude::*;
-
-pub const PREFETCH: Command = Command {
-    name: "ablation prefetch",
-    about: "A2: plain file store vs the prefetching I/O pipeline",
-    flags: &[
-        QUICK,
-        Flag::int_q("taxa", 512, 128, "taxa of the simulated dataset"),
-        Flag::int_q("sites", 1200, 200, "alignment sites"),
-        Flag::int("seed", 55, "dataset seed"),
-        Flag::int("traversals", 5, "full traversals before the smoothing pass"),
-        Flag::float("fraction", 0.25, "fraction f of vectors held in RAM"),
-        METRICS,
-    ],
-    positional: None,
-    run: prefetch,
-};
-
-fn prefetch(args: &Args) -> Result<(), String> {
-    let data = dataset(args);
-    let (traversals, f) = (args.usize("traversals"), args.f64("fraction"));
-    println!(
-        "A2 prefetch ablation: {} taxa x {} patterns, f = {f}, {traversals} traversals + smoothing\n",
-        data.tree.n_tips(),
-        data.comp().n_patterns(),
-    );
-    let metrics = MetricsFile::from_args(args);
-    let dir = tempfile::tempdir().expect("tempdir");
-    // The staged/stalled/fall-through split is read back from the recorder.
-    let input = CellInput::dataset(&data).observed();
-    let cell = |label: &str, io_threads: usize| {
-        let spec = EngineSpec {
-            residency: Residency::File { fraction: f },
-            strategy: StrategyKind::Lru,
-            io_threads,
-            ..setup::base_spec(&data)
-        };
-        run_cell(
-            &spec,
-            &input,
-            Some(dir.path().join(format!("{label}.bin"))),
-            &format!("prefetch/{label}"),
-            &metrics,
-            |engine| {
-                let lnl = full_traversals(traversals)(engine);
-                engine.smooth_branches(1, 8).expect("smoothing failed");
-                lnl
-            },
-        )
-    };
-    let plain = cell("plain", 0);
-    let staged = cell("staged", 1);
-    assert_eq!(
-        plain.value.to_bits(),
-        staged.value.to_bits(),
-        "results must agree"
-    );
-
-    let stats = staged.stats.expect("managed engine keeps stats");
-    let rec = &staged.recs[0];
-    let reads = |op: &str| rec.histogram("prefetch", op).map_or(0, |h| h.count());
-    // Reads the pipeline had ready: adopted zero-copy by the manager, or
-    // copied out of the staging cache by the read path.
-    let ready = stats.staged_loads + reads("staged-read");
-    let (stalled, fell_through) = (reads("stalled-read"), reads("fallthrough-read"));
-    print_table(
-        &[
-            "configuration",
-            "wall time",
-            "io ops",
-            "staged",
-            "stalled",
-            "fall-through",
-        ],
-        &[
-            vec![
-                "FileStore".into(),
-                secs(plain.secs),
-                plain.stats.map_or(0, |s| s.io_ops()).to_string(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ],
-            vec![
-                "Prefetching".into(),
-                secs(staged.secs),
-                stats.io_ops().to_string(),
-                ready.to_string(),
-                stalled.to_string(),
-                fell_through.to_string(),
-            ],
-        ],
-    );
-    let served = (ready + stalled) as f64 / (ready + stalled + fell_through).max(1) as f64;
-    println!(
-        "\nthe pipeline served {:.1}% of store reads ({:.1} ms spent waiting on\n\
-         in-flight ones); speedup {:.2}x (gains grow with slower devices — on\n\
-         fast local disks the demand-read latency the thread hides is small,\n\
-         which is why the paper left prefetching as future work).",
-        served * 100.0,
-        rec.kind_ns(StallKind::PrefetchWait) as f64 / 1e6,
-        plain.secs / staged.secs
-    );
-    // The window-tuning signal: a stalled read was hinted too late (argues
-    // for a larger lookahead window), a fall-through was never staged or
-    // was evicted before use (argues for a smaller one).
-    println!(
-        "\nhint effectiveness ({} hints issued by the plan cursor): precision {:.1}%, \
-         coverage {:.1}% of store reads",
-        stats.hints_issued,
-        stats.hint_precision() * 100.0,
-        stats.hint_coverage() * 100.0,
-    );
-    Ok(())
-}
 
 pub const WRITEBACK: Command = Command {
     name: "ablation writeback",

@@ -9,7 +9,7 @@
 //! - the line parses as JSON with `"type"` ∈ {`event`, `hist`, `ooc-stats`,
 //!   `profile`} (a NaN rate would already fail the parse — `NaN` is not
 //!   JSON);
-//! - `event`: required fields, `kind` is one of the six stall kinds;
+//! - `event`: required fields, `kind` is one of the five stall kinds;
 //! - `hist`: bucket counts sum to `count`, `min_ns <= max_ns`;
 //! - `ooc-stats`: all counters present and integral, rates finite.
 //!
@@ -29,9 +29,8 @@
 //! scope's compute-vs-stall split — the objective `ooc-bench tune` ranks
 //! probe candidates by — is re-derived *from the stream alone*: wall from
 //! the `plf/combine-batch` event spans, top-level stall classes from their
-//! event durations (the prefetch-wait share nested inside demand reads is
-//! subtracted out, mirroring the recorder's attribution), compute as the
-//! clamped residual. This is the offline cross-check that a tuned
+//! event durations, compute as the clamped residual. This is the offline
+//! cross-check that a tuned
 //! profile's claimed split can be reproduced from its probe trace.
 //!
 //! ```sh
@@ -53,11 +52,10 @@ use std::io::{BufRead, BufReader};
 // Schema checks.
 // ---------------------------------------------------------------------------
 
-const KINDS: [&str; 6] = [
+const KINDS: [&str; 5] = [
     "compute",
     "demand-read",
     "write-back",
-    "prefetch-wait",
     "retry-backoff",
     "barrier-wait",
 ];
@@ -69,19 +67,11 @@ struct ScopeTally {
     demand_read_events: u64,
     write_back_events: u64,
     /// Event duration totals per stall kind, indexed as [`KINDS`].
-    kind_dur_ns: [u64; 6],
+    kind_dur_ns: [u64; 5],
     /// Duration total of `plf/combine-batch` events — each one wraps a
     /// full traversal batch (compute *and* the residency stalls inside
     /// it), so their sum reconstructs the probe's wall time.
     combine_batch_ns: u64,
-    /// Histogram time totals feeding the absorption ratio: manager
-    /// demand-read span time and the prefetch-wait (stalled-read) share
-    /// nested inside it.
-    demand_read_hist_ns: u64,
-    stalled_read_hist_ns: u64,
-    /// Count of manager `staged-load` histogram entries (zero-copy
-    /// adoptions of pipeline-staged buffers).
-    staged_load_hist: u64,
     /// Compression byte totals as `(writes, bytes)`: the codec samples
     /// one `compress/bytes-logical` and one `compress/bytes-disk` entry
     /// per item write, with the byte count travelling in the histogram
@@ -89,7 +79,6 @@ struct ScopeTally {
     compress_logical: Option<(u64, u64)>,
     compress_disk: Option<(u64, u64)>,
     stats: Option<(u64, u64)>, // (disk_reads, disk_writes)
-    staged_loads_counter: Option<u64>,
     /// Profile (engine-spec header) records seen; at most one per scope.
     profiles: u64,
 }
@@ -103,7 +92,6 @@ struct ObjectiveSummary {
     write_back_ns: u64,
     barrier_wait_ns: u64,
     retry_backoff_ns: u64,
-    prefetch_wait_ns: u64,
 }
 
 impl ObjectiveSummary {
@@ -115,39 +103,21 @@ impl ObjectiveSummary {
 impl ScopeTally {
     /// Re-derive the stall attribution from the stream: wall from the
     /// combine-batch spans, top-level stall classes from their event
-    /// durations — with the nested prefetch-wait share subtracted from
-    /// the demand-read spans, as the recorder's own attribution does —
-    /// and compute as the clamped residual.
+    /// durations, and compute as the clamped residual.
     fn objective_summary(&self) -> ObjectiveSummary {
         let kind = |name: &str| self.kind_dur_ns[KINDS.iter().position(|k| *k == name).unwrap()];
-        let demand_read_ns = kind("demand-read").saturating_sub(self.stalled_read_hist_ns);
         let s = ObjectiveSummary {
             wall_ns: self.combine_batch_ns,
             compute_ns: 0,
-            demand_read_ns,
+            demand_read_ns: kind("demand-read"),
             write_back_ns: kind("write-back"),
             barrier_wait_ns: kind("barrier-wait"),
             retry_backoff_ns: kind("retry-backoff"),
-            prefetch_wait_ns: self.stalled_read_hist_ns,
         };
         ObjectiveSummary {
             compute_ns: s.wall_ns.saturating_sub(s.stall_ns()),
             ..s
         }
-    }
-
-    /// Fraction of stall time the pipeline absorbed: prefetch-wait over
-    /// prefetch-wait + attributed demand-read. Stalled-read spans are
-    /// nested inside manager demand-read spans, so the attributed demand
-    /// share is the histogram difference. No stall time at all counts as
-    /// fully absorbed.
-    fn prefetch_absorption(&self) -> f64 {
-        let wait = self.stalled_read_hist_ns;
-        let demand = self.demand_read_hist_ns.saturating_sub(wait);
-        if wait + demand == 0 {
-            return 1.0;
-        }
-        wait as f64 / (wait + demand) as f64
     }
 }
 
@@ -188,9 +158,6 @@ fn check_hist(v: &Value, tally: &mut ScopeTally) -> Result<(), String> {
     let count = get_u64(v, "count")?;
     let sum_ns = get_u64(v, "sum_ns")?;
     match (layer, op) {
-        ("manager", "demand-read") => tally.demand_read_hist_ns += sum_ns,
-        ("prefetch", "stalled-read") => tally.stalled_read_hist_ns += sum_ns,
-        ("manager", "staged-load") => tally.staged_load_hist += count,
         ("compress", "bytes-logical") => {
             let (c, s) = tally.compress_logical.unwrap_or((0, 0));
             tally.compress_logical = Some((c + count, s + sum_ns));
@@ -226,7 +193,7 @@ fn check_hist(v: &Value, tally: &mut ScopeTally) -> Result<(), String> {
     Ok(())
 }
 
-const STAT_COUNTERS: [&str; 15] = [
+const STAT_COUNTERS: [&str; 12] = [
     "requests",
     "hits",
     "misses",
@@ -239,9 +206,6 @@ const STAT_COUNTERS: [&str; 15] = [
     "bytes_written",
     "io_errors",
     "plans",
-    "hints_issued",
-    "hinted_reads",
-    "staged_loads",
 ];
 
 fn check_stats(v: &Value, tally: &mut ScopeTally) -> Result<(), String> {
@@ -258,7 +222,6 @@ fn check_stats(v: &Value, tally: &mut ScopeTally) -> Result<(), String> {
         }
     }
     tally.stats = Some((get_u64(v, "disk_reads")?, get_u64(v, "disk_writes")?));
-    tally.staged_loads_counter = Some(get_u64(v, "staged_loads")?);
     Ok(())
 }
 
@@ -274,12 +237,7 @@ fn check_profile(v: &Value, tally: &mut ScopeTally) -> Result<(), String> {
     Ok(())
 }
 
-fn run(
-    path: &str,
-    min_absorption: Option<f64>,
-    reconcile_compression: bool,
-    summary: bool,
-) -> Result<(), String> {
+fn run(path: &str, reconcile_compression: bool, summary: bool) -> Result<(), String> {
     let file = std::fs::File::open(path).map_err(|e| format!("cannot open '{path}': {e}"))?;
     let mut scopes: BTreeMap<String, ScopeTally> = BTreeMap::new();
     let mut lines = 0u64;
@@ -308,8 +266,8 @@ fn run(
 
     // Reconcile event counts against the counter snapshot, per scope.
     // Every scope that went through a VectorManager must agree exactly:
-    // retried ops may not double-count, prefetch staging may not hide
-    // reads, and hist-only spans (hits/misses/evictions) emit no events.
+    // retried ops may not double-count, and hist-only spans
+    // (hits/misses/evictions) emit no events.
     for (scope, t) in &scopes {
         let Some((disk_reads, disk_writes)) = t.stats else {
             continue;
@@ -327,18 +285,6 @@ fn run(
                  ooc-stats reports disk_writes = {disk_writes}",
                 t.write_back_events
             ));
-        }
-        // Staged adoptions are hist-only spans; their count must agree
-        // with the counter, or the pipeline is hiding (or inventing)
-        // zero-copy loads.
-        if let Some(staged) = t.staged_loads_counter {
-            if t.staged_load_hist != staged {
-                return Err(format!(
-                    "scope '{scope}': {} manager staged-load histogram entries \
-                     but ooc-stats reports staged_loads = {staged}",
-                    t.staged_load_hist
-                ));
-            }
         }
     }
 
@@ -383,22 +329,6 @@ fn run(
         }
     }
 
-    // Pipeline effectiveness gate (opt-in, for metered pipeline smokes):
-    // every scope must have absorbed at least the requested fraction of
-    // its stall time into prefetch-wait.
-    if let Some(min) = min_absorption {
-        for (scope, t) in &scopes {
-            let a = t.prefetch_absorption();
-            if a < min {
-                return Err(format!(
-                    "scope '{scope}': prefetch absorption {a:.3} below required {min:.3} \
-                     (prefetch-wait {} ns of {} ns demand-span time)",
-                    t.stalled_read_hist_ns, t.demand_read_hist_ns
-                ));
-            }
-        }
-    }
-
     println!(
         "{path}: {lines} records across {} scope(s) OK",
         scopes.len()
@@ -407,11 +337,6 @@ fn run(
         let rec = match t.stats {
             Some((r, w)) => format!("reconciled (reads {r}, writes {w})"),
             None => "no ooc-stats record (reconciliation skipped)".to_owned(),
-        };
-        let absorption = if t.demand_read_hist_ns + t.stalled_read_hist_ns > 0 {
-            format!(", absorption {:.3}", t.prefetch_absorption())
-        } else {
-            String::new()
         };
         let compression = match (t.compress_logical, t.compress_disk) {
             (Some((_, logical)), Some((_, disk))) if disk > 0 => {
@@ -423,7 +348,7 @@ fn run(
             _ => String::new(),
         };
         println!(
-            "  {scope}: {} events, {} histograms{absorption}{compression} — {rec}",
+            "  {scope}: {} events, {} histograms{compression} — {rec}",
             t.events, t.hists
         );
     }
@@ -443,7 +368,7 @@ fn run(
             println!(
                 "  {scope}: wall {:.3} ms = compute {:.3} ms + stalls {:.3} ms \
                  ({:.1}% — demand-read {:.3}, write-back {:.3}, barrier {:.3}, \
-                 retry {:.3}; prefetch-wait absorbed {:.3})",
+                 retry {:.3})",
                 ms(s.wall_ns),
                 ms(s.compute_ns),
                 ms(s.stall_ns()),
@@ -452,7 +377,6 @@ fn run(
                 ms(s.write_back_ns),
                 ms(s.barrier_wait_ns),
                 ms(s.retry_backoff_ns),
-                ms(s.prefetch_wait_ns),
             );
         }
     }
@@ -463,11 +387,6 @@ pub const CHECK: Command = Command {
     name: "check",
     about: "validate and reconcile a --metrics JSONL stream",
     flags: &[
-        Flag::float(
-            "min-prefetch-absorption",
-            0.0,
-            "every scope must absorb at least this share of stall time",
-        ),
         Flag::switch(
             "reconcile-compression",
             "codec byte histograms must reconcile and show a shrink",
@@ -489,13 +408,8 @@ fn check(args: &Args) -> Result<(), String> {
         (None, "") => return Err("needs a metrics file (ooc-bench check FILE)".into()),
         (None, path) => path,
     };
-    let min = args.f64("min-prefetch-absorption");
-    if !(0.0..=1.0).contains(&min) {
-        return Err("--min-prefetch-absorption needs a value in [0,1]".into());
-    }
     run(
         path,
-        (min > 0.0).then_some(min),
         args.flag("reconcile-compression"),
         !summary_from.is_empty(),
     )
@@ -523,37 +437,12 @@ mod tests {
     }
 
     #[test]
-    fn absorption_derives_from_hist_sums() {
-        let mut t = ScopeTally::default();
-        // No stall time at all counts as fully absorbed.
-        assert_eq!(t.prefetch_absorption(), 1.0);
-        // 950 of 1000 demand-span ns were nested prefetch-wait.
-        t.demand_read_hist_ns = 1000;
-        t.stalled_read_hist_ns = 950;
-        assert!((t.prefetch_absorption() - 0.95).abs() < 1e-9);
-        // Pure demand reads, no pipeline: nothing absorbed.
-        t.stalled_read_hist_ns = 0;
-        assert_eq!(t.prefetch_absorption(), 0.0);
-    }
-
-    #[test]
-    fn pipeline_hists_feed_the_tally() {
-        let mut t = ScopeTally::default();
-        let line = r#"{"type":"hist","scope":"s","layer":"prefetch","op":"stalled-read","count":2,"sum_ns":500,"min_ns":100,"max_ns":400,"buckets":[[7,2]]}"#;
-        check_hist(&Value::parse(line).unwrap(), &mut t).unwrap();
-        let line = r#"{"type":"hist","scope":"s","layer":"manager","op":"staged-load","count":4,"sum_ns":40,"min_ns":5,"max_ns":20,"buckets":[[3,4]]}"#;
-        check_hist(&Value::parse(line).unwrap(), &mut t).unwrap();
-        assert_eq!(t.stalled_read_hist_ns, 500);
-        assert_eq!(t.staged_load_hist, 4);
-    }
-
-    #[test]
-    fn stats_record_requires_staged_loads() {
-        let line = r#"{"type":"ooc-stats","scope":"s","requests":1,"hits":0,"misses":1,"disk_reads":1,"disk_writes":0,"skipped_reads":0,"cold_loads":0,"evictions":0,"bytes_read":8,"bytes_written":0,"io_errors":0,"plans":0,"hints_issued":0,"hinted_reads":0,"staged_loads":0,"miss_rate":1.0,"read_rate":1.0}"#;
+    fn stats_record_requires_every_counter() {
+        let line = r#"{"type":"ooc-stats","scope":"s","requests":1,"hits":0,"misses":1,"disk_reads":1,"disk_writes":0,"skipped_reads":0,"cold_loads":0,"evictions":0,"bytes_read":8,"bytes_written":0,"io_errors":0,"plans":0,"miss_rate":1.0,"read_rate":1.0}"#;
         let mut t = ScopeTally::default();
         check_stats(&Value::parse(line).unwrap(), &mut t).unwrap();
-        assert_eq!(t.staged_loads_counter, Some(0));
-        let missing = line.replace(r#""staged_loads":0,"#, "");
+        assert_eq!(t.stats, Some((1, 0)));
+        let missing = line.replace(r#""plans":0,"#, "");
         assert!(check_stats(&Value::parse(&missing).unwrap(), &mut ScopeTally::default()).is_err());
     }
 
@@ -592,22 +481,19 @@ mod tests {
         // One combine batch of 10 ms wall.
         let batch = r#"{"type":"event","scope":"s","ts_ns":0,"dur_ns":10000000,"layer":"plf","op":"combine-batch","kind":"compute","item":null,"shard":null,"bytes":0,"n":21}"#;
         check_event(&Value::parse(batch).unwrap(), &mut t).unwrap();
-        // 3 ms of demand reads, 1 ms of which was nested prefetch wait.
+        // 3 ms of demand reads.
         let read = r#"{"type":"event","scope":"s","ts_ns":1,"dur_ns":3000000,"layer":"manager","op":"demand-read","kind":"demand-read","item":4,"shard":null,"bytes":64,"n":1}"#;
         check_event(&Value::parse(read).unwrap(), &mut t).unwrap();
-        let wait = r#"{"type":"hist","scope":"s","layer":"prefetch","op":"stalled-read","count":1,"sum_ns":1000000,"min_ns":1000000,"max_ns":1000000,"buckets":[[20,1]]}"#;
-        check_hist(&Value::parse(wait).unwrap(), &mut t).unwrap();
         // 2 ms of write-backs.
         let wb = r#"{"type":"event","scope":"s","ts_ns":2,"dur_ns":2000000,"layer":"manager","op":"write-back","kind":"write-back","item":5,"shard":null,"bytes":64,"n":1}"#;
         check_event(&Value::parse(wb).unwrap(), &mut t).unwrap();
 
         let s = t.objective_summary();
         assert_eq!(s.wall_ns, 10_000_000);
-        assert_eq!(s.demand_read_ns, 2_000_000); // 3 ms minus nested wait
+        assert_eq!(s.demand_read_ns, 3_000_000);
         assert_eq!(s.write_back_ns, 2_000_000);
-        assert_eq!(s.prefetch_wait_ns, 1_000_000);
-        assert_eq!(s.stall_ns(), 4_000_000);
-        assert_eq!(s.compute_ns, 6_000_000); // wall minus top-level stalls
+        assert_eq!(s.stall_ns(), 5_000_000);
+        assert_eq!(s.compute_ns, 5_000_000); // wall minus top-level stalls
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! **`kernels`** — per-backend throughput of the PLF numerical kernels,
 //! written as the committed `BENCH_kernels.json` so kernel regressions
-//! (and the speedup claims of the unrolled/AVX2 backends) are diffable in
+//! (and the speedup claims of the AVX2 backend) are diffable in
 //! review. The harness is plain `std::time::Instant` (calibrated iteration
 //! counts, best-of-N samples), so the artifact is reproducible offline.
 //!
@@ -8,7 +8,7 @@
 //! ooc-bench kernels                 # write BENCH_kernels.json
 //! ooc-bench kernels --quick         # fast smoke run
 //! ooc-bench kernels --check         # validate the existing file
-//! ooc-bench kernels --kernel dna4
+//! ooc-bench kernels --kernel scalar
 //! ```
 
 use super::Command;
@@ -253,7 +253,7 @@ fn run(quick: bool, only: Option<KernelBackend>) -> Vec<BenchResult> {
     h.evaluate("evaluate_inner_inner", &x);
 
     // Wide-state (protein / codon) groups: the AVX2 wide module is the
-    // only non-scalar option here — Dna4/stride-16 paths must not claim
+    // only non-scalar option here — the stride-16 paths must not claim
     // these dims. Fewer patterns than the DNA groups: per-pattern
     // work grows as n_states² so the same wall budget covers fewer sites.
     for n_states in [20usize, 61] {
@@ -345,8 +345,8 @@ fn measured(v: &Value, key: &str) -> Result<(), String> {
 
 /// Validate a baseline document: it parses, carries the schema tag, every
 /// measurement in it is finite, and no `(group, backend)` cell is missing
-/// — the portable backends in every group (`dna4` in the 4-state ones),
-/// plus the file's own `detected_backend` wherever it is a further one.
+/// — `scalar` in every group, plus the file's own `detected_backend` where
+/// that is a further one.
 /// Returns the number of result cells.
 fn check_baseline(doc: &str) -> Result<usize, String> {
     let doc = Value::parse(doc).map_err(|e| format!("invalid JSON: {e}"))?;
@@ -368,11 +368,9 @@ fn check_baseline(doc: &str) -> Result<usize, String> {
         let cell = (get_str(s, "group")?, get_str(s, "backend")?);
         measured(s, "vs_scalar").map_err(|e| format!("speedups cell {cell:?}: {e}"))?;
     }
-    const PORTABLE: [&str; 2] = ["scalar", "dna4"];
     for group in GROUPS {
-        let four_state = !group.ends_with("st");
-        let mut expected = PORTABLE[..if four_state { 2 } else { 1 }].to_vec();
-        if !PORTABLE.contains(&detected) {
+        let mut expected = vec!["scalar"];
+        if detected != "scalar" {
             expected.push(detected);
         }
         for backend in expected {
@@ -470,10 +468,7 @@ mod tests {
         let mut results = Vec::new();
         for group in GROUPS {
             let mut backends = vec!["scalar"];
-            if !group.ends_with("st") {
-                backends.push("dna4");
-            }
-            if !["scalar", "dna4"].contains(&detected) {
+            if detected != "scalar" {
                 backends.push(detected);
             }
             for backend in backends {
@@ -497,8 +492,8 @@ mod tests {
 
     #[test]
     fn check_accepts_what_the_writer_writes() {
-        assert_eq!(check_baseline(&baseline("avx2")), Ok(20));
-        assert_eq!(check_baseline(&baseline("dna4")), Ok(12));
+        assert_eq!(check_baseline(&baseline("avx2")), Ok(16));
+        assert_eq!(check_baseline(&baseline("scalar")), Ok(8));
     }
 
     #[test]
@@ -532,8 +527,8 @@ mod tests {
             ns_per_iter: ns,
             patterns_per_sec: 1.0,
         };
-        let s = speedups(&[cell("scalar", 100.0), cell("dna4", 25.0)]);
+        let s = speedups(&[cell("scalar", 100.0), cell("avx2", 25.0)]);
         assert_eq!(s.len(), 1);
-        assert_eq!((s[0].backend.as_str(), s[0].vs_scalar), ("dna4", 4.0));
+        assert_eq!((s[0].backend.as_str(), s[0].vs_scalar), ("avx2", 4.0));
     }
 }

@@ -227,35 +227,6 @@ fn fig3(args: &Args) -> Result<(), String> {
     );
     rate_table(&with_skipping, |c| c.read_rate);
 
-    // Hint effectiveness of the plan cursor's lookahead window: how many
-    // of the issued prefetch hints were consumed by an actual store read
-    // (precision), and how many store reads were forewarned (coverage).
-    println!("\nlookahead hint effectiveness (with read skipping):\n");
-    let rows: Vec<Vec<String>> = with_skipping
-        .iter()
-        .map(|on| {
-            vec![
-                on.strategy.to_owned(),
-                format!("{:.2}", on.fraction),
-                on.hints_issued.to_string(),
-                on.hinted_reads.to_string(),
-                pct(on.hint_precision),
-                pct(on.hint_coverage),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "strategy",
-            "f",
-            "hints",
-            "hinted reads",
-            "precision",
-            "coverage",
-        ],
-        &rows,
-    );
-
     // E7: aggregate claim over all cells.
     println!("\n§3.4 claims (E7), per cell:");
     let mut rr_mr_ok = true;

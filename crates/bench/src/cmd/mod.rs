@@ -10,23 +10,20 @@ pub mod correctness;
 pub mod fig5;
 pub mod kernels;
 pub mod miss_rates;
-pub mod pipeline;
 pub mod tune;
 
 /// Every subcommand, in `--help` order.
-pub const COMMANDS: [&Command; 13] = [
+pub const COMMANDS: [&Command; 11] = [
     &miss_rates::FIG2,
     &miss_rates::FIG3,
     &miss_rates::FIG4,
     &miss_rates::SUPP1908,
     &fig5::FIG5,
-    &ablation::PREFETCH,
     &ablation::WRITEBACK,
     &ablation::MCMC,
     &kernels::KERNELS,
     &tune::TUNE,
     &correctness::CORRECTNESS,
-    &pipeline::PIPELINE,
     &check::CHECK,
 ];
 

@@ -87,8 +87,8 @@ pub struct ModelEstimate {
     pub io_secs: f64,
     /// Modelled kernel seconds.
     pub compute_secs: f64,
-    /// Predicted wall seconds (serial: compute + I/O; pipelined: the
-    /// slower of the two, assuming perfect overlap).
+    /// Predicted wall seconds (serial: compute + I/O; with I/O threads:
+    /// reads + the slower of compute and write-backs).
     pub predicted_secs: f64,
     /// Margined lower bound: no configuration with this geometry can
     /// plausibly beat it (oracle-replay I/O floor under perfect overlap).
@@ -104,7 +104,7 @@ pub enum Outcome {
     Measured {
         /// The tuning objective: the probe's measured compute combined
         /// with its *actual* store traffic priced by the [`DiskModel`]
-        /// (serial: sum; pipelined: the slower of the two). Measured
+        /// (combined as the model's prediction is). Measured
         /// counters, modelled disk — the same units as the prune bound,
         /// so the comparison holds even when the machine running the
         /// tuner has a faster disk than the target.
@@ -482,12 +482,9 @@ fn model_candidate(
     let sim = replay(spec.strategy, false);
     let io_ops = (sim.disk_reads + sim.disk_writes) * spec.shards as u64;
     let io_bytes = ((sim.bytes_read + sim.bytes_written) as f64 * ratio) as u64;
-    let io_secs = cfg.disk.traffic_cost_ns(io_ops, io_bytes) as f64 / 1e9;
-    let predicted_secs = if spec.io_threads > 0 {
-        compute_secs.max(io_secs)
-    } else {
-        compute_secs + io_secs
-    };
+    let (read_secs, write_secs) = io_secs_of(&sim, spec.shards as u64, ratio, &cfg.disk);
+    let io_secs = read_secs + write_secs;
+    let predicted_secs = wall_secs(spec, compute_secs, read_secs, write_secs);
 
     // Lower bound: Belady replay (NextUse + full-run oracle plan) with the
     // candidate's geometry floors the miss count; perfect
@@ -496,10 +493,8 @@ fn model_candidate(
     let oracle = *oracle_cache
         .entry(n_slots)
         .or_insert_with(|| replay(ooc_core::StrategyKind::NextUse, true));
-    let lb_ops = (oracle.disk_reads + oracle.disk_writes) * spec.shards as u64;
-    let lb_bytes = ((oracle.bytes_read + oracle.bytes_written) as f64 * ratio) as u64;
-    let lb_io = cfg.disk.traffic_cost_ns(lb_ops, lb_bytes) as f64 / 1e9;
-    let bound_secs = compute_secs.max(lb_io);
+    let (lb_reads, lb_writes) = io_secs_of(&oracle, spec.shards as u64, ratio, &cfg.disk);
+    let bound_secs = compute_secs.max(lb_reads + lb_writes);
 
     ModelEstimate {
         io_ops,
@@ -508,6 +503,33 @@ fn model_candidate(
         compute_secs,
         predicted_secs,
         bound_secs,
+    }
+}
+
+/// Seconds `disk` charges for the reads and for the writes of `stats`:
+/// `managers` of them each issue the counted operations (1 for merged
+/// statistics) to move the counted bytes between them, shrunk by the
+/// compression `ratio`.
+fn io_secs_of(stats: &OocStats, managers: u64, ratio: f64, disk: &DiskModel) -> (f64, f64) {
+    let secs = |ops: u64, bytes: u64| {
+        let bytes = (bytes as f64 * ratio) as u64;
+        disk.traffic_cost_ns(ops * managers, bytes) as f64 / 1e9
+    };
+    (
+        secs(stats.disk_reads, stats.bytes_read),
+        secs(stats.disk_writes, stats.bytes_written),
+    )
+}
+
+/// Wall seconds of a cell: everything in series without I/O threads; with
+/// them write-backs overlap compute, reads stay on the compute thread and
+/// share the one device with the writes. Never below
+/// `compute.max(reads + writes)`, so the Belady bound stays a bound.
+fn wall_secs(spec: &EngineSpec, compute_secs: f64, read_secs: f64, write_secs: f64) -> f64 {
+    if spec.io_threads > 0 {
+        read_secs + compute_secs.max(write_secs)
+    } else {
+        compute_secs + read_secs + write_secs
     }
 }
 
@@ -545,21 +567,10 @@ fn probe(
     // keeps the objective in the bound's units: a tuner running on a
     // fast scratch disk still ranks candidates for the modelled target.
     let compute_secs = att.compute_ns() as f64 / 1e9;
-    let io_secs = cell
-        .stats
-        .map(|s| {
-            let ratio = compression_ratio(spec.compression);
-            let bytes = ((s.bytes_read + s.bytes_written) as f64 * ratio) as u64;
-            cfg.disk
-                .traffic_cost_ns(s.disk_reads + s.disk_writes, bytes) as f64
-                / 1e9
-        })
-        .unwrap_or(0.0);
-    let objective_secs = if spec.io_threads > 0 {
-        compute_secs.max(io_secs)
-    } else {
-        compute_secs + io_secs
-    };
+    let (read_secs, write_secs) = cell.stats.map_or((0.0, 0.0), |s| {
+        io_secs_of(&s, 1, compression_ratio(spec.compression), &cfg.disk)
+    });
+    let objective_secs = wall_secs(spec, compute_secs, read_secs, write_secs);
     Outcome::Measured {
         objective_secs,
         wall_secs: cell.secs,

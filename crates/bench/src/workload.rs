@@ -71,14 +71,6 @@ pub struct CellResult {
     pub disk_reads: u64,
     /// Store writes.
     pub disk_writes: u64,
-    /// Prefetch hints issued by the plan cursor's lookahead window.
-    pub hints_issued: u64,
-    /// Store reads that had been hinted ahead of time.
-    pub hinted_reads: u64,
-    /// `hinted_reads / hints_issued` — how many hints were consumed.
-    pub hint_precision: f64,
-    /// `hinted_reads / disk_reads` — how many reads were forewarned.
-    pub hint_coverage: f64,
 }
 
 /// How one workload cell participates in the two-pass Belady oracle.
@@ -245,10 +237,6 @@ fn run_pass(
         misses: stats.misses,
         disk_reads: stats.disk_reads,
         disk_writes: stats.disk_writes,
-        hints_issued: stats.hints_issued,
-        hinted_reads: stats.hinted_reads,
-        hint_precision: stats.hint_precision(),
-        hint_coverage: stats.hint_coverage(),
     };
     (cell, recording)
 }

@@ -135,14 +135,6 @@ fn check_prints_what_metrics_check_printed() {
         let want = std::fs::read_to_string(data(expected)).unwrap();
         assert_eq!(stdout, want, "{args:?}");
     }
-    // Gates still gate: neither fixture scope absorbed any stall time.
-    let gate = [
-        "check",
-        "--min-prefetch-absorption",
-        "0.5",
-        "check_fixture.jsonl",
-    ];
-    assert_eq!(bench_exe(&dir, &gate).0, 1);
     assert_eq!(
         bench_exe(&dir, &["check", "fig2.json"]).0,
         1,
@@ -157,6 +149,9 @@ fn what_the_driver_does_not_understand_exits_2() {
         "",
         "fig6",
         "ablation tiered --quick",
+        "ablation prefetch --quick",
+        "pipeline --items 64",
+        "check --min-prefetch-absorption 0.5 a.jsonl",
         "fig2 --quick --sedd 7",
         "fig2 --taxa 1e3",
         "fig2 --taxa",
@@ -219,7 +214,7 @@ fn fig5_every_part_runs() {
 }
 
 #[test]
-fn ablations_correctness_pipeline_and_kernels_run() {
+fn ablations_correctness_and_kernels_run() {
     let dir = tempfile::tempdir().unwrap();
     let path = |name: &str| dir.path().join(name).display().to_string();
     assert_eq!(
@@ -231,33 +226,14 @@ fn ablations_correctness_pipeline_and_kernels_run() {
         format!("ablation mcmc --quick --taxa 12 --sites 40 --iterations 100 --metrics {mcmc}");
     assert_eq!(bench(&line), 0);
     assert_eq!(bench(&format!("check {mcmc}")), 0);
-    let prefetch = path("prefetch.jsonl");
-    let line = format!(
-        "ablation prefetch --quick --taxa 24 --sites 100 --traversals 2 --metrics {prefetch}"
-    );
-    assert_eq!(bench(&line), 0);
-    assert_eq!(bench(&format!("check {prefetch}")), 0);
 
     assert_eq!(bench("correctness --taxa 10 --sites 60"), 0);
-
-    let pipe = path("pipeline.jsonl");
-    let line = format!("pipeline --items 64 --min-absorption 0.9 --metrics {pipe}");
-    assert_eq!(bench(&line), 0);
-    assert_eq!(
-        bench(&format!("check --min-prefetch-absorption 0.9 {pipe}")),
-        0
-    );
-    // A gate nothing can pass fails the run (exit 1, not a panic).
-    assert_eq!(
-        bench("pipeline --items 16 --read-delay-us 0 --min-absorption 1.5"),
-        1
-    );
 
     // A one-backend run is not a complete baseline: `--check` says which
     // cell is missing instead of waving through every key it can find.
     let k = path("kernels.json");
     assert_eq!(
-        bench(&format!("kernels --quick --kernel scalar --out {k}")),
+        bench(&format!("kernels --quick --kernel avx2 --out {k}")),
         0
     );
     assert_eq!(bench(&format!("kernels --check --out {k}")), 1);

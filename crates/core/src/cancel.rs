@@ -58,8 +58,7 @@ impl CancelToken {
 }
 
 /// A [`BackingStore`] wrapper that fails every transfer once its token is
-/// cancelled. Hints and plan bookkeeping still forward (they are cheap and
-/// side-effect free on correctness); actual reads and writes stop.
+/// cancelled.
 pub struct CancellingStore<S> {
     inner: S,
     token: CancelToken,
@@ -101,34 +100,6 @@ impl<S: BackingStore> BackingStore for CancellingStore<S> {
     fn write_batch(&mut self, first: u32, count: usize, buf: &[f64]) -> io::Result<()> {
         self.token.check()?;
         self.inner.write_batch(first, count, buf)
-    }
-
-    fn hint(&mut self, items: &[u32]) {
-        if !self.token.is_cancelled() {
-            self.inner.hint(items);
-        }
-    }
-
-    fn install_read_plan(&mut self, first_reads: &[u32], window: usize) -> bool {
-        if self.token.is_cancelled() {
-            return false;
-        }
-        self.inner.install_read_plan(first_reads, window)
-    }
-
-    fn plan_advanced(&mut self, first_reads_passed: usize) {
-        self.inner.plan_advanced(first_reads_passed)
-    }
-
-    fn take_staged(&mut self, item: u32) -> Option<crate::aligned::AlignedBuf> {
-        if self.token.is_cancelled() {
-            return None;
-        }
-        self.inner.take_staged(item)
-    }
-
-    fn forget_hints(&mut self) {
-        self.inner.forget_hints()
     }
 
     fn flush(&mut self) -> io::Result<()> {

@@ -202,7 +202,7 @@ impl<S: BackingStore> CompressingStore<S> {
     /// A second handle onto the same compressed store, given a second
     /// handle `inner` onto its inner store: the payload-length table, byte
     /// counters and recorder are shared, scratch is private. This is how
-    /// prefetch worker threads get their store handles.
+    /// write-behind worker threads get their store handles.
     pub fn handle_over(&self, inner: S) -> Self {
         CompressingStore {
             inner,
@@ -284,22 +284,6 @@ impl<S: BackingStore> BackingStore for CompressingStore<S> {
             rec.sample("compress", "bytes-disk", disk);
         }
         Ok(())
-    }
-
-    fn hint(&mut self, upcoming: &[ItemId]) {
-        self.inner.hint(upcoming);
-    }
-
-    // Deliberately decline plan streaming: anything the *inner* store
-    // staged would hold encoded payloads, which must never surface as
-    // logical buffers. Pipelining layers (PrefetchingStore) sit *above*
-    // this adaptor and stage decoded vectors.
-    fn install_read_plan(&mut self, _first_reads: &[ItemId], _window: usize) -> bool {
-        false
-    }
-
-    fn forget_hints(&mut self) {
-        self.inner.forget_hints();
     }
 
     fn flush(&mut self) -> io::Result<()> {

@@ -252,14 +252,6 @@ impl<S: BackingStore> BackingStore for FaultInjectingStore<S> {
         self.inner.write(item, buf)
     }
 
-    fn hint(&mut self, upcoming: &[ItemId]) {
-        self.inner.hint(upcoming);
-    }
-
-    fn forget_hints(&mut self) {
-        self.inner.forget_hints();
-    }
-
     fn flush(&mut self) -> io::Result<()> {
         let index = self.stats.flushes;
         self.stats.flushes += 1;

@@ -19,7 +19,7 @@
 //! * [`plan`] — the access-plan IR: the traversal's access pattern as an
 //!   ordered `{item, intent}` sequence with first/last-access analysis,
 //!   consumed by the manager through a plan cursor (read-skip flags,
-//!   windowed lookahead prefetch, plan-aware replacement).
+//!   plan-aware replacement).
 //! * [`strategy`] — the four replacement strategies evaluated in the paper:
 //!   Random, LRU, LFU and Topological (most-distant-node-in-the-tree),
 //!   plus NextUse (Belady's OPT over the access plan), the miss-rate
@@ -35,8 +35,10 @@
 //!   first access are swapped in without reading the file.
 //! * [`diskmodel`] — a disk cost model so paper-scale (32 GB) geometries
 //!   can be replayed without 32 GB of physical I/O.
-//! * [`prefetch`] — the paper's §5 future-work direction: a prefetch
-//!   thread, grown into a plan-driven I/O pipeline.
+//! * [`prefetch`] — a bounded write-behind queue: dirty evictions are
+//!   written by worker threads while the kernels run (the read-ahead half
+//!   of the paper's §5 prefetch thread had nothing left to fetch and is
+//!   retired).
 //! * [`error`], [`fault`], [`retry`] — fault tolerance: store I/O failures
 //!   surface as contextual [`OocError`]s instead of panics,
 //!   [`FaultInjectingStore`] injects deterministic failure schedules for

@@ -52,14 +52,9 @@ pub struct OocConfig {
     /// resident — the paper's unconditional swap behaviour (default). Off =
     /// dirty tracking, an ablation this implementation adds.
     pub always_write_back: bool,
-    /// Lookahead window for plan-driven prefetch: keep this many upcoming
-    /// first-read accesses hinted to the store ahead of the plan cursor
-    /// (§5 future work, overlapping I/O with kernel compute). `0` disables
-    /// prefetch hints entirely.
-    pub prefetch_window: usize,
 }
 
-/// Default lookahead window (see [`OocConfig::prefetch_window`]).
+/// No effect; kept until ROADMAP item 1 re-bases `benchmark/`.
 pub const DEFAULT_PREFETCH_WINDOW: usize = 16;
 
 /// Most vectors one session pins: the two children and the parent of a
@@ -78,7 +73,6 @@ impl OocConfig {
             sizing: Sizing::AllResident,
             read_skipping: true,
             always_write_back: true,
-            prefetch_window: DEFAULT_PREFETCH_WINDOW,
         }
     }
 
@@ -187,7 +181,6 @@ pub struct OocConfigBuilder {
     sizing: Sizing,
     read_skipping: bool,
     always_write_back: bool,
-    prefetch_window: usize,
 }
 
 impl OocConfigBuilder {
@@ -225,9 +218,8 @@ impl OocConfigBuilder {
         self
     }
 
-    /// Lookahead window for plan-driven prefetch hints (`0` disables).
-    pub fn prefetch_window(mut self, window: usize) -> Self {
-        self.prefetch_window = window;
+    /// No effect; kept until ROADMAP item 1 re-bases `benchmark/`.
+    pub fn prefetch_window(self, _window: usize) -> Self {
         self
     }
 
@@ -256,7 +248,6 @@ impl OocConfigBuilder {
             n_slots,
             read_skipping: self.read_skipping,
             always_write_back: self.always_write_back,
-            prefetch_window: self.prefetch_window,
         };
         cfg.validate()?;
         Ok(cfg)
@@ -309,23 +300,12 @@ impl<S: BackingStore> DataPlane for StorePlane<S> {
 
     fn read(&mut self, item: ItemId, slot: SlotId) -> io::Result<()> {
         let t0 = self.now();
-        // Any prefetch-wait the store records while we sit in this read (a
-        // demand read overlapping its own in-flight prefetch) must stay
-        // attributed to prefetch-wait alone: carve it out of the
-        // demand-read span so the stall kinds stay disjoint by
-        // construction.
-        let pw0 = self
-            .obs
-            .as_ref()
-            .map_or(0, |r| r.kind_ns(StallKind::PrefetchWait));
         self.store.read(item, &mut self.slots[slot as usize])?;
         // Success only, so demand-read events == disk_reads.
         if let Some(rec) = &self.obs {
-            let overlap = rec.kind_ns(StallKind::PrefetchWait) - pw0;
             rec.span_at("manager", "demand-read", StallKind::DemandRead, t0)
                 .item(item)
                 .bytes(self.slot_bytes())
-                .exclude(overlap)
                 .finish();
         }
         Ok(())
@@ -341,36 +321,8 @@ impl<S: BackingStore> DataPlane for StorePlane<S> {
         Ok(())
     }
 
-    fn take_staged(&mut self, item: ItemId, slot: SlotId) -> bool {
-        let Some(staged) = self.store.take_staged(item) else {
-            return false;
-        };
-        // Adopt the worker's staged buffer into the slot wholesale.
-        debug_assert_eq!(staged.len(), self.width);
-        let t0 = self.now();
-        self.slots[slot as usize] = staged;
-        self.latency("staged-load", t0);
-        true
-    }
-
     fn zero(&mut self, slot: SlotId) {
         self.slots[slot as usize].fill(0.0);
-    }
-
-    fn hint(&mut self, upcoming: &[ItemId]) {
-        self.store.hint(upcoming);
-    }
-
-    fn install_read_plan(&mut self, first_reads: &[ItemId], window: usize) -> bool {
-        self.store.install_read_plan(first_reads, window)
-    }
-
-    fn plan_advanced(&mut self, first_reads_passed: usize) {
-        self.store.plan_advanced(first_reads_passed);
-    }
-
-    fn forget_hints(&mut self) {
-        self.store.forget_hints();
     }
 
     fn over_allowance(&self) -> bool {
@@ -538,13 +490,10 @@ impl<S: BackingStore> VectorManager<S> {
     /// Submit the access plan of an upcoming traversal. The manager derives
     /// everything from the plan's own analysis instead of trusting
     /// caller-maintained lists: read-skip flags from the write-first items
-    /// (§3.4), prefetch hints from the read-first items (windowed — only
-    /// the next [`OocConfig::prefetch_window`] upcoming first-reads are
-    /// hinted, the window sliding forward as accesses consume the plan),
-    /// and the plan positions feed any plan-aware replacement strategy
-    /// (NextUse). Submitting a new plan replaces the previous one.
+    /// (§3.4), and the plan positions feed any plan-aware replacement
+    /// strategy (NextUse). Submitting a new plan replaces the previous one.
     pub fn begin_plan(&mut self, plan: AccessPlan) {
-        self.table.begin_plan(&mut self.plane, plan);
+        self.table.begin_plan(plan);
     }
 
     /// Record every subsequent access (item and intent, in order) until
@@ -566,7 +515,7 @@ impl<S: BackingStore> VectorManager<S> {
     /// [`VectorManager::start_recording`] on an identical run). The
     /// replacement strategy sees this plan with a position that advances on
     /// every access, while per-traversal [`VectorManager::begin_plan`]
-    /// submissions keep driving read skipping and prefetch only. With the
+    /// submissions keep driving read skipping only. With the
     /// NextUse strategy this is true Belady/OPT replacement: every
     /// eviction knows the complete future, so its miss rate lower-bounds
     /// every online strategy on the same stream.
@@ -1166,52 +1115,6 @@ mod tests {
         p.fill(1.0);
     }
 
-    /// A store that records every hint batch it receives, for asserting
-    /// the plan cursor's lookahead behaviour.
-    struct HintRecordingStore {
-        inner: MemStore,
-        hints: std::rc::Rc<std::cell::RefCell<Vec<Vec<ItemId>>>>,
-        forgets: std::rc::Rc<std::cell::RefCell<usize>>,
-    }
-
-    impl crate::store::BackingStore for HintRecordingStore {
-        fn read(&mut self, item: ItemId, buf: &mut [f64]) -> std::io::Result<()> {
-            self.inner.read(item, buf)
-        }
-        fn write(&mut self, item: ItemId, buf: &[f64]) -> std::io::Result<()> {
-            self.inner.write(item, buf)
-        }
-        fn hint(&mut self, upcoming: &[ItemId]) {
-            self.hints.borrow_mut().push(upcoming.to_vec());
-        }
-        fn forget_hints(&mut self) {
-            *self.forgets.borrow_mut() += 1;
-        }
-    }
-
-    type HintLog = std::rc::Rc<std::cell::RefCell<Vec<Vec<ItemId>>>>;
-
-    fn hinting_manager(
-        n: usize,
-        m: usize,
-        width: usize,
-        window: usize,
-    ) -> (VectorManager<HintRecordingStore>, HintLog) {
-        let hints = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let store = HintRecordingStore {
-            inner: MemStore::new(n, width),
-            hints: hints.clone(),
-            forgets: Default::default(),
-        };
-        let cfg = OocConfig::builder(n, width)
-            .slots(m)
-            .prefetch_window(window)
-            .build()
-            .unwrap();
-        let mgr = VectorManager::new(cfg, StrategyKind::Lru.build(None), store);
-        (mgr, hints)
-    }
-
     #[test]
     fn begin_plan_derives_skip_flags_from_write_first() {
         use crate::plan::{AccessPlan, AccessRecord};
@@ -1245,36 +1148,6 @@ mod tests {
     }
 
     #[test]
-    fn begin_plan_hints_slide_with_cursor() {
-        use crate::plan::{AccessPlan, AccessRecord};
-        let (n, m, w) = (12usize, 3usize, 4usize);
-        let (mut mgr, hints) = hinting_manager(n, m, w, 2);
-        for item in 0..n as u32 {
-            mgr.write_vector(item, &fill(item, w)).unwrap();
-        }
-        hints.borrow_mut().clear();
-        // Plan: read 0..6 in order. Window 2 → initial hint {0,1}; each
-        // advance slides the window forward by the first-reads passed.
-        let plan = AccessPlan::from_records((0..6).map(AccessRecord::read).collect(), n);
-        mgr.begin_plan(plan);
-        assert_eq!(hints.borrow().as_slice(), &[vec![0, 1]]);
-        let mut buf = vec![0.0; w];
-        mgr.read_into(0, &mut buf).unwrap();
-        assert_eq!(hints.borrow().last().unwrap(), &vec![2]);
-        mgr.read_into(1, &mut buf).unwrap();
-        assert_eq!(hints.borrow().last().unwrap(), &vec![3]);
-        // Off-plan access: the cursor (and window) must not move.
-        let n_batches = hints.borrow().len();
-        mgr.read_into(11, &mut buf).unwrap();
-        assert_eq!(hints.borrow().len(), n_batches);
-        // hinted_reads counts the store reads that had been hinted; items
-        // 0 and 1 were evicted before the plan (m=3) and hinted, so their
-        // demand loads count.
-        assert!(mgr.stats().hinted_reads >= 2);
-        assert_eq!(mgr.stats().hints_issued, 4);
-    }
-
-    #[test]
     fn begin_plan_replaces_stale_plan_state() {
         use crate::plan::{AccessPlan, AccessRecord};
         let mut mgr = manager(10, 3, 8);
@@ -1292,48 +1165,6 @@ mod tests {
         assert_eq!(d.disk_reads, 1, "stale write-first flag must not leak");
         assert_eq!(d.skipped_reads, 0);
         assert_eq!(buf, fill(4, 8));
-    }
-
-    #[test]
-    fn begin_plan_drains_stale_hints_and_hinted_flags() {
-        use crate::plan::{AccessPlan, AccessRecord};
-        let (n, m, w) = (12usize, 3usize, 4usize);
-        let (mut mgr, hints) = hinting_manager(n, m, w, 4);
-        let forgets = mgr.store().forgets.clone();
-        for item in 0..n as u32 {
-            mgr.write_vector(item, &fill(item, w)).unwrap();
-        }
-        hints.borrow_mut().clear();
-        let forgets_warmup = *forgets.borrow();
-
-        // Plan 1 hints its upcoming reads, then is abandoned mid-way.
-        mgr.begin_plan(AccessPlan::from_records(
-            (0..4).map(AccessRecord::read).collect(),
-            n,
-        ));
-        assert_eq!(hints.borrow().as_slice(), &[vec![0, 1, 2, 3]]);
-        assert_eq!(*forgets.borrow(), forgets_warmup + 1);
-
-        // Plan 2 replaces it back-to-back: the store must be told to drop
-        // plan 1's in-flight hints before plan 2's are issued...
-        mgr.begin_plan(AccessPlan::from_records(vec![AccessRecord::read(8)], n));
-        assert_eq!(*forgets.borrow(), forgets_warmup + 2);
-        assert_eq!(hints.borrow().last().unwrap(), &vec![8]);
-
-        // ...and plan 1's `hinted` flags must not leak into plan 2's
-        // hint-effectiveness accounting: demand-loading item 0 (hinted
-        // only by the dead plan) is not a hinted read.
-        let hinted_before = mgr.stats().hinted_reads;
-        let mut buf = vec![0.0; w];
-        mgr.read_into(0, &mut buf).unwrap();
-        assert_eq!(
-            mgr.stats().hinted_reads,
-            hinted_before,
-            "stale hinted flag credited a dead plan's hint"
-        );
-        // Plan 2's own hint still counts.
-        mgr.read_into(8, &mut buf).unwrap();
-        assert_eq!(mgr.stats().hinted_reads, hinted_before + 1);
     }
 
     #[test]
@@ -1447,8 +1278,8 @@ mod tests {
             if let Some(plan) = oracle {
                 mgr.install_oracle_plan(plan);
             }
-            // Per-traversal submission happens either way (skip flags and
-            // hints always come from it; only replacement is overridden).
+            // Per-traversal submission happens either way (skip flags
+            // always come from it; only replacement is overridden).
             mgr.begin_plan(AccessPlan::from_records(traversal1(), 6));
             for item in [0, 1, 2, 3, 5] {
                 mgr.read_into(item, &mut buf).unwrap();
@@ -1466,22 +1297,18 @@ mod tests {
     }
 
     #[test]
-    fn plan_mixes_hints_and_skip_flags() {
+    fn a_mixed_plan_skip_flags_its_write_first_items() {
         use crate::plan::AccessPlan;
         let (n, m, w) = (10usize, 3usize, 4usize);
-        let (mut mgr, hints) = hinting_manager(n, m, w, 8);
+        let mut mgr = manager(n, m, w);
         for item in 0..n as u32 {
             mgr.write_vector(item, &fill(item, w)).unwrap();
         }
-        hints.borrow_mut().clear();
-        // One plan carries both upcoming reads (hinted, window permitting)
-        // and write-first items (skip-flagged, never hinted).
         let records: Vec<AccessRecord> = (0..4)
             .map(AccessRecord::read)
             .chain([8, 9].map(AccessRecord::write))
             .collect();
         mgr.begin_plan(AccessPlan::from_records(records, n));
-        assert_eq!(hints.borrow().as_slice(), &[vec![0, 1, 2, 3]]);
         // Write-first items get the skip flag: reading the plan's reads
         // evicts 8, and its next (read-intent) access skips the store
         // read because the plan promised to overwrite it.

@@ -16,32 +16,26 @@
 //!   recorder maintains per-`(layer, op)` histograms, per-[`StallKind`]
 //!   totals, and forwards events to an [`EventSink`].
 //! * [`StallAttribution`] — the report splitting elapsed wall time into
-//!   compute / demand-read / write-back / prefetch-wait / retry-backoff
-//!   (plus barrier-wait for sharded runs).
+//!   compute / demand-read / write-back / retry-backoff (plus
+//!   barrier-wait for sharded runs).
 //!
 //! # Attribution taxonomy
 //!
 //! Spans carry a [`StallKind`] and an *attributed* flag. Only attributed
 //! spans accumulate into the stall totals, and the kinds form two groups:
 //!
-//! * **top-level** — [`StallKind::DemandRead`], [`StallKind::WriteBack`],
-//!   [`StallKind::PrefetchWait`] and [`StallKind::BarrierWait`]. These are
-//!   disjoint by construction, so `compute = wall − demand_read −
-//!   write_back − prefetch_wait − barrier_wait`. Demand-read and
-//!   prefetch-wait can overlap in *time* (a demand read arriving while
-//!   its own prefetch is in flight waits for the worker), but never in
-//!   *attribution*: the prefetching store attributes the wait to
-//!   prefetch-wait, and the manager carves that same duration out of its
-//!   enclosing demand-read span via [`Span::exclude`], so the overlap is
-//!   counted exactly once.
+//! * **top-level** — [`StallKind::DemandRead`], [`StallKind::WriteBack`]
+//!   and [`StallKind::BarrierWait`]. These are disjoint by construction,
+//!   so `compute = wall − demand_read − write_back − barrier_wait`.
 //! * **nested** — [`StallKind::RetryBackoff`]. Carved *out of* an
 //!   enclosing top-level span by a lower layer (a retrying store sleeping
 //!   between attempts), reported as an "of which" line and never
 //!   subtracted again.
 //!
 //! Lower layers that merely observe time already covered by an enclosing
-//! span (e.g. a [`crate::PrefetchingStore`] staged read under the manager's
-//! demand read) record *unattributed* spans: histogram and event stream only.
+//! span (e.g. the manager's per-access hit / miss / evict latencies, whose
+//! stall part its demand-read and write-back spans cover) record
+//! *unattributed* spans: histogram and event stream only.
 
 use crate::json::escape_into;
 use crate::manager::ItemId;
@@ -314,11 +308,6 @@ pub enum StallKind {
     DemandRead,
     /// Top-level: an eviction or flush wrote a vector to the store.
     WriteBack,
-    /// Top-level: waiting on the prefetch pipeline (a demand read arrived
-    /// while its prefetch was in flight). Disjoint from
-    /// [`StallKind::DemandRead`]: the manager excludes this time from its
-    /// enclosing span (see [`Span::exclude`]).
-    PrefetchWait,
     /// Nested: a retry layer slept between attempts.
     RetryBackoff,
     /// Top-level: a shard finished early and waited for the slowest shard.
@@ -327,11 +316,10 @@ pub enum StallKind {
 
 impl StallKind {
     /// All kinds, in report order.
-    pub const ALL: [StallKind; 6] = [
+    pub const ALL: [StallKind; 5] = [
         StallKind::Compute,
         StallKind::DemandRead,
         StallKind::WriteBack,
-        StallKind::PrefetchWait,
         StallKind::RetryBackoff,
         StallKind::BarrierWait,
     ];
@@ -342,7 +330,6 @@ impl StallKind {
             StallKind::Compute => "compute",
             StallKind::DemandRead => "demand-read",
             StallKind::WriteBack => "write-back",
-            StallKind::PrefetchWait => "prefetch-wait",
             StallKind::RetryBackoff => "retry-backoff",
             StallKind::BarrierWait => "barrier-wait",
         }
@@ -353,9 +340,8 @@ impl StallKind {
             StallKind::Compute => 0,
             StallKind::DemandRead => 1,
             StallKind::WriteBack => 2,
-            StallKind::PrefetchWait => 3,
-            StallKind::RetryBackoff => 4,
-            StallKind::BarrierWait => 5,
+            StallKind::RetryBackoff => 3,
+            StallKind::BarrierWait => 4,
         }
     }
 }
@@ -372,10 +358,6 @@ pub struct StallAttribution {
     pub write_back_ns: u64,
     /// Top-level: shards waiting at the implicit join barrier.
     pub barrier_wait_ns: u64,
-    /// Top-level: waiting on the prefetch pipeline (hint or plan window
-    /// still in flight when the demand read arrived). Disjoint from
-    /// `demand_read_ns` by construction.
-    pub prefetch_wait_ns: u64,
     /// Nested inside demand reads / write-backs: retry backoff sleeps.
     pub retry_backoff_ns: u64,
 }
@@ -388,7 +370,6 @@ impl StallAttribution {
         self.wall_ns
             .saturating_sub(self.demand_read_ns)
             .saturating_sub(self.write_back_ns)
-            .saturating_sub(self.prefetch_wait_ns)
             .saturating_sub(self.barrier_wait_ns)
     }
 
@@ -402,7 +383,6 @@ impl StallAttribution {
         let attributed = self
             .demand_read_ns
             .saturating_add(self.write_back_ns)
-            .saturating_add(self.prefetch_wait_ns)
             .saturating_add(self.barrier_wait_ns);
         attributed.saturating_sub(self.wall_ns)
     }
@@ -432,12 +412,6 @@ impl std::fmt::Display for StallAttribution {
             "  demand-read  {:>10.3} ms ({:5.1}%)",
             ms(self.demand_read_ns),
             self.frac(self.demand_read_ns) * 100.0
-        )?;
-        writeln!(
-            f,
-            "  prefetch-wait{:>10.3} ms ({:5.1}%)",
-            ms(self.prefetch_wait_ns),
-            self.frac(self.prefetch_wait_ns) * 100.0
         )?;
         writeln!(
             f,
@@ -640,8 +614,7 @@ impl<W: io::Write> EventSink for JsonlSink<W> {
             ",\"requests\":{},\"hits\":{},\"misses\":{},\"disk_reads\":{},\
              \"disk_writes\":{},\"skipped_reads\":{},\"cold_loads\":{},\
              \"evictions\":{},\"bytes_read\":{},\"bytes_written\":{},\
-             \"io_errors\":{},\"plans\":{},\"hints_issued\":{},\
-             \"hinted_reads\":{},\"staged_loads\":{},\"miss_rate\":{},\
+             \"io_errors\":{},\"plans\":{},\"miss_rate\":{},\
              \"read_rate\":{}}}",
             s.requests,
             s.hits,
@@ -655,9 +628,6 @@ impl<W: io::Write> EventSink for JsonlSink<W> {
             s.bytes_written,
             s.io_errors,
             s.plans,
-            s.hints_issued,
-            s.hinted_reads,
-            s.staged_loads,
             s.miss_rate(),
             s.read_rate(),
         ));
@@ -714,7 +684,7 @@ struct RecorderInner {
     scope: String,
     sink: Mutex<Box<dyn EventSink + Send>>,
     hists: Mutex<BTreeMap<(&'static str, &'static str), LatencyHistogram>>,
-    kind_ns: [AtomicU64; 6],
+    kind_ns: [AtomicU64; 5],
     events: AtomicU64,
 }
 
@@ -806,13 +776,12 @@ impl Recorder {
             n: 1,
             attributed: true,
             emit: true,
-            exclude_ns: 0,
         }
     }
 
     /// Record a histogram-only gauge sample for `(layer, op)` — no event,
-    /// no stall attribution. Used for pipeline-depth / window-lag style
-    /// instantaneous values, where the histogram *is* the signal.
+    /// no stall attribution. Used for instantaneous values (bytes per
+    /// compressed write), where the histogram *is* the signal.
     pub fn sample(&self, layer: &'static str, op: &'static str, value: u64) {
         self.inner
             .hists
@@ -831,8 +800,7 @@ impl Recorder {
             .or_default()
             .record(dur);
         if span.attributed {
-            let attributed = dur.saturating_sub(span.exclude_ns);
-            self.inner.kind_ns[span.kind.index()].fetch_add(attributed, Ordering::Relaxed);
+            self.inner.kind_ns[span.kind.index()].fetch_add(dur, Ordering::Relaxed);
         }
         if span.emit {
             self.inner.events.fetch_add(1, Ordering::Relaxed);
@@ -890,7 +858,6 @@ impl Recorder {
             demand_read_ns: self.kind_ns(StallKind::DemandRead),
             write_back_ns: self.kind_ns(StallKind::WriteBack),
             barrier_wait_ns: self.kind_ns(StallKind::BarrierWait),
-            prefetch_wait_ns: self.kind_ns(StallKind::PrefetchWait),
             retry_backoff_ns: self.kind_ns(StallKind::RetryBackoff),
         };
         let overflow = att.overflow_ns();
@@ -940,7 +907,6 @@ pub struct Span<'r> {
     n: u64,
     attributed: bool,
     emit: bool,
-    exclude_ns: u64,
 }
 
 impl Span<'_> {
@@ -980,16 +946,6 @@ impl Span<'_> {
     /// enclosing attributed span (see the module-level taxonomy).
     pub fn unattributed(mut self) -> Self {
         self.attributed = false;
-        self
-    }
-
-    /// Carve `ns` out of this span's *attributed* duration (event and
-    /// histogram keep the raw duration). This is how an enclosing span
-    /// stays disjoint from a lower layer's top-level attribution: the
-    /// manager excludes the prefetch-wait time its store just recorded
-    /// from the enclosing demand-read span.
-    pub fn exclude(mut self, ns: u64) -> Self {
-        self.exclude_ns = ns;
         self
     }
 
@@ -1180,18 +1136,16 @@ mod tests {
             demand_read_ns: 3_000_000,
             write_back_ns: 2_000_000,
             barrier_wait_ns: 1_000_000,
-            prefetch_wait_ns: 500_000,
             retry_backoff_ns: 250_000,
         };
-        // Prefetch-wait is top-level (disjoint from demand-read), so it
-        // is subtracted from compute too.
-        assert_eq!(att.compute_ns(), 3_500_000);
+        // Retry-backoff is nested inside the top-level kinds, so it is
+        // not subtracted from compute again.
+        assert_eq!(att.compute_ns(), 4_000_000);
         let text = att.to_string();
         for kind in [
             "compute",
             "demand-read",
             "write-back",
-            "prefetch-wait",
             "retry-backoff",
             "barrier-wait",
         ] {
@@ -1200,34 +1154,11 @@ mod tests {
     }
 
     #[test]
-    fn exclude_carves_attribution_but_not_event_duration() {
-        let clock = ManualClock::new();
-        let (sink, events) = MemorySink::new();
-        let rec = Recorder::new(clock.clone(), sink);
-        let span = rec.span("manager", "demand-read", StallKind::DemandRead);
-        clock.advance(1000);
-        span.exclude(800).finish();
-        // Attribution sees only the non-excluded remainder...
-        assert_eq!(rec.kind_ns(StallKind::DemandRead), 200);
-        // ...but the event and histogram keep the raw duration.
-        assert_eq!(events.lock()[0].dur_ns, 1000);
-        assert_eq!(
-            rec.histogram("manager", "demand-read").unwrap().sum_ns(),
-            1000
-        );
-        // Over-exclusion saturates to zero rather than underflowing.
-        let span = rec.span("manager", "demand-read", StallKind::DemandRead);
-        clock.advance(100);
-        span.exclude(500).finish();
-        assert_eq!(rec.kind_ns(StallKind::DemandRead), 200);
-    }
-
-    #[test]
     fn sample_is_histogram_only() {
         let rec = Recorder::new(ManualClock::new(), MemorySink::new().0);
-        rec.sample("prefetch", "pipeline-depth", 3);
-        rec.sample("prefetch", "pipeline-depth", 5);
-        let h = rec.histogram("prefetch", "pipeline-depth").unwrap();
+        rec.sample("compress", "bytes-disk", 3);
+        rec.sample("compress", "bytes-disk", 5);
+        let h = rec.histogram("compress", "bytes-disk").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum_ns(), 8);
         assert_eq!(rec.events_recorded(), 0, "samples emit no events");

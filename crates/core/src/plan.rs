@@ -7,9 +7,9 @@
 //! `{item, intent}` records with the first/last-access analysis computed
 //! once at construction. Every layer speaks this IR: the tree crate lowers
 //! a `TraversalPlan` into it, the engine submits it, and the
-//! [`crate::VectorManager`] consumes it through a [`PlanCursor`] that
-//! derives read-skip flags, drives windowed lookahead prefetch and feeds
-//! the `NextUse` (Belady/OPT) replacement strategy.
+//! [`crate::VectorManager`] derives read-skip flags from it and walks it
+//! with a [`PlanCursor`] that feeds the `NextUse` (Belady/OPT) replacement
+//! strategy.
 
 use crate::manager::{Intent, ItemId};
 
@@ -44,7 +44,7 @@ impl AccessRecord {
 /// sorted access positions, and the first-access partition into
 /// *write-first* items (their first access overwrites them — the read-skip
 /// set of §3.4) and *read-first* items (their first access needs valid
-/// data from the store — the prefetch candidates).
+/// data from the store).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessPlan {
     records: Vec<AccessRecord>,
@@ -119,8 +119,7 @@ impl AccessPlan {
         &self.write_first
     }
 
-    /// Items whose first access is a read (the prefetch candidates), in
-    /// first-access order.
+    /// Items whose first access is a read, in first-access order.
     pub fn read_first_items(&self) -> &[ItemId] {
         &self.read_first
     }
@@ -168,18 +167,9 @@ impl AccessPlan {
         }
         AccessPlan::from_records(records, self.n_items)
     }
-
-    /// Is record `idx` the first access of its item, with Read intent?
-    /// These are exactly the accesses that pay a store read; the cursor
-    /// hints them ahead of time.
-    fn is_first_read(&self, idx: usize) -> bool {
-        let rec = self.records[idx];
-        rec.intent == Intent::Read && self.positions_of(rec.item).first() == Some(&(idx as u32))
-    }
 }
 
-/// Walks an [`AccessPlan`] as the manager serves requests, keeping a
-/// lookahead window of prefetch hints ahead of the current position.
+/// Walks an [`AccessPlan`] as the manager serves requests.
 ///
 /// The cursor is tolerant of off-plan accesses (an item with no remaining
 /// planned use leaves the position unchanged) so interleaved ad-hoc reads —
@@ -189,41 +179,17 @@ pub struct PlanCursor {
     plan: AccessPlan,
     /// Index of the next unconsumed record.
     pos: usize,
-    /// Records before this index have been considered for hinting.
-    hinted_upto: usize,
-    /// Hinted first-read records still ahead of `pos`.
-    hints_ahead: usize,
-    /// First-read records the cursor has moved past (cumulative) — the
-    /// consumption signal for a plan-streaming store
-    /// ([`crate::store::BackingStore::plan_advanced`]).
-    first_reads_passed: usize,
 }
 
 impl PlanCursor {
     /// Start a cursor at the beginning of `plan`.
     pub fn new(plan: AccessPlan) -> Self {
-        PlanCursor {
-            plan,
-            pos: 0,
-            hinted_upto: 0,
-            hints_ahead: 0,
-            first_reads_passed: 0,
-        }
-    }
-
-    /// The plan being walked.
-    pub fn plan(&self) -> &AccessPlan {
-        &self.plan
+        PlanCursor { plan, pos: 0 }
     }
 
     /// Index of the next unconsumed record.
     pub fn pos(&self) -> usize {
         self.pos
-    }
-
-    /// True once every record has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos >= self.plan.len()
     }
 
     /// Consume the next planned use of `item` at or after the current
@@ -232,40 +198,8 @@ impl PlanCursor {
     /// (an off-plan access).
     pub fn advance(&mut self, item: ItemId) -> Option<usize> {
         let next = self.plan.next_use_after(item, self.pos)?;
-        for idx in self.pos..=next {
-            if self.plan.is_first_read(idx) {
-                self.first_reads_passed += 1;
-                if idx < self.hinted_upto {
-                    self.hints_ahead = self.hints_ahead.saturating_sub(1);
-                }
-            }
-        }
         self.pos = next + 1;
         Some(next)
-    }
-
-    /// First-read records the cursor has moved past so far (cumulative;
-    /// skipped-over records count — their planned use has passed either
-    /// way).
-    pub fn first_reads_passed(&self) -> usize {
-        self.first_reads_passed
-    }
-
-    /// Top the lookahead window back up to `window` hinted first-reads
-    /// ahead of the current position, returning the newly hintable items
-    /// (empty when the window is already full or the plan has no further
-    /// first-reads).
-    pub fn collect_hints(&mut self, window: usize) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        while self.hints_ahead < window && self.hinted_upto < self.plan.len() {
-            let idx = self.hinted_upto;
-            self.hinted_upto += 1;
-            if idx >= self.pos && self.plan.is_first_read(idx) {
-                out.push(self.plan.records()[idx].item);
-                self.hints_ahead += 1;
-            }
-        }
-        out
     }
 }
 
@@ -320,7 +254,7 @@ mod tests {
         assert_eq!(c.advance(1), Some(1));
         assert_eq!(c.advance(0), Some(2));
         assert_eq!(c.advance(3), Some(3));
-        assert!(c.is_exhausted());
+        assert_eq!(c.pos(), 4);
     }
 
     #[test]
@@ -335,28 +269,12 @@ mod tests {
     }
 
     #[test]
-    fn hint_window_slides_with_cursor() {
-        // First-reads at records 0, 2, 4; writes elsewhere.
-        let p = plan(&[(0, R), (5, W), (1, R), (6, W), (2, R)], 8);
+    fn a_jump_consumes_the_records_in_between() {
+        let p = plan(&[(0, R), (1, R), (2, R), (3, R)], 4);
         let mut c = PlanCursor::new(p);
-        // Window of 2: hint the first two upcoming first-reads.
-        assert_eq!(c.collect_hints(2), vec![0, 1]);
-        assert_eq!(c.collect_hints(2), Vec::<u32>::new(), "window full");
-        // Consuming record 0 (a hinted first-read) frees one window slot.
-        assert_eq!(c.advance(0), Some(0));
-        assert_eq!(c.collect_hints(2), vec![2]);
-        // All first-reads hinted; nothing more to give.
-        c.advance(5);
-        assert_eq!(c.collect_hints(2), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn hint_window_skips_repeat_reads_and_writes() {
-        // Item 0 read twice: only the first read is a prefetch candidate
-        // (the second is covered by residency, not the store).
-        let p = plan(&[(0, R), (1, W), (0, R), (2, R)], 4);
-        let mut c = PlanCursor::new(p);
-        assert_eq!(c.collect_hints(10), vec![0, 2]);
+        assert_eq!(c.advance(3), Some(3));
+        assert_eq!(c.pos(), 4);
+        assert_eq!(c.advance(1), None, "record 1 was passed over");
     }
 
     #[test]
@@ -375,35 +293,5 @@ mod tests {
         assert_eq!(r.positions_of(1), &[1, 4, 7]);
         // Identity repetition changes nothing.
         assert_eq!(p.repeated(1).records(), p.records());
-    }
-
-    #[test]
-    fn skipped_records_do_not_stall_the_window() {
-        let p = plan(&[(0, R), (1, R), (2, R), (3, R)], 4);
-        let mut c = PlanCursor::new(p);
-        assert_eq!(c.collect_hints(1), vec![0]);
-        // Jump straight to item 3: records 0–2 are consumed in passing,
-        // including the hinted-but-never-used record 0.
-        assert_eq!(c.advance(3), Some(3));
-        assert_eq!(c.collect_hints(1), Vec::<u32>::new(), "plan exhausted");
-        assert!(c.is_exhausted());
-    }
-
-    #[test]
-    fn first_reads_passed_counts_consumed_and_skipped() {
-        // First-reads at records 0, 2, 4 (item 0's second read at 3 is
-        // not a first-read); a write at 1.
-        let p = plan(&[(0, R), (5, W), (1, R), (0, R), (2, R)], 8);
-        let mut c = PlanCursor::new(p);
-        assert_eq!(c.first_reads_passed(), 0);
-        c.advance(0);
-        assert_eq!(c.first_reads_passed(), 1);
-        // Off-plan access: no movement, no counting.
-        c.advance(7);
-        assert_eq!(c.first_reads_passed(), 1);
-        // Jump to the end: first-reads at 2 and 4 pass in one advance.
-        c.advance(2);
-        assert_eq!(c.first_reads_passed(), 3);
-        assert!(c.is_exhausted());
     }
 }

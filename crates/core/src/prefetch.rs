@@ -1,169 +1,97 @@
-//! Plan-driven, double-buffered prefetch pipeline (§5 future work: "assess
-//! if pre-fetching can be deployed by means of a prefetch thread").
+//! Bounded write-behind queue over a backing store.
 //!
 //! [`PrefetchingStore`] wraps two (or more) instances of a store viewing
 //! the same data (e.g. the same binary file opened twice): the *main*
-//! instance serves demand reads/writes, the *worker* instances are owned by
-//! background threads that share one ordered command queue carrying three
-//! kinds of work:
+//! instance serves reads and flushes on the caller's thread, the *worker*
+//! instances are owned by background threads that retire queued writes.
 //!
-//! - **Plan streaming** ([`BackingStore::install_read_plan`]): the worker
-//!   walks the plan's first-read stream ahead of the compute cursor,
-//!   staging one *window* of items at a time into 64-byte-aligned buffers
-//!   ([`crate::aligned::AlignedBuf`]). A window is only read once the
-//!   cursor ([`BackingStore::plan_advanced`]) is within two windows of it —
-//!   classic double buffering: the kernels chew the current window while
-//!   the disk fills the next, and staging memory stays bounded at
-//!   `2 · window` vectors.
-//! - **Hints** ([`BackingStore::hint`]): the pre-plan one-batch-at-a-time
-//!   path, kept for strategies without an installed plan.
-//! - **Write-back folding**: [`BackingStore::write`] parks the dirty
-//!   buffer in a RAM queue and returns immediately; the worker performs
-//!   the store write in queue order, so dirty evictions never block the
-//!   compute thread. Reads check the write queue first (read-your-writes),
-//!   [`BackingStore::flush`] waits for the queue to drain and retries
-//!   failures synchronously, and `Drop` performs a last-resort synchronous
-//!   write of anything still queued before the backing store closes.
+//! [`BackingStore::write`] copies the dirty vector into a buffer of a fixed
+//! pool, parks it in the queue (newest write wins per item) and returns;
+//! the workers perform the store writes in queue order, so a dirty eviction
+//! does not block the compute thread. When every pool buffer is taken the
+//! write waits for a worker to free one — the queue never holds more than
+//! `2 · workers + 2` vectors, whatever the device's speed. Reads check the
+//! queue first (read-your-writes), [`BackingStore::flush`] waits for the
+//! queue to drain and retries failed write-backs on the demand path, where
+//! the error can surface, and `Drop` performs a last-resort synchronous
+//! write of anything still queued before the backing store closes.
 //!
-//! Within a window, items that are adjacent on disk (consecutive ids — the
-//! layout [`crate::store::FileStore`] guarantees) are coalesced into one
-//! positioned [`BackingStore::read_batch`] call.
-//!
-//! Writes invalidate (by version counter) any in-flight prefetch of the
-//! same item, so a stale prefetched copy can never be returned, and
-//! [`BackingStore::forget_hints`] / [`BackingStore::install_read_plan`]
-//! bump a generation counter *and drop all staged state in the same
-//! critical section*, so a superseded plan's batches can neither satisfy
-//! nor mis-count the next plan's reads.
-//!
-//! A demand read of an item whose prefetch is in flight *waits* for the
-//! staging to complete (bounded, re-checking worker health) instead of
-//! issuing a duplicate disk read; that wait is attributed as
-//! [`StallKind::PrefetchWait`], disjoint by construction from
-//! [`StallKind::DemandRead`].
+//! The name is historical: the read-ahead half of this module (§5 future
+//! work of the paper) was retired once read skipping and rebuilt vectors
+//! left it nothing to fetch; EXPERIMENTS.md A2 keeps its last numbers.
 
 use crate::aligned::AlignedBuf;
 use crate::manager::ItemId;
-use crate::obs::{Recorder, StallKind};
 use crate::store::BackingStore;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
+use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How many 1 ms condvar timeouts a stalled demand read tolerates before
-/// giving up on the in-flight prefetch and falling through to the store.
-/// A safety valve, not a tuning knob: a healthy worker resolves a pending
-/// item in well under a millisecond.
-const STALLED_SPIN_LIMIT: u32 = 256;
+/// Buffers in the write-behind pool of a store with `workers` threads: one
+/// in flight and one queued per worker, plus two of slack so the compute
+/// thread rarely meets an empty pool. A constant, not a knob: the queue's
+/// RAM is `pool_size · width · 8` bytes beside the slot budget.
+const fn pool_size(workers: usize) -> usize {
+    2 * workers + 2
+}
 
-/// A dirty buffer parked for asynchronous write-back.
+/// A dirty vector parked for asynchronous write-back.
 struct QueuedWrite {
+    /// Shared with the worker while it writes; otherwise uniquely owned,
+    /// which is what lets a superseding write reuse the buffer.
     data: Arc<AlignedBuf>,
+    /// Leading entries of `data` that hold the vector (prefix transfers).
+    len: usize,
     /// Set when a worker-side store write of this exact buffer failed; the
-    /// workers stop retrying it (`flush()`/`Drop` retry on the demand path
-    /// instead, where the error can be surfaced).
+    /// workers stop retrying it (`write()`/`flush()`/`Drop` retry on the
+    /// demand path instead, where the error can be surfaced).
     failed: bool,
 }
 
-struct Staging {
-    cache: std::collections::HashMap<ItemId, AlignedBuf>,
-    /// Bumped on every write to the item; a prefetch result is only
-    /// accepted if the version it started from is still current.
-    versions: Vec<u64>,
-    /// Hinted/planned items the worker has not finished staging yet. A
-    /// demand read that misses the cache but finds its item here arrived
-    /// *before* the prefetch completed — it waits for the staging instead
-    /// of duplicating the disk read.
-    pending: std::collections::HashSet<ItemId>,
-    /// Bumped by [`BackingStore::forget_hints`] and
-    /// [`BackingStore::install_read_plan`]; batches stamped with an older
-    /// generation are dropped by the worker unprocessed, and all staged
-    /// state from older generations is cleared in the same critical
-    /// section as the bump.
-    generation: u64,
+struct Queue {
     /// Dirty buffers awaiting write-back, newest write wins per item.
-    pending_writes: std::collections::HashMap<ItemId, QueuedWrite>,
-    /// Plan-stream ordinal of each staged entry (position in the
-    /// first-read stream), so `plan_advanced` can drop entries the cursor
-    /// has moved past without consuming.
-    plan_pos: std::collections::HashMap<ItemId, usize>,
-    /// First-reads the compute cursor has passed — the backpressure
-    /// reference point for plan streaming.
-    consumed_upto: usize,
-    /// When set, plan streaming ignores backpressure and runs to
-    /// completion ([`PrefetchingStore::drain`] / `flush` / `Drop`).
-    draining: bool,
+    pending_writes: HashMap<ItemId, QueuedWrite>,
+    /// Pool buffers holding neither a queued nor an in-flight write.
+    spares: Vec<AlignedBuf>,
 }
 
-/// Counters for prefetch effectiveness.
+impl Queue {
+    /// Hand a buffer back to the pool unless an entry still holds it (a
+    /// failed write keeps its data queued for the demand path).
+    fn recycle(&mut self, data: Arc<AlignedBuf>) {
+        if let Ok(buf) = Arc::try_unwrap(data) {
+            self.spares.push(buf);
+        }
+    }
+}
+
+/// Counters of the write-behind queue.
 #[derive(Debug, Default)]
 pub struct PrefetchStats {
-    /// Demand reads served from staging RAM (prefetched copies and queued
-    /// write-backs alike), including [`BackingStore::take_staged`]
-    /// adoptions.
-    pub staged_hits: AtomicU64,
-    /// Demand reads that had to touch the store.
-    pub staged_misses: AtomicU64,
-    /// Prefetches completed by the worker.
-    pub prefetched: AtomicU64,
-    /// Prefetch results discarded because the item was written or the plan
-    /// superseded meanwhile.
-    pub discarded: AtomicU64,
-    /// Hinted items ignored because they were outside the store geometry.
-    pub dropped_hints: AtomicU64,
-    /// Demand reads that missed the cache while their prefetch was still
-    /// pending — the hint arrived too late to hide the full latency, and
-    /// the read stalled on the pipeline. A high count argues for a larger
-    /// lookahead window.
-    pub hinted_too_late: AtomicU64,
-    /// Staged copies thrown away because the item was written before the
-    /// staged data was ever read (hinted-but-evicted-before-use). A high
-    /// count argues for a *smaller* window: vectors are being prefetched
-    /// so far ahead that they are overwritten before use.
-    pub staged_invalidated: AtomicU64,
-    /// Hint batches and plans handed to the worker.
-    pub batches_submitted: AtomicU64,
-    /// Hint batches and plans the worker finished processing.
-    pub batches_processed: AtomicU64,
-    /// Batches dropped whole because [`BackingStore::forget_hints`] or a
-    /// new plan obsoleted them before the worker got there (still counted
-    /// as processed, so [`PrefetchingStore::drain`] terminates).
-    pub stale_batches: AtomicU64,
-    /// Plan windows streamed into staging.
-    pub windows_streamed: AtomicU64,
-    /// Writes folded into the asynchronous write-back queue.
-    pub writes_folded: AtomicU64,
-    /// Write-back commands retired by the workers (the data may have been
-    /// written by an earlier opportunistic sweep or superseded by a newer
-    /// write; either way the command is done).
-    pub writes_completed: AtomicU64,
-    /// Staged copies dropped unconsumed because the compute cursor moved
-    /// past them or the plan ended (prefetched but never demanded).
-    pub staged_bypassed: AtomicU64,
-    /// Adjacent-item runs within a window that were read with a single
-    /// positioned batch I/O instead of per-item reads.
-    pub coalesced_runs: AtomicU64,
+    /// Writes that had to wait for a worker: the pool was empty, or an
+    /// older write of the same item was still in flight. The wait itself
+    /// is write-back time in the caller's span (the manager's eviction).
+    pub writes_blocked: AtomicU64,
 }
 
 /// State shared between the front end and the worker threads.
 struct Shared {
-    staging: Mutex<Staging>,
-    /// Signalled on every staging/queue state change: wakes stalled demand
-    /// reads, backpressured plan streams, and `flush()` waiters.
+    queue: Mutex<Queue>,
+    /// Signalled whenever a worker finishes a write or exits: wakes a
+    /// writer waiting for a pool buffer.
     cond: Condvar,
     stats: PrefetchStats,
-    /// First asynchronous write-back error, surfaced by `flush()`.
-    deferred: Mutex<Option<io::Error>>,
     live_workers: AtomicUsize,
 }
 
 /// Decrements the live-worker count when a worker exits — including by
 /// panic, since the guard's destructor runs during unwinding — and wakes
-/// anyone waiting on pipeline progress so they can observe the death.
+/// anyone waiting on queue progress so they can observe the death.
 struct AliveGuard(Arc<Shared>);
 
 impl Drop for AliveGuard {
@@ -173,47 +101,25 @@ impl Drop for AliveGuard {
     }
 }
 
-/// Work items on the ordered pipeline queue.
-enum Cmd {
-    /// Pre-plan one-shot hint batch.
-    Hint { generation: u64, items: Vec<ItemId> },
-    /// Stream a plan's first-read sequence in backpressured windows.
-    Plan {
-        generation: u64,
-        items: Vec<ItemId>,
-        window: usize,
-    },
-    /// A dirty buffer was parked in `pending_writes`; write it back.
-    /// Deliberately carries no data: the worker writes whatever buffer is
-    /// *currently* queued for the item, so a superseded write is never
-    /// flushed out of order.
-    WriteBack { item: ItemId },
-}
-
-/// A store wrapper that streams plan windows, resolves hints and performs
-/// write-backs on background threads.
+/// A store wrapper that performs write-backs on background threads.
 pub struct PrefetchingStore<S: BackingStore> {
     main: S,
     shared: Arc<Shared>,
-    sender: Option<Sender<Cmd>>,
+    /// One message per parked write. Deliberately carries no data: the
+    /// worker writes whatever buffer is *currently* queued for the item,
+    /// so a superseded write is never flushed out of order. `None` only
+    /// while dropping.
+    sender: Option<Sender<ItemId>>,
     workers: Vec<JoinHandle<()>>,
-    obs: Option<Recorder>,
+    n_items: usize,
     width: usize,
 }
 
 impl<S: BackingStore> PrefetchingStore<S> {
-    /// Build from a demand-path store and a second instance for one worker
-    /// thread. `n_items` and `width` must match the stores' geometry.
-    pub fn new<W>(main: S, worker_store: W, n_items: usize, width: usize) -> Self
-    where
-        W: BackingStore + Send + 'static,
-    {
-        Self::with_pool(main, vec![worker_store], n_items, width)
-    }
-
     /// Build with a small pool of worker threads, one per store instance.
     /// All workers pull from the same ordered queue; per-item write-back
     /// ordering is preserved regardless of which worker retires a command.
+    /// `n_items` and `width` must match the stores' geometry.
     pub fn with_pool<W>(main: S, worker_stores: Vec<W>, n_items: usize, width: usize) -> Self
     where
         W: BackingStore + Send + 'static,
@@ -223,28 +129,23 @@ impl<S: BackingStore> PrefetchingStore<S> {
             "PrefetchingStore needs at least one worker store"
         );
         let shared = Arc::new(Shared {
-            staging: Mutex::new(Staging {
-                cache: std::collections::HashMap::new(),
-                versions: vec![0; n_items],
-                pending: std::collections::HashSet::new(),
-                generation: 0,
-                pending_writes: std::collections::HashMap::new(),
-                plan_pos: std::collections::HashMap::new(),
-                consumed_upto: 0,
-                draining: false,
+            queue: Mutex::new(Queue {
+                pending_writes: HashMap::new(),
+                spares: (0..pool_size(worker_stores.len()))
+                    .map(|_| AlignedBuf::zeroed(width))
+                    .collect(),
             }),
             cond: Condvar::new(),
             stats: PrefetchStats::default(),
-            deferred: Mutex::new(None),
             live_workers: AtomicUsize::new(worker_stores.len()),
         });
-        let (sender, receiver) = unbounded::<Cmd>();
+        let (sender, receiver) = unbounded::<ItemId>();
         let workers = worker_stores
             .into_iter()
             .map(|store| {
                 let shared = Arc::clone(&shared);
                 let receiver = receiver.clone();
-                std::thread::spawn(move || worker_main(store, shared, receiver, width))
+                std::thread::spawn(move || worker_main(store, shared, receiver))
             })
             .collect();
         PrefetchingStore {
@@ -252,434 +153,142 @@ impl<S: BackingStore> PrefetchingStore<S> {
             shared,
             sender: Some(sender),
             workers,
-            obs: None,
+            n_items,
             width,
         }
     }
 
-    /// Attach an observability recorder: demand reads are classified as
-    /// staged / stalled (prefetch-wait) / fall-through from now on.
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.obs = Some(rec);
-    }
-
-    /// Force `item` into the pending set as if its prefetch were in flight
-    /// — deterministic stand-in for a racing worker in attribution tests.
-    /// A demand read of the item will stall until [`STALLED_SPIN_LIMIT`]
-    /// expires, then fall through.
-    #[doc(hidden)]
-    pub fn debug_mark_pending(&self, item: ItemId) {
-        self.shared.staging.lock().pending.insert(item);
-    }
-
-    /// Prefetch counters.
+    /// Queue counters.
     pub fn stats(&self) -> &PrefetchStats {
         &self.shared.stats
     }
 
     /// Whether at least one worker thread is still running. Turns `false`
-    /// if every worker dies (they should not — out-of-range hints are
-    /// dropped, read errors skipped — but a health probe beats silent
-    /// degradation to a store that accepts hints and never stages
-    /// anything).
+    /// if every worker dies (they should not — store errors are recorded,
+    /// not propagated — but a health probe beats silent degradation); the
+    /// store then writes synchronously through `main`.
     pub fn worker_alive(&self) -> bool {
         self.shared.live_workers.load(Ordering::Acquire) > 0
     }
 
-    /// Wait until every batch/plan submitted and every write folded so far
-    /// has been processed. Backpressure is lifted for the wait so a plan
-    /// the compute side abandoned mid-way still streams to completion.
-    ///
-    /// Tracks submitted vs. processed counters instead of polling the
-    /// channel: an empty queue only means a worker *took* the last
-    /// command, not that it finished it. Returns early if the workers
-    /// died.
-    pub fn drain(&self) {
-        self.shared.staging.lock().draining = true;
-        self.shared.cond.notify_all();
-        let batches = self.shared.stats.batches_submitted.load(Ordering::Acquire);
-        let writes = self.shared.stats.writes_folded.load(Ordering::Acquire);
-        while self.shared.stats.batches_processed.load(Ordering::Acquire) < batches
-            || self.shared.stats.writes_completed.load(Ordering::Acquire) < writes
-        {
-            if !self.worker_alive() {
-                return; // nothing more will ever be processed
-            }
-            std::thread::yield_now();
-        }
-        self.shared.staging.lock().draining = false;
+    /// Items with a copy in the queue right now.
+    fn queued(&self) -> Vec<ItemId> {
+        let q = self.shared.queue.lock();
+        q.pending_writes.keys().copied().collect()
     }
 
-    fn record_hit(&self, item: ItemId, t0: Option<u64>, waited: bool) {
-        if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-            if waited {
-                // The read stalled on its own in-flight prefetch before the
-                // staged copy landed. Top-level prefetch-wait: the
-                // manager's enclosing demand-read span carves this interval
-                // out of its own attribution.
-                rec.span_at("prefetch", "stalled-read", StallKind::PrefetchWait, t0)
-                    .item(item)
-                    .finish();
-            } else {
-                rec.span_at("prefetch", "staged-read", StallKind::Compute, t0)
-                    .item(item)
-                    .hist_only()
-                    .unattributed()
-                    .finish();
-            }
+    /// Write the queued copy of `item` through `main`, where an error can
+    /// surface; the copy stays queued if that fails. Only for entries no
+    /// worker holds: failed ones, or any once the workers are idle or gone.
+    fn write_through(&mut self, item: ItemId) -> io::Result<()> {
+        let Some(qw) = self.shared.queue.lock().pending_writes.remove(&item) else {
+            return Ok(());
+        };
+        let result = self.main.write(item, &qw.data[..qw.len]);
+        let mut q = self.shared.queue.lock();
+        match result {
+            Ok(()) => q.recycle(qw.data),
+            Err(_) => drop(q.pending_writes.insert(item, qw)),
         }
+        result
+    }
+
+    /// Park `buf` in the queue as the newest contents of `item` and tell
+    /// the workers, waiting for a pool buffer if none is free. `false` —
+    /// with no entry for `item` left queued — when the workers are gone
+    /// and the caller must write synchronously.
+    fn fold(&mut self, item: ItemId, buf: &[f64]) -> io::Result<bool> {
+        let mut waited = false;
+        let mut q = self.shared.queue.lock();
+        while self.worker_alive() {
+            // A copy a worker is writing right now is waited for: two
+            // writes of one item must not race to the store. One nobody
+            // holds is superseded in its own buffer; its command may
+            // already be retired (a failed write), so a fresh one is sent
+            // either way.
+            let queued = q.pending_writes.get(&item);
+            if queued.is_none_or(|qw| Arc::strong_count(&qw.data) == 1) {
+                let own = q.pending_writes.remove(&item).map(|qw| qw.data);
+                let reuse = own.and_then(|data| Arc::try_unwrap(data).ok());
+                if let Some(mut data) = reuse.or_else(|| q.spares.pop()) {
+                    data[..buf.len()].copy_from_slice(buf);
+                    let entry = QueuedWrite {
+                        data: Arc::new(data),
+                        len: buf.len(),
+                        failed: false,
+                    };
+                    q.pending_writes.insert(item, entry);
+                    let sender = self.sender.as_ref().expect("present until drop");
+                    if sender.send(item).is_err() {
+                        break; // the workers shut down meanwhile
+                    }
+                    return Ok(true);
+                }
+                // Pool exhausted. An entry that failed on a worker never
+                // frees its buffer on its own: retry one here.
+                let failed = q.pending_writes.iter().find(|(_, qw)| qw.failed);
+                if let Some(other) = failed.map(|(&i, _)| i) {
+                    drop(q);
+                    self.write_through(other)?;
+                    q = self.shared.queue.lock();
+                    continue;
+                }
+            }
+            if !waited {
+                waited = true;
+                self.shared
+                    .stats
+                    .writes_blocked
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            // Bounded wait: a worker that dies between the health check
+            // above and this wait has already notified.
+            self.shared.cond.wait_for(&mut q, Duration::from_millis(1));
+        }
+        // Nothing is in flight any more; an older queued copy must not
+        // outlive (and later overwrite) the synchronous write.
+        if let Some(stale) = q.pending_writes.remove(&item) {
+            q.recycle(stale.data);
+        }
+        Ok(false)
     }
 }
 
 impl<S: BackingStore> BackingStore for PrefetchingStore<S> {
     fn read(&mut self, item: ItemId, buf: &mut [f64]) -> io::Result<()> {
-        let t0 = self.obs.as_ref().map(|r| r.now());
-        let mut waited = false;
-        {
-            let mut st = self.shared.staging.lock();
-            let mut spins = 0u32;
-            loop {
-                // Read-your-writes: a queued write-back is the freshest
-                // copy of the item, newer than both disk and cache.
-                if let Some(qw) = st.pending_writes.get(&item) {
-                    buf.copy_from_slice(&qw.data);
-                    self.shared
-                        .stats
-                        .staged_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    drop(st);
-                    self.record_hit(item, t0, waited);
-                    return Ok(());
-                }
-                if let Some(staged) = st.cache.remove(&item) {
-                    st.plan_pos.remove(&item);
-                    buf.copy_from_slice(&staged);
-                    self.shared
-                        .stats
-                        .staged_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    drop(st);
-                    self.record_hit(item, t0, waited);
-                    return Ok(());
-                }
-                // Not staged. If a prefetch of this item is in flight, wait
-                // for it instead of issuing a duplicate disk read — that
-                // wait *is* the prefetch-wait stall the pipeline is meant
-                // to shrink, and counting it here keeps it disjoint from
-                // demand-read time.
-                if !st.pending.contains(&item)
-                    || !self.worker_alive()
-                    || spins >= STALLED_SPIN_LIMIT
-                {
-                    break;
-                }
-                if !waited {
-                    waited = true;
-                    self.shared
-                        .stats
-                        .hinted_too_late
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                spins += 1;
-                self.shared.cond.wait_for(&mut st, Duration::from_millis(1));
-            }
+        // Read-your-writes: a queued write-back is the freshest copy of
+        // the item, newer than the store's.
+        if let Some(qw) = self.shared.queue.lock().pending_writes.get(&item) {
+            buf.copy_from_slice(&qw.data[..buf.len()]);
+            return Ok(());
         }
-        self.shared
-            .stats
-            .staged_misses
-            .fetch_add(1, Ordering::Relaxed);
-        // Fall-through demand read. If we stalled first, the wait segment
-        // is recorded as prefetch-wait and only the disk segment remains
-        // for the manager's enclosing demand-read span to attribute.
-        let t_disk = if waited {
-            if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-                let now = rec.now();
-                rec.span_at("prefetch", "stalled-read", StallKind::PrefetchWait, t0)
-                    .item(item)
-                    .finish_at(now);
-                Some(now)
-            } else {
-                None
-            }
-        } else {
-            t0
-        };
-        self.main.read(item, buf)?;
-        if let (Some(rec), Some(ts)) = (&self.obs, t_disk) {
-            rec.span_at("prefetch", "fallthrough-read", StallKind::DemandRead, ts)
-                .item(item)
-                .hist_only()
-                .unattributed()
-                .finish();
-        }
-        Ok(())
+        self.main.read(item, buf)
     }
 
     fn write(&mut self, item: ItemId, buf: &[f64]) -> io::Result<()> {
-        let fold = {
-            let mut st = self.shared.staging.lock();
-            match st.versions.get_mut(item as usize) {
-                Some(v) => {
-                    *v += 1;
-                    if st.cache.remove(&item).is_some() {
-                        st.plan_pos.remove(&item);
-                        self.shared
-                            .stats
-                            .staged_invalidated
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    let fold = self.sender.is_some() && self.worker_alive();
-                    if fold {
-                        st.pending_writes.insert(
-                            item,
-                            QueuedWrite {
-                                data: Arc::new(AlignedBuf::from_slice(buf)),
-                                failed: false,
-                            },
-                        );
-                    }
-                    fold
-                }
-                // Out-of-geometry write: fold nothing, let the main store
-                // produce its own error synchronously.
-                None => false,
-            }
-        };
-        if fold {
-            if let Some(sender) = &self.sender {
-                if sender.send(Cmd::WriteBack { item }).is_ok() {
-                    self.shared
-                        .stats
-                        .writes_folded
-                        .fetch_add(1, Ordering::Release);
-                    return Ok(());
-                }
-            }
-            // The worker shut down between the check and the send: undo
-            // the fold and write synchronously.
-            self.shared.staging.lock().pending_writes.remove(&item);
+        // Out-of-geometry write: fold nothing, let the main store produce
+        // its own error synchronously.
+        let in_geometry = (item as usize) < self.n_items && buf.len() <= self.width;
+        if in_geometry && self.fold(item, buf)? {
+            return Ok(());
         }
         self.main.write(item, buf)
     }
 
-    fn hint(&mut self, upcoming: &[ItemId]) {
-        if let Some(sender) = &self.sender {
-            let generation = {
-                // Record in-geometry hints as pending before the worker can
-                // possibly see them, so a demand read racing the worker
-                // stalls on the prefetch rather than duplicating it. The
-                // batch is stamped with the current generation so a later
-                // forget_hints() can obsolete it in flight.
-                let mut st = self.shared.staging.lock();
-                let n = st.versions.len();
-                st.pending
-                    .extend(upcoming.iter().filter(|&&i| (i as usize) < n));
-                st.generation
-            };
-            if sender
-                .send(Cmd::Hint {
-                    generation,
-                    items: upcoming.to_vec(),
-                })
-                .is_ok()
-            {
-                self.shared
-                    .stats
-                    .batches_submitted
-                    .fetch_add(1, Ordering::Release);
-            } else {
-                // Worker gone: nothing will ever resolve these hints, so
-                // they must not linger as "pending" and stall reads.
-                let mut st = self.shared.staging.lock();
-                for item in upcoming {
-                    st.pending.remove(item);
-                }
-            }
-        }
-    }
-
-    fn install_read_plan(&mut self, first_reads: &[ItemId], window: usize) -> bool {
-        if window == 0 || self.sender.is_none() || !self.worker_alive() {
-            // Declining is still a re-plan: the previous plan's stream
-            // bookkeeping must not survive into the hint-mode fallback,
-            // where stale `plan_pos` ordinals (compared against a reset
-            // compute cursor) would inflate the window-lag gauge on every
-            // subsequent take_staged().
-            let mut st = self.shared.staging.lock();
-            st.plan_pos.clear();
-            st.consumed_upto = 0;
-            return false;
-        }
-        let generation = {
-            // Supersede everything from older plans *atomically with the
-            // generation bump*: a stale batch completing after this point
-            // is rejected, and no stale staged copy can satisfy (and
-            // mis-count) a read issued under the new plan.
-            let mut st = self.shared.staging.lock();
-            st.generation += 1;
-            st.pending.clear();
-            let dropped = st.cache.len() as u64;
-            st.cache.clear();
-            st.plan_pos.clear();
-            st.consumed_upto = 0;
-            st.draining = false;
-            self.shared
-                .stats
-                .staged_bypassed
-                .fetch_add(dropped, Ordering::Relaxed);
-            st.pending.extend(first_reads.iter().copied());
-            st.generation
-        };
-        self.shared.cond.notify_all();
-        let sent = self.sender.as_ref().is_some_and(|s| {
-            s.send(Cmd::Plan {
-                generation,
-                items: first_reads.to_vec(),
-                window,
-            })
-            .is_ok()
-        });
-        if sent {
-            self.shared
-                .stats
-                .batches_submitted
-                .fetch_add(1, Ordering::Release);
-        } else {
-            let mut st = self.shared.staging.lock();
-            for item in first_reads {
-                st.pending.remove(item);
-            }
-        }
-        sent
-    }
-
-    fn plan_advanced(&mut self, first_reads_passed: usize) {
-        let mut st = self.shared.staging.lock();
-        if first_reads_passed > st.consumed_upto {
-            st.consumed_upto = first_reads_passed;
-            // Entries strictly before the *previous* first read were
-            // passed without being consumed (e.g. the item was already
-            // resident); drop them so staging memory tracks the cursor.
-            // The entry at ordinal `first_reads_passed - 1` is the access
-            // being served right now — its take_staged() is still coming.
-            let bypassed: Vec<ItemId> = st
-                .plan_pos
-                .iter()
-                .filter(|&(_, &p)| p + 1 < first_reads_passed)
-                .map(|(&i, _)| i)
-                .collect();
-            for item in bypassed {
-                st.plan_pos.remove(&item);
-                if st.cache.remove(&item).is_some() {
-                    self.shared
-                        .stats
-                        .staged_bypassed
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            drop(st);
-            self.shared.cond.notify_all();
-        }
-    }
-
-    fn take_staged(&mut self, item: ItemId) -> Option<AlignedBuf> {
-        let mut st = self.shared.staging.lock();
-        let buf = st.cache.remove(&item)?;
-        st.plan_pos.remove(&item);
-        if buf.len() != self.width {
-            return None; // geometry mismatch; caller falls back to read()
-        }
-        self.shared
-            .stats
-            .staged_hits
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = &self.obs {
-            // Gauge the pipeline at its consumption point: depth is the
-            // number of staged buffers still waiting, lag is how many
-            // first-read ordinals the stream is ahead of the compute
-            // cursor (0 = the stream is delivering just-in-time).
-            rec.sample("prefetch", "pipeline-depth", st.cache.len() as u64);
-            let lead = st
-                .plan_pos
-                .values()
-                .max()
-                .map_or(0, |&p| (p + 1).saturating_sub(st.consumed_upto));
-            rec.sample("prefetch", "window-lag", lead as u64);
-        }
-        Some(buf)
-    }
-
-    fn forget_hints(&mut self) {
-        {
-            let mut st = self.shared.staging.lock();
-            st.generation += 1;
-            // Queued and in-flight batches now fail the generation check;
-            // nothing outstanding may linger as "pending" (it would stall
-            // the next plan's reads), and staged copies of the superseded
-            // generation are dropped in the same critical section so they
-            // can never satisfy — and mis-count — a new-plan read.
-            st.pending.clear();
-            let dropped = st.cache.len() as u64;
-            st.cache.clear();
-            st.plan_pos.clear();
-            st.consumed_upto = 0;
-            self.shared
-                .stats
-                .staged_bypassed
-                .fetch_add(dropped, Ordering::Relaxed);
-        }
-        self.shared.cond.notify_all();
-        self.main.forget_hints();
-    }
-
     fn flush(&mut self) -> io::Result<()> {
-        // Lift backpressure so a half-streamed plan cannot wedge the
-        // write-back commands queued behind it, then wait for the workers
-        // to retire every folded write.
-        self.shared.staging.lock().draining = true;
-        self.shared.cond.notify_all();
-        let target = self.shared.stats.writes_folded.load(Ordering::Acquire);
-        while self.shared.stats.writes_completed.load(Ordering::Acquire) < target {
-            if !self.worker_alive() {
-                break;
-            }
-            std::thread::yield_now();
+        // Wait for the workers to retire every write they still can: an
+        // entry that has not failed has its command queued or in flight.
+        let mut q = self.shared.queue.lock();
+        while self.worker_alive() && q.pending_writes.values().any(|qw| !qw.failed) {
+            self.shared.cond.wait_for(&mut q, Duration::from_millis(1));
         }
-        self.shared.staging.lock().draining = false;
         // Anything still queued either failed on the worker store or was
         // orphaned by a worker death: retry synchronously on the demand
-        // path, where the error can finally be surfaced.
-        let leftovers: Vec<(ItemId, Arc<AlignedBuf>)> = {
-            let st = self.shared.staging.lock();
-            st.pending_writes
-                .iter()
-                .map(|(&i, qw)| (i, Arc::clone(&qw.data)))
-                .collect()
-        };
-        let mut retry_failed = None;
-        for (item, data) in leftovers {
-            match self.main.write(item, &data) {
-                Ok(()) => {
-                    let mut st = self.shared.staging.lock();
-                    if let Some(qw) = st.pending_writes.get(&item) {
-                        if Arc::ptr_eq(&qw.data, &data) {
-                            st.pending_writes.remove(&item);
-                        }
-                    }
-                }
-                Err(e) => retry_failed = Some(e),
-            }
-        }
-        let deferred = self.shared.deferred.lock().take();
-        if let Some(e) = retry_failed {
-            return Err(e);
-        }
-        // The synchronous retry cured whatever the worker stumbled on; the
-        // deferred error is only interesting if data is still at risk.
-        if self.shared.staging.lock().pending_writes.is_empty() {
-            drop(deferred);
-        } else if let Some(e) = deferred {
-            return Err(e);
+        // path, where the error can finally be surfaced. What a failure
+        // leaves behind stays queued for the next flush.
+        drop(q);
+        for item in self.queued() {
+            self.write_through(item)?;
         }
         self.main.flush()
     }
@@ -687,316 +296,54 @@ impl<S: BackingStore> BackingStore for PrefetchingStore<S> {
 
 impl<S: BackingStore> Drop for PrefetchingStore<S> {
     fn drop(&mut self) {
-        // Obsolete plan/hint *reads* so the workers finish quickly; the
-        // generation check never applies to WriteBack commands, so every
-        // folded write still reaches a worker store before the join.
-        {
-            let mut st = self.shared.staging.lock();
-            st.generation += 1;
-            st.pending.clear();
-            st.cache.clear();
-            st.plan_pos.clear();
-            st.draining = true;
-        }
-        self.shared.cond.notify_all();
-        drop(self.sender.take()); // workers' recv() fails -> exit
+        drop(self.sender.take()); // workers drain the queue, then recv() fails -> exit
         for handle in self.workers.drain(..) {
             if handle.join().is_err() {
                 // Last-resort visibility; `worker_alive()` is the real
                 // health probe, but a swallowed panic helps nobody.
-                eprintln!("ooc-core: prefetch worker thread panicked");
+                eprintln!("ooc-core: write-behind worker thread panicked");
             }
         }
         // Workers are gone; anything still queued (failed worker writes,
         // writes orphaned by a panic) gets one synchronous last chance on
         // the demand path before the backing store closes.
-        let leftovers: Vec<(ItemId, Arc<AlignedBuf>)> = {
-            let mut st = self.shared.staging.lock();
-            st.pending_writes
-                .drain()
-                .map(|(i, qw)| (i, qw.data))
-                .collect()
-        };
-        for (item, data) in leftovers {
-            if self.main.write(item, &data).is_err() {
+        for item in self.queued() {
+            if self.write_through(item).is_err() {
                 eprintln!("ooc-core: write-back of item {item} lost on shutdown");
             }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Worker side
-// ---------------------------------------------------------------------------
-
-fn worker_main<W: BackingStore>(
-    mut store: W,
-    shared: Arc<Shared>,
-    receiver: Receiver<Cmd>,
-    width: usize,
-) {
+/// Worker side: write the queued copy of each item named on the channel.
+/// On success its entry goes, on failure the entry is marked so workers
+/// stop retrying it; the entry is still the buffer that was written — a
+/// newer write of the item waits while one is in flight.
+fn worker_main<W: BackingStore>(mut store: W, shared: Arc<Shared>, receiver: Receiver<ItemId>) {
     let _guard = AliveGuard(Arc::clone(&shared));
-    while let Ok(cmd) = receiver.recv() {
-        match cmd {
-            Cmd::WriteBack { item } => {
-                let queued = {
-                    let st = shared.staging.lock();
-                    st.pending_writes
-                        .get(&item)
-                        .filter(|qw| !qw.failed)
-                        .map(|qw| Arc::clone(&qw.data))
-                };
-                if let Some(data) = queued {
-                    write_one(&mut store, &shared, item, data);
-                }
-                // Retired even if the entry was already written by an
-                // opportunistic sweep, superseded, or failed: flush()
-                // waits on this counter and handles leftovers itself.
-                shared
-                    .stats
-                    .writes_completed
-                    .fetch_add(1, Ordering::Release);
-                shared.cond.notify_all();
-            }
-            Cmd::Hint { generation, items } => {
-                if shared.staging.lock().generation != generation {
-                    // forget_hints() obsoleted this whole batch before we
-                    // got to it. Still counted as processed: drain() waits
-                    // on that counter.
-                    shared.stats.stale_batches.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    stage_window(&mut store, &shared, width, generation, &items, None);
-                }
-                shared
-                    .stats
-                    .batches_processed
-                    .fetch_add(1, Ordering::Release);
-                shared.cond.notify_all();
-            }
-            Cmd::Plan {
-                generation,
-                items,
-                window,
-            } => {
-                if shared.staging.lock().generation != generation {
-                    shared.stats.stale_batches.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    stream_plan(&mut store, &shared, width, generation, &items, window);
-                }
-                shared
-                    .stats
-                    .batches_processed
-                    .fetch_add(1, Ordering::Release);
-                shared.cond.notify_all();
-            }
-        }
-    }
-}
-
-/// Walk a plan's first-read stream window by window, staying at most two
-/// windows ahead of the compute cursor and folding queued write-backs into
-/// the idle time so the write queue cannot grow behind a long plan.
-fn stream_plan<W: BackingStore>(
-    store: &mut W,
-    shared: &Shared,
-    width: usize,
-    generation: u64,
-    items: &[ItemId],
-    window: usize,
-) {
-    let window = window.max(1);
-    let mut j = 0;
-    while j < items.len() {
-        // Double-buffer backpressure: window at `j` may be read once the
-        // cursor is within two windows of it.
-        loop {
-            sweep_pending_writes(store, shared);
-            let mut st = shared.staging.lock();
-            if st.generation != generation {
-                return; // plan superseded mid-stream
-            }
-            if st.draining || j < st.consumed_upto + 2 * window {
-                break;
-            }
-            shared.cond.wait_for(&mut st, Duration::from_millis(1));
-        }
-        let end = (j + window).min(items.len());
-        stage_window(store, shared, width, generation, &items[j..end], Some(j));
-        shared
-            .stats
-            .windows_streamed
-            .fetch_add(1, Ordering::Relaxed);
-        shared.cond.notify_all();
-        if shared.staging.lock().generation != generation {
-            return;
-        }
-        j = end;
-    }
-    sweep_pending_writes(store, shared);
-}
-
-/// Stage one window (or hint batch): snapshot which items actually need a
-/// disk read, coalesce adjacent ids into batched reads, and publish the
-/// results under the usual generation/version guards.
-fn stage_window<W: BackingStore>(
-    store: &mut W,
-    shared: &Shared,
-    width: usize,
-    generation: u64,
-    items: &[ItemId],
-    plan_base: Option<usize>,
-) {
-    // (item, version at snapshot, plan-stream ordinal)
-    let mut todo: Vec<(ItemId, u64, Option<usize>)> = Vec::with_capacity(items.len());
-    {
-        let mut st = shared.staging.lock();
-        if st.generation != generation {
-            return;
-        }
-        for (off, &item) in items.iter().enumerate() {
-            let idx = item as usize;
-            if idx >= st.versions.len() {
-                // Out-of-geometry hint: ignore it rather than letting an
-                // index panic kill the worker and silently disable
-                // prefetching.
-                shared.stats.dropped_hints.fetch_add(1, Ordering::Relaxed);
-                st.pending.remove(&item);
-                continue;
-            }
-            if st.cache.contains_key(&item) {
-                st.pending.remove(&item);
-                continue; // already staged
-            }
-            if st.pending_writes.contains_key(&item) {
-                // The freshest copy is the queued write-back, served from
-                // RAM by the demand path; the disk may still be stale.
-                st.pending.remove(&item);
-                continue;
-            }
-            st.pending.insert(item);
-            todo.push((item, st.versions[idx], plan_base.map(|b| b + off)));
-        }
-    }
-    // Coalesce maximal runs of consecutive item ids: FileStore places
-    // adjacent ids at adjacent offsets, so a run is one positioned read.
-    let mut i = 0;
-    while i < todo.len() {
-        let mut run = 1;
-        while i + run < todo.len() && todo[i + run].0 == todo[i + run - 1].0 + 1 {
-            run += 1;
-        }
-        stage_run(store, shared, width, generation, &todo[i..i + run]);
-        if run > 1 {
-            shared.stats.coalesced_runs.fetch_add(1, Ordering::Relaxed);
-        }
-        i += run;
-    }
-}
-
-/// Read one coalesced run and publish each item into the staging cache.
-fn stage_run<W: BackingStore>(
-    store: &mut W,
-    shared: &Shared,
-    width: usize,
-    generation: u64,
-    run: &[(ItemId, u64, Option<usize>)],
-) {
-    let first = run[0].0;
-    let mut bufs: Vec<Option<AlignedBuf>> = Vec::with_capacity(run.len());
-    if run.len() > 1 {
-        let mut big = AlignedBuf::zeroed(run.len() * width);
-        if store.read_batch(first, run.len(), &mut big).is_ok() {
-            for chunk in big.chunks(width) {
-                bufs.push(Some(AlignedBuf::from_slice(chunk)));
-            }
-        }
-    }
-    if bufs.is_empty() {
-        // Single-item run, or the batched read failed (e.g. a hole, or an
-        // injected fault): read item by item so one bad vector does not
-        // void its neighbours.
-        for &(item, _, _) in run {
-            let mut buf = AlignedBuf::zeroed(width);
-            if store.read(item, &mut buf).is_ok() {
-                bufs.push(Some(buf));
-            } else {
-                bufs.push(None); // demand path decides what that means
-            }
-        }
-    }
-    let mut st = shared.staging.lock();
-    for (&(item, version, pos), buf) in run.iter().zip(bufs) {
-        let fresh = st.generation == generation;
-        match buf {
-            Some(b)
-                if fresh
-                    && st.versions[item as usize] == version
-                    && !st.pending_writes.contains_key(&item) =>
-            {
-                st.cache.insert(item, b);
-                if let Some(p) = pos {
-                    st.plan_pos.insert(item, p);
-                }
-                shared.stats.prefetched.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(_) => {
-                shared.stats.discarded.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {}
-        }
-        if fresh {
-            st.pending.remove(&item);
-        }
-    }
-    drop(st);
-    shared.cond.notify_all();
-}
-
-/// Opportunistically write back everything currently queued (skipping
-/// entries that already failed — flush()/Drop own those). One snapshot
-/// sweep, not a loop-until-empty: a failing store must not spin here.
-fn sweep_pending_writes<W: BackingStore>(store: &mut W, shared: &Shared) {
-    let entries: Vec<(ItemId, Arc<AlignedBuf>)> = {
-        let st = shared.staging.lock();
-        st.pending_writes
-            .iter()
-            .filter(|(_, qw)| !qw.failed)
-            .map(|(&i, qw)| (i, Arc::clone(&qw.data)))
-            .collect()
-    };
-    for (item, data) in entries {
-        write_one(store, shared, item, data);
-    }
-}
-
-/// Write one queued buffer; on success remove it from the queue iff it is
-/// still the current buffer for the item, on failure record the first
-/// error and mark the entry so workers stop retrying it.
-fn write_one<W: BackingStore>(store: &mut W, shared: &Shared, item: ItemId, data: Arc<AlignedBuf>) {
-    match store.write(item, &data) {
-        Ok(()) => {
-            let mut st = shared.staging.lock();
-            if let Some(qw) = st.pending_writes.get(&item) {
-                if Arc::ptr_eq(&qw.data, &data) {
-                    st.pending_writes.remove(&item);
+    while let Ok(item) = receiver.recv() {
+        let queued = {
+            let q = shared.queue.lock();
+            q.pending_writes
+                .get(&item)
+                .filter(|qw| !qw.failed)
+                .map(|qw| (Arc::clone(&qw.data), qw.len))
+        };
+        if let Some((data, len)) = queued {
+            let result = store.write(item, &data[..len]);
+            let mut q = shared.queue.lock();
+            // Guarded, not assumed: removing some other buffer's entry
+            // would lose a vector.
+            let current = q.pending_writes.get_mut(&item);
+            if let Some(qw) = current.filter(|qw| Arc::ptr_eq(&qw.data, &data)) {
+                match result {
+                    Ok(()) => drop(q.pending_writes.remove(&item)),
+                    Err(_) => qw.failed = true,
                 }
             }
-            drop(st);
+            q.recycle(data);
+            drop(q);
             shared.cond.notify_all();
-        }
-        Err(e) => {
-            {
-                let mut st = shared.staging.lock();
-                if let Some(qw) = st.pending_writes.get_mut(&item) {
-                    if Arc::ptr_eq(&qw.data, &data) {
-                        qw.failed = true;
-                    }
-                }
-            }
-            let mut d = shared.deferred.lock();
-            if d.is_none() {
-                *d = Some(e);
-            }
         }
     }
 }
@@ -1005,163 +352,84 @@ fn write_one<W: BackingStore>(store: &mut W, shared: &Shared, item: ItemId, data
 mod tests {
     use super::*;
     use crate::store::FileStore;
-    use std::sync::atomic::Ordering;
 
-    fn file_pair(dir: &std::path::Path, n: usize, w: usize) -> (FileStore, FileStore) {
-        let path = dir.join("shared.bin");
-        let a = FileStore::create(&path, n, w).unwrap();
-        // Second handle onto the same file (no truncation).
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .unwrap();
-        let b = FileStore::from_file(file, w);
-        (a, b)
+    fn reopen(path: &std::path::Path, w: usize) -> FileStore {
+        FileStore::open(path, w).unwrap()
     }
 
-    #[test]
-    fn prefetch_hit_serves_from_staging() {
-        let dir = tempfile::tempdir().unwrap();
-        let (main, worker) = file_pair(dir.path(), 8, 16);
-        let mut store = PrefetchingStore::new(main, worker, 8, 16);
-        let data: Vec<f64> = (0..16).map(|i| i as f64).collect();
-        store.write(3, &data).unwrap();
-        store.hint(&[3]);
-        store.drain();
-        let mut buf = vec![0.0; 16];
-        store.read(3, &mut buf).unwrap();
-        assert_eq!(buf, data);
-        assert_eq!(store.stats().staged_hits.load(Ordering::Relaxed), 1);
-        assert!(store.stats().prefetched.load(Ordering::Relaxed) >= 1);
+    /// A pipeline over one file: the main handle plus one worker handle
+    /// per `wrap` call, each wrapped as the test needs.
+    fn pipeline<W: BackingStore + Send + 'static>(
+        path: &std::path::Path,
+        n: usize,
+        w: usize,
+        workers: usize,
+        wrap: impl Fn(FileStore) -> W,
+    ) -> PrefetchingStore<FileStore> {
+        let main = FileStore::create(path, n, w).unwrap();
+        let pool = (0..workers).map(|_| wrap(reopen(path, w))).collect();
+        PrefetchingStore::with_pool(main, pool, n, w)
     }
 
-    #[test]
-    fn write_invalidates_staged_copy() {
-        let dir = tempfile::tempdir().unwrap();
-        let (main, worker) = file_pair(dir.path(), 4, 8);
-        let mut store = PrefetchingStore::new(main, worker, 4, 8);
-        let old = vec![1.0; 8];
-        let new = vec![2.0; 8];
-        store.write(0, &old).unwrap();
-        store.hint(&[0]);
-        store.drain();
-        store.write(0, &new).unwrap(); // must invalidate the staged copy
-        let mut buf = vec![0.0; 8];
-        store.read(0, &mut buf).unwrap();
-        assert_eq!(buf, new);
-    }
-
-    #[test]
-    fn unhinted_reads_fall_through() {
-        let dir = tempfile::tempdir().unwrap();
-        let (main, worker) = file_pair(dir.path(), 4, 8);
-        let mut store = PrefetchingStore::new(main, worker, 4, 8);
-        store.write(1, &[5.0; 8]).unwrap();
-        // Let the folded write-back reach the disk so the read below is a
-        // genuine fall-through, not a read-your-writes RAM hit.
-        store.flush().unwrap();
-        let mut buf = vec![0.0; 8];
-        store.read(1, &mut buf).unwrap();
-        assert_eq!(buf, vec![5.0; 8]);
-        assert_eq!(store.stats().staged_misses.load(Ordering::Relaxed), 1);
+    fn assert_file_holds(path: &std::path::Path, w: usize, want: &[(ItemId, f64)]) {
+        let mut file = reopen(path, w);
+        let mut buf = vec![0.0; w];
+        for &(item, value) in want {
+            file.read(item, &mut buf).unwrap();
+            assert_eq!(buf, vec![value; w], "item {item}");
+        }
     }
 
     #[test]
     fn folded_write_is_read_your_writes_before_flush() {
         let dir = tempfile::tempdir().unwrap();
-        let (main, worker) = file_pair(dir.path(), 4, 8);
-        let mut store = PrefetchingStore::new(main, worker, 4, 8);
+        let mut store = pipeline(&dir.path().join("v.bin"), 4, 8, 1, |f| f);
         store.write(2, &[9.0; 8]).unwrap();
-        // No drain, no flush: the freshest copy may still be in the
-        // write-back queue and must be served from there.
+        // No flush: the freshest copy may still be in the write-back
+        // queue and must be served from there.
         let mut buf = vec![0.0; 8];
         store.read(2, &mut buf).unwrap();
         assert_eq!(buf, vec![9.0; 8]);
     }
 
     #[test]
-    fn out_of_range_hint_is_dropped_and_worker_survives() {
+    fn flush_empties_the_queue_and_reads_fall_through() {
         let dir = tempfile::tempdir().unwrap();
-        let (main, worker) = file_pair(dir.path(), 4, 8);
-        let mut store = PrefetchingStore::new(main, worker, 4, 8);
-        store.write(2, &[7.0; 8]).unwrap();
-        store.hint(&[99, 1000]); // far outside the 4-item geometry
-        store.hint(&[2]); // must still be serviced afterwards
-        store.drain();
-        assert!(store.worker_alive(), "bad hint must not kill the worker");
-        assert_eq!(store.stats().dropped_hints.load(Ordering::Relaxed), 2);
-        let mut buf = vec![0.0; 8];
-        store.read(2, &mut buf).unwrap();
-        assert_eq!(buf, vec![7.0; 8]);
-        assert_eq!(store.stats().staged_hits.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn drain_accounts_for_every_submitted_batch() {
-        let dir = tempfile::tempdir().unwrap();
-        let (main, worker) = file_pair(dir.path(), 16, 4);
-        let mut store = PrefetchingStore::new(main, worker, 16, 4);
-        for i in 0..16u32 {
-            store.write(i, &[i as f64; 4]).unwrap();
-        }
-        for i in 0..16u32 {
-            store.hint(&[i]);
-        }
-        store.drain();
-        let s = store.stats();
-        assert_eq!(s.batches_submitted.load(Ordering::Relaxed), 16);
-        assert_eq!(
-            s.batches_processed.load(Ordering::Relaxed),
-            s.batches_submitted.load(Ordering::Relaxed)
-        );
-        // Nothing was rewritten meanwhile, so every hint got staged and
-        // every staged copy is observable right after drain() returns.
-        assert_eq!(s.prefetched.load(Ordering::Relaxed), 16);
-        // drain() also waits for the folded write-backs.
-        assert_eq!(s.writes_folded.load(Ordering::Relaxed), 16);
-        assert_eq!(s.writes_completed.load(Ordering::Relaxed), 16);
-    }
-
-    #[test]
-    fn window_lag_resets_after_declined_replan() {
-        use crate::obs::{ManualClock, NullSink, Recorder};
-        let dir = tempfile::tempdir().unwrap();
-        let (main, worker) = file_pair(dir.path(), 8, 4);
-        let mut store = PrefetchingStore::new(main, worker, 8, 4);
-        for i in 0..8u32 {
-            store.write(i, &[i as f64; 4]).unwrap();
-        }
+        let path = dir.path().join("v.bin");
+        let mut store = pipeline(&path, 4, 8, 1, |f| f);
+        store.write(1, &[5.0; 8]).unwrap();
         store.flush().unwrap();
-        // Stream a 6-item plan to completion: staging now holds items
-        // 0..6 with plan ordinals 0..6 and the compute cursor at 0.
-        assert!(store.install_read_plan(&[0, 1, 2, 3, 4, 5], 2));
-        store.drain();
-        let rec1 = Recorder::new(ManualClock::new(), NullSink);
-        store.set_recorder(rec1.clone());
-        assert!(store.take_staged(0).is_some());
-        let lag1 = rec1.histogram("prefetch", "window-lag").unwrap();
-        assert!(lag1.max_ns() > 0, "mid-plan the stream leads the cursor");
-        // Re-plan through the declining path (window 0): the pipeline
-        // refuses, the caller falls back to hints — and the old plan's
-        // ordinals must not leak into the gauge.
-        assert!(!store.install_read_plan(&[6, 7], 0));
-        store.hint(&[6]);
-        store.drain();
-        let rec2 = Recorder::new(ManualClock::new(), NullSink);
-        store.set_recorder(rec2.clone());
-        assert!(store.take_staged(6).is_some());
-        let lag2 = rec2.histogram("prefetch", "window-lag").unwrap();
-        assert_eq!(
-            lag2.max_ns(),
-            0,
-            "stale plan_pos from before the re-plan inflated window-lag"
-        );
+        let q = store.shared.queue.lock();
+        assert!(q.pending_writes.is_empty());
+        assert_eq!(q.spares.len(), pool_size(1), "every buffer is back");
+        drop(q);
+        assert_file_holds(&path, 8, &[(1, 5.0)]);
+        let mut buf = vec![0.0; 8];
+        store.read(1, &mut buf).unwrap();
+        assert_eq!(buf, vec![5.0; 8]);
     }
 
-    /// A store whose reads block on a gate until the test opens it, and
-    /// which signals how many reads have started — a deterministic
-    /// stand-in for a slow disk under the prefetch worker.
+    #[test]
+    fn newest_write_wins() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("v.bin");
+        let mut store = pipeline(&path, 4, 8, 1, |f| f);
+        let mut buf = vec![0.0; 8];
+        store.write(0, &[1.0; 8]).unwrap();
+        store.write(0, &[2.0; 8]).unwrap(); // supersedes a queued copy
+        store.read(0, &mut buf).unwrap();
+        assert_eq!(buf, vec![2.0; 8]);
+        store.flush().unwrap();
+        store.write(0, &[3.0; 8]).unwrap(); // supersedes a stored copy
+        store.read(0, &mut buf).unwrap();
+        assert_eq!(buf, vec![3.0; 8]);
+        store.flush().unwrap();
+        assert_file_holds(&path, 8, &[(0, 3.0)]);
+    }
+
+    /// Worker store whose writes block on a gate until the test opens it,
+    /// and which counts the writes that have started — a deterministic
+    /// stand-in for a slow disk under the write-behind worker.
     type Gate = Arc<(std::sync::Mutex<(bool, usize)>, std::sync::Condvar)>;
 
     struct GateStore<S> {
@@ -1171,6 +439,9 @@ mod tests {
 
     impl<S: BackingStore> BackingStore for GateStore<S> {
         fn read(&mut self, item: ItemId, buf: &mut [f64]) -> io::Result<()> {
+            self.inner.read(item, buf)
+        }
+        fn write(&mut self, item: ItemId, buf: &[f64]) -> io::Result<()> {
             let (lock, cvar) = &*self.state;
             let mut st = lock.lock().unwrap();
             st.1 += 1;
@@ -1179,82 +450,91 @@ mod tests {
                 st = cvar.wait(st).unwrap();
             }
             drop(st);
-            self.inner.read(item, buf)
-        }
-        fn write(&mut self, item: ItemId, buf: &[f64]) -> io::Result<()> {
             self.inner.write(item, buf)
         }
     }
 
-    #[test]
-    fn forget_hints_obsoletes_queued_and_inflight_batches() {
-        let dir = tempfile::tempdir().unwrap();
-        let (main, worker) = file_pair(dir.path(), 8, 4);
-        let state: Gate = Arc::new(Default::default());
-        let gated = GateStore {
-            inner: worker,
-            state: Arc::clone(&state),
-        };
-        let mut store = PrefetchingStore::new(main, gated, 8, 4);
-        for i in 0..4u32 {
-            store.write(i, &[i as f64 + 1.0; 4]).unwrap();
+    fn wait_for(pred: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !pred() {
+            assert!(std::time::Instant::now() < deadline, "timed out");
+            std::thread::yield_now();
         }
-        store.hint(&[0]);
-        // Wait until the worker is inside the gated read of item 0 — its
-        // batch passed the generation check and is now "in flight".
-        {
-            let (lock, cvar) = &*state;
-            let mut st = lock.lock().unwrap();
-            while st.1 == 0 {
-                st = cvar.wait(st).unwrap();
-            }
-        }
-        store.hint(&[1]);
-        store.hint(&[2]);
-        // The plan changes: all three batches are now obsolete.
-        store.forget_hints();
-        {
-            let (lock, cvar) = &*state;
-            lock.lock().unwrap().0 = true;
-            cvar.notify_all();
-        }
-        store.drain();
-        let s = store.stats();
-        assert_eq!(s.batches_submitted.load(Ordering::Relaxed), 3);
-        assert_eq!(
-            s.batches_processed.load(Ordering::Relaxed),
-            3,
-            "stale batches must still count as processed or drain() hangs"
-        );
-        assert_eq!(
-            s.stale_batches.load(Ordering::Relaxed),
-            2,
-            "queued batches dropped whole"
-        );
-        assert_eq!(
-            s.discarded.load(Ordering::Relaxed),
-            1,
-            "the in-flight prefetch completed after forget and must be rejected"
-        );
-        assert_eq!(s.prefetched.load(Ordering::Relaxed), 0);
-        // Nothing lingers as pending: the next demand read of a forgotten
-        // item is a plain fall-through, not a stall on a dead prefetch.
-        let mut buf = vec![0.0; 4];
-        store.read(0, &mut buf).unwrap();
-        assert_eq!(buf, vec![1.0; 4]);
-        let s = store.stats();
-        assert_eq!(s.hinted_too_late.load(Ordering::Relaxed), 0);
-        assert_eq!(s.staged_hits.load(Ordering::Relaxed), 0);
-        assert!(store.worker_alive());
+    }
+
+    fn open(gate: &Gate) {
+        let (lock, cvar) = &**gate;
+        lock.lock().unwrap().0 = true;
+        cvar.notify_all();
     }
 
     #[test]
-    fn drop_joins_worker_cleanly() {
+    fn the_queue_is_bounded_by_the_pool() {
         let dir = tempfile::tempdir().unwrap();
-        let (main, worker) = file_pair(dir.path(), 4, 8);
-        let mut store = PrefetchingStore::new(main, worker, 4, 8);
-        store.hint(&[0, 1, 2, 3]);
-        drop(store); // must not hang or panic
+        let path = dir.path().join("v.bin");
+        let pool = pool_size(1);
+        let n = 4 * pool;
+        let gate: Gate = Arc::new(Default::default());
+        let mut store = pipeline(&path, n, 8, 1, |f| GateStore {
+            inner: f,
+            state: Arc::clone(&gate),
+        });
+        let shared = Arc::clone(&store.shared);
+        let done = Arc::new(AtomicUsize::new(0));
+        let writer = {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                for i in 0..n as ItemId {
+                    store.write(i, &[i as f64 + 0.25; 8]).unwrap();
+                    done.fetch_add(1, Ordering::SeqCst);
+                }
+                store
+            })
+        };
+        // The worker sits in its first write behind the closed gate; the
+        // writer fills the pool and must then wait.
+        wait_for(|| shared.stats.writes_blocked.load(Ordering::Relaxed) == 1);
+        assert_eq!(done.load(Ordering::SeqCst), pool);
+        {
+            let q = shared.queue.lock();
+            assert_eq!(q.pending_writes.len(), pool);
+            assert!(q.spares.is_empty());
+        }
+        // The worker reaches the gate in its own time, and gets no further.
+        wait_for(|| gate.0.lock().unwrap().1 == 1);
+        open(&gate);
+        let mut store = writer.join().unwrap();
+        assert_eq!(done.load(Ordering::SeqCst), n);
+        store.flush().unwrap();
+        assert!(shared.queue.lock().pending_writes.is_empty());
+        let want: Vec<_> = (0..n as ItemId).map(|i| (i, i as f64 + 0.25)).collect();
+        assert_file_holds(&path, 8, &want);
+    }
+
+    #[test]
+    fn a_rewrite_waits_for_the_write_of_the_same_item_in_flight() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("v.bin");
+        let gate: Gate = Arc::new(Default::default());
+        let mut store = pipeline(&path, 4, 8, 2, |f| GateStore {
+            inner: f,
+            state: Arc::clone(&gate),
+        });
+        let shared = Arc::clone(&store.shared);
+        store.write(3, &[1.0; 8]).unwrap();
+        wait_for(|| gate.0.lock().unwrap().1 == 1);
+        // Spare buffers and an idle second worker exist, yet the newer
+        // copy must not overtake the older one on its way to the store.
+        let writer = std::thread::spawn(move || {
+            store.write(3, &[2.0; 8]).unwrap();
+            store
+        });
+        wait_for(|| shared.stats.writes_blocked.load(Ordering::Relaxed) == 1);
+        assert_eq!(gate.0.lock().unwrap().1, 1, "no second write started");
+        open(&gate);
+        let mut store = writer.join().unwrap();
+        store.flush().unwrap();
+        assert_file_holds(&path, 8, &[(3, 2.0)]);
     }
 
     /// Worker store whose writes sleep: folded write-backs are guaranteed
@@ -1276,17 +556,8 @@ mod tests {
     #[test]
     fn drop_mid_batch_preserves_queued_write_backs() {
         let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("shared.bin");
-        let main = FileStore::create(&path, 4, 8).unwrap();
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .unwrap();
-        let worker = SlowWriteStore {
-            inner: FileStore::from_file(file, 8),
-        };
-        let mut store = PrefetchingStore::new(main, worker, 4, 8);
+        let path = dir.path().join("v.bin");
+        let mut store = pipeline(&path, 4, 8, 1, |f| SlowWriteStore { inner: f });
         for i in 0..4u32 {
             store.write(i, &[i as f64 + 0.5; 8]).unwrap();
         }
@@ -1294,17 +565,8 @@ mod tests {
         // must join the worker (and fall back to the main store for any
         // leftovers) before the file handle closes.
         drop(store);
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .unwrap();
-        let mut reopened = FileStore::from_file(file, 8);
-        let mut buf = vec![0.0; 8];
-        for i in 0..4u32 {
-            reopened.read(i, &mut buf).unwrap();
-            assert_eq!(buf, vec![i as f64 + 0.5; 8], "item {i} lost on drop");
-        }
+        let want: Vec<_> = (0..4u32).map(|i| (i, i as f64 + 0.5)).collect();
+        assert_file_holds(&path, 8, &want);
     }
 
     /// Worker store whose writes always fail — every folded write-back is
@@ -1325,189 +587,59 @@ mod tests {
     #[test]
     fn drop_falls_back_to_main_store_when_worker_writes_fail() {
         let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("shared.bin");
-        let main = FileStore::create(&path, 4, 8).unwrap();
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .unwrap();
-        let worker = FailingWriteStore {
-            inner: FileStore::from_file(file, 8),
-        };
-        let mut store = PrefetchingStore::new(main, worker, 4, 8);
+        let path = dir.path().join("v.bin");
+        let mut store = pipeline(&path, 4, 8, 1, |f| FailingWriteStore { inner: f });
         for i in 0..4u32 {
             store.write(i, &[i as f64 + 2.5; 8]).unwrap();
         }
-        store.drain();
         drop(store); // must write the failed entries via the main store
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .unwrap();
-        let mut reopened = FileStore::from_file(file, 8);
-        let mut buf = vec![0.0; 8];
-        for i in 0..4u32 {
-            reopened.read(i, &mut buf).unwrap();
-            assert_eq!(buf, vec![i as f64 + 2.5; 8], "item {i} lost on drop");
-        }
+        let want: Vec<_> = (0..4u32).map(|i| (i, i as f64 + 2.5)).collect();
+        assert_file_holds(&path, 8, &want);
     }
 
     #[test]
     fn flush_retries_failed_write_backs_on_the_demand_path() {
         let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("shared.bin");
-        let main = FileStore::create(&path, 4, 8).unwrap();
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .unwrap();
-        let worker = FailingWriteStore {
-            inner: FileStore::from_file(file, 8),
-        };
-        let mut store = PrefetchingStore::new(main, worker, 4, 8);
+        let path = dir.path().join("v.bin");
+        let mut store = pipeline(&path, 4, 8, 1, |f| FailingWriteStore { inner: f });
         store.write(1, &[4.0; 8]).unwrap();
         // The worker write fails, but flush retries via the main store and
         // succeeds, so no error surfaces and the data is durable.
         store.flush().unwrap();
+        assert_file_holds(&path, 8, &[(1, 4.0)]);
         let mut buf = vec![0.0; 8];
         store.read(1, &mut buf).unwrap();
         assert_eq!(buf, vec![4.0; 8]);
     }
 
-    fn wait_for(pred: impl Fn() -> bool) {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !pred() {
-            assert!(std::time::Instant::now() < deadline, "timed out");
-            std::thread::yield_now();
-        }
-    }
-
     #[test]
-    fn plan_streaming_is_backpressured_by_consumption() {
+    fn a_pool_full_of_failed_writes_is_retried_on_the_demand_path() {
         let dir = tempfile::tempdir().unwrap();
-        let (main, worker) = file_pair(dir.path(), 16, 4);
-        let mut store = PrefetchingStore::new(main, worker, 16, 4);
-        for i in 0..16u32 {
-            store.write(i, &[i as f64; 4]).unwrap();
+        let path = dir.path().join("v.bin");
+        let n = 3 * pool_size(1);
+        let mut store = pipeline(&path, n, 8, 1, |f| FailingWriteStore { inner: f });
+        // No flush in between: once every pool buffer holds a failed
+        // entry, the next write must free one itself or wait forever.
+        for i in 0..n as ItemId {
+            store.write(i, &[i as f64 + 7.0; 8]).unwrap();
         }
+        assert!(store.shared.queue.lock().pending_writes.len() <= pool_size(1));
         store.flush().unwrap();
-        let items: Vec<ItemId> = (0..16).collect();
-        assert!(store.install_read_plan(&items, 2));
-        // Double buffering: windows [0,1] and [2,3] may stream before any
-        // consumption, window [4,5] may not.
-        let stats = store.stats();
-        wait_for(|| stats.prefetched.load(Ordering::Acquire) == 4);
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(
-            stats.prefetched.load(Ordering::Acquire),
-            4,
-            "worker ran ahead of the double-buffer depth"
-        );
-        // The cursor passes the first two first-reads (it is now loading the
-        // item at ordinal 1): one more window streams, ordinal 0's unused
-        // staged copy is evicted, ordinal 1's is kept for the imminent load.
-        store.plan_advanced(2);
-        let stats = store.stats();
-        wait_for(|| stats.prefetched.load(Ordering::Acquire) == 6);
-        // Staged items adopt out zero-copy, 64-byte aligned.
-        let buf = store.take_staged(1).expect("item 1 staged");
-        assert!(buf.is_aligned());
-        assert_eq!(&*buf, &[1.0; 4]);
-        assert!(store.take_staged(1).is_none());
-        assert!(
-            store.take_staged(0).is_none(),
-            "passed-over staged copy should have been evicted"
-        );
-    }
-
-    #[test]
-    fn install_read_plan_drops_stale_staged_copies_atomically() {
-        let dir = tempfile::tempdir().unwrap();
-        let (main, worker) = file_pair(dir.path(), 8, 4);
-        let mut store = PrefetchingStore::new(main, worker, 8, 4);
-        for i in 0..8u32 {
-            store.write(i, &[i as f64; 4]).unwrap();
-        }
-        store.flush().unwrap();
-        store.hint(&[6, 7]);
-        store.drain();
-        assert!(store.stats().prefetched.load(Ordering::Relaxed) >= 2);
-        // A new plan supersedes the old generation: its staged copies must
-        // not satisfy (or mis-count) reads issued under the new plan.
-        assert!(store.install_read_plan(&[0, 1], 1));
-        let mut buf = vec![0.0; 4];
-        store.read(6, &mut buf).unwrap();
-        assert_eq!(buf, vec![6.0; 4]);
-        assert_eq!(
-            store.stats().staged_hits.load(Ordering::Relaxed),
-            0,
-            "stale staged copy served a new-generation read"
-        );
-        assert!(store.stats().staged_bypassed.load(Ordering::Relaxed) >= 2);
-    }
-
-    #[test]
-    fn coalesced_runs_use_batched_reads() {
-        let dir = tempfile::tempdir().unwrap();
-        let (main, worker) = file_pair(dir.path(), 16, 4);
-        let mut store = PrefetchingStore::new(main, worker, 16, 4);
-        for i in 0..16u32 {
-            store.write(i, &[i as f64 * 3.0; 4]).unwrap();
-        }
-        store.flush().unwrap();
-        let items: Vec<ItemId> = (0..8).collect();
-        assert!(store.install_read_plan(&items, 8));
-        store.drain();
-        {
-            let s = store.stats();
-            assert_eq!(s.prefetched.load(Ordering::Relaxed), 8);
-            assert_eq!(s.windows_streamed.load(Ordering::Relaxed), 1);
-            assert!(
-                s.coalesced_runs.load(Ordering::Relaxed) >= 1,
-                "adjacent ids in one window must coalesce into a batched read"
-            );
-        }
-        let mut buf = vec![0.0; 4];
-        for i in 0..8u32 {
-            store.read(i, &mut buf).unwrap();
-            assert_eq!(buf, vec![i as f64 * 3.0; 4]);
-        }
-        assert_eq!(store.stats().staged_hits.load(Ordering::Relaxed), 8);
+        let want: Vec<_> = (0..n as ItemId).map(|i| (i, i as f64 + 7.0)).collect();
+        assert_file_holds(&path, 8, &want);
     }
 
     #[test]
     fn with_pool_spreads_work_across_workers() {
         let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("shared.bin");
-        let main = FileStore::create(&path, 32, 4).unwrap();
-        let workers: Vec<FileStore> = (0..3)
-            .map(|_| {
-                let file = std::fs::OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .open(&path)
-                    .unwrap();
-                FileStore::from_file(file, 4)
-            })
-            .collect();
-        let mut store = PrefetchingStore::with_pool(main, workers, 32, 4);
+        let path = dir.path().join("v.bin");
+        let mut store = pipeline(&path, 32, 4, 3, |f| f);
         for i in 0..32u32 {
             store.write(i, &[i as f64; 4]).unwrap();
         }
         store.flush().unwrap();
-        for i in 0..32u32 {
-            store.hint(&[i]);
-        }
-        store.drain();
         assert!(store.worker_alive());
-        assert_eq!(store.stats().prefetched.load(Ordering::Relaxed), 32);
-        let mut buf = vec![0.0; 4];
-        for i in 0..32u32 {
-            store.read(i, &mut buf).unwrap();
-            assert_eq!(buf, vec![i as f64; 4]);
-        }
+        let want: Vec<_> = (0..32u32).map(|i| (i, i as f64)).collect();
+        assert_file_holds(&path, 4, &want);
     }
 }

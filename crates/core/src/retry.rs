@@ -178,14 +178,6 @@ impl<S: BackingStore> BackingStore for RetryingStore<S> {
         Self::run(policy, stats, self.obs.as_ref(), || inner.write(item, buf))
     }
 
-    fn hint(&mut self, upcoming: &[ItemId]) {
-        self.inner.hint(upcoming);
-    }
-
-    fn forget_hints(&mut self) {
-        self.inner.forget_hints();
-    }
-
     fn flush(&mut self) -> io::Result<()> {
         let (inner, policy, stats) = (&mut self.inner, &self.policy, &mut self.stats);
         Self::run(policy, stats, self.obs.as_ref(), || inner.flush())

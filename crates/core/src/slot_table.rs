@@ -2,8 +2,8 @@
 //! written once, with no vector data in sight.
 //!
 //! [`SlotTable`] owns everything that decides *which* operations a run
-//! performs — the item→slot map, pins, dirty bits, read-skip and hint
-//! flags, the plan cursor, the oracle plan, the recording log, the
+//! performs — the item→slot map, pins, dirty bits, read-skip flags, the
+//! plan cursor, the oracle plan, the recording log, the
 //! replacement strategy and the [`OocStats`]. A [`DataPlane`] owns
 //! everything that moves bytes and can fail. Three drivers share the one
 //! table: [`crate::VectorManager`] (slot buffers over a
@@ -41,29 +41,9 @@ pub trait DataPlane {
         Ok(())
     }
 
-    /// Adopt a staged (prefetched) copy of `item` into `slot`, if the
-    /// plane holds one; `false` sends the table to [`DataPlane::read`].
-    fn take_staged(&mut self, _item: ItemId, _slot: SlotId) -> bool {
-        false
-    }
-
     /// Give `slot` deterministic contents for an item no one has computed
     /// yet (the caller may break the write-before-read contract).
     fn zero(&mut self, _slot: SlotId) {}
-
-    /// See [`crate::BackingStore::hint`].
-    fn hint(&mut self, _upcoming: &[ItemId]) {}
-
-    /// See [`crate::BackingStore::install_read_plan`].
-    fn install_read_plan(&mut self, _first_reads: &[ItemId], _window: usize) -> bool {
-        false
-    }
-
-    /// See [`crate::BackingStore::plan_advanced`].
-    fn plan_advanced(&mut self, _first_reads_passed: usize) {}
-
-    /// See [`crate::BackingStore::forget_hints`].
-    fn forget_hints(&mut self) {}
 
     /// Tenancy: residency is charged beyond what the tenant is currently
     /// allowed, so occupied slots should be given back.
@@ -134,16 +114,8 @@ pub struct SlotTable {
     /// plan's write-first analysis by [`SlotTable::begin_plan`], consumed
     /// on first access).
     skip_read: Vec<bool>,
-    /// Item was hinted to the plane and the hint has not been consumed by
-    /// a load yet (prefetch-effectiveness accounting).
-    hinted: Vec<bool>,
     /// Cursor over the active access plan, if one was submitted.
     cursor: Option<PlanCursor>,
-    /// The plane accepted the whole plan for pipelined streaming
-    /// ([`DataPlane::install_read_plan`]): its I/O worker walks the
-    /// read-first stream ahead of the cursor on its own, so the table
-    /// reports cursor progress instead of issuing per-window hints.
-    plan_streamed: bool,
     /// When set, every access is appended here (pass one of the two-pass
     /// Belady oracle used by the benchmarks).
     recording: Option<Vec<AccessRecord>>,
@@ -171,9 +143,7 @@ impl SlotTable {
             loc: vec![Location::Unmaterialized; cfg.n_items],
             materialized: vec![false; cfg.n_items],
             skip_read: vec![false; cfg.n_items],
-            hinted: vec![false; cfg.n_items],
             cursor: None,
-            plan_streamed: false,
             recording: None,
             oracle: None,
             strategy,
@@ -246,7 +216,7 @@ impl SlotTable {
     /// Install a full-run oracle plan: the replacement strategy follows
     /// this plan, with a position that advances on every access, while
     /// per-traversal [`SlotTable::begin_plan`] submissions keep driving
-    /// read skipping and prefetch only. With the NextUse strategy this is
+    /// read skipping only. With the NextUse strategy this is
     /// Belady/OPT: its miss count lower-bounds every online strategy on
     /// the same access string.
     pub fn install_oracle_plan(&mut self, plan: AccessPlan) {
@@ -263,33 +233,25 @@ impl SlotTable {
 
     /// Submit the access plan of an upcoming traversal, replacing the
     /// previous one. Everything is derived from the plan's own analysis:
-    /// read-skip flags from the write-first items (§3.4), prefetch hints
-    /// from the read-first items (windowed by
-    /// [`OocConfig::prefetch_window`], or streamed whole if the plane
-    /// takes it), plan positions for a plan-aware strategy.
+    /// read-skip flags from the write-first items (§3.4), plan positions
+    /// for a plan-aware strategy.
     ///
     /// Contract: a plan whose first access to an item is a write declares
     /// the item's present contents dead — even if the plan is later
     /// abandoned. The same fact that lets the load skip the read lets a
-    /// resident copy skip its write-back: its dirty bit is cleared here,
-    /// with no plane call. (`always_write_back`, the paper's swap mode,
-    /// still writes every victim.)
-    pub fn begin_plan<P: DataPlane>(&mut self, plane: &mut P, plan: AccessPlan) {
+    /// resident copy skip its write-back: its dirty bit is cleared here;
+    /// installing a plan moves no data. (`always_write_back`, the paper's
+    /// swap mode, still writes every victim.)
+    pub fn begin_plan(&mut self, plan: AccessPlan) {
         assert!(
             plan.n_items() <= self.cfg.n_items,
             "plan geometry ({}) exceeds manager geometry ({})",
             plan.n_items(),
             self.cfg.n_items
         );
-        let window = self.cfg.prefetch_window;
         self.stats.plans += 1;
-        // Flags from an abandoned plan must not leak into this one, and
-        // the plane must drop that plan's queued/in-flight hints: a
-        // superseded prefetch landing later would otherwise be credited
-        // to (or stall) this plan's accounting.
+        // Flags from an abandoned plan must not leak into this one.
         self.skip_read.fill(false);
-        self.hinted.fill(false);
-        plane.forget_hints();
         for &item in plan.write_first_items() {
             self.skip_read[item as usize] = true;
             if let Location::InSlot(slot) = self.loc[item as usize] {
@@ -301,42 +263,14 @@ impl SlotTable {
         if self.oracle.is_none() {
             self.strategy.on_plan(&plan);
         }
-        // Hand the whole read-first stream to the plane first: a pipelined
-        // store streams it window-by-window on its I/O worker (superseding
-        // the previous plan's generation atomically), and the table only
-        // reports cursor progress from then on. Planes without a pipeline
-        // decline, and the windowed hint flow below takes over.
-        self.plan_streamed = window > 0 && plane.install_read_plan(plan.read_first_items(), window);
-        let mut cursor = PlanCursor::new(plan);
-        if self.plan_streamed {
-            let first_reads = cursor.plan().read_first_items();
-            self.stats.hints_issued += first_reads.len() as u64;
-            for &item in first_reads {
-                self.hinted[item as usize] = true;
-            }
-        } else {
-            let hints = cursor.collect_hints(window);
-            self.issue_hints(plane, &hints);
-        }
-        self.cursor = Some(cursor);
+        self.cursor = Some(PlanCursor::new(plan));
     }
 
-    fn issue_hints<P: DataPlane>(&mut self, plane: &mut P, hints: &[ItemId]) {
-        if hints.is_empty() {
-            return;
-        }
-        self.stats.hints_issued += hints.len() as u64;
-        for &item in hints {
-            self.hinted[item as usize] = true;
-        }
-        plane.hint(hints);
-    }
-
-    /// Walk the plan cursor past this access, notify the strategy of the
-    /// new position and top the prefetch window back up. Recording and the
-    /// full-run oracle position piggyback on the same chokepoint: every
-    /// access flows through here exactly once.
-    fn advance_plan<P: DataPlane>(&mut self, plane: &mut P, item: ItemId, intent: Intent) {
+    /// Walk the plan cursor past this access and notify the strategy of
+    /// the new position. Recording and the full-run oracle position
+    /// piggyback on the same chokepoint: every access flows through here
+    /// exactly once.
+    fn advance_plan(&mut self, item: ItemId, intent: Intent) {
         if let Some(log) = &mut self.recording {
             log.push(AccessRecord { item, intent });
         }
@@ -348,24 +282,13 @@ impl SlotTable {
             );
             *pos += 1;
             self.strategy.on_plan_pos(*pos);
+            return;
         }
         let Some(cursor) = self.cursor.as_mut() else {
             return;
         };
-        if cursor.advance(item).is_none() {
-            return; // off-plan access; cursor holds its position
-        }
-        if self.oracle.is_none() {
+        if cursor.advance(item).is_some() {
             self.strategy.on_plan_pos(cursor.pos());
-        }
-        if self.plan_streamed {
-            // The I/O worker owns the hint stream; it only needs to know
-            // how far the compute cursor got to release the next window
-            // and retire staged copies the cursor has passed over.
-            plane.plan_advanced(cursor.first_reads_passed());
-        } else {
-            let hints = cursor.collect_hints(self.cfg.prefetch_window);
-            self.issue_hints(plane, &hints);
         }
     }
 
@@ -380,7 +303,7 @@ impl SlotTable {
     ) -> OocResult<SlotId> {
         let t0 = plane.now();
         self.stats.requests += 1;
-        self.advance_plan(plane, item, intent);
+        self.advance_plan(item, intent);
         if let Location::InSlot(slot) = self.loc[item as usize] {
             self.stats.hits += 1;
             self.strategy.on_access(item, slot);
@@ -486,24 +409,14 @@ impl SlotTable {
                 if skip {
                     self.stats.skipped_reads += 1;
                 } else {
-                    if plane.take_staged(item, slot) {
-                        // Pipelined path: no copy, no store read, and the
-                        // compute thread never touched the disk.
-                        self.stats.staged_loads += 1;
-                    } else {
-                        // The slot is still unoccupied at this point, so
-                        // a failed read leaves `item` safely in the store.
-                        plane.read(item, slot).map_err(|e| {
-                            self.stats.io_errors += 1;
-                            OocError::item_op(OocOp::Read, item, "slot load", e).with_slot(slot)
-                        })?;
-                        self.stats.disk_reads += 1;
-                        self.stats.bytes_read += self.cfg.width as u64 * 8;
-                    }
-                    if self.hinted[item as usize] {
-                        self.hinted[item as usize] = false;
-                        self.stats.hinted_reads += 1;
-                    }
+                    // The slot is still unoccupied at this point, so a
+                    // failed read leaves `item` safely in the store.
+                    plane.read(item, slot).map_err(|e| {
+                        self.stats.io_errors += 1;
+                        OocError::item_op(OocOp::Read, item, "slot load", e).with_slot(slot)
+                    })?;
+                    self.stats.disk_reads += 1;
+                    self.stats.bytes_read += self.cfg.width as u64 * 8;
                 }
             }
             Location::InSlot(_) => unreachable!("load called on resident item"),
@@ -647,12 +560,6 @@ impl SlotTable {
 /// microseconds instead of seconds, and replaying under NextUse with a
 /// full-run oracle plan yields a miss count no online strategy can beat —
 /// a certified lower bound on the candidate's I/O.
-///
-/// One divergence from a pipelined run, by construction of the plane:
-/// nothing is ever staged, so a manager's `disk_reads + staged_loads` is
-/// all `disk_reads` here (and the timing-dependent hint counters differ).
-/// Byte traffic — the quantity a disk model prices — is identical either
-/// way, because staged loads pay their read on the worker thread.
 pub struct SlotCacheSim {
     table: SlotTable,
 }
@@ -678,7 +585,7 @@ impl SlotCacheSim {
 
     /// See [`SlotTable::begin_plan`].
     pub fn begin_plan(&mut self, plan: AccessPlan) {
-        self.table.begin_plan(&mut NullPlane, plan);
+        self.table.begin_plan(plan);
     }
 
     /// See [`SlotTable::install_oracle_plan`].
@@ -750,10 +657,7 @@ mod tests {
         s.run_rounds(&chain_plan(n), &chain_groups(n), 3);
         let st = *s.stats();
         assert!(st.misses > 0);
-        assert_eq!(
-            st.misses,
-            st.disk_reads + st.skipped_reads + st.cold_loads + st.staged_loads
-        );
+        assert_eq!(st.misses, st.disk_reads + st.skipped_reads + st.cold_loads);
         assert_eq!(st.requests, st.hits + st.misses);
         assert_eq!(st.plans, 3);
     }
@@ -798,8 +702,7 @@ mod tests {
             AccessRecord::write(1),
             AccessRecord::write(3),
         ];
-        table.begin_plan(&mut plane, AccessPlan::from_records(plan, 8));
-        assert!(plane.written.is_empty(), "begin_plan makes no plane call");
+        table.begin_plan(AccessPlan::from_records(plan, 8));
         (table, plane)
     }
 
@@ -830,10 +733,7 @@ mod tests {
             .unwrap();
         assert!(plane.read.is_empty());
         let st = *table.stats();
-        assert_eq!(
-            st.misses,
-            st.disk_reads + st.skipped_reads + st.cold_loads + st.staged_loads
-        );
+        assert_eq!(st.misses, st.disk_reads + st.skipped_reads + st.cold_loads);
     }
 
     #[test]
@@ -935,17 +835,6 @@ mod tests {
                 kind
             );
         }
-    }
-
-    #[test]
-    fn hint_accounting_matches_plan_first_reads() {
-        let n = 16;
-        let plan = chain_plan(n);
-        let mut s = sim(n, 4, StrategyKind::Lru);
-        s.begin_plan(plan.clone());
-        // With a window larger than the plan every first-read is hinted
-        // up front.
-        assert_eq!(s.stats().hints_issued, plan.read_first_items().len() as u64);
     }
 
     #[test]

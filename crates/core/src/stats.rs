@@ -37,19 +37,7 @@ pub struct OocStats {
     pub io_errors: u64,
     /// Access plans submitted ([`crate::VectorManager::begin_plan`]).
     pub plans: u64,
-    /// Prefetch hints issued to the store by the plan cursor's lookahead
-    /// window (one per hinted item).
-    pub hints_issued: u64,
-    /// Store reads whose item had been hinted beforehand — the demand
-    /// reads a prefetch layer had a chance to stage. `hinted_reads /
-    /// hints_issued` close to 1 means the lookahead window is neither
-    /// stale nor wasted.
-    pub hinted_reads: u64,
-    /// Misses resolved by adopting a staged buffer from the prefetch
-    /// pipeline without a store read or a copy
-    /// ([`crate::store::BackingStore::take_staged`]). Not counted in
-    /// `disk_reads` — the pipeline already paid the disk read when it
-    /// staged the buffer.
+    /// No effect; kept until ROADMAP item 1 re-bases `benchmark/`.
     pub staged_loads: u64,
 }
 
@@ -109,29 +97,7 @@ impl OocStats {
             bytes_written: self.bytes_written - earlier.bytes_written,
             io_errors: self.io_errors - earlier.io_errors,
             plans: self.plans - earlier.plans,
-            hints_issued: self.hints_issued - earlier.hints_issued,
-            hinted_reads: self.hinted_reads - earlier.hinted_reads,
             staged_loads: self.staged_loads - earlier.staged_loads,
-        }
-    }
-
-    /// Fraction of issued hints that were followed by an actual store read
-    /// of the hinted item (hint precision), in `[0, 1]`.
-    pub fn hint_precision(&self) -> f64 {
-        if self.hints_issued == 0 {
-            0.0
-        } else {
-            self.hinted_reads as f64 / self.hints_issued as f64
-        }
-    }
-
-    /// Fraction of store reads that were hinted ahead of time (hint
-    /// coverage — the reads a prefetch thread could have staged).
-    pub fn hint_coverage(&self) -> f64 {
-        if self.disk_reads == 0 {
-            0.0
-        } else {
-            self.hinted_reads as f64 / self.disk_reads as f64
         }
     }
 
@@ -164,8 +130,6 @@ impl std::ops::AddAssign for OocStats {
             bytes_written,
             io_errors,
             plans,
-            hints_issued,
-            hinted_reads,
             staged_loads,
         } = rhs;
         self.requests += requests;
@@ -180,8 +144,6 @@ impl std::ops::AddAssign for OocStats {
         self.bytes_written += bytes_written;
         self.io_errors += io_errors;
         self.plans += plans;
-        self.hints_issued += hints_issued;
-        self.hinted_reads += hinted_reads;
         self.staged_loads += staged_loads;
     }
 }
@@ -307,7 +269,7 @@ mod tests {
         // sneaking in) and verifies every field doubles under `x + x`.
         assert_eq!(
             std::mem::size_of::<OocStats>(),
-            15 * std::mem::size_of::<u64>(),
+            13 * std::mem::size_of::<u64>(),
             "OocStats gained or lost a counter: update AddAssign, since(), \
              the JSONL emitter and this guard together"
         );
@@ -324,8 +286,6 @@ mod tests {
             bytes_written: 1,
             io_errors: 1,
             plans: 1,
-            hints_issued: 1,
-            hinted_reads: 1,
             staged_loads: 1,
         };
         let twos = OocStats {
@@ -341,8 +301,6 @@ mod tests {
             bytes_written: 2,
             io_errors: 2,
             plans: 2,
-            hints_issued: 2,
-            hinted_reads: 2,
             staged_loads: 2,
         };
         assert_eq!(ones + ones, twos);

@@ -48,11 +48,8 @@ pub trait BackingStore {
     fn write(&mut self, item: ItemId, buf: &[f64]) -> io::Result<()>;
 
     /// Read `count` consecutive items starting at `first` into `buf`
-    /// (`buf.len() == count · width`). The default chunks into per-item
-    /// [`BackingStore::read`] calls; stores with a contiguous on-disk
-    /// layout override this with one positioned transfer, which is how
-    /// the prefetch pipeline coalesces adjacent plan reads (§3.1's
-    /// amortisation argument applied across vectors).
+    /// (`buf.len() == count · width`), as per-item [`BackingStore::read`]
+    /// calls unless the store overrides it.
     fn read_batch(&mut self, first: ItemId, count: usize, buf: &mut [f64]) -> io::Result<()> {
         assert!(count > 0 && buf.len().is_multiple_of(count));
         let width = buf.len() / count;
@@ -63,8 +60,10 @@ pub trait BackingStore {
     }
 
     /// Write `count` consecutive items starting at `first` from `buf`
-    /// (`buf.len() == count · width`). Default and override semantics as
-    /// [`BackingStore::read_batch`].
+    /// (`buf.len() == count · width`). The default chunks into per-item
+    /// [`BackingStore::write`] calls; stores with a contiguous on-disk
+    /// layout override this with one positioned transfer (§3.1's
+    /// amortisation argument applied across vectors).
     fn write_batch(&mut self, first: ItemId, count: usize, buf: &[f64]) -> io::Result<()> {
         assert!(count > 0 && buf.len().is_multiple_of(count));
         let width = buf.len() / count;
@@ -74,40 +73,23 @@ pub trait BackingStore {
         Ok(())
     }
 
-    /// Advisory: the caller expects to read these items soon.
+    /// No effect; kept until ROADMAP item 1 re-bases `benchmark/`.
     fn hint(&mut self, _upcoming: &[ItemId]) {}
 
-    /// Hand the store the full ordered first-read stream of a freshly
-    /// installed access plan. A store that can stream it ahead of the
-    /// compute cursor (the prefetch pipeline) returns `true`, telling the
-    /// caller to *skip* incremental [`BackingStore::hint`] batches for
-    /// this plan and report progress via
-    /// [`BackingStore::plan_advanced`] instead. `window` is the caller's
-    /// lookahead window (items per pipeline window). Plain stores keep
-    /// the default: return `false`, caller falls back to windowed hints.
+    /// No effect; kept until ROADMAP item 1 re-bases `benchmark/`.
     fn install_read_plan(&mut self, _first_reads: &[ItemId], _window: usize) -> bool {
         false
     }
 
-    /// Progress report for an installed read plan: the caller has consumed
-    /// `first_reads_passed` records of the first-read stream (cumulative,
-    /// monotone). Releases pipeline backpressure and lets the store drop
-    /// staged items whose planned use has passed.
+    /// No effect; kept until ROADMAP item 1 re-bases `benchmark/`.
     fn plan_advanced(&mut self, _first_reads_passed: usize) {}
 
-    /// Take ownership of a staged (prefetched) copy of `item`, if the
-    /// store holds one, avoiding the copy of a demand read. Stores without
-    /// a staging layer return `None` and the caller does a normal read.
+    /// No effect; kept until ROADMAP item 1 re-bases `benchmark/`.
     fn take_staged(&mut self, _item: ItemId) -> Option<AlignedBuf> {
         None
     }
 
-    /// Advisory: previously hinted items are no longer expected — the
-    /// caller's plan changed (e.g. [`crate::VectorManager::begin_plan`]
-    /// installing a new access plan). Layers that act on hints (a prefetch
-    /// thread) drop queued and in-flight hints so a superseded plan cannot
-    /// skew the next plan's hint-effectiveness accounting; wrappers
-    /// forward, plain stores ignore.
+    /// No effect; kept until ROADMAP item 1 re-bases `benchmark/`.
     fn forget_hints(&mut self) {}
 
     /// Flush any buffered state to durable storage.
@@ -116,10 +98,10 @@ pub trait BackingStore {
     }
 }
 
-/// Boxed stores forward every method (including the plan-pipeline entry
-/// points, which the blanket defaults would otherwise swallow), so callers
-/// can pick a store stack at runtime — e.g. the CLI wrapping its vector
-/// file in a prefetch pipeline only when `--io-threads` asks for one.
+/// Boxed stores forward every method (the batch defaults would otherwise
+/// bypass an override), so callers can pick a store stack at runtime — e.g.
+/// the CLI wrapping its vector file in a write-behind queue only when
+/// `--io-threads` asks for one.
 impl<S: BackingStore + ?Sized> BackingStore for Box<S> {
     fn read(&mut self, item: ItemId, buf: &mut [f64]) -> io::Result<()> {
         (**self).read(item, buf)
@@ -135,26 +117,6 @@ impl<S: BackingStore + ?Sized> BackingStore for Box<S> {
 
     fn write_batch(&mut self, first: ItemId, count: usize, buf: &[f64]) -> io::Result<()> {
         (**self).write_batch(first, count, buf)
-    }
-
-    fn hint(&mut self, upcoming: &[ItemId]) {
-        (**self).hint(upcoming)
-    }
-
-    fn install_read_plan(&mut self, first_reads: &[ItemId], window: usize) -> bool {
-        (**self).install_read_plan(first_reads, window)
-    }
-
-    fn plan_advanced(&mut self, first_reads_passed: usize) {
-        (**self).plan_advanced(first_reads_passed)
-    }
-
-    fn take_staged(&mut self, item: ItemId) -> Option<AlignedBuf> {
-        (**self).take_staged(item)
-    }
-
-    fn forget_hints(&mut self) {
-        (**self).forget_hints()
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -248,7 +210,7 @@ impl FileStore {
     }
 
     /// Open an existing store file (no truncation); used to get a second
-    /// handle onto the same data, e.g. for the prefetch worker thread.
+    /// handle onto the same data, e.g. for a write-behind worker thread.
     pub fn open<P: AsRef<Path>>(path: P, width: usize) -> io::Result<Self> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         Ok(FileStore {
@@ -308,8 +270,8 @@ impl FileStore {
 
     /// A second handle onto the same store (same inode, width and region
     /// base). Positioned I/O needs no shared cursor, so the clone can be
-    /// driven from another thread — this is how per-shard prefetch
-    /// pipelines get worker handles onto region stores carved out by
+    /// driven from another thread — this is how per-shard write-behind
+    /// queues get worker handles onto region stores carved out by
     /// [`FileStore::create_regions`].
     pub fn try_clone(&self) -> io::Result<FileStore> {
         Ok(FileStore {
@@ -334,18 +296,11 @@ impl BackingStore for FileStore {
         self.file.write_all_at(as_bytes(buf), self.offset(item))
     }
 
-    fn read_batch(&mut self, first: ItemId, count: usize, buf: &mut [f64]) -> io::Result<()> {
-        debug_assert_eq!(buf.len(), count * self.width);
-        use std::os::unix::fs::FileExt;
-        // Consecutive items are adjacent on disk: one positioned read
-        // covers the whole run.
-        self.file
-            .read_exact_at(as_bytes_mut(buf), self.offset(first))
-    }
-
     fn write_batch(&mut self, first: ItemId, count: usize, buf: &[f64]) -> io::Result<()> {
         debug_assert_eq!(buf.len(), count * self.width);
         use std::os::unix::fs::FileExt;
+        // Consecutive items are adjacent on disk: one positioned write
+        // covers the whole run.
         self.file.write_all_at(as_bytes(buf), self.offset(first))
     }
 
@@ -452,8 +407,8 @@ mod tests {
 
     #[test]
     fn batch_io_matches_scalar_io() {
-        // FileStore's single-transfer override and the default chunking
-        // impl (exercised via MemStore) must agree with per-item I/O.
+        // FileStore's single-transfer write override and the default
+        // chunking impls must agree with per-item I/O.
         let dir = tempfile::tempdir().unwrap();
         let (n, w) = (9usize, 11usize);
         let mut file = FileStore::create(dir.path().join("batch.bin"), n, w).unwrap();

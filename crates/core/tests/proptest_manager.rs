@@ -129,7 +129,7 @@ proptest! {
             prop_assert_eq!(s.requests, s.hits + s.misses);
             prop_assert_eq!(
                 s.misses,
-                s.disk_reads + s.skipped_reads + s.cold_loads + s.staged_loads
+                s.disk_reads + s.skipped_reads + s.cold_loads
             );
             prop_assert!(mgr.resident_items().len() <= n_slots);
         }

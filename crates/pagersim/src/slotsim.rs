@@ -22,8 +22,6 @@ pub struct SimGeometry {
     pub read_skipping: bool,
     /// Write every evicted vector back even if clean.
     pub always_write_back: bool,
-    /// Plan lookahead window for prefetch hints.
-    pub window: usize,
 }
 
 impl SimGeometry {
@@ -41,7 +39,6 @@ impl SimGeometry {
             n_slots,
             read_skipping: cfg.read_skipping,
             always_write_back: cfg.always_write_back,
-            window: cfg.prefetch_window,
         }
     }
 
@@ -57,9 +54,8 @@ impl SimGeometry {
         self
     }
 
-    /// Set the prefetch-hint lookahead window.
-    pub fn window(mut self, window: usize) -> Self {
-        self.window = window;
+    /// No effect; kept until ROADMAP item 1 re-bases `benchmark/`.
+    pub fn window(self, _window: usize) -> Self {
         self
     }
 }
@@ -72,7 +68,6 @@ impl From<SimGeometry> for OocConfig {
             n_slots: geo.n_slots,
             read_skipping: geo.read_skipping,
             always_write_back: geo.always_write_back,
-            prefetch_window: geo.window,
         }
     }
 }

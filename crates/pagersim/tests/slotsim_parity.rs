@@ -1,12 +1,11 @@
 //! Property-based parity: [`pager_sim::SlotCacheSim`] must report the
-//! exact same `OocStats` as a real `ooc_core::VectorManager` over a plain
-//! in-memory store, for any workload of pin groups, any replacement
-//! strategy, any slot count, and any behaviour-flag combination. This
-//! equality is the licence for the autotuner to prune candidates by
-//! simulated traffic alone. Both sides run the same `SlotTable`, so the
-//! property now guards the one thing that still differs between them —
-//! the data plane — including the pipelined plane, where it pins down
-//! exactly which counters a simulation can and cannot predict.
+//! exact same `OocStats` as a real `ooc_core::VectorManager`, for any
+//! workload of pin groups, any replacement strategy, any slot count, any
+//! behaviour-flag combination and either store stack — a plain in-memory
+//! store or the write-behind queue over one. This equality is the licence
+//! for the autotuner to prune candidates by simulated traffic alone. Both
+//! sides run the same `SlotTable`, so the property guards the one thing
+//! that still differs between them — the data plane.
 
 use ooc_core::{
     AccessPlan, AccessRecord, BackingStore, Intent, ItemId, MemStore, OocConfig, PrefetchingStore,
@@ -68,8 +67,8 @@ fn plan_of(groups: &[Vec<AccessRecord>]) -> AccessPlan {
 }
 
 /// One `MemStore` seen through any number of handles — what a vector file
-/// opened twice is to `FileStore`: the pipeline's demand path and its
-/// worker thread must view the same data.
+/// opened twice is to `FileStore`: the queue's demand path and its worker
+/// thread must view the same data.
 #[derive(Clone)]
 struct SharedMem(Arc<Mutex<MemStore>>);
 
@@ -82,69 +81,39 @@ impl BackingStore for SharedMem {
     }
 }
 
-/// The pipelined arm: the manager runs over a `PrefetchingStore`, which
-/// accepts the whole plan for streaming and hands staged buffers back.
-/// Every counter that says *which* operations happened must still match
-/// the simulation; only how a store read was paid for may differ.
+/// Drive a manager over `store` and a simulator through the same plans
+/// and groups; every counter must match, round for round.
 #[allow(clippy::too_many_arguments)]
-fn pipelined_parity(
+fn parity<S: BackingStore>(
+    store: S,
     groups: &[Vec<AccessRecord>],
     rounds: usize,
     n_slots: usize,
     selector: u8,
     read_skipping: bool,
     always_write_back: bool,
-    window: usize,
     use_oracle: bool,
 ) -> Result<(), TestCaseError> {
     let plan = plan_of(groups);
-    let window = window.max(1); // window 0 never installs a read plan
     let cfg = OocConfig::builder(N_ITEMS, WIDTH)
         .slots(n_slots)
         .read_skipping(read_skipping)
         .always_write_back(always_write_back)
-        .prefetch_window(window)
         .build()
         .unwrap();
-    let mem = SharedMem(Arc::new(Mutex::new(MemStore::new(N_ITEMS, WIDTH))));
-    let store = PrefetchingStore::new(mem.clone(), mem, N_ITEMS, WIDTH);
     let mut mgr = VectorManager::new(cfg, build_strategy(selector), store);
-    let mut sim = SlotCacheSim::new(cfg, build_strategy(selector));
+    let geo = SimGeometry::new(N_ITEMS, WIDTH, n_slots)
+        .read_skipping(read_skipping)
+        .always_write_back(always_write_back);
+    let mut sim = SlotCacheSim::new(geo, build_strategy(selector));
+
+    // A full-run oracle plan only makes sense for the NextUse strategy
+    // (that's the Belady configuration the tuner's lower bound uses), but
+    // installing it must preserve parity regardless.
     if use_oracle {
         mgr.install_oracle_plan(plan.repeated(rounds));
         sim.install_oracle_plan(plan.repeated(rounds));
     }
-
-    let compare = |mgr: &ooc_core::OocStats, sim: &ooc_core::OocStats, at: &str| {
-        // Whether a store read was a demand read or the adoption of a
-        // buffer the worker had already staged depends on thread timing;
-        // their sum does not.
-        prop_assert_eq!(mgr.disk_reads + mgr.staged_loads, sim.disk_reads, "{}", at);
-        prop_assert_eq!(sim.staged_loads, 0);
-        let decided = |s: &ooc_core::OocStats| {
-            [
-                s.requests,
-                s.hits,
-                s.misses,
-                s.evictions,
-                s.skipped_reads,
-                s.cold_loads,
-                s.disk_writes,
-                s.bytes_written,
-                s.plans,
-                s.io_errors,
-            ]
-        };
-        prop_assert_eq!(decided(mgr), decided(sim), "{}", at);
-        // Deliberately not compared:
-        // * `bytes_read` follows the timing-dependent demand/staged split
-        //   above (a staged load pays its bytes on the worker thread);
-        // * `hints_issued` and `hinted_reads` differ by flow, not by
-        //   chance: a streamed plan flags its whole first-read stream up
-        //   front, the simulation's windowed flow flags `window` items at
-        //   a time, and which loads find their flag still set follows.
-        Ok(())
-    };
 
     for round in 0..rounds {
         mgr.begin_plan(plan.clone());
@@ -153,19 +122,30 @@ fn pipelined_parity(
             drop(mgr.session(group).unwrap());
             sim.access_group(group);
         }
-        compare(mgr.stats(), sim.stats(), &format!("after round {round}"))?;
+        prop_assert_eq!(
+            mgr.stats(),
+            sim.stats(),
+            "diverged after round {} (strategy selector {})",
+            round,
+            selector % 5
+        );
     }
+
     mgr.flush().unwrap();
     sim.flush();
-    compare(mgr.stats(), sim.stats(), "after flush")
+    prop_assert_eq!(mgr.stats(), sim.stats(), "diverged after flush");
+
+    // The simulator never talks to a store, so this must be structurally
+    // zero on both sides.
+    prop_assert_eq!(sim.stats().io_errors, 0);
+    Ok(())
 }
 
 proptest! {
-    // Twice the cases the non-pipelined property had on its own: the new
+    // Twice the cases the non-pipelined property had on its own: the
     // `pipelined` input sends about half of them down the other arm.
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Every one of the fifteen counters must match, round for round.
     #[test]
     fn sim_counters_equal_real_manager(
         groups in proptest::collection::vec(group_strategy(), 1..40),
@@ -174,66 +154,19 @@ proptest! {
         selector in any::<u8>(),
         read_skipping in any::<bool>(),
         always_write_back in any::<bool>(),
-        window in 0usize..24,
         use_oracle in any::<bool>(),
         pipelined in any::<bool>(),
     ) {
-        if pipelined {
-            return pipelined_parity(
-                &groups, rounds, n_slots, selector, read_skipping, always_write_back, window,
-                use_oracle,
-            );
-        }
-        let plan = plan_of(&groups);
-
-        let cfg = OocConfig::builder(N_ITEMS, WIDTH)
-            .slots(n_slots)
-            .read_skipping(read_skipping)
-            .always_write_back(always_write_back)
-            .prefetch_window(window)
-            .build()
-            .unwrap();
-        let mut mgr = VectorManager::new(
-            cfg,
-            build_strategy(selector),
-            MemStore::new(N_ITEMS, WIDTH),
-        );
-        let geo = SimGeometry::new(N_ITEMS, WIDTH, n_slots)
-            .read_skipping(read_skipping)
-            .always_write_back(always_write_back)
-            .window(window);
-        let mut sim = SlotCacheSim::new(geo, build_strategy(selector));
-
-        // A full-run oracle plan only makes sense for the NextUse
-        // strategy (that's the Belady configuration the tuner's lower
-        // bound uses), but installing it must preserve parity regardless.
-        if use_oracle {
-            mgr.install_oracle_plan(plan.repeated(rounds));
-            sim.install_oracle_plan(plan.repeated(rounds));
-        }
-
-        for round in 0..rounds {
-            mgr.begin_plan(plan.clone());
-            sim.begin_plan(plan.clone());
-            for group in &groups {
-                let sess = mgr.session(group).unwrap();
-                drop(sess);
-                sim.access_group(group);
-            }
-            prop_assert_eq!(
-                mgr.stats(), sim.stats(),
-                "diverged after round {} (strategy selector {})",
-                round, selector % 5
-            );
-        }
-
-        mgr.flush().unwrap();
-        sim.flush();
-        prop_assert_eq!(mgr.stats(), sim.stats(), "diverged after flush");
-
-        // The simulator never talks to a store or a prefetch pipeline, so
-        // these must be structurally zero on both sides.
-        prop_assert_eq!(sim.stats().io_errors, 0);
-        prop_assert_eq!(sim.stats().staged_loads, 0);
+        let mem = MemStore::new(N_ITEMS, WIDTH);
+        let store: Box<dyn BackingStore> = if pipelined {
+            let mem = SharedMem(Arc::new(Mutex::new(mem)));
+            Box::new(PrefetchingStore::with_pool(mem.clone(), vec![mem], N_ITEMS, WIDTH))
+        } else {
+            Box::new(mem)
+        };
+        parity(
+            store, &groups, rounds, n_slots, selector, read_skipping, always_write_back,
+            use_oracle,
+        )?;
     }
 }

@@ -673,16 +673,10 @@ impl<S: AncestralStore> Block<S> {
     /// Execute all combines of a plan, submitting its lowered access plan
     /// first (§3.4: the residency information is established "when the
     /// global or local tree traversal order is determined ... prior to the
-    /// actual likelihood computations"). Read skipping, prefetch lookahead
-    /// and plan-aware replacement all derive from the one submitted
+    /// actual likelihood computations"). Read skipping and plan-aware
+    /// replacement both derive from the one submitted
     /// [`ooc_core::AccessPlan`] — there is no separate written/reads scan.
-    /// When the backing store runs a plan-driven I/O pipeline
-    /// (`ooc_core::PrefetchingStore`), this same submission installs the
-    /// plan on the pipeline's worker threads, which then stream the next
-    /// window of first-reads while the combine loop below is chewing the
-    /// current one. The pipeline affects only *when* vectors are read,
-    /// never their contents, so likelihoods are bit-identical with or
-    /// without it. A failure reports how many steps had completed.
+    /// A failure reports how many steps had completed.
     pub(crate) fn execute_plan(
         &mut self,
         cx: &PartCx<'_>,
@@ -690,7 +684,7 @@ impl<S: AncestralStore> Block<S> {
     ) -> Result<(), Failed> {
         let t0 = cx.obs.map(Recorder::now);
         // Even a step-free plan (fully oriented tree) is submitted: its
-        // trailing root-read records let the residency layer prefetch the
+        // trailing root-read records tell a plan-aware strategy about the
         // two vectors the root evaluation is about to touch.
         self.store.submit_plan(plan.lower(cx.tree.n_inner()));
         for (done, step) in plan.steps.iter().enumerate() {

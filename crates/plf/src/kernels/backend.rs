@@ -7,24 +7,20 @@
 //! per-site) match, so its cost is noise.
 //!
 //! The selected backend is a *request*, not a guarantee: each dispatch
-//! resolves it against the actual dimensions and (for AVX2) the actual CPU
-//! via [`KernelBackend::effective`], degrading to the next backend down
-//! whenever the specialization does not apply. Forcing `avx2` on a machine
-//! without the features, or running a 20-state protein model under
-//! `dna4`, is therefore safe — it silently runs the widest applicable
-//! kernel rather than faulting or producing garbage. `avx2` covers every
-//! shape (the stride-16 module for DNA/Γ4, the wide module for protein and
-//! codon widths); `dna4` applies to DNA/Γ4 only, and the floor under both
-//! is `scalar`, which runs any shape.
+//! resolves it against the actual CPU via [`KernelBackend::effective`].
+//! Forcing `avx2` on a machine without the features is therefore safe — it
+//! silently runs `scalar` rather than faulting. `avx2` covers every shape
+//! (the stride-16 module for DNA/Γ4, the wide module for protein and codon
+//! widths), and so does the floor under it, `scalar`.
 
-use super::{derivatives, dna4, evaluate, newview, Dims};
+use super::{derivatives, evaluate, newview, Dims};
 use phylo_models::PMatrices;
 
 #[cfg(target_arch = "x86_64")]
 use super::{avx2, wide};
 
 /// Environment variable overriding backend auto-detection
-/// (`scalar` | `dna4` | `avx2`; empty or unset means auto).
+/// (`scalar` | `avx2`; empty or unset means auto).
 pub const KERNEL_ENV_VAR: &str = "OOC_PLF_KERNEL";
 
 /// Which kernel implementation an engine executes.
@@ -33,9 +29,6 @@ pub enum KernelBackend {
     /// Generic triple-loop kernels, any `n_states`/`n_cats`. The reference
     /// implementation every other backend is validated against.
     Scalar,
-    /// Fully unrolled DNA/Γ4 (stride-16) kernels; bit-identical to
-    /// `Scalar` (same floating-point evaluation order).
-    Dna4Unrolled,
     /// AVX2+FMA kernels over transposed transition matrices — the stride-16
     /// module for DNA/Γ4 shapes, the width-generic wide module for
     /// everything else (protein, codon). Last-ulp differences from FMA
@@ -45,18 +38,13 @@ pub enum KernelBackend {
 
 impl KernelBackend {
     /// All backends, in increasing specialization order.
-    pub const ALL: [KernelBackend; 3] = [
-        KernelBackend::Scalar,
-        KernelBackend::Dna4Unrolled,
-        KernelBackend::Avx2Fma,
-    ];
+    pub const ALL: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Avx2Fma];
 
     /// Canonical name, accepted by [`KernelBackend::from_name`] and
     /// `OOC_PLF_KERNEL`.
     pub fn name(&self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
-            KernelBackend::Dna4Unrolled => "dna4",
             KernelBackend::Avx2Fma => "avx2",
         }
     }
@@ -65,9 +53,6 @@ impl KernelBackend {
     pub fn from_name(s: &str) -> Option<KernelBackend> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelBackend::Scalar),
-            "dna4" | "dna4unrolled" | "dna4-unrolled" | "unrolled" => {
-                Some(KernelBackend::Dna4Unrolled)
-            }
             "avx2" | "avx2fma" | "avx2-fma" | "simd" => Some(KernelBackend::Avx2Fma),
             _ => None,
         }
@@ -82,21 +67,20 @@ impl KernelBackend {
             Ok(s) => KernelBackend::from_name(&s).map(Some).ok_or_else(|| {
                 format!(
                     "invalid {KERNEL_ENV_VAR}={s:?}: expected one of \
-                     scalar | dna4 | avx2"
+                     scalar | avx2"
                 )
             }),
         }
     }
 
     /// The best backend this machine supports: AVX2+FMA when the CPU has
-    /// it, otherwise the unrolled kernels (which degrade per-dispatch to
-    /// scalar for non-DNA dimensions).
+    /// it, otherwise the scalar kernels.
     pub fn detect() -> KernelBackend {
         #[cfg(target_arch = "x86_64")]
         if avx2::available() {
             return KernelBackend::Avx2Fma;
         }
-        KernelBackend::Dna4Unrolled
+        KernelBackend::Scalar
     }
 
     /// The construction-time selection: the `OOC_PLF_KERNEL` override if
@@ -116,7 +100,6 @@ impl KernelBackend {
     pub fn supports(&self, dims: &Dims) -> bool {
         match self {
             KernelBackend::Scalar => true,
-            KernelBackend::Dna4Unrolled => dna4::dims_match(dims),
             KernelBackend::Avx2Fma => {
                 #[cfg(target_arch = "x86_64")]
                 {
@@ -133,16 +116,13 @@ impl KernelBackend {
     }
 
     /// Resolve the requested backend against dimensions and CPU: the
-    /// backend whose kernels will actually execute. The degradation chain
-    /// is `avx2 → dna4 → scalar`.
+    /// backend whose kernels will actually execute (`avx2` degrades to
+    /// `scalar` without the CPU features).
     pub fn effective(&self, dims: &Dims) -> KernelBackend {
-        match self {
-            KernelBackend::Scalar => KernelBackend::Scalar,
-            KernelBackend::Dna4Unrolled if dna4::dims_match(dims) => KernelBackend::Dna4Unrolled,
-            KernelBackend::Dna4Unrolled => KernelBackend::Scalar,
-            KernelBackend::Avx2Fma if self.supports(dims) => KernelBackend::Avx2Fma,
-            KernelBackend::Avx2Fma if dna4::dims_match(dims) => KernelBackend::Dna4Unrolled,
-            KernelBackend::Avx2Fma => KernelBackend::Scalar,
+        if self.supports(dims) {
+            *self
+        } else {
+            KernelBackend::Scalar
         }
     }
 
@@ -162,13 +142,10 @@ impl KernelBackend {
             KernelBackend::Scalar => {
                 newview::newview_tip_tip(dims, parent, scale_p, lut_l, codes_l, lut_r, codes_r)
             }
-            KernelBackend::Dna4Unrolled => {
-                dna4::newview_tip_tip(dims, parent, scale_p, lut_l, codes_l, lut_r, codes_r)
-            }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `effective` returned Avx2Fma only after
             // `avx2::available()` confirmed the CPU features.
-            KernelBackend::Avx2Fma if dna4::dims_match(dims) => unsafe {
+            KernelBackend::Avx2Fma if stride16(dims) => unsafe {
                 avx2::newview_tip_tip(dims, parent, scale_p, lut_l, codes_l, lut_r, codes_r)
             },
             #[cfg(target_arch = "x86_64")]
@@ -205,20 +182,10 @@ impl KernelBackend {
                 scale_inner,
                 pm_inner,
             ),
-            KernelBackend::Dna4Unrolled => dna4::newview_tip_inner(
-                dims,
-                parent,
-                scale_p,
-                lut_tip,
-                codes_tip,
-                inner,
-                scale_inner,
-                pm_inner,
-            ),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `effective` returned Avx2Fma only after
             // `avx2::available()` confirmed the CPU features.
-            KernelBackend::Avx2Fma if dna4::dims_match(dims) => unsafe {
+            KernelBackend::Avx2Fma if stride16(dims) => unsafe {
                 avx2::newview_tip_inner(
                     dims,
                     parent,
@@ -267,13 +234,10 @@ impl KernelBackend {
             KernelBackend::Scalar => newview::newview_inner_inner(
                 dims, parent, scale_p, left, scale_l, pm_l, right, scale_r, pm_r,
             ),
-            KernelBackend::Dna4Unrolled => dna4::newview_inner_inner(
-                dims, parent, scale_p, left, scale_l, pm_l, right, scale_r, pm_r,
-            ),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `effective` returned Avx2Fma only after
             // `avx2::available()` confirmed the CPU features.
-            KernelBackend::Avx2Fma if dna4::dims_match(dims) => unsafe {
+            KernelBackend::Avx2Fma if stride16(dims) => unsafe {
                 avx2::newview_inner_inner(
                     dims, parent, scale_p, left, scale_l, pm_l, right, scale_r, pm_r,
                 )
@@ -308,13 +272,10 @@ impl KernelBackend {
             KernelBackend::Scalar => evaluate::evaluate_inner_inner_sites(
                 dims, pvec, scale_p, qvec, scale_q, pm_root, freqs, weights, site_out,
             ),
-            KernelBackend::Dna4Unrolled => dna4::evaluate_inner_inner_sites(
-                dims, pvec, scale_p, qvec, scale_q, pm_root, freqs, weights, site_out,
-            ),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `effective` returned Avx2Fma only after
             // `avx2::available()` confirmed the CPU features.
-            KernelBackend::Avx2Fma if dna4::dims_match(dims) => unsafe {
+            KernelBackend::Avx2Fma if stride16(dims) => unsafe {
                 avx2::evaluate_inner_inner_sites(
                     dims, pvec, scale_p, qvec, scale_q, pm_root, freqs, weights, site_out,
                 )
@@ -347,13 +308,10 @@ impl KernelBackend {
             KernelBackend::Scalar => evaluate::evaluate_tip_inner_sites(
                 dims, root_lut, codes_tip, qvec, scale_q, weights, site_out,
             ),
-            KernelBackend::Dna4Unrolled => dna4::evaluate_tip_inner_sites(
-                dims, root_lut, codes_tip, qvec, scale_q, weights, site_out,
-            ),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `effective` returned Avx2Fma only after
             // `avx2::available()` confirmed the CPU features.
-            KernelBackend::Avx2Fma if dna4::dims_match(dims) => unsafe {
+            KernelBackend::Avx2Fma if stride16(dims) => unsafe {
                 avx2::evaluate_tip_inner_sites(
                     dims, root_lut, codes_tip, qvec, scale_q, weights, site_out,
                 )
@@ -398,22 +356,10 @@ impl KernelBackend {
                 out_d1,
                 out_d2,
             ),
-            KernelBackend::Dna4Unrolled => dna4::nr_derivatives_sites(
-                dims,
-                sumtable,
-                weights,
-                scale_sums,
-                eigenvalues,
-                rates,
-                z,
-                out_l,
-                out_d1,
-                out_d2,
-            ),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `effective` returned Avx2Fma only after
             // `avx2::available()` confirmed the CPU features.
-            KernelBackend::Avx2Fma if dna4::dims_match(dims) => unsafe {
+            KernelBackend::Avx2Fma if stride16(dims) => unsafe {
                 avx2::nr_derivatives_sites(
                     dims,
                     sumtable,
@@ -449,6 +395,14 @@ impl KernelBackend {
     }
 }
 
+/// The AVX2 kernels come in two modules: is this the DNA/Γ4 shape (site
+/// stride 16) the specialised one covers? Everything else runs the wide
+/// module.
+#[cfg(target_arch = "x86_64")]
+fn stride16(dims: &Dims) -> bool {
+    dims.n_states == 4 && dims.n_cats == 4
+}
+
 impl std::fmt::Display for KernelBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -459,7 +413,7 @@ impl std::str::FromStr for KernelBackend {
     type Err = String;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         KernelBackend::from_name(s)
-            .ok_or_else(|| format!("unknown kernel backend {s:?}: expected scalar | dna4 | avx2"))
+            .ok_or_else(|| format!("unknown kernel backend {s:?}: expected scalar | avx2"))
     }
 }
 
@@ -505,44 +459,23 @@ mod tests {
     }
 
     #[test]
-    fn specialized_backends_degrade_on_protein_dims() {
-        // dna4 degrades to scalar; avx2 runs its wide module when the CPU
-        // has the features (degrading to scalar otherwise).
-        let d = protein_dims();
-        assert!(!KernelBackend::Dna4Unrolled.supports(&d));
-        assert_eq!(
-            KernelBackend::Dna4Unrolled.effective(&d),
-            KernelBackend::Scalar
-        );
-        let eff = KernelBackend::Avx2Fma.effective(&d);
-        if KernelBackend::Avx2Fma.supports(&d) {
-            assert_eq!(eff, KernelBackend::Avx2Fma);
-        } else {
-            assert_eq!(eff, KernelBackend::Scalar);
-        }
-    }
-
-    #[test]
-    fn dna_dims_resolve_to_requested_backend() {
-        let d = dna_dims();
-        assert_eq!(
-            KernelBackend::Dna4Unrolled.effective(&d),
-            KernelBackend::Dna4Unrolled
-        );
-        // Avx2Fma resolves to itself iff the CPU has the features,
-        // otherwise to the unrolled kernels — never to garbage.
-        let eff = KernelBackend::Avx2Fma.effective(&d);
-        if KernelBackend::Avx2Fma.supports(&d) {
-            assert_eq!(eff, KernelBackend::Avx2Fma);
-        } else {
-            assert_eq!(eff, KernelBackend::Dna4Unrolled);
+    fn avx2_resolves_to_itself_or_to_scalar_on_every_shape() {
+        // avx2 runs its stride-16 or wide module when the CPU has the
+        // features and degrades to scalar otherwise — never to garbage.
+        for d in [dna_dims(), protein_dims()] {
+            let eff = KernelBackend::Avx2Fma.effective(&d);
+            if KernelBackend::Avx2Fma.supports(&d) {
+                assert_eq!(eff, KernelBackend::Avx2Fma);
+            } else {
+                assert_eq!(eff, KernelBackend::Scalar);
+            }
         }
     }
 
     #[test]
     fn detect_returns_a_supported_backend() {
         let b = KernelBackend::detect();
-        assert!(b == KernelBackend::Avx2Fma || b == KernelBackend::Dna4Unrolled);
+        assert!(b == KernelBackend::Avx2Fma || b == KernelBackend::Scalar);
         if b == KernelBackend::Avx2Fma {
             assert!(b.supports(&dna_dims()));
         }
@@ -632,17 +565,5 @@ mod tests {
                 }
             }
         }
-        // dna4 on protein dims degrades to scalar: exactly equal, not
-        // merely close.
-        let mut p_s = vec![0.0; d.width()];
-        let mut p_g = vec![0.0; d.width()];
-        let mut sc = vec![0u32; d.n_patterns];
-        KernelBackend::Scalar.newview_inner_inner(
-            &d, &mut p_s, &mut sc, &left, &zeros, &pm, &right, &zeros, &pm,
-        );
-        KernelBackend::Dna4Unrolled.newview_inner_inner(
-            &d, &mut p_g, &mut sc, &left, &zeros, &pm, &right, &zeros, &pm,
-        );
-        assert_eq!(p_s, p_g);
     }
 }

@@ -99,12 +99,14 @@ pub fn build_sumtable(
     }
 }
 
-/// Per-pattern variant of [`nr_derivatives`]: write pattern `i`'s weighted
-/// contributions to `lnL`, `d lnL/dz` and `d² lnL/dz²` into `out_l[i]`,
-/// `out_d1[i]`, `out_d2[i]`. The three accumulators of the scalar version
-/// are independent left-to-right sums over patterns, so folding these
-/// buffers in pattern order (and, for a sharded run, in shard order)
-/// reproduces the scalar results bit for bit.
+/// Write pattern `i`'s weighted contributions to `lnL`, `d lnL/dz` and
+/// `d² lnL/dz²` at branch length `z` into `out_l[i]`, `out_d1[i]`,
+/// `out_d2[i]`, from a sumtable. `scale_sums[i]` is the combined scaling
+/// count of both sides for pattern `i` (constant in `z`, so it shifts
+/// `lnL` but not the derivatives). The three totals are independent
+/// left-to-right sums over patterns, so folding these buffers in pattern
+/// order (and, for a sharded run, in shard order) gives the same bits
+/// however the patterns are split.
 #[allow(clippy::too_many_arguments)]
 pub fn nr_derivatives_sites(
     dims: &Dims,
@@ -156,46 +158,43 @@ pub fn nr_derivatives_sites(
     }
 }
 
-/// Evaluate `(lnL, d lnL/dz, d² lnL/dz²)` at branch length `z` from a
-/// sumtable. `scale_sums[i]` is the combined scaling count of both sides
-/// for pattern `i` (constant in `z`, so it shifts `lnL` but not the
-/// derivatives).
-pub fn nr_derivatives(
-    dims: &Dims,
-    sumtable: &[f64],
-    weights: &[u32],
-    scale_sums: &[u32],
-    eigenvalues: &[f64],
-    rates: &[f64],
-    z: f64,
-) -> (f64, f64, f64) {
-    let n = dims.n_patterns;
-    let mut out_l = vec![0.0; n];
-    let mut out_d1 = vec![0.0; n];
-    let mut out_d2 = vec![0.0; n];
-    nr_derivatives_sites(
-        dims,
-        sumtable,
-        weights,
-        scale_sums,
-        eigenvalues,
-        rates,
-        z,
-        &mut out_l,
-        &mut out_d1,
-        &mut out_d2,
-    );
-    let fold = |b: &[f64]| b.iter().fold(0.0, |acc, &t| acc + t);
-    (fold(&out_l), fold(&out_d1), fold(&out_d2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::evaluate::evaluate_inner_inner;
+    use crate::kernels::testutil::evaluate_inner_inner;
     use phylo_models::{DiscreteGamma, PMatrices, ReversibleModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The per-pattern terms of [`nr_derivatives_sites`], folded.
+    fn nr_derivatives(
+        dims: &Dims,
+        sumtable: &[f64],
+        weights: &[u32],
+        scale_sums: &[u32],
+        eigenvalues: &[f64],
+        rates: &[f64],
+        z: f64,
+    ) -> (f64, f64, f64) {
+        let n = dims.n_patterns;
+        let mut out_l = vec![0.0; n];
+        let mut out_d1 = vec![0.0; n];
+        let mut out_d2 = vec![0.0; n];
+        nr_derivatives_sites(
+            dims,
+            sumtable,
+            weights,
+            scale_sums,
+            eigenvalues,
+            rates,
+            z,
+            &mut out_l,
+            &mut out_d1,
+            &mut out_d2,
+        );
+        let fold = |b: &[f64]| b.iter().fold(0.0, |acc, &t| acc + t);
+        (fold(&out_l), fold(&out_d1), fold(&out_d2))
+    }
 
     fn setup() -> (Dims, ReversibleModel, DiscreteGamma) {
         (

@@ -53,25 +53,6 @@ pub fn evaluate_inner_inner_sites(
     }
 }
 
-/// Scalar convenience over [`evaluate_inner_inner_sites`].
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_inner_inner(
-    dims: &Dims,
-    pvec: &[f64],
-    scale_p: &[u32],
-    qvec: &[f64],
-    scale_q: &[u32],
-    pm_root: &PMatrices,
-    freqs: &[f64],
-    weights: &[u32],
-) -> f64 {
-    let mut sites = vec![0.0; dims.n_patterns];
-    evaluate_inner_inner_sites(
-        dims, pvec, scale_p, qvec, scale_q, pm_root, freqs, weights, &mut sites,
-    );
-    sites.iter().fold(0.0, |acc, &t| acc + t)
-}
-
 /// Evaluate at a tip branch: the tip side is folded into a root-side lookup
 /// table (`root_lut`, see [`crate::TipCodes::build_root_lut`]) so the site
 /// likelihood is a plain dot product with the inner vector `qvec`. Writes
@@ -101,30 +82,31 @@ pub fn evaluate_tip_inner_sites(
     }
 }
 
-/// Scalar convenience over [`evaluate_tip_inner_sites`].
-pub fn evaluate_tip_inner(
-    dims: &Dims,
-    root_lut: &[f64],
-    codes_tip: &[u16],
-    qvec: &[f64],
-    scale_q: &[u32],
-    weights: &[u32],
-) -> f64 {
-    let mut sites = vec![0.0; dims.n_patterns];
-    evaluate_tip_inner_sites(
-        dims, root_lut, codes_tip, qvec, scale_q, weights, &mut sites,
-    );
-    sites.iter().fold(0.0, |acc, &t| acc + t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encode::TipCodes;
+    use crate::kernels::testutil::evaluate_inner_inner;
     use phylo_models::{DiscreteGamma, ReversibleModel};
     use phylo_seq::{compress_patterns, Alignment, Alphabet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The per-pattern terms of [`evaluate_tip_inner_sites`], folded.
+    fn evaluate_tip_inner(
+        dims: &Dims,
+        root_lut: &[f64],
+        codes_tip: &[u16],
+        qvec: &[f64],
+        scale_q: &[u32],
+        weights: &[u32],
+    ) -> f64 {
+        let mut sites = vec![0.0; dims.n_patterns];
+        evaluate_tip_inner_sites(
+            dims, root_lut, codes_tip, qvec, scale_q, weights, &mut sites,
+        );
+        sites.iter().fold(0.0, |acc, &t| acc + t)
+    }
 
     fn dims() -> Dims {
         Dims {

@@ -8,7 +8,6 @@
 pub mod avx2;
 pub mod backend;
 pub mod derivatives;
-pub mod dna4;
 pub mod evaluate;
 pub mod newview;
 #[cfg(target_arch = "x86_64")]
@@ -88,6 +87,7 @@ impl ApvLayout {
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::Dims;
+    use phylo_models::PMatrices;
     use rand::Rng;
 
     /// A random strictly positive "probability-like" vector.
@@ -95,6 +95,25 @@ pub(crate) mod testutil {
         (0..dims.width())
             .map(|_| rng.gen_range(0.01..1.0))
             .collect()
+    }
+
+    /// The per-pattern terms of [`evaluate_inner_inner_sites`](super::evaluate::evaluate_inner_inner_sites), folded.
+    #[allow(clippy::too_many_arguments)]
+    pub fn evaluate_inner_inner(
+        dims: &Dims,
+        pvec: &[f64],
+        scale_p: &[u32],
+        qvec: &[f64],
+        scale_q: &[u32],
+        pm_root: &PMatrices,
+        freqs: &[f64],
+        weights: &[u32],
+    ) -> f64 {
+        let mut sites = vec![0.0; dims.n_patterns];
+        super::evaluate::evaluate_inner_inner_sites(
+            dims, pvec, scale_p, qvec, scale_q, pm_root, freqs, weights, &mut sites,
+        );
+        sites.iter().fold(0.0, |acc, &t| acc + t)
     }
 }
 

@@ -12,8 +12,9 @@
 //! * **strategy** — [`StrategyKind`], with tree oracles wired automatically
 //!   for the strategies that rank by topology;
 //! * **shards** — pattern-parallel shards per partition;
-//! * **io_threads** — I/O worker threads streaming the plan ahead of
-//!   compute (lookahead is [`ooc_core::DEFAULT_PREFETCH_WINDOW`]);
+//! * **io_threads** — write-behind worker threads retiring dirty
+//!   evictions beside compute (a bounded queue, see
+//!   [`ooc_core::PrefetchingStore`]);
 //! * **compression** — the lossless APV codec behind the backing store;
 //! * **partitions** — not an axis of the spec at all: [`EngineSpec::build`]
 //!   takes the partition list as data, so the same profile drives a
@@ -224,7 +225,7 @@ pub struct EngineSpec {
     /// Pattern-parallel column blocks per partition (1 = one block, run
     /// inline on the caller's thread).
     pub shards: usize,
-    /// Dedicated I/O worker threads per shard (0 = no prefetch pipeline;
+    /// Write-behind worker threads per shard (0 = synchronous write-back;
     /// requires a file-backed residency).
     pub io_threads: usize,
     /// Γ shape parameter at construction.
@@ -735,12 +736,11 @@ impl EngineSpec {
     }
 
     /// One shard's manager store, type-erased: `backing` behind the spec's
-    /// compression codec, the prefetch pipeline (one worker per handle in
-    /// `workers`, second handles onto `backing`; none = no pipeline) and
-    /// cancellation. The codec sits *below* the pipeline: prefetch staging
-    /// holds decoded vectors and worker threads decode off the demand
-    /// path, each through its own scratch-buffered [`CompressingStore`]
-    /// handle.
+    /// compression codec, the write-behind queue (one worker per handle in
+    /// `workers`, second handles onto `backing`; none = no queue) and
+    /// cancellation. The codec sits *below* the queue: queued vectors are
+    /// decoded ones and worker threads encode off the demand path, each
+    /// through its own scratch-buffered [`CompressingStore`] handle.
     #[allow(clippy::too_many_arguments)]
     fn shard_store<B: BackingStore + Send + 'static>(
         &self,
@@ -759,30 +759,28 @@ impl EngineSpec {
                     cs.set_recorder(r.clone());
                 }
                 let workers = workers.into_iter().map(|w| cs.handle_over(w)).collect();
-                Self::pipeline(cs, workers, n_items, width, ctx, rec)
+                Self::pipeline(cs, workers, n_items, width, ctx)
             }
-            None => Self::pipeline(backing, workers, n_items, width, ctx, rec),
+            None => Self::pipeline(backing, workers, n_items, width, ctx),
         }
     }
 
-    /// The top of [`Self::shard_store`]'s chain: the prefetch pipeline when
-    /// there are worker handles, then cancellation, then the box.
+    /// The top of [`Self::shard_store`]'s chain: the write-behind queue
+    /// when there are worker handles, then cancellation, then the box.
     fn pipeline<S: BackingStore + Send + 'static>(
         store: S,
         workers: Vec<S>,
         n_items: usize,
         width: usize,
         ctx: &BuildContext,
-        rec: Option<&Recorder>,
     ) -> DynStore {
         if workers.is_empty() {
             return Self::cancellable(store, ctx);
         }
-        let mut pipelined = PrefetchingStore::with_pool(store, workers, n_items, width);
-        if let Some(r) = rec {
-            pipelined.set_recorder(r.clone());
-        }
-        Self::cancellable(pipelined, ctx)
+        Self::cancellable(
+            PrefetchingStore::with_pool(store, workers, n_items, width),
+            ctx,
+        )
     }
 
     /// Type-erase one manager store, wrapping cancellation around it.

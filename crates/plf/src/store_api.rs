@@ -58,9 +58,9 @@ pub trait AncestralStore {
 
     /// Submit the access plan of an upcoming traversal: the exact ordered
     /// `{item, intent}` sequence the engine is about to issue. Residency
-    /// backends derive read skipping (write-first items), lookahead
-    /// prefetch hints and plan-aware replacement from it; backends with no
-    /// residency management ignore it.
+    /// backends derive read skipping (write-first items) and plan-aware
+    /// replacement from it; backends with no residency management ignore
+    /// it.
     fn submit_plan(&mut self, _plan: AccessPlan) {}
 
     /// Lease the given vectors (at most [`MAX_PINS`]), pinned with their

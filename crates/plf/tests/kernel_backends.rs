@@ -1,7 +1,6 @@
 //! Engine-level backend equivalence: the same dataset evaluated with
 //! every kernel backend that runs on this machine must produce the same
-//! log-likelihood (Dna4Unrolled bit-identically — it preserves the scalar
-//! summation order; AVX2+FMA within 1e-13 relative), and an engine of
+//! log-likelihood (AVX2+FMA within 1e-13 relative), and an engine of
 //! several blocks must stay bit-identical to the serial engine for any
 //! fixed backend.
 
@@ -93,10 +92,6 @@ fn serial_engine_backends_agree() {
         engine.set_kernel(backend);
         assert_eq!(engine.kernel(), backend);
         let got = engine.log_likelihood().unwrap();
-        if backend == KernelBackend::Dna4Unrolled {
-            // Unrolled preserves the exact scalar summation order.
-            assert_eq!(got, want, "dna4 lnl must be bit-identical to scalar");
-        }
         assert!(
             close(got, want),
             "{}: {got} vs scalar {want}",

@@ -264,7 +264,7 @@ fn a_repeated_traversal_writes_stored_vectors_minus_plan_start_residents() {
         );
         assert_eq!(
             stats.misses,
-            stats.disk_reads + stats.skipped_reads + stats.cold_loads + stats.staged_loads
+            stats.disk_reads + stats.skipped_reads + stats.cold_loads
         );
     }
 }

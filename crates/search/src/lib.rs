@@ -15,9 +15,9 @@
 //! The search layer never talks to the residency layer directly: every
 //! likelihood evaluation it requests makes the engine lower its traversal
 //! plan into an [`ooc_core::AccessPlan`] and submit it before computing
-//! (see `PlfEngine::execute_plan`), so read skipping, lookahead prefetch
-//! and plan-aware (NextUse) replacement automatically track each SPR
-//! candidate, smoothing pass and MCMC proposal evaluated here.
+//! (see `PlfEngine::execute_plan`), so read skipping and plan-aware
+//! (NextUse) replacement automatically track each SPR candidate,
+//! smoothing pass and MCMC proposal evaluated here.
 
 pub mod hillclimb;
 pub mod mcmc;

@@ -2,8 +2,8 @@
 //!
 //! Each candidate evaluation below goes through the engine, which submits
 //! the traversal's lowered access plan to the residency layer first — the
-//! SPR loop itself needs no residency calls for read skipping or prefetch
-//! to track its (highly local) access pattern.
+//! SPR loop itself needs no residency calls for read skipping or plan-aware
+//! replacement to track its (highly local) access pattern.
 
 use ooc_core::OocResult;
 use phylo_plf::LikelihoodEngine;

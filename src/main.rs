@@ -50,7 +50,7 @@ macro_rules! analysis_flags {
             Flag::text("vector-file", "", "where evicted vectors go during the run [a temp file]"),
             Flag::float("alpha", 0.8, "Gamma shape; search optimises it unless given"),
             Flag::int("seed", 42, "RNG seed"),
-            Flag::int("io-threads", 0, "I/O workers prefetching along the plan (0 = synchronous)"),
+            Flag::int("io-threads", 0, "write-behind I/O workers (0 = synchronous write-back)"),
             Flag::text("compression", "", "none | exp (bit-exact); needs --memory"),
             Flag::switch("stats", "print out-of-core statistics"),
             args::METRICS,

@@ -1,18 +1,16 @@
 //! Deterministic stall-attribution tests: a hand-cranked [`ManualClock`]
 //! shared between a simulated-latency store and the [`Recorder`] makes
 //! every span duration exact, so the attribution split (demand-read vs
-//! write-back vs prefetch-wait vs compute) can be asserted to the
+//! write-back vs compute) can be asserted to the
 //! nanosecond for a scripted access plan — no timers, no tolerance.
 
 use phylo_ooc::ooc::{
-    AccessPlan, AccessRecord, BackingStore, Event, ItemId, ManualClock, MemStore, MemorySink,
-    OocConfig, PrefetchingStore, Recorder, StallKind, StrategyKind, VectorManager,
+    BackingStore, Event, ItemId, ManualClock, MemStore, MemorySink, OocConfig, Recorder, StallKind,
+    StrategyKind, VectorManager,
 };
 use phylo_ooc::plf::{BuildContext, EngineSpec, LikelihoodEngine, Residency};
 use phylo_ooc::setup::{self, DatasetSpec};
 use std::io;
-use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 const READ_NS: u64 = 1_000;
 const WRITE_NS: u64 = 300;
@@ -98,7 +96,6 @@ fn scripted_plan_attributes_stalls_exactly() {
         rec.kind_ns(StallKind::WriteBack),
         stats.disk_writes * WRITE_NS
     );
-    assert_eq!(rec.kind_ns(StallKind::PrefetchWait), 0);
     assert_eq!(rec.kind_ns(StallKind::BarrierWait), 0);
 
     // The whole run advanced the clock only through store I/O, so the
@@ -134,240 +131,6 @@ fn scripted_plan_attributes_stalls_exactly() {
     let writes = rec.histogram("manager", "write-back").unwrap();
     assert_eq!(writes.count(), stats.disk_writes);
     assert_eq!(writes.sum_ns(), stats.disk_writes * WRITE_NS);
-}
-
-/// An in-memory store shareable between a pipeline's main handle and its
-/// worker handle — the same "one underlying device" relationship a
-/// [`phylo_ooc::ooc::FileStore`] pair over one path has, without touching
-/// the filesystem.
-#[derive(Clone)]
-struct SharedMemStore(Arc<Mutex<MemStore>>);
-
-impl SharedMemStore {
-    fn new(n_items: usize, width: usize) -> Self {
-        SharedMemStore(Arc::new(Mutex::new(MemStore::new(n_items, width))))
-    }
-}
-
-impl BackingStore for SharedMemStore {
-    fn read(&mut self, item: ItemId, buf: &mut [f64]) -> io::Result<()> {
-        self.0.lock().unwrap().read(item, buf)
-    }
-
-    fn write(&mut self, item: ItemId, buf: &[f64]) -> io::Result<()> {
-        self.0.lock().unwrap().write(item, buf)
-    }
-}
-
-/// Blocks every read until the gate opens, reporting "I am about to
-/// block" on `entered` first — the test's handle on "the prefetch of this
-/// item is in flight *right now*".
-struct GatedStore<S> {
-    inner: S,
-    gate: Arc<(Mutex<bool>, Condvar)>,
-    entered: mpsc::Sender<()>,
-}
-
-impl<S: BackingStore> BackingStore for GatedStore<S> {
-    fn read(&mut self, item: ItemId, buf: &mut [f64]) -> io::Result<()> {
-        let _ = self.entered.send(());
-        let (lock, cond) = &*self.gate;
-        let mut open = lock.lock().unwrap();
-        while !*open {
-            open = cond.wait(open).unwrap();
-        }
-        drop(open);
-        self.inner.read(item, buf)
-    }
-
-    fn write(&mut self, item: ItemId, buf: &[f64]) -> io::Result<()> {
-        self.inner.write(item, buf)
-    }
-}
-
-/// A demand read that overlaps its own in-flight prefetch must be counted
-/// exactly once: the wait is prefetch-wait, and the manager's enclosing
-/// demand-read span *excludes* that interval, so the two kinds are
-/// disjoint by construction and sum — with write-back and compute — to
-/// wall time with no double subtraction.
-#[test]
-fn overlapped_prefetch_attributed_once_as_prefetch_wait() {
-    let clock = ManualClock::new();
-    let (sink, events) = MemorySink::new();
-    let rec = Recorder::new(clock.clone(), sink);
-
-    let n = 6;
-    let shared = SharedMemStore::new(n, WIDTH);
-    // Main handle pays READ_NS / WRITE_NS on the manual clock; the worker
-    // handle pays READ_NS per staged read but blocks on the gate first.
-    let main = SimLatencyStore {
-        inner: shared.clone(),
-        clock: clock.clone(),
-        read_ns: READ_NS,
-        write_ns: WRITE_NS,
-    };
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let (entered_tx, entered_rx) = mpsc::channel();
-    let worker = GatedStore {
-        inner: SimLatencyStore {
-            inner: shared.clone(),
-            clock: clock.clone(),
-            read_ns: READ_NS,
-            write_ns: WRITE_NS,
-        },
-        gate: Arc::clone(&gate),
-        entered: entered_tx,
-    };
-    let mut prefetching = PrefetchingStore::new(main, worker, n, WIDTH);
-    prefetching.set_recorder(rec.clone());
-
-    // Dirty-only write-backs: with the paper's unconditional write-back,
-    // the demand read's eviction below would fold a write behind the
-    // gated plan read, and the fold would retire at a racy point relative
-    // to the stalled reader waking — smearing the exact clock arithmetic.
-    let cfg = OocConfig::builder(n, WIDTH)
-        .slots(3)
-        .prefetch_window(4)
-        .always_write_back(false)
-        .build()
-        .unwrap();
-    let mut mgr = VectorManager::new(cfg, StrategyKind::Lru.build(None), prefetching);
-    mgr.set_recorder(rec.clone());
-
-    let v = [2.0; WIDTH];
-    let mut out = [0.0; WIDTH];
-    // Fill the three slots, then evict item 0 (LRU) with a write-back the
-    // pipeline folds into its queue; drain so the fold has retired (clock
-    // advances WRITE_NS through the worker handle) before the plan starts.
-    for item in 0..4 {
-        mgr.write_vector(item, &v).unwrap();
-    }
-    mgr.store().drain();
-    assert_eq!(rec.now(), WRITE_NS, "one folded write-back retired");
-    // Flush the remaining dirty residents so the demand read below evicts
-    // a *clean* victim: otherwise its write-back fold would queue behind
-    // the gated plan read and retire at a racy point relative to the
-    // stalled reader waking, smearing the exact clock arithmetic.
-    mgr.flush().unwrap();
-    assert_eq!(rec.now(), 4 * WRITE_NS, "fold + three flush writes retired");
-
-    // Install a plan whose first read is item 0: the pipeline starts
-    // streaming it and blocks on the gate — the prefetch is now in
-    // flight, guaranteed, before the demand read below is issued.
-    mgr.begin_plan(AccessPlan::from_records(vec![AccessRecord::read(0)], n));
-    entered_rx
-        .recv_timeout(std::time::Duration::from_secs(10))
-        .expect("pipeline worker never started streaming the plan");
-
-    // Open the gate shortly after the demand read has started waiting.
-    let opener = std::thread::spawn({
-        let gate = Arc::clone(&gate);
-        move || {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            let (lock, cond) = &*gate;
-            *lock.lock().unwrap() = true;
-            cond.notify_all();
-        }
-    });
-    // The read overlaps its own in-flight prefetch: it stalls, the worker
-    // stages (advancing the clock by READ_NS), and the staged copy is
-    // consumed — no second disk read.
-    mgr.read_into(0, &mut out).unwrap();
-    opener.join().unwrap();
-    assert_eq!(out, v);
-
-    let stats = *mgr.stats();
-    assert_eq!(stats.disk_reads, 1, "one demand read issued to the store");
-    let pstats = mgr.store().stats();
-    assert_eq!(pstats.hinted_too_late.load(Ordering::Relaxed), 1);
-    assert_eq!(pstats.staged_hits.load(Ordering::Relaxed), 1);
-    assert_eq!(pstats.staged_misses.load(Ordering::Relaxed), 0);
-
-    // Counted once: the whole store interval is prefetch-wait, and the
-    // manager's demand-read span excluded it entirely.
-    assert_eq!(rec.kind_ns(StallKind::PrefetchWait), READ_NS);
-    assert_eq!(rec.kind_ns(StallKind::DemandRead), 0);
-
-    // Disjoint decomposition: demand + write-back + prefetch + compute
-    // partition wall time exactly — nothing double-counted, nothing
-    // double-subtracted. (Folded write-backs advance the clock on the
-    // worker thread outside the manager's instant-return fold spans, so
-    // that time lands in the compute residual / flush span.)
-    let wall = rec.now();
-    assert_eq!(wall, 4 * WRITE_NS + READ_NS);
-    let attr = rec.attribution(wall);
-    assert_eq!(attr.prefetch_wait_ns, READ_NS);
-    assert_eq!(attr.demand_read_ns, 0);
-    assert_eq!(
-        attr.demand_read_ns + attr.write_back_ns + attr.prefetch_wait_ns + attr.compute_ns(),
-        wall
-    );
-
-    let events = events.lock().clone();
-    assert_eq!(count(&events, "prefetch", "stalled-read"), 1);
-    assert_eq!(count(&events, "manager", "demand-read"), 1);
-}
-
-/// The other resolution of the same race: the in-flight marker never
-/// resolves (the hint was lost), the stalled read times out and falls
-/// through to the main store. The fall-through disk time is demand-read,
-/// the (clockless) wait is prefetch-wait — still disjoint, still summing
-/// to wall.
-#[test]
-fn overlapped_prefetch_fallthrough_stays_disjoint() {
-    let clock = ManualClock::new();
-    let (sink, events) = MemorySink::new();
-    let rec = Recorder::new(clock.clone(), sink);
-
-    let n = 6;
-    let shared = SharedMemStore::new(n, WIDTH);
-    let main = SimLatencyStore {
-        inner: shared.clone(),
-        clock: clock.clone(),
-        read_ns: READ_NS,
-        write_ns: WRITE_NS,
-    };
-    let mut prefetching = PrefetchingStore::new(main, shared.clone(), n, WIDTH);
-    prefetching.set_recorder(rec.clone());
-
-    let cfg = OocConfig::builder(n, WIDTH).slots(3).build().unwrap();
-    let mut mgr = VectorManager::new(cfg, StrategyKind::Lru.build(None), prefetching);
-    mgr.set_recorder(rec.clone());
-
-    let v = [2.0; WIDTH];
-    let mut out = [0.0; WIDTH];
-    for item in 0..4 {
-        mgr.write_vector(item, &v).unwrap();
-    }
-    mgr.store().drain();
-    // Mark a prefetch of item 0 as in flight that nothing will resolve:
-    // the demand read waits its bounded spin, then falls through.
-    mgr.store().debug_mark_pending(0);
-    mgr.read_into(0, &mut out).unwrap();
-    assert_eq!(out, v);
-
-    let stats = *mgr.stats();
-    assert_eq!(stats.disk_reads, 1);
-    let pstats = mgr.store().stats();
-    assert_eq!(pstats.hinted_too_late.load(Ordering::Relaxed), 1);
-    assert_eq!(pstats.staged_misses.load(Ordering::Relaxed), 1);
-
-    // The manual clock only moved during the fall-through disk read, so
-    // the wait interval is zero-width and all READ_NS is demand-read —
-    // none of it counted twice as prefetch-wait.
-    assert_eq!(rec.kind_ns(StallKind::DemandRead), READ_NS);
-    assert_eq!(rec.kind_ns(StallKind::PrefetchWait), 0);
-
-    let wall = rec.now();
-    let attr = rec.attribution(wall);
-    assert_eq!(
-        attr.demand_read_ns + attr.write_back_ns + attr.prefetch_wait_ns + attr.compute_ns(),
-        wall
-    );
-
-    let events = events.lock().clone();
-    assert_eq!(count(&events, "prefetch", "stalled-read"), 1);
-    assert_eq!(count(&events, "manager", "demand-read"), 1);
 }
 
 /// Engine-level wiring: a full traversal under a recorder produces

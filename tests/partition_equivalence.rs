@@ -94,8 +94,8 @@ fn partitioned_lnls_bit_identical_across_residency_backends() {
     file.log_likelihood().expect("OOC-file traversal");
     assert_bitwise(&file.partition_lnls().unwrap(), &reference, "ooc-file");
 
-    // The full PR-6 residency stack per partition: sharded members over
-    // plan-driven double-buffered prefetching file stores.
+    // The full residency stack per partition: sharded members over file
+    // stores with write-behind queues.
     let mut piped = common::sharded_file(
         &data,
         &dir.path().join("piped.bin"),

@@ -266,7 +266,7 @@ fn every_arity_and_residency_matches_hand_built_serial_members() {
                 Residency::File { .. } | Residency::FileLimit { .. }
             );
             for shards in [1usize, 3] {
-                // The pipeline needs a file to prefetch from.
+                // The write-behind queue needs a file to clone handles of.
                 for io_threads in 0..=usize::from(file_backed) {
                     let cell = format!("{} k={shards} p={p} io={io_threads}", residency.name());
                     let spec = EngineSpec {
